@@ -32,7 +32,7 @@ from .geometry import (
     twovars_verify,
 )
 from .groebner import DEFAULT_DEGREE_CEILING, Ideal
-from .resolution import minimal_free_resolution, regularity
+from .resolution import betti_table, regularity
 from .sessions import parse_session
 
 DEFAULT_TMAX = 4
@@ -163,14 +163,13 @@ def _run(args) -> reports.Report:
 
     if cmd == "reg":
         I = _session_ideal(session, args.ideal)
-        reg_i = regularity(I, "ideal", ceiling)
         reg_q = regularity(I, "quotient", ceiling)
-        return reports.reg_report(args.ideal, ring, reg_i, reg_q)
+        return reports.reg_report(args.ideal, ring, reg_q + 1, reg_q)
 
     if cmd in ("res", "betti"):
         I = _session_ideal(session, args.ideal)
-        res, betti = minimal_free_resolution(I, args.of, ceiling)
-        return reports.res_report(args.ideal, ring, args.of, res, betti)
+        betti = betti_table(I, args.of, ceiling)
+        return reports.res_report(args.ideal, ring, args.of, betti)
 
     if cmd == "powers":
         I = _session_ideal(session, args.ideal)

@@ -35,7 +35,7 @@ from .errors import (
     SelfCheckError,
     UsageError,
 )
-from .fields import GF, MAX_EXTENSION_DEGREE, PrimeField
+from .fields import GF, MAX_EXTENSION_DEGREE, PrimeField, _rank, _rref
 from .groebner import DEFAULT_DEGREE_CEILING, Ideal, saturate
 from .hilbert import (
     finite_length_witness,
@@ -59,36 +59,6 @@ def _linear_coefficients(f: Polynomial):
     for m, c in f._terms.items():
         vec[m.exps.index(1)] = c
     return vec
-
-
-def _rref(field, rows):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    pivots = []
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        hit = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != field.zero:
-                hit = r
-                break
-        if hit is None:
-            continue
-        rows[rank], rows[hit] = rows[hit], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != field.zero:
-                factor = rows[r][col]
-                rows[r] = [field.sub(a, field.mul(factor, b))
-                           for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    return pivots
-
-
-def _rank(field, rows) -> int:
-    return len(_rref(field, [list(r) for r in rows]))
 
 
 def _require_prime_base(ring: PolyRing, what: str):

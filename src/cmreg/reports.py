@@ -104,8 +104,18 @@ def reg_report(name: str, ring, reg_ideal: int, reg_quotient: int) -> Report:
     return Report("reg", result, tuple(lines))
 
 
-def res_report(name: str, ring, of: str, resolution, betti) -> Report:
-    twists = [sorted(f.twists) for f in resolution.frees]
+def res_report(name: str, ring, of: str, betti) -> Report:
+    """The minimal resolution's shape, read off its Betti table: F_i is the
+    sum of S(-j) over beta_{i,j}, and the length is the top nonzero i."""
+    if betti.entries:
+        length = betti.projective_dimension()
+    else:
+        # empty table: the quotient's resolution has no module, the ideal's
+        # a single zero module
+        length = -1 if of == "quotient" else 0
+    twists = [[] for _ in range(length + 1)]
+    for (i, j), v in sorted(betti.entries.items()):
+        twists[i].extend([j] * v)
     result = {
         "ideal": name,
         "ring": _ring_json(ring),
@@ -114,13 +124,13 @@ def res_report(name: str, ring, of: str, resolution, betti) -> Report:
         "regularity": betti.regularity() if betti.entries else None,
         "projective_dimension": (betti.projective_dimension()
                                  if betti.entries else None),
-        "length": resolution.length,
+        "length": length,
         "twists": twists,
     }
     target = f"S/{name}" if of == "quotient" else name
     lines = [
         f"ring: {_ring_desc(ring)}",
-        f"minimal free resolution of {target}: length {resolution.length}",
+        f"minimal free resolution of {target}: length {length}",
         "",
     ]
     lines.extend(betti.render().splitlines())

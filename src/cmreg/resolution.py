@@ -4,14 +4,19 @@ Resolutions are built non-minimally: the reduced Groebner basis of the ideal
 is the first differential, and each further level is the syzygy module of the
 previous basis under the induced Schreyer order.  Schreyer's theorem makes
 every level a Groebner basis for free, so no module Buchberger loop runs on
-the tower.  Minimization then cancels constant entries by the Gaussian
-elimination lemma: cancelling a unit at (r, c) of D_k applies a Schur update
-to D_k only, while D_{k+1} just loses row c and D_{k-1} just loses column r.
+the tower.  Basis elements at each level are sorted with lead monomials
+lexicographically decreasing inside each position group; that keeps the
+variables supporting level-k lead quotients shrinking, which bounds the tower
+length by nvars + 1.
 
-Betti numbers and regularity read off the surviving twists.  Basis elements at
-each level are sorted with lead monomials lexicographically decreasing inside
-each position group; that keeps the variables supporting level-k lead
-quotients shrinking, which bounds the tower length by nvars + 1.
+Betti numbers, and with them regularity, come from ranks: tensored with the
+field, the non-minimal complex splits by internal degree, so each beta_{i,j}
+is a twist count minus the ranks of two blocks of constant entries
+(Erocal-Motsak-Schreyer-Steenpass, "Refined algorithms to compute
+syzygies", JSC 74, 2016).  Only ``minimal_free_resolution``, which returns
+explicit minimal differentials, minimizes the complex: cancelling a unit at
+(r, c) of D_k applies a Schur update to D_k only, while D_{k+1} just loses
+row c and D_{k-1} just loses column r.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SelfCheckError, UsageError
+from .fields import _rank
 from .groebner import DEFAULT_DEGREE_CEILING, GroebnerBasis, Ideal
 from .polynomials import Monomial, Polynomial
 
@@ -182,79 +188,6 @@ def _module_reduce(start: dict, basis, leads, order: SchreyerOrder, field,
         work[pm] = c
         _module_axpy(work, field, factor, u, basis[idx])
     return out, quot
-
-
-def module_groebner(generators, order: SchreyerOrder | None = None):
-    """Groebner basis of the submodule spanned by ``generators``.
-
-    S-pairs are formed only between elements sharing a lead position; the
-    result is interreduced and sorted by descending lead.
-    """
-    gens = [g for g in generators if not g.is_zero()]
-    if not gens:
-        return []
-    free = gens[0].free
-    ring = gens[0].ring
-    for g in gens:
-        if g.free != free or g.ring != ring:
-            raise UsageError("generators live in different modules")
-    if order is None:
-        order = SchreyerOrder.trivial(ring, free.rank)
-    field = ring.field
-
-    G = []
-    leads = []
-    pairs = []
-
-    def install(flat):
-        red, _ = _module_reduce(flat, G, leads, order, field)
-        if not red:
-            return
-        pm = max(red, key=lambda t: order.key(*t))
-        lc = red[pm]
-        inv = field.inv(lc)
-        red = {k: field.mul(inv, v) for k, v in red.items()}
-        idx = len(G)
-        for i, (lp, lm, _) in enumerate(leads):
-            if lp == pm[0]:
-                pairs.append((i, idx))
-        G.append(red)
-        leads.append((pm[0], pm[1], field.one))
-
-    for g in sorted(gens, key=lambda e: order.key(*max(_flat(e), key=lambda t: order.key(*t)))):
-        install(_flat(g))
-
-    while pairs:
-        pairs.sort(key=lambda ij: order.key(
-            leads[ij[0]][0],
-            leads[ij[0]][1].lcm(leads[ij[1]][1])))
-        i, j = pairs.pop(0)
-        pi, mi, ci = leads[i]
-        pj, mj, cj = leads[j]
-        lcm = mi.lcm(mj)
-        u, v = lcm.quotient(mi), lcm.quotient(mj)
-        work = {}
-        _module_axpy(work, field, field.neg(field.inv(ci)), u, G[i])
-        _module_axpy(work, field, field.inv(cj), v, G[j])
-        install(work)
-
-    # interreduce: minimal leads, then tail reduction
-    idx_sorted = sorted(range(len(G)),
-                        key=lambda i: order.key(leads[i][0], leads[i][1]))
-    keep = []
-    for i in idx_sorted:
-        p, m, _ = leads[i]
-        if not any(leads[j][0] == p and leads[j][1].divides(m) for j in keep):
-            keep.append(i)
-    final = []
-    for i in keep:
-        others = [G[j] for j in keep if j != i]
-        other_leads = [leads[j] for j in keep if j != i]
-        red, _ = _module_reduce(G[i], others, other_leads, order, field)
-        final.append(red)
-    final.sort(key=lambda f: order.key(*max(f, key=lambda t: order.key(*t))),
-               reverse=True)
-    return [_unflat(f, free, ring) for f in final]
 
 
 # --- Schreyer syzygies ---
@@ -578,20 +511,72 @@ def _minimize(ring, frees, diffs):
     return out_frees, out_diffs
 
 
-def _betti_from_frees(frees, shift: int = 0) -> BettiTable:
+def _betti_from_frees(frees) -> BettiTable:
     entries = {}
     for i, free in enumerate(frees):
-        if i + shift < 0:
-            continue
         for j in free.twists:
-            key = (i + shift, j)
-            entries[key] = entries.get(key, 0) + 1
+            entries[(i, j)] = entries.get((i, j), 0) + 1
     return BettiTable(entries)
+
+
+def _betti_by_ranks(ring, frees, diffs) -> BettiTable:
+    """Betti table of S/J from a non-minimal resolution, without minimizing.
+
+    Over the field the complex splits by internal degree j, so
+    beta_{i,j} = #{twist j in F_i} - rank C_{i-1,j} - rank C_{i,j}, where
+    C_{k,j} holds the constant entries of diffs[k] between twist-j
+    generators (a graded map has constant entries only there).
+    """
+    field = ring.field
+    one = ring.one_monomial
+    ranks = {}
+    for k, D in enumerate(diffs):
+        rows_tw, cols_tw = frees[k].twists, frees[k + 1].twists
+        blocks = {}
+        for (r, c), p in D.items():
+            j = cols_tw[c]
+            if rows_tw[r] == j:
+                blocks.setdefault(j, {}).setdefault(c, {})[r] = p._terms[one]
+        for j, cols in blocks.items():
+            index = {r: a for a, r in enumerate(
+                sorted({r for col in cols.values() for r in col}))}
+            mat = []
+            for col in cols.values():
+                row = [field.zero] * len(index)
+                for r, v in col.items():
+                    row[index[r]] = v
+                mat.append(row)
+            ranks[(k, j)] = _rank(field, mat)
+    entries = dict(_betti_from_frees(frees).entries)
+    for (i, j) in entries:
+        entries[(i, j)] -= ranks.get((i - 1, j), 0) + ranks.get((i, j), 0)
+        if entries[(i, j)] < 0:
+            raise SelfCheckError(f"negative Betti number beta_{{{i},{j}}}")
+    return BettiTable(entries)
+
+
+def betti_table(J: Ideal, of: str = "quotient",
+                degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> BettiTable:
+    """Graded Betti numbers of S/J or of J, read off the Schreyer resolution
+    by ranks of its constant blocks; no differential is minimized."""
+    if of not in ("quotient", "ideal"):
+        raise UsageError(f"unknown resolution target {of!r}")
+    frees, diffs = _schreyer_tower(J, degree_ceiling)
+    betti = _betti_by_ranks(J.ring, frees, diffs)
+    if of == "quotient":
+        return betti
+    # J is resolved by the quotient's complex with F_0 = S stripped
+    return BettiTable({(i - 1, j): v for (i, j), v in betti.entries.items()
+                       if i >= 1})
 
 
 def minimal_free_resolution(J: Ideal, of: str = "quotient",
                             degree_ceiling: int = DEFAULT_DEGREE_CEILING):
-    """Minimal graded free resolution of S/J or of J, with its Betti table."""
+    """Minimal graded free resolution of S/J or of J, with its Betti table.
+
+    Only callers that need the minimal differentials come here; Betti
+    numbers alone are cheaper from ``betti_table``.
+    """
     if of not in ("quotient", "ideal"):
         raise UsageError(f"unknown resolution target {of!r}")
     frees, diffs = _schreyer_tower(J, degree_ceiling)
@@ -601,26 +586,20 @@ def minimal_free_resolution(J: Ideal, of: str = "quotient",
         return res, _betti_from_frees(frees)
     # the resolution of the ideal is the quotient's with F_0 = S stripped
     res = Resolution(J.ring, frees[1:] or [FreeModule(())], diffs[1:], True)
-    return res, _betti_from_frees(frees[1:], shift=0)
+    return res, _betti_from_frees(frees[1:])
 
 
 def regularity(J: Ideal, of: str = "ideal",
                degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> int:
     """Castelnuovo-Mumford regularity of J or of S/J.
 
-    Conventions: the zero ideal (all of projective space) has regularity 1 as
-    an ideal and 0 as a quotient; the unit ideal has regularity 0 as an ideal
-    (it is S) and -1 as a quotient (top-degree convention for the zero
-    module).
+    reg J = reg S/J + 1 always.  Conventions: the zero ideal (all of
+    projective space) has regularity 1 as an ideal and 0 as a quotient; the
+    unit ideal has regularity 0 as an ideal (it is S) and -1 as a quotient
+    (top-degree convention for the zero module).
     """
     if of not in ("quotient", "ideal"):
         raise UsageError(f"unknown regularity target {of!r}")
-    if J.is_zero_ideal():
-        return 1 if of == "ideal" else 0
-    gb = J.groebner_basis(degree_ceiling)
-    if gb.elements and gb.elements[0].degree() == 0:
-        # unit ideal: S as a module / the zero quotient
-        return 0 if of == "ideal" else -1
-    _, betti = minimal_free_resolution(J, "quotient", degree_ceiling)
-    reg_quotient = betti.regularity()
+    betti = betti_table(J, "quotient", degree_ceiling)
+    reg_quotient = betti.regularity() if betti.entries else -1
     return reg_quotient + 1 if of == "ideal" else reg_quotient

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -78,6 +79,63 @@ def test_res_command_and_betti_alias(conic_file, capsys):
         capsys, ["res", conic_file, "-i", "fat", "--of", "ideal"]
     )
     assert ideal_doc["result"]["of"] == "ideal"
+
+
+RES_SESSION = """\
+ring p=7 vars=x0,x1,x2,x3 order=grevlex
+ideal zero = 0
+ideal unit = 1
+ideal tc = x0*x2 - x1^2, x0*x3 - x1*x2, x1*x3 - x2^2
+"""
+
+# (ideal, of) -> (betti, length, twists, sha256 of the --json bytes, text
+# report).  Captured from the route that minimized the whole resolution.
+RES_GOLDEN = {
+    ("zero", "quotient"): (
+        {"0,0": 1}, 0, [[0]],
+        "902861e3817a23fb5be024ee7d06de5f4c9473ef30a1e7e7cb26fa3ec5a4135e",
+        "minimal free resolution of S/zero: length 0\n\n       0\n"
+        "total: 1\n    0: 1\n\nregularity: 0\nprojective dimension: 0\n"),
+    ("zero", "ideal"): (
+        {}, 0, [[]],
+        "5d822143e8345068c94d126f1825a94600f806285f3d487816467adb3609ad2c",
+        "minimal free resolution of zero: length 0\n\n(zero module)\n"),
+    ("unit", "quotient"): (
+        {}, -1, [],
+        "827bcf2b41e4ee97556c10d0b69123bcc8c03de407de3e57e0d6a9d768b27334",
+        "minimal free resolution of S/unit: length -1\n\n(zero module)\n"),
+    ("unit", "ideal"): (
+        {}, 0, [[]],
+        "69f3897f36230834838a84a72e7e161f65502534c297f85c140f6701f46f6101",
+        "minimal free resolution of unit: length 0\n\n(zero module)\n"),
+    ("tc", "quotient"): (
+        {"0,0": 1, "1,2": 3, "2,3": 2}, 2, [[0], [2, 2, 2], [3, 3]],
+        "2faa7a9063196dee76e787f55fdbf0277b0001ac1d723d682e042969c4a324d1",
+        "minimal free resolution of S/tc: length 2\n\n       0 1 2\n"
+        "total: 1 3 2\n    0: 1 . .\n    1: . 3 2\n\nregularity: 1\n"
+        "projective dimension: 2\n"),
+    ("tc", "ideal"): (
+        {"0,2": 3, "1,3": 2}, 1, [[2, 2, 2], [3, 3]],
+        "f5e703dbf300d1e327f96cf19153c6a5bc7b06f8088607a1ac302ade2efca561",
+        "minimal free resolution of tc: length 1\n\n       0 1\n"
+        "total: 3 2\n    2: 3 2\n\nregularity: 2\nprojective dimension: 1\n"),
+}
+
+
+def test_res_report_golden_bytes(tmp_path, capsys):
+    path = tmp_path / "res.reg"
+    path.write_text(RES_SESSION)
+    for (name, of), (betti, length, twists, digest, text) in RES_GOLDEN.items():
+        argv = ["res", str(path), "-i", name, "--of", of]
+        code, out, err = run(capsys, argv + ["--json"])
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert (result["betti"], result["length"], result["twists"]) == (
+            betti, length, twists), (name, of)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (name, of)
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        assert out == "ring: GF(7)[x0,x1,x2,x3] order=grevlex\n" + text
 
 
 def test_powers_command(binary_file, capsys):
