@@ -249,7 +249,8 @@ def epsilon_containment(I_X: Ideal, forms, t_max: int,
         raise UsageError("forms of V must have positive degree")
 
     V = Ideal(ring, tuple(forms))
-    witness = finite_length_witness(V.plus(I_X), degree_ceiling)
+    center = V.plus(I_X)
+    witness = finite_length_witness(center, degree_ceiling)
     if witness is not None:
         raise GeometryError(
             f"the center meets X: variable {witness} has no pure power in "
@@ -258,7 +259,7 @@ def epsilon_containment(I_X: Ideal, forms, t_max: int,
 
     rows = []
     for t in range(1, t_max + 1):
-        A = V.power(t).plus(I_X)
+        A = center if t == 1 else V.power(t).plus(I_X)
         top = top_degree_finite(A, degree_ceiling)
         rows.append(EpsilonRow(t, top, top - d * t + 1))
 

@@ -6,11 +6,13 @@ degree there); the same engine accepts the inhomogeneous systems that the
 intersection trick produces internally.  Public constructors enforce the
 homogeneous-only policy.
 
-Colon ideals go through intersection with a principal ideal followed by exact
-division; intersections add one auxiliary variable ``t``, compute a basis of
-t*A + (1-t)*B under an elimination order, and keep the t-free elements.
-Saturation by a variable iterates colon until the chain stabilizes; saturation
-by the irrelevant maximal ideal intersects the per-variable saturations.
+Saturation by a variable x_i divides a grevlex basis with x_i last by its
+largest x_i-powers (Bayer-Stillman).  Saturation by the irrelevant maximal
+ideal returns the first per-variable saturation whose quotient has the same
+Hilbert polynomial as S/I, which certifies it; when no variable does, it
+intersects the per-variable saturations.  Intersections add one auxiliary
+variable ``t``, compute a basis of t*A + (1-t)*B under an elimination order,
+and keep the t-free elements.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import heapq
 import itertools
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
-from .orders import EliminationOrder
+from .orders import GREVLEX, EliminationOrder, MonomialOrder
 from .polynomials import Monomial, PolyRing, Polynomial
 
 DEFAULT_DEGREE_CEILING = 64
@@ -308,6 +310,8 @@ class Ideal:
     def power(self, t: int) -> "Ideal":
         if t < 1:
             raise UsageError("ideal powers require t >= 1")
+        if t == 1:
+            return self
         prods = []
         for combo in itertools.combinations_with_replacement(self.gens, t):
             f = combo[0]
@@ -377,19 +381,7 @@ def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
     return gb.normal_form(f)
 
 
-def ideal_combine(A: Ideal, B: Ideal, op: str) -> Ideal:
-    if op == "sum":
-        return A.plus(B)
-    if op == "product":
-        return A.times(B)
-    raise UsageError(f"unknown ideal operation {op!r}")
-
-
-def ideal_power(I: Ideal, t: int) -> Ideal:
-    return I.power(t)
-
-
-# --- intersection / colon / saturation ---
+# --- intersection / saturation ---
 
 def _aux_ring(ring: PolyRing) -> PolyRing:
     names = ("@t",) + ring.names
@@ -428,63 +420,90 @@ def intersect(A: Ideal, B: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) 
     return Ideal(ring, kept)
 
 
-def divide_exact(g: Polynomial, f: Polynomial) -> Polynomial:
-    """g / f for f dividing g; raises if the division leaves a remainder."""
-    ring = g.ring
-    field = ring.field
-    lmf, lcf = f.lead_term()
-    work = dict(g._terms)
-    quot = {}
-    key = ring.order.key
-    while work:
-        m = max(work, key=lambda mm: key(mm.exps))
-        c = work[m]
-        if not lmf.divides(m):
-            raise SelfCheckError("exact division has a remainder")
-        u = m.quotient(lmf)
-        factor = field.div(c, lcf)
-        quot[u] = factor
-        _axpy(work, field, factor, u, f._terms)
-    return Polynomial(ring, quot)
+def _presented(ring: PolyRing, elements, degree_ceiling: int) -> Ideal:
+    """The ideal generated by a reduced basis, with that basis cached."""
+    J = Ideal(ring, elements)
+    J._gb[degree_ceiling] = GroebnerBasis(J, elements)
+    return J
 
 
-def colon(I: Ideal, f: Polynomial, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
-    """The colon ideal (I : f)."""
-    if f.ring != I.ring:
-        raise UsageError("polynomial lives in a different ring")
-    if f.is_zero():
-        raise UsageError("colon by zero is not defined")
-    if f.homogeneous_degree() is None:
-        raise UsageError("colon divisor must be homogeneous")
-    if f.degree() == 0:
-        return I
-    J = intersect(I, Ideal(I.ring, (f,)), degree_ceiling)
-    return Ideal(I.ring, [divide_exact(g, f) for g in J.gens])
+def _divide_out(f: Polynomial, i: int, ring: PolyRing) -> Polynomial:
+    """f over the largest power of x_i dividing it, as an element of ``ring``."""
+    k = min(m.exps[i] for m in f._terms)
+    if k == 0:
+        return Polynomial(ring, f._terms)
+    terms = {}
+    for m, c in f._terms.items():
+        exps = list(m.exps)
+        exps[i] -= k
+        terms[Monomial(tuple(exps))] = c
+    return Polynomial(ring, terms)
 
 
 def saturate_variable(I: Ideal, i: int, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
-    """(I : x_i^infinity) by iterating colon until the chain stabilizes."""
-    if not 0 <= i < I.ring.nvars:
+    """(I : x_i^infinity), presented by its reduced basis with that basis cached.
+
+    In grevlex with x_i last, x_i divides a homogeneous f exactly when it
+    divides the lead term of f, so dividing each element of a Groebner basis
+    of I by its largest power of x_i gives a Groebner basis of
+    I : x_i^infinity (Bayer-Stillman, Invent. Math. 87, 1987).  When that
+    order is the ring's own, I's cached basis is divided and only needs
+    reducing; otherwise the quotients are rebased in the ring's order.
+    """
+    ring = I.ring
+    n = ring.nvars
+    if not 0 <= i < n:
         raise UsageError("variable index out of range")
-    x = I.ring.variable(i)
-    current = I
-    while True:
-        nxt = colon(current, x, degree_ceiling)
-        if nxt.equals(current, degree_ceiling):
-            return current
-        current = nxt
+    order = MonomialOrder(GREVLEX, n, [j for j in range(n) if j != i] + [i])
+    if order == ring.order:
+        basis = I.groebner_basis(degree_ceiling).elements
+        reduced = _reduce_basis([_divide_out(g, i, ring) for g in basis], ring)
+    else:
+        aux = PolyRing(ring.names, ring.field, order)
+        basis = _engine([Polynomial(aux, g._terms) for g in I.gens], aux,
+                        degree_ceiling)
+        reduced = _engine([_divide_out(g, i, ring) for g in basis], ring,
+                          degree_ceiling)
+    return _presented(ring, reduced, degree_ceiling)
+
+
+def _same_hilbert_polynomial(num_a, num_b, n: int) -> bool:
+    """Whether two Hilbert numerators over n variables give the same Hilbert
+    polynomial, i.e. whether (1-T)^n divides their difference."""
+    diff = [a - b for a, b in itertools.zip_longest(num_a, num_b, fillvalue=0)]
+    for _ in range(n):
+        if sum(diff) != 0:
+            return False
+        diff = list(itertools.accumulate(diff))
+    return True
 
 
 def saturate(I: Ideal, variable: int | None = None,
              degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
-    """Saturation by one variable, or by the maximal ideal when none is given.
+    """Saturation by one variable, or by the maximal ideal m when none is
+    given; either way presented by its reduced basis with that basis cached.
 
-    The maximal-ideal saturation is the intersection over all variables of
-    (I : x_i^infinity).
+    J = I : x_i^infinity contains I^sat = I : m^infinity, and equals it
+    exactly when S/J and S/I have the same Hilbert polynomial, i.e. when
+    (1-T)^n divides the difference of their Hilbert numerators: J/I^sat sits
+    inside S/I^sat, which has no nonzero submodule of finite length, so it is
+    zero or has a nonzero Hilbert polynomial.  The variables are tried last
+    first, since in a grevlex ring the last one reuses I's cached basis.
+    Only when no variable certifies are the per-variable saturations
+    intersected.
     """
     if variable is not None:
         return saturate_variable(I, variable, degree_ceiling)
-    parts = [saturate_variable(I, i, degree_ceiling) for i in range(I.ring.nvars)]
+    from .hilbert import hilbert_numerator  # hilbert imports this module
+
+    n = I.ring.nvars
+    target = hilbert_numerator(I, degree_ceiling)
+    parts = []
+    for i in reversed(range(n)):
+        J = saturate_variable(I, i, degree_ceiling)
+        if _same_hilbert_polynomial(target, hilbert_numerator(J, degree_ceiling), n):
+            return J
+        parts.append(J)
     result = functools.reduce(lambda a, b: intersect(a, b, degree_ceiling), parts)
-    # present the saturation by its reduced basis, a canonical generating set
-    return Ideal(I.ring, result.groebner_basis(degree_ceiling).elements)
+    return _presented(I.ring, result.groebner_basis(degree_ceiling).elements,
+                      degree_ceiling)

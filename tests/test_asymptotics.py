@@ -13,6 +13,7 @@ from cmreg.asymptotics import (
 )
 from cmreg.errors import DimensionError, GeometryError, UsageError
 from cmreg.fields import GF
+from cmreg import groebner
 from cmreg.groebner import Ideal
 from cmreg.polynomials import PolyRing
 
@@ -239,3 +240,24 @@ def test_sampler_small_field_warning_and_validation():
     fat_point = Ideal(R, (x, y, z)).power(2)
     with pytest.raises(UsageError):
         conjecture_sampler(fat_point, c=1, trials=1, seed=5)
+
+
+def test_each_power_gets_one_groebner_basis(monkeypatch):
+    # I^1 is I itself, so the finite-length check and row t = 1 share one
+    # basis; likewise (V) + I_X in epsilon_containment
+    R = ring3(32003)
+    x, y, z = R.variables()
+    I = Ideal(R, (x * x, y * y, z * z, x * y + y * z))
+    calls = []
+    engine = groebner._engine
+
+    def counted(*args):
+        calls.append(1)
+        return engine(*args)
+
+    monkeypatch.setattr(groebner, "_engine", counted)
+    power_table(I, 2, route="both")
+    assert len(calls) == 2
+    calls.clear()
+    epsilon_containment(Ideal(R, (x * z - y * y,)), (x, z), 2)
+    assert len(calls) == 2

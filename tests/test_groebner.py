@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from cmreg.errors import DegreeCeilingError, SelfCheckError, UsageError
+from cmreg.errors import DegreeCeilingError, UsageError
 from cmreg.fields import GF
+from cmreg import groebner
 from cmreg.groebner import (
     Ideal,
     buchberger,
-    colon,
-    divide_exact,
     intersect,
     normal_form,
     saturate,
@@ -195,23 +194,6 @@ def test_intersection_membership_property():
             assert C.contains(f) == (A.contains(f) and B.contains(f))
 
 
-def test_colon_and_divide_exact():
-    R = ring()
-    x, y, z = R.variables()
-    assert gens_of(colon(Ideal(R, (x * x,)), x)) == {"x"}
-    assert gens_of(colon(Ideal(R, (x * y, y * y)), y)) == {"x", "y"}
-    # colon by a unit leaves the ideal alone
-    I = Ideal(R, (x * x,))
-    assert colon(I, R.constant(2)) is I
-    assert divide_exact(x * x * y, x * y) == x
-    with pytest.raises(SelfCheckError):
-        divide_exact(x * x + y * y, x)
-    with pytest.raises(UsageError):
-        colon(I, R.zero())
-    with pytest.raises(UsageError):
-        colon(I, x + x * x)
-
-
 def test_saturation_fixtures():
     R = ring()
     x, y, z = R.variables()
@@ -251,6 +233,95 @@ def test_saturation_membership_certificate():
                     ok = True
                     break
             assert ok, f"{f} * {v}^N never entered the ideal"
+
+
+def _saturate_by_intersection(I, i):
+    """I : x_i^infinity as the stable (I cap (x_i^k)) / x_i^k."""
+    R = I.ring
+    current = I
+    k = 0
+    while True:
+        k += 1
+        inter = intersect(I, Ideal(R, (R.variable(i) ** k,)))
+        quotients = []
+        for g in inter.gens:
+            terms = {}
+            for mon, c in g._terms.items():
+                exps = list(mon.exps)
+                exps[i] -= k
+                terms[Monomial(tuple(exps))] = c
+            quotients.append(R.poly(terms))
+        nxt = Ideal(R, quotients)
+        if nxt.equals(current):
+            return current
+        current = nxt
+
+
+def _random_form(R, d, rng, density):
+    field = R.field
+    terms = {}
+    for exps in degree_monomials(R.nvars, d):
+        if rng.random() < density:
+            terms[exps] = field.random(rng)
+    return R.poly(terms)
+
+
+@pytest.mark.parametrize("p,k,seed", [(2, 1, 31), (3, 1, 32), (32003, 1, 33),
+                                      (5, 2, 34)])
+def test_saturation_matches_the_intersection_route(p, k, seed):
+    rng = random.Random(seed)
+    field = GF(p, k)
+    for _ in range(24):
+        n = rng.choice((2, 3, 4))
+        R = PolyRing(tuple("xyzw"[:n]), field=field)
+        m = Ideal(R, R.variables())
+        gens = []
+        while not gens:
+            for _ in range(rng.randint(1, 3)):
+                f = _random_form(R, rng.randint(1, 2), rng, 0.5)
+                if not f.is_zero():
+                    gens.append(f)
+        I = Ideal(R, gens)
+        t = rng.randint(0, 2)
+        if t:
+            I = I.times(m.power(t))
+        if rng.random() < 0.5:
+            extra = _random_form(R, 3, rng, 0.3)
+            I = I.plus(Ideal(R, (extra,)))
+        parts = [_saturate_by_intersection(I, i) for i in range(n)]
+        for i, ref in enumerate(parts):
+            got = saturate(I, variable=i)
+            assert got.gens == ref.groebner_basis().elements
+            assert Ideal(R, got.gens).groebner_basis().elements == got.gens
+        ref = parts[0]
+        for part in parts[1:]:
+            ref = intersect(ref, part)
+        got = saturate(I)
+        assert got.gens == ref.groebner_basis().elements
+        assert Ideal(R, got.gens).groebner_basis().elements == got.gens
+
+
+def test_saturation_falls_back_to_intersection(monkeypatch):
+    # the components of (xy, xz, yz) are the three coordinate points, and
+    # every coordinate hyperplane passes through one, so no single variable
+    # saturates the ideal and the per-variable saturations are intersected
+    R = ring()
+    x, y, z = R.variables()
+    calls = []
+
+    def counted(A, B, degree_ceiling=groebner.DEFAULT_DEGREE_CEILING):
+        calls.append(1)
+        return intersect(A, B, degree_ceiling)
+
+    monkeypatch.setattr(groebner, "intersect", counted)
+    J = Ideal(R, (x * y, x * z, y * z))
+    I = J.times(Ideal(R, (x, y, z)))
+    assert gens_of(saturate(I)) == {"x*y", "x*z", "y*z"}
+    assert calls
+    # x*(x, y, z) is certified by its last variable without any intersection
+    calls.clear()
+    assert gens_of(saturate(Ideal(R, (x * x, x * y, x * z)))) == {"x"}
+    assert not calls
 
 
 def test_degree_ceiling_trips():
