@@ -76,35 +76,6 @@ def _ppowmod(a, e, f, p):
     return result
 
 
-def _pmonic(a, p):
-    if not a:
-        return a
-    lead = a[-1]
-    if lead == 1:
-        return a
-    inv = pow(lead, p - 2, p)
-    return [(c * inv) % p for c in a]
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        b_monic = _pmonic(b, p)
-        fb = b_monic + []
-        # remainder of a mod b
-        r = list(a)
-        db = len(fb) - 1
-        while r and len(r) - 1 >= db:
-            c = r[-1]
-            if c:
-                shift = len(r) - 1 - db
-                for i, fi in enumerate(fb):
-                    r[shift + i] = (r[shift + i] - c * fi) % p
-            r.pop()
-        a, b = fb, _norm(r)
-    return _pmonic(a, p)
-
-
 def _pxgcd(a, f, p):
     """Inverse of a modulo f (both reduced, f monic irreducible)."""
     r0, r1 = list(f), list(a)
@@ -209,21 +180,6 @@ class FieldElement:
 
     def __repr__(self):
         return f"{self.field.format_coeff(self.raw)} in {self.field}"
-
-
-def field_arithmetic(a: FieldElement, b: FieldElement, op: str) -> FieldElement:
-    """Named dispatch over the four field operations plus inverse."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "inv":
-        return a.inverse()
-    raise UsageError(f"unknown field operation {op!r}")
 
 
 class PrimeField:
@@ -463,7 +419,7 @@ def _is_irreducible(f, p):
         diff = _norm(diff)
         if not diff:
             return False
-        if len(_pgcd(f, diff, p)) != 1:
+        if len(_unieuclid(GF(p), f, diff)) != 1:
             return False
     return True
 
@@ -477,6 +433,38 @@ def find_irreducible(p: int, k: int) -> tuple:
             continue
         if _is_irreducible(coeffs, p):
             return tuple(coeffs)
+
+
+# --- univariate Euclid on raw values, over any field ---
+
+def _unieuclid(field, a, b):
+    """gcd, up to a unit, of two dense univariate lists of raw values, low
+    degree first; [] when both are zero.  Each divisor's lead is inverted
+    once for the whole division."""
+    zero = field.zero
+    sub, mul = field.sub, field.mul
+    a = list(a)
+    b = list(b)
+    while a and a[-1] == zero:
+        a.pop()
+    while b and b[-1] == zero:
+        b.pop()
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        db = len(b) - 1
+        inv_lead = field.inv(b[-1])
+        while len(a) > db:
+            # cancel the lead of a, which is nonzero, against b; the rest
+            # of b lines up with the top db entries of a
+            c = mul(a.pop(), inv_lead)
+            shift = len(a) - db
+            for i in range(db):
+                a[shift + i] = sub(a[shift + i], mul(c, b[i]))
+            while a and a[-1] == zero:
+                a.pop()
+        a, b = b, a
+    return a
 
 
 # --- Gaussian elimination on rows of raw values ---

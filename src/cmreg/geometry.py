@@ -19,7 +19,10 @@ member as the representative.
 The two-variable invariant r is the maximum over codimension-1 subspaces V'
 of V of deg gcd(V').  Hyperplanes of V are enumerated as dual points with
 the same orbit machinery; binary-form gcds strip the x- and y-contents, run
-a univariate Euclid on the dehomogenization at y, and rehomogenize.
+a univariate Euclid on the dehomogenization at y, and rehomogenize.  The
+scan reads each hyperplane's gcd degree off coefficient rows of the forms,
+lifted once per extension degree, and builds Polynomials only for a new
+best hyperplane, whose degree binary_gcd must confirm.
 """
 
 from __future__ import annotations
@@ -35,7 +38,14 @@ from .errors import (
     SelfCheckError,
     UsageError,
 )
-from .fields import GF, MAX_EXTENSION_DEGREE, PrimeField, _rank, _rref
+from .fields import (
+    GF,
+    MAX_EXTENSION_DEGREE,
+    PrimeField,
+    _rank,
+    _rref,
+    _unieuclid,
+)
 from .groebner import DEFAULT_DEGREE_CEILING, Ideal, saturate
 from .hilbert import (
     finite_length_witness,
@@ -146,9 +156,9 @@ def _orbit(field, coords):
         out.append(cur)
 
 
-def enumerate_closed_points(p: int, K: int, s: int):
-    """Galois-orbit representatives of the closed points of P^s over GF(p)
-    with residue extension degree at most K, in a deterministic order."""
+def _closed_point_coords(p: int, K: int, s: int):
+    """(GF(p^k), raw normalized coordinates) of each closed point of P^s
+    over GF(p) with k <= K, in the order of enumerate_closed_points."""
     if K < 1:
         raise UsageError("extension bound K must be at least 1")
     if K > MAX_EXTENSION_DEGREE:
@@ -156,7 +166,11 @@ def enumerate_closed_points(p: int, K: int, s: int):
             f"extension bound K = {K} exceeds the supported maximum "
             f"{MAX_EXTENSION_DEGREE}"
         )
-    for k in range(1, K + 1):
+    field = GF(p)
+    # every rational point is its own Frobenius orbit
+    for coords in _normalized_points(field, s):
+        yield field, coords
+    for k in range(2, K + 1):
         field = GF(p, k)
         for coords in _normalized_points(field, s):
             orbit = _orbit(field, coords)
@@ -164,7 +178,14 @@ def enumerate_closed_points(p: int, K: int, s: int):
                 continue
             if coords != min(orbit):
                 continue
-            yield ClosedPoint(k, tuple(field.element(c) for c in coords))
+            yield field, coords
+
+
+def enumerate_closed_points(p: int, K: int, s: int):
+    """Galois-orbit representatives of the closed points of P^s over GF(p)
+    with residue extension degree at most K, in a deterministic order."""
+    for field, coords in _closed_point_coords(p, K, s):
+        yield ClosedPoint(field.k, tuple(field.element(c) for c in coords))
 
 
 @dataclass(frozen=True)
@@ -390,29 +411,6 @@ def _split_contents(h: Polynomial):
     return cx, cy, coeffs
 
 
-def _unieuclid(field, a, b):
-    """gcd of two dense univariate coefficient lists, low degree first."""
-    def strip(u):
-        while u and u[-1] == field.zero:
-            u.pop()
-        return u
-
-    a = strip(list(a))
-    b = strip(list(b))
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-            continue
-        lead = field.div(a[-1], b[-1])
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[i + shift] = field.sub(a[i + shift], field.mul(lead, c))
-        strip(a)
-        if len(a) < len(b):
-            a, b = b, a
-    return a
-
-
 def _binary_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     """Monic gcd of two binary forms, zero inputs allowed."""
     if f.is_zero():
@@ -459,6 +457,48 @@ class TwoVarsReport:
     warnings: tuple
 
 
+def _coefficient_row(f: Polynomial, d: int):
+    """Dense row of raw values of a binary form of degree d: row[i] is the
+    coefficient of x^i y^(d-i)."""
+    row = [f.ring.field.zero] * (d + 1)
+    for m, c in f._terms.items():
+        row[m.exps[0]] = c
+    return row
+
+
+def _hyperplane_gcd_degree(field, rows, coords):
+    """deg gcd of the hyperplane basis rows[j] - coords[j] * rows[i0],
+    j != i0, of coefficient rows of independent degree-d binary forms, at
+    normalized coordinates whose first 1 is at i0.
+
+    The forms are independent, so no basis row is zero.  A basis row with
+    its trailing zeros stripped is the dehomogenization u_j at y, and
+    deg gcd = deg gcd(u_j) + min_j (d - deg u_j): the univariate gcd holds
+    the x-content, the minimum is the y-content.  Folding stops once both
+    are 0."""
+    zero = field.zero
+    sub, mul = field.sub, field.mul
+    i0 = coords.index(field.one)
+    pivot = rows[i0]
+    d = len(pivot) - 1
+    g = None
+    ycontent = d
+    for j, c in enumerate(coords):
+        if j == i0:
+            continue
+        if c == zero:
+            u = list(rows[j])
+        else:
+            u = [sub(a, mul(c, b)) for a, b in zip(rows[j], pivot)]
+        while u[-1] == zero:
+            u.pop()
+        ycontent = min(ycontent, d + 1 - len(u))
+        g = u if g is None else _unieuclid(field, g, u)
+        if len(g) == 1 and ycontent == 0:
+            break
+    return len(g) - 1 + ycontent
+
+
 def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
               budget: int = DEFAULT_FIBER_BUDGET) -> TwoVarsReport:
     """max over codimension-1 subspaces V' of V of deg gcd(V'), with a
@@ -466,7 +506,14 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
 
     Subspaces defined over GF(p^k), k <= K, are enumerated as points of the
     dual projective space.  With dim V = 2 every hyperplane is a single form
-    and r = d without enumeration."""
+    and r = d without enumeration.
+
+    The scan lifts the forms once per extension degree and keeps them as
+    coefficient rows; at each dual point the gcd degree of the hyperplane
+    comes from those rows alone (_hyperplane_gcd_degree).  Only a point
+    that beats the best degree so far gets its basis built as Polynomials,
+    and binary_gcd, an independent route through the contents of the
+    forms, must then give the same degree, or SelfCheckError is raised."""
     forms = tuple(forms)
     if len(forms) < 2:
         raise UsageError("V must have dimension at least 2")
@@ -484,13 +531,7 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
         raise UsageError("forms must share a single degree")
     d = degs.pop()
 
-    rows = []
-    for f in forms:
-        vec = [ring.field.zero] * (d + 1)
-        for m, c in f._terms.items():
-            vec[m.exps[0]] = c
-        rows.append(vec)
-    if _rank(ring.field, rows) != len(forms):
+    if _rank(ring.field, [_coefficient_row(f, d) for f in forms]) != len(forms):
         raise UsageError("forms are linearly dependent: not a basis")
 
     g = binary_gcd(forms)
@@ -510,7 +551,8 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     witness = None
     witness_gcd = None
     count = 0
-    for point in enumerate_closed_points(ring.field.p, K, m - 1):
+    k = 0
+    for point_field, coords in _closed_point_coords(ring.field.p, K, m - 1):
         if count >= budget:
             report = TwoVarsReport(d, m, best, witness, witness_gcd, K,
                                    (messages.partial_lower_bound(),))
@@ -519,18 +561,24 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
                 partial=report,
             )
         count += 1
-        big = _extension_ring(ring, point.k)
-        field = big.field
-        lifted = [lift_polynomial(f, big) for f in forms]
-        coords = [field.coerce(c) for c in point.coords]
-        i0 = next(i for i, c in enumerate(coords) if c != field.zero)
-        basis = []
-        for j in range(m):
-            if j != i0:
-                basis.append(lifted[j] - lifted[i0].scale(coords[j]))
-        gg = binary_gcd(basis)
-        if gg.degree() > best:
-            best = gg.degree()
+        if point_field.k != k:
+            k = point_field.k
+            big = _extension_ring(ring, k)
+            field = big.field
+            lifted = [lift_polynomial(f, big) for f in forms]
+            rows = [_coefficient_row(f, d) for f in lifted]
+        deg = _hyperplane_gcd_degree(field, rows, coords)
+        if deg > best:
+            i0 = coords.index(field.one)
+            basis = [lifted[j] - lifted[i0].scale(c)
+                     for j, c in enumerate(coords) if j != i0]
+            gg = binary_gcd(basis)
+            if gg.degree() != deg:
+                raise SelfCheckError(
+                    f"hyperplane gcd degree {deg} from coefficient rows, "
+                    f"{gg.degree()} from binary_gcd"
+                )
+            best = deg
             witness = tuple(basis)
             witness_gcd = gg
             if best >= ceiling:

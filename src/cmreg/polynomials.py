@@ -360,16 +360,6 @@ def _lift_coeff(src_field, dst_field, raw):
     return dst_field.coerce(FieldElement(src_field, raw))
 
 
-def poly_arithmetic(f: Polynomial, g: Polynomial, op: str) -> Polynomial:
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    raise UsageError(f"unknown polynomial operation {op!r}")
-
-
 def lift_polynomial(f: Polynomial, target: PolyRing) -> Polynomial:
     """Reinterpret f in a ring with the same variables over an extension field."""
     if target.names != f.ring.names:

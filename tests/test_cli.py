@@ -232,6 +232,54 @@ def test_twovars_budget_flows_through(binary_file, capsys):
     assert "partial lower bound: r >= 1" in err
 
 
+TWOVARS_SESSIONS = {
+    101: """\
+ring p=101 vars=x,y
+forms cuspish = x^3, x^2*y, y^3
+forms quartics = 17*x^4 + 3*x^3*y + 58*x^2*y^2 + 90*x*y^3 + 41*y^4, \
+5*x^4 + 77*x^3*y + 12*x*y^3 + 64*y^4, 33*x^3*y + 2*x^2*y^2 + 71*x*y^3 + 9*y^4
+""",
+    3: """\
+ring p=3 vars=x,y
+forms quartics = x^4 + x^3*y + 2*x^2*y^2 + 2*x*y^3 + y^4, \
+x^3*y + x^2*y^2 + x*y^3, 2*x^3*y + x^2*y^2 + 2*x*y^3 + y^4
+""",
+}
+
+# (p, forms, --ext-bound) -> (r, witness gcd, sha256 of the --json bytes,
+# sha256 of the text report).  Captured from the scan that built every
+# hyperplane basis as Polynomials and called binary_gcd at each dual point.
+TWOVARS_GOLDEN = {
+    (101, "cuspish", 1): (
+        2, "x^2",
+        "998fd7387c2c7b13dfd1c74d27194d56548c5a21b067df84a93847d14f8a563f",
+        "8d200b3f1192b3759d36ba0c21d8615ffe3300ab829b1edf3d41278c7f6ecdea"),
+    (101, "quartics", 1): (
+        2, "x^2 + 15*x*y + 18*y^2",
+        "92e788e6fb6a02d87633224c68a8bc87bb1bcaa46c7716175c90805b43db081c",
+        "786076a1f5bdd70ab3d488c0cfe2245c66956253e200f111ed9f7e548a24c6fa"),
+    (3, "quartics", 2): (
+        2, "x*y + 2*y^2",
+        "cc21669c74cb72617f672d59fe9787051ed384c7071ba4320a043e1126ae191a",
+        "017edd0e0c94b0318e102fd90ef7b5534c2d8f10b9b5f3f70422ab8c9177b154"),
+}
+
+
+def test_twovars_report_golden_bytes(tmp_path, capsys):
+    for (p, name, K), (r, gcd, digest, text_digest) in TWOVARS_GOLDEN.items():
+        path = tmp_path / f"binary{p}.reg"
+        path.write_text(TWOVARS_SESSIONS[p])
+        argv = ["twovars", str(path), "-f", name, "--ext-bound", str(K)]
+        code, out, err = run(capsys, argv + ["--json"])
+        assert code == 0, err
+        result = json.loads(out)["result"]
+        assert (result["r"], result["witness_gcd"]) == (r, gcd), (p, name)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (p, name)
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == text_digest, (p, name)
+
+
 def test_sample_command(conic_file, capsys):
     argv = [
         "sample", conic_file, "-i", "conic",

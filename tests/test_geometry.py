@@ -1,14 +1,19 @@
+import random
+
 import pytest
 
-from cmreg import messages
+from cmreg import geometry, messages
 from cmreg.errors import (
     BudgetError,
     DimensionError,
     GeometryError,
     UsageError,
 )
-from cmreg.fields import GF, FieldElement
+from cmreg.fields import GF, FieldElement, _rank
 from cmreg.geometry import (
+    _coefficient_row,
+    _hyperplane_gcd_degree,
+    _normalized_points,
     ClosedPoint,
     ProjectionSpec,
     binary_gcd,
@@ -22,7 +27,8 @@ from cmreg.geometry import (
 )
 from cmreg.groebner import Ideal
 from cmreg.hilbert import quotient_degree
-from cmreg.polynomials import PolyRing
+from cmreg.polynomials import Monomial, PolyRing, Polynomial
+from cmreg.sessions import parse_session
 
 
 def ring2(p=7):
@@ -350,6 +356,114 @@ def test_twovars_budget_carries_partial_report():
     partial = exc.value.partial
     assert partial.r == 1  # the first dual point only reaches gcd degree 1
     assert messages.partial_lower_bound() in partial.warnings
+
+
+def _random_binary_form(R, d, rng):
+    """Dense random form of degree d whose coefficient of x^d or of y^d is
+    sometimes zero, so that it has y- or x-content."""
+    field = R.field
+    while True:
+        coeffs = [field.random(rng) for _ in range(d + 1)]
+        if rng.random() < 0.3:
+            coeffs[d] = field.zero
+        if rng.random() < 0.3:
+            coeffs[0] = field.zero
+        terms = {Monomial((i, d - i)): c for i, c in enumerate(coeffs)
+                 if c != field.zero}
+        if terms:
+            return Polynomial(R, terms)
+
+
+def _random_normalized_point(field, n, rng):
+    while True:
+        raw = [field.random(rng) for _ in range(n)]
+        nonzero = [c for c in raw if c != field.zero]
+        if nonzero:
+            inv = field.inv(nonzero[0])
+            return tuple(field.mul(inv, c) for c in raw)
+
+
+@pytest.mark.parametrize("p,k,seed", [(2, 1, 41), (101, 1, 42), (5, 2, 43),
+                                      (3, 3, 44)])
+def test_hyperplane_gcd_degree_matches_binary_gcd(p, k, seed):
+    # the coefficient-row kernel of twovars_r against binary_gcd on the
+    # Polynomial basis, at every dual point scanned (all of them when there
+    # are at most about 800, else a seeded sample of 300)
+    rng = random.Random(seed)
+    R = PolyRing(("x", "y"), field=GF(p, k))
+    field = R.field
+    seen = {"x-content": 0, "y-content": 0, "common factor": 0}
+    systems = 0
+    while systems < 6:
+        m = rng.choice((3, 4))
+        e = rng.randint(m - 1, 5)
+        forms = [_random_binary_form(R, e, rng) for _ in range(m)]
+        kind = systems % 3
+        if kind:
+            # a common factor of degree 1-3 with x-content (kind 1) or
+            # y-content (kind 2)
+            common = _random_binary_form(R, rng.randint(0, 2), rng)
+            forms = [f * common * R.variable(kind - 1) for f in forms]
+        d = forms[0].degree()
+        rows = [_coefficient_row(f, d) for f in forms]
+        if _rank(field, rows) != m:
+            continue
+        systems += 1
+        if field.order ** (m - 1) <= 800:
+            points = list(_normalized_points(field, m - 1))
+        else:
+            points = [_random_normalized_point(field, m, rng)
+                      for _ in range(300)]
+        for coords in points:
+            i0 = coords.index(field.one)
+            basis = [forms[j] - forms[i0].scale(c)
+                     for j, c in enumerate(coords) if j != i0]
+            gg = binary_gcd(basis)
+            deg = _hyperplane_gcd_degree(field, rows, coords)
+            assert deg == gg.degree(), (forms, coords)
+            top = gg.degree()
+            seen["x-content"] += gg.coefficient(Monomial((0, top))).is_zero()
+            seen["y-content"] += gg.coefficient(Monomial((top, 0))).is_zero()
+            seen["common factor"] += top > 0
+    assert all(seen.values()), seen
+
+
+def test_twovars_r_lifts_once_and_builds_bases_only_for_witnesses(monkeypatch):
+    lifts = []
+    gcds = []
+    lift, gcd = geometry.lift_polynomial, geometry.binary_gcd
+
+    def counted_lift(f, target):
+        lifts.append(target.field.k)
+        return lift(f, target)
+
+    def counted_gcd(forms):
+        gcds.append(len(forms))
+        return gcd(forms)
+
+    monkeypatch.setattr(geometry, "lift_polynomial", counted_lift)
+    monkeypatch.setattr(geometry, "binary_gcd", counted_gcd)
+    over101 = parse_session(
+        "ring p=101 vars=x,y\n"
+        "forms cuspish = x^3, x^2*y, y^3\n"
+        "forms quartics = 17*x^4 + 3*x^3*y + 58*x^2*y^2 + 90*x*y^3 + 41*y^4, "
+        "5*x^4 + 77*x^3*y + 12*x*y^3 + 64*y^4, "
+        "33*x^3*y + 2*x^2*y^2 + 71*x*y^3 + 9*y^4\n").forms
+    over3 = parse_session(
+        "ring p=3 vars=x,y\n"
+        "forms quartics = x^4 + x^3*y + 2*x^2*y^2 + 2*x*y^3 + y^4, "
+        "x^3*y + x^2*y^2 + x*y^3, 2*x^3*y + x^2*y^2 + 2*x*y^3 + y^4\n").forms
+    # the quartics scan every dual point (r stays below the ceiling 3),
+    # over GF(3) through the extension degrees 2 and 3 as well
+    for forms, K in ((over101["quartics"], 1), (over101["cuspish"], 1),
+                     (over3["quartics"], 3)):
+        lifts.clear()
+        gcds.clear()
+        rep = twovars_r(forms, K)
+        m = len(forms)
+        for k in range(1, K + 1):
+            assert lifts.count(k) <= m, (k, lifts)
+        assert len(gcds) <= rep.d + 2, len(gcds)
 
 
 def test_twovars_verify_fixtures():
