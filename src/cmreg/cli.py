@@ -55,8 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--degree-ceiling", type=int,
                         default=DEFAULT_DEGREE_CEILING, metavar="D",
                         help="abort basis computations past this degree")
-    common.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="reserved; computations currently run serially")
 
     ideal_arg = argparse.ArgumentParser(add_help=False)
     ideal_arg.add_argument("-i", "--ideal", required=True, metavar="NAME",
@@ -152,8 +150,6 @@ def _run(args) -> reports.Report:
     ceiling = args.degree_ceiling
     if ceiling < 1:
         raise UsageError("degree ceiling must be positive")
-    if args.threads < 1:
-        raise UsageError("thread count must be positive")
     cmd = args.command
 
     if cmd == "gb":

@@ -6,6 +6,13 @@ degree there); the same engine accepts the inhomogeneous systems that the
 intersection trick produces internally.  Public constructors enforce the
 homogeneous-only policy.
 
+All reduction to normal form runs through one loop, ``_reduce``, over term
+dicts keyed by (pos, Monomial).  An ideal element sits at position 0; the
+Schreyer syzygy tower in ``resolution`` spreads its elements over the
+positions of a free module.  The caller gives the basis, its leads and the
+order key; sugar tracking (Buchberger) and quotient collection (syzygies)
+are optional arguments.
+
 Saturation by a variable x_i divides a grevlex basis with x_i last by its
 largest x_i-powers (Bayer-Stillman).  Saturation by the irrelevant maximal
 ideal returns the first per-variable saturation whose quotient has the same
@@ -28,78 +35,97 @@ from .polynomials import Monomial, PolyRing, Polynomial
 DEFAULT_DEGREE_CEILING = 64
 
 
-# --- raw reduction helpers (term dicts keyed by Monomial) ---
+# --- the reducer: term dicts keyed by (pos, Monomial) ---
+
+def _at0(f: Polynomial) -> dict:
+    """f as a term dict at position 0."""
+    return {(0, m): c for m, c in f._terms.items()}
+
+
+def _ideal_basis(polys):
+    """Term dicts at position 0 and their leads (pos, mon, coeff), for
+    nonzero Polynomials."""
+    return ([_at0(g) for g in polys],
+            [(0, g.lead_monomial(), g.lead_coefficient()) for g in polys])
+
+
+def _ideal_key(ring):
+    """The ring's order on position-0 terms, as the reducer's order key."""
+    order_key = ring.order.key
+    return lambda pos, mon: order_key(mon.exps)
+
+
+def _polynomial(ring, terms: dict) -> Polynomial:
+    """A position-0 term dict as a Polynomial."""
+    return Polynomial(ring, {m: c for (_, m), c in terms.items()})
+
 
 def _axpy(work: dict, field, coeff, u: Monomial, terms: dict):
     """work -= coeff * u * terms, in place."""
     zero = field.zero
-    if u.is_one():
-        for m, c in terms.items():
-            v = field.sub(work.get(m, zero), field.mul(coeff, c))
-            if v == zero:
-                work.pop(m, None)
-            else:
-                work[m] = v
-    else:
-        for m, c in terms.items():
-            mm = u.mul(m)
-            v = field.sub(work.get(mm, zero), field.mul(coeff, c))
-            if v == zero:
-                work.pop(mm, None)
-            else:
-                work[mm] = v
+    one_u = u.is_one()
+    for pm, c in terms.items():
+        if not one_u:
+            pm = (pm[0], u.mul(pm[1]))
+        v = field.sub(work.get(pm, zero), field.mul(coeff, c))
+        if v == zero:
+            work.pop(pm, None)
+        else:
+            work[pm] = v
 
 
-def _reduce_terms(terms: dict, ring, basis, sugar=None, sugars=None):
-    """Fully reduce a term dict against ``basis`` (list of monic Polynomials).
+def _reduce(start: dict, basis, leads, key, field, sugar=None, sugars=None,
+            quotients=None):
+    """Fully reduce the term dict ``start`` against ``basis``.
 
-    Returns (remainder Polynomial, sugar).  ``basis`` entries may be None
-    (deleted slots are skipped).  When sugar bookkeeping is not needed both
-    sugar arguments stay None.
+    ``key(pos, mon)`` sorts terms by the order under which leads[i] =
+    (pos, Monomial, coeff) is the lead of basis[i]; each term is divided by
+    the first lead at its own position that divides it.  Returns
+    (remainder, sugar); the remainder's terms come out in descending order,
+    so its first key is its lead.  With ``sugars`` (the sugar of each basis
+    element) given, ``sugar`` grows to cover every multiple subtracted.  A
+    ``quotients`` dict gains q at (i, u) for each q * u * basis[i]
+    subtracted, so that start = remainder + sum q * u * basis[i]; terms are
+    taken in strictly descending order, so no (i, u) comes twice.
     """
-    field = ring.field
-    key = ring.order.key
-    work = dict(terms)
+    work = dict(start)
     out = {}
-    leads = [
-        (g.lead_monomial(), g, i)
-        for i, g in enumerate(basis)
-        if g is not None
-    ]
+    cache = {}
+
+    def order_key(pm):
+        k = cache.get(pm)
+        if k is None:
+            k = cache[pm] = key(*pm)
+        return k
+
     while work:
-        m = max(work, key=lambda mm: key(mm.exps))
-        c = work.pop(m)
-        hit = None
-        for entry in leads:
-            if entry[0].divides(m):
-                hit = entry
+        pm = max(work, key=order_key)
+        pos, mon = pm
+        c = work.pop(pm)
+        for idx, (lp, lm, lc) in enumerate(leads):
+            if lp == pos and lm.divides(mon):
                 break
-        if hit is None:
-            out[m] = c
+        else:
+            out[pm] = c
             continue
-        lm, g, idx = hit
-        u = m.quotient(lm)
-        factor = field.div(c, g.lead_coefficient())
-        if sugar is not None:
+        u = mon.quotient(lm)
+        factor = field.div(c, lc)
+        if sugars is not None:
             sugar = max(sugar, sugars[idx] + u.degree)
-        work[m] = c
-        _axpy(work, field, factor, u, g._terms)
-    return Polynomial(ring, out), sugar
+        if quotients is not None:
+            quotients[(idx, u)] = factor
+        work[pm] = c
+        _axpy(work, field, factor, u, basis[idx])
+    return out, sugar
 
 
-def _spoly(f: Polynomial, g: Polynomial):
-    """S-polynomial of two monic-or-not polynomials, plus the pair quotients."""
-    ring = f.ring
-    field = ring.field
-    lmf, lcf = f.lead_term()
-    lmg, lcg = g.lead_term()
-    lcm = lmf.lcm(lmg)
-    uf = lcm.quotient(lmf)
-    ug = lcm.quotient(lmg)
+def _spoly(field, f: dict, lf, g: dict, lg) -> dict:
+    """S-polynomial of two term dicts with leads lf, lg = (pos, mon, coeff)."""
+    lcm = lf[1].lcm(lg[1])
     work = {}
-    _axpy(work, field, field.neg(field.inv(lcf)), uf, f._terms)
-    _axpy(work, field, field.inv(lcg), ug, g._terms)
-    return Polynomial(ring, work), uf, ug
+    _axpy(work, field, field.neg(field.inv(lf[2])), lcm.quotient(lf[1]), f)
+    _axpy(work, field, field.inv(lg[2]), lcm.quotient(lg[1]), g)
+    return work
 
 
 class _PairSet:
@@ -128,11 +154,11 @@ class _PairSet:
         return bool(self.pairs)
 
 
-def _update(G, sugars, pairset, f, fsugar):
-    """Install f as a new basis element, pruning pairs Gebauer-Moeller style."""
+def _update(G, leads, sugars, pairset, f, lmf, fsugar):
+    """Install the monic term dict f, with lead monomial lmf, as a new basis
+    element, pruning pairs Gebauer-Moeller style."""
     t = len(G)
-    lmf = f.lead_monomial()
-    lcms = [g.lead_monomial().lcm(lmf) for g in G]
+    lcms = [lead[1].lcm(lmf) for lead in leads]
 
     # drop old pairs made redundant by f (chain criterion)
     for (i, j) in list(pairset.pairs):
@@ -152,9 +178,6 @@ def _update(G, sugars, pairset, f, fsugar):
             if lj != li and lj.divides(li):
                 redundant = True
                 break
-            if lj == li and j < i:
-                # equal lcm classes handled below; keep the first index only
-                pass
         if not redundant:
             survivors.append(i)
 
@@ -162,17 +185,18 @@ def _update(G, sugars, pairset, f, fsugar):
     for i in survivors:
         groups.setdefault(lcms[i].exps, []).append(i)
     for exps, members in sorted(groups.items()):
-        if any(G[i].lead_monomial().coprime(lmf) for i in members):
+        if any(leads[i][1].coprime(lmf) for i in members):
             continue
         i = min(members)
         lcm = lcms[i]
         sugar = max(
-            sugars[i] + lcm.quotient(G[i].lead_monomial()).degree,
+            sugars[i] + lcm.quotient(leads[i][1]).degree,
             fsugar + lcm.quotient(lmf).degree,
         )
         pairset.push(i, t, lcm, sugar)
 
     G.append(f)
+    leads.append((0, lmf, f[(0, lmf)]))
     sugars.append(fsugar)
 
 
@@ -188,21 +212,27 @@ def _engine(polys, ring, degree_ceiling) -> list:
         if k not in seen:
             seen.add(k)
             inputs.append(f)
-    if not inputs:
-        return []
-
     if all(len(f) == 1 for f in inputs):
-        return _minimal_monomials(inputs, ring)
+        return _reduce_basis(inputs, ring)
 
     inputs.sort(key=lambda f: ring.order.key(f.lead_monomial().exps))
+    field = ring.field
+    key = _ideal_key(ring)
     G: list = []
+    leads: list = []
     sugars: list = []
     pairset = _PairSet(ring)
+
+    def install(terms, sugar):
+        red, sugar = _reduce(terms, G, leads, key, field, sugar, sugars)
+        if red:
+            lead = next(iter(red))
+            inv = field.inv(red[lead])
+            monic = {pm: field.mul(c, inv) for pm, c in red.items()}
+            _update(G, leads, sugars, pairset, monic, lead[1], sugar)
+
     for f in inputs:
-        fdeg = f.degree()
-        red, s = _reduce_terms(f._terms, ring, G, fdeg, sugars)
-        if not red.is_zero():
-            _update(G, sugars, pairset, red.monic(), s)
+        install(_at0(f), f.degree())
 
     while pairset:
         popped = pairset.pop()
@@ -214,43 +244,33 @@ def _engine(polys, ring, degree_ceiling) -> list:
                 f"S-pair of sugar degree {sugar} exceeds the degree ceiling "
                 f"{degree_ceiling}"
             )
-        s, _, _ = _spoly(G[i], G[j])
-        if s.is_zero():
-            continue
-        red, rsugar = _reduce_terms(s._terms, ring, G, sugar, sugars)
-        if not red.is_zero():
-            _update(G, sugars, pairset, red.monic(), rsugar)
+        s = _spoly(field, G[i], leads[i], G[j], leads[j])
+        if s:
+            install(s, sugar)
 
-    return _reduce_basis(G, ring)
-
-
-def _minimal_monomials(monos, ring) -> list:
-    """Reduced basis of a monomial ideal: the minimal monic generators."""
-    leads = sorted({f.lead_monomial() for f in monos}, key=lambda m: m.degree)
-    kept = []
-    for m in leads:
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    out = [Polynomial(ring, {m: ring.field.one}) for m in kept]
-    out.sort(key=lambda f: ring.order.key(f.lead_monomial().exps), reverse=True)
-    return out
+    return _reduce_basis([_polynomial(ring, g) for g in G], ring)
 
 
 def _reduce_basis(G, ring) -> list:
-    """Minimalize lead terms, then tail-reduce each element: the reduced basis."""
+    """Minimalize lead terms, then tail-reduce each element: the reduced basis
+    of a list of nonzero monic Polynomials."""
     order_key = ring.order.key
-    by_lead = sorted((g for g in G if not g.is_zero()),
-                     key=lambda g: order_key(g.lead_monomial().exps))
+    by_lead = sorted(G, key=lambda g: order_key(g.lead_monomial().exps))
     minimal = []
     for g in by_lead:
         lm = g.lead_monomial()
         if not any(h.lead_monomial().divides(lm) for h in minimal):
             minimal.append(g)
+    basis, leads = _ideal_basis(minimal)
+    key = _ideal_key(ring)
     reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1:]
-        red, _ = _reduce_terms(g._terms, ring, others)
-        reduced.append(red.monic())
+    for g, (pos, lm, lc) in zip(basis, leads):
+        # the tail and every term its reduction produces lie below lm, so
+        # g's own lead divides none of them
+        tail = dict(g)
+        del tail[(pos, lm)]
+        red, _ = _reduce(tail, basis, leads, key, ring.field)
+        reduced.append(_polynomial(ring, {(pos, lm): lc, **red}))
     reduced.sort(key=lambda g: order_key(g.lead_monomial().exps), reverse=True)
     return reduced
 
@@ -357,8 +377,10 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise UsageError("polynomial lives in a different ring")
-        red, _ = _reduce_terms(f._terms, self.ring, list(self.elements))
-        return red
+        basis, leads = _ideal_basis(self.elements)
+        red, _ = _reduce(_at0(f), basis, leads, _ideal_key(self.ring),
+                         self.ring.field)
+        return _polynomial(self.ring, red)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()

@@ -257,18 +257,6 @@ class Polynomial:
             return self.ring.zero()
         return Polynomial(self.ring, {m: field.mul(v, raw) for m, v in self._terms.items()})
 
-    def mul_term(self, c, mon: Monomial) -> "Polynomial":
-        """self * c * mon, the workhorse of reduction steps."""
-        field = self.ring.field
-        raw = field.coerce(c)
-        if raw == field.zero or not self._terms:
-            return self.ring.zero()
-        if mon.is_one():
-            return Polynomial(self.ring, {m: field.mul(v, raw) for m, v in self._terms.items()})
-        return Polynomial(
-            self.ring, {m.mul(mon): field.mul(v, raw) for m, v in self._terms.items()}
-        )
-
     def monic(self) -> "Polynomial":
         if not self._terms:
             return self

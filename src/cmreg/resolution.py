@@ -4,10 +4,12 @@ Resolutions are built non-minimally: the reduced Groebner basis of the ideal
 is the first differential, and each further level is the syzygy module of the
 previous basis under the induced Schreyer order.  Schreyer's theorem makes
 every level a Groebner basis for free, so no module Buchberger loop runs on
-the tower.  Basis elements at each level are sorted with lead monomials
-lexicographically decreasing inside each position group; that keeps the
-variables supporting level-k lead quotients shrinking, which bounds the tower
-length by nvars + 1.
+the tower: each kept S-pair of a level reduces to zero under ``groebner``'s
+one reducer, over (pos, Monomial) terms in the Schreyer order, and its
+quotients give the syzygy.  Basis elements at each level are sorted with
+lead monomials lexicographically decreasing inside each position group;
+that keeps the variables supporting level-k lead quotients shrinking, which
+bounds the tower length by nvars + 1.
 
 Betti numbers, and with them regularity, come from ranks: tensored with the
 field, the non-minimal complex splits by internal degree, so each beta_{i,j}
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 
 from .errors import SelfCheckError, UsageError
 from .fields import _rank
-from .groebner import DEFAULT_DEGREE_CEILING, GroebnerBasis, Ideal
+from .groebner import (DEFAULT_DEGREE_CEILING, GroebnerBasis, Ideal, _axpy,
+                       _ideal_basis, _reduce)
 from .polynomials import Monomial, Polynomial
 
 
@@ -115,9 +118,10 @@ class SchreyerOrder:
         return SchreyerOrder(self.ring, weights, ties)
 
 
-# --- flat-dict module arithmetic: elements as {(pos, Monomial): coeff} ---
+# --- Schreyer syzygies ---
 
 def _flat(element: ModuleElement) -> dict:
+    """A module element as one term dict keyed by (pos, Monomial)."""
     out = {}
     for idx, poly in element.components:
         for m, c in poly._terms.items():
@@ -132,65 +136,6 @@ def _unflat(flat: dict, free: FreeModule, ring) -> ModuleElement:
     comps = [(pos, Polynomial(ring, terms)) for pos, terms in sorted(per_pos.items())]
     return ModuleElement(free, ring, comps)
 
-
-def _module_axpy(work: dict, field, coeff, u: Monomial, terms: dict):
-    """work -= coeff * u * terms, in place."""
-    zero = field.zero
-    one_u = u.is_one()
-    for (p, m), c in terms.items():
-        pm = (p, m) if one_u else (p, u.mul(m))
-        v = field.sub(work.get(pm, zero), field.mul(coeff, c))
-        if v == zero:
-            work.pop(pm, None)
-        else:
-            work[pm] = v
-
-
-def _module_reduce(start: dict, basis, leads, order: SchreyerOrder, field,
-                   collect: bool = False):
-    """Fully reduce a flat element against basis (list of flat dicts).
-
-    leads[i] = (pos, Monomial, coeff) is the lead of basis[i] under ``order``.
-    Returns (remainder, quotients) where quotients maps (basis index, Monomial)
-    to a coefficient when ``collect`` is set.
-    """
-    work = dict(start)
-    out = {}
-    quot = {} if collect else None
-    kcache = {}
-
-    def mkey(pm):
-        k = kcache.get(pm)
-        if k is None:
-            k = order.key(*pm)
-            kcache[pm] = k
-        return k
-
-    while work:
-        pm = max(work, key=mkey)
-        pos, mon = pm
-        c = work.pop(pm)
-        hit = None
-        for idx, (lp, lm, lc) in enumerate(leads):
-            if lp == pos and lm.divides(mon):
-                hit = (idx, lm, lc)
-                break
-        if hit is None:
-            out[pm] = c
-            continue
-        idx, lm, lc = hit
-        u = mon.quotient(lm)
-        factor = field.div(c, lc)
-        if collect:
-            key2 = (idx, u)
-            prev = quot.get(key2, field.zero)
-            quot[key2] = field.add(prev, factor)
-        work[pm] = c
-        _module_axpy(work, field, factor, u, basis[idx])
-    return out, quot
-
-
-# --- Schreyer syzygies ---
 
 def _syzygy_step(ring, basis, leads, order: SchreyerOrder, twists):
     """One tower level: syzygies of a module GB, pruned, sorted, with the
@@ -229,9 +174,10 @@ def _syzygy_step(ring, basis, leads, order: SchreyerOrder, twists):
         v = lcm.quotient(mj)
         ratio = field.div(ci, cj)
         work = {}
-        _module_axpy(work, field, field.neg(field.one), u, basis[i])
-        _module_axpy(work, field, ratio, v, basis[j])
-        rem, quot = _module_reduce(work, basis, leads, order, field, collect=True)
+        _axpy(work, field, field.neg(field.one), u, basis[i])
+        _axpy(work, field, ratio, v, basis[j])
+        quot = {}
+        rem, _ = _reduce(work, basis, leads, order.key, field, quotients=quot)
         if rem:
             raise SelfCheckError("S-pair of a syzygy-level basis did not reduce to zero")
         sig = {(i, u): field.one}
@@ -270,8 +216,7 @@ def syzygies(G, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
         ring = G.ring
         elems = sorted(G.elements, key=lambda g: g.lead_monomial().exps,
                        reverse=True)
-        basis = [{(0, m): c for m, c in g._terms.items()} for g in elems]
-        leads = [(0, g.lead_monomial(), g.lead_coefficient()) for g in elems]
+        basis, leads = _ideal_basis(elems)
         order = SchreyerOrder.trivial(ring, 1)
         twists = [g.homogeneous_degree() for g in elems]
         free = FreeModule(tuple(twists))
@@ -407,8 +352,7 @@ def _schreyer_tower(J: Ideal, degree_ceiling: int):
     if not gb.elements:
         return frees, diffs
     cols = sorted(gb.elements, key=lambda g: g.lead_monomial().exps, reverse=True)
-    basis = [{(0, m): c for m, c in g._terms.items()} for g in cols]
-    leads = [(0, g.lead_monomial(), g.lead_coefficient()) for g in cols]
+    basis, leads = _ideal_basis(cols)
     order = SchreyerOrder.trivial(ring, 1)
     twists = [g.homogeneous_degree() for g in cols]
     frees.append(FreeModule(tuple(twists)))

@@ -12,7 +12,8 @@ from cmreg.groebner import (
     normal_form,
     saturate,
 )
-from cmreg.polynomials import Monomial, PolyRing
+from cmreg.polynomials import Monomial, PolyRing, Polynomial
+from cmreg.resolution import SchreyerOrder, _syzygy_step
 
 from oracle import degree_monomials, gf_rank, hilbert_by_rank, poly_to_dense
 
@@ -357,3 +358,75 @@ def test_groebner_hilbert_agreement_random():
                 if not any(lm.divides(Monomial(m)) for lm in gb.lead_monomials)
             )
             assert standard == hilbert_by_rank(P, 3, dense, d)
+
+
+def _by_position(terms, R):
+    """A (pos, Monomial) term dict as {pos: Polynomial}."""
+    rows = {}
+    for (pos, m), c in terms.items():
+        rows.setdefault(pos, {})[m] = c
+    return {pos: Polynomial(R, t) for pos, t in rows.items()}
+
+
+def _random_terms(R, rng, positions, degrees, count):
+    terms = {}
+    for _ in range(count):
+        exps = rng.choice(degree_monomials(R.nvars, rng.choice(degrees)))
+        c = R.field.random(rng)
+        if c != R.field.zero:
+            terms[(rng.choice(positions), Monomial(exps))] = c
+    return terms
+
+
+def _check_division(R, start, basis, leads, key):
+    """Reduce ``start`` with quotient collection and check, with Polynomial
+    arithmetic, that start = remainder + sum q * u * basis[i] and that no
+    remainder term is divisible by a lead at its own position.  Returns the
+    number of quotient terms."""
+    quotients = {}
+    rem, _ = groebner._reduce(start, basis, leads, key, R.field,
+                              quotients=quotients)
+    for pos, m in rem:
+        assert not any(lp == pos and lm.divides(m) for lp, lm, _ in leads)
+    total = _by_position(rem, R)
+    for (i, u), q in quotients.items():
+        mult = Polynomial(R, {u: q})
+        for pos, row in _by_position(basis[i], R).items():
+            total[pos] = total.get(pos, R.zero()) + mult * row
+    total = {pos: row for pos, row in total.items() if not row.is_zero()}
+    assert total == _by_position(start, R)
+    return len(quotients)
+
+
+@pytest.mark.parametrize("p,k,seed", [(2, 1, 61), (32003, 1, 62), (5, 2, 63)])
+def test_reducer_quotients_reconstruct_the_input(p, k, seed):
+    rng = random.Random(seed)
+    field = GF(p, k)
+    divided = 0
+    for _ in range(8):
+        R = PolyRing(("x", "y", "z"), field=field)
+        gens = [f for f in (_random_form(R, rng.randint(1, 3), rng, 0.5)
+                            for _ in range(rng.randint(2, 3)))
+                if not f.is_zero()]
+        if not gens:
+            continue
+        key = groebner._ideal_key(R)
+        # ideal input at position 0, against the raw (non-monic) generators
+        # and against the reduced basis
+        for polys in (gens, Ideal(R, gens).groebner_basis().elements):
+            basis, leads = groebner._ideal_basis(polys)
+            for _ in range(4):
+                start = _random_terms(R, rng, [0], (2, 3, 4), 12)
+                divided += _check_division(R, start, basis, leads, key)
+        # the first syzygy level of the Schreyer tower, under its induced order
+        cols = sorted(Ideal(R, gens).groebner_basis().elements,
+                      key=lambda g: g.lead_monomial().exps, reverse=True)
+        basis, leads = groebner._ideal_basis(cols)
+        sigs, sig_leads, order, _ = _syzygy_step(
+            R, basis, leads, SchreyerOrder.trivial(R, 1),
+            [g.homogeneous_degree() for g in cols])
+        if sigs:
+            for _ in range(4):
+                start = _random_terms(R, rng, range(len(cols)), (1, 2, 3), 12)
+                divided += _check_division(R, start, sigs, sig_leads, order.key)
+    assert divided > 0
