@@ -1,17 +1,18 @@
 """Reduced Groebner bases and ideal-level operations.
 
-The Buchberger loop uses sugar-degree selection and Gebauer-Moeller pair
-pruning.  Homogeneous input is processed degree by degree (sugar equals true
-degree there); the same engine accepts the inhomogeneous systems that the
-intersection trick produces internally.  Public constructors enforce the
-homogeneous-only policy.
+The Buchberger engine is graded: every input is homogeneous in the grading
+of its ring's order (``MonomialOrder.degree``), so every S-polynomial is
+homogeneous of the degree of its lcm, and pairs are selected by that degree,
+ties broken by the lcm's order key, with Gebauer-Moeller pair pruning.  The
+one internal input outside the standard grading, t*A + (1-t)*B of an
+intersection, is graded because the elimination order gives t weight 0.
+Public constructors enforce the homogeneous-only policy.
 
 All reduction to normal form runs through one loop, ``_reduce``, over term
 dicts keyed by (pos, Monomial).  An ideal element sits at position 0; the
 Schreyer syzygy tower in ``resolution`` spreads its elements over the
 positions of a free module.  The caller gives the basis, its leads and the
-order key; sugar tracking (Buchberger) and quotient collection (syzygies)
-are optional arguments.
+order key; quotient collection (syzygies) is an optional argument.
 
 Saturation by a variable x_i divides a grevlex basis with x_i last by its
 largest x_i-powers (Bayer-Stillman).  Saturation by the irrelevant maximal
@@ -74,17 +75,14 @@ def _axpy(work: dict, field, coeff, u: Monomial, terms: dict):
             work[pm] = v
 
 
-def _reduce(start: dict, basis, leads, key, field, sugar=None, sugars=None,
-            quotients=None):
+def _reduce(start: dict, basis, leads, key, field, quotients=None):
     """Fully reduce the term dict ``start`` against ``basis``.
 
     ``key(pos, mon)`` sorts terms by the order under which leads[i] =
     (pos, Monomial, coeff) is the lead of basis[i]; each term is divided by
-    the first lead at its own position that divides it.  Returns
-    (remainder, sugar); the remainder's terms come out in descending order,
-    so its first key is its lead.  With ``sugars`` (the sugar of each basis
-    element) given, ``sugar`` grows to cover every multiple subtracted.  A
-    ``quotients`` dict gains q at (i, u) for each q * u * basis[i]
+    the first lead at its own position that divides it.  Returns the
+    remainder, whose terms come out in descending order, so its first key is
+    its lead.  A ``quotients`` dict gains q at (i, u) for each q * u * basis[i]
     subtracted, so that start = remainder + sum q * u * basis[i]; terms are
     taken in strictly descending order, so no (i, u) comes twice.
     """
@@ -110,13 +108,11 @@ def _reduce(start: dict, basis, leads, key, field, sugar=None, sugars=None,
             continue
         u = mon.quotient(lm)
         factor = field.div(c, lc)
-        if sugars is not None:
-            sugar = max(sugar, sugars[idx] + u.degree)
         if quotients is not None:
             quotients[(idx, u)] = factor
         work[pm] = c
         _axpy(work, field, factor, u, basis[idx])
-    return out, sugar
+    return out
 
 
 def _spoly(field, f: dict, lf, g: dict, lg) -> dict:
@@ -128,43 +124,18 @@ def _spoly(field, f: dict, lf, g: dict, lg) -> dict:
     return work
 
 
-class _PairSet:
-    """Gebauer-Moeller managed S-pair queue with sugar selection."""
-
-    def __init__(self, ring):
-        self.ring = ring
-        self.pairs = {}
-        self.heap = []
-
-    def push(self, i, j, lcm, sugar):
-        key = (sugar, self.ring.order.key(lcm.exps), i, j)
-        self.pairs[(i, j)] = (lcm, sugar)
-        heapq.heappush(self.heap, (key, i, j))
-
-    def pop(self):
-        while self.heap:
-            key, i, j = heapq.heappop(self.heap)
-            entry = self.pairs.get((i, j))
-            if entry is not None and (entry[1], self.ring.order.key(entry[0].exps)) == key[:2]:
-                del self.pairs[(i, j)]
-                return i, j, entry[0], entry[1]
-        return None
-
-    def __bool__(self):
-        return bool(self.pairs)
-
-
-def _update(G, leads, sugars, pairset, f, lmf, fsugar):
+def _update(order, G, leads, pairs, heap, f, lmf):
     """Install the monic term dict f, with lead monomial lmf, as a new basis
-    element, pruning pairs Gebauer-Moeller style."""
+    element, pruning pairs Gebauer-Moeller style.  ``pairs`` maps each live
+    pair (i, j) to its lcm; ``heap`` holds (degree, order key, i, j) of every
+    pair pushed, deleted ones included."""
     t = len(G)
     lcms = [lead[1].lcm(lmf) for lead in leads]
 
     # drop old pairs made redundant by f (chain criterion)
-    for (i, j) in list(pairset.pairs):
-        lij = pairset.pairs[(i, j)][0]
+    for (i, j), lij in list(pairs.items()):
         if lmf.divides(lij) and lcms[i] != lij and lcms[j] != lij:
-            del pairset.pairs[(i, j)]
+            del pairs[(i, j)]
 
     # candidate pairs (i, t): prune those whose lcm is a proper multiple
     survivors = []
@@ -188,20 +159,17 @@ def _update(G, leads, sugars, pairset, f, lmf, fsugar):
         if any(leads[i][1].coprime(lmf) for i in members):
             continue
         i = min(members)
-        lcm = lcms[i]
-        sugar = max(
-            sugars[i] + lcm.quotient(leads[i][1]).degree,
-            fsugar + lcm.quotient(lmf).degree,
-        )
-        pairset.push(i, t, lcm, sugar)
+        pairs[(i, t)] = lcms[i]
+        heapq.heappush(heap, (order.degree(exps), order.key(exps), i, t))
 
     G.append(f)
     leads.append((0, lmf, f[(0, lmf)]))
-    sugars.append(fsugar)
 
 
 def _engine(polys, ring, degree_ceiling) -> list:
-    """Reduced Groebner basis of arbitrary (possibly inhomogeneous) input."""
+    """Reduced Groebner basis of input that is homogeneous in the grading of
+    ``ring.order``; S-pairs are taken by degree, and one above
+    ``degree_ceiling`` raises."""
     inputs = []
     seen = set()
     for f in polys:
@@ -215,38 +183,38 @@ def _engine(polys, ring, degree_ceiling) -> list:
     if all(len(f) == 1 for f in inputs):
         return _reduce_basis(inputs, ring)
 
-    inputs.sort(key=lambda f: ring.order.key(f.lead_monomial().exps))
+    order = ring.order
+    inputs.sort(key=lambda f: order.key(f.lead_monomial().exps))
     field = ring.field
     key = _ideal_key(ring)
     G: list = []
     leads: list = []
-    sugars: list = []
-    pairset = _PairSet(ring)
+    pairs: dict = {}
+    heap: list = []
 
-    def install(terms, sugar):
-        red, sugar = _reduce(terms, G, leads, key, field, sugar, sugars)
+    def install(terms):
+        red = _reduce(terms, G, leads, key, field)
         if red:
             lead = next(iter(red))
             inv = field.inv(red[lead])
             monic = {pm: field.mul(c, inv) for pm, c in red.items()}
-            _update(G, leads, sugars, pairset, monic, lead[1], sugar)
+            _update(order, G, leads, pairs, heap, monic, lead[1])
 
     for f in inputs:
-        install(_at0(f), f.degree())
+        install(_at0(f))
 
-    while pairset:
-        popped = pairset.pop()
-        if popped is None:
-            break
-        i, j, lcm, sugar = popped
-        if sugar > degree_ceiling:
+    while heap:
+        degree, _, i, j = heapq.heappop(heap)
+        if pairs.pop((i, j), None) is None:
+            continue  # deleted by the chain criterion
+        if degree > degree_ceiling:
             raise DegreeCeilingError(
-                f"S-pair of sugar degree {sugar} exceeds the degree ceiling "
+                f"S-pair of degree {degree} exceeds the degree ceiling "
                 f"{degree_ceiling}"
             )
         s = _spoly(field, G[i], leads[i], G[j], leads[j])
         if s:
-            install(s, sugar)
+            install(s)
 
     return _reduce_basis([_polynomial(ring, g) for g in G], ring)
 
@@ -269,7 +237,7 @@ def _reduce_basis(G, ring) -> list:
         # g's own lead divides none of them
         tail = dict(g)
         del tail[(pos, lm)]
-        red, _ = _reduce(tail, basis, leads, key, ring.field)
+        red = _reduce(tail, basis, leads, key, ring.field)
         reduced.append(_polynomial(ring, {(pos, lm): lc, **red}))
     reduced.sort(key=lambda g: order_key(g.lead_monomial().exps), reverse=True)
     return reduced
@@ -378,8 +346,8 @@ class GroebnerBasis:
         if f.ring != self.ring:
             raise UsageError("polynomial lives in a different ring")
         basis, leads = _ideal_basis(self.elements)
-        red, _ = _reduce(_at0(f), basis, leads, _ideal_key(self.ring),
-                         self.ring.field)
+        red = _reduce(_at0(f), basis, leads, _ideal_key(self.ring),
+                      self.ring.field)
         return _polynomial(self.ring, red)
 
     def contains(self, f: Polynomial) -> bool:
@@ -393,14 +361,6 @@ class GroebnerBasis:
 
     def __repr__(self):
         return f"GroebnerBasis[{', '.join(str(g) for g in self.elements)}]"
-
-
-def buchberger(ideal: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> GroebnerBasis:
-    return ideal.groebner_basis(degree_ceiling)
-
-
-def normal_form(f: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    return gb.normal_form(f)
 
 
 # --- intersection / saturation ---
@@ -492,12 +452,11 @@ def saturate_variable(I: Ideal, i: int, degree_ceiling: int = DEFAULT_DEGREE_CEI
 def _same_hilbert_polynomial(num_a, num_b, n: int) -> bool:
     """Whether two Hilbert numerators over n variables give the same Hilbert
     polynomial, i.e. whether (1-T)^n divides their difference."""
-    diff = [a - b for a, b in itertools.zip_longest(num_a, num_b, fillvalue=0)]
-    for _ in range(n):
-        if sum(diff) != 0:
-            return False
-        diff = list(itertools.accumulate(diff))
-    return True
+    from .hilbert import _split  # hilbert imports this module
+
+    Q, c = _split([a - b for a, b in
+                   itertools.zip_longest(num_a, num_b, fillvalue=0)])
+    return Q is None or c >= n
 
 
 def saturate(I: Ideal, variable: int | None = None,

@@ -64,6 +64,18 @@ def _strip(a):
     return a
 
 
+def _split(num):
+    """(Q, c) with num = Q * (1-T)^c and Q(1) != 0; (None, 0) for num = 0."""
+    num = _strip(list(num))
+    if not num:
+        return None, 0
+    c = 0
+    while sum(num) == 0:
+        num = _strip(list(itertools.accumulate(num)))
+        c += 1
+    return num, c
+
+
 def _minimalize(gens):
     """Minimal generators of the monomial ideal spanned by exponent tuples."""
     gens = sorted(set(gens), key=lambda g: (sum(g), g))
@@ -126,20 +138,8 @@ def hilbert_function(I: Ideal, d_max: int,
 
 
 def _numerator_split(I: Ideal, degree_ceiling: int):
-    """(Q, c): N = Q * (1-T)^c with Q(1) != 0, plus the zero-numerator case."""
-    num = list(hilbert_numerator(I, degree_ceiling))
-    if not any(num):
-        return None, I.ring.nvars
-    c = 0
-    while sum(num) == 0:
-        total = 0
-        quotient = []
-        for coeff in num:
-            total += coeff
-            quotient.append(total)
-        num = _strip(quotient)
-        c += 1
-    return num, c
+    """(Q, c): N = Q * (1-T)^c with Q(1) != 0; Q is None for the unit ideal."""
+    return _split(hilbert_numerator(I, degree_ceiling))
 
 
 def quotient_dimension(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> int:
@@ -183,17 +183,11 @@ def top_degree_finite(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) ->
             f"S/I is not finite length: variable {witness} has no pure power "
             "in the lead-term ideal"
         )
-    num = list(hilbert_numerator(I, degree_ceiling))
-    if not any(num):
+    # finite length: N = Q * (1-T)^n, so the Hilbert series is Q itself
+    Q, _ = _numerator_split(I, degree_ceiling)
+    if Q is None:
         return -1
-    for _ in range(I.ring.nvars):
-        total = 0
-        quotient = []
-        for coeff in num:
-            total += coeff
-            quotient.append(total)
-        num = _strip(quotient)
-    return len(num) - 1
+    return len(Q) - 1
 
 
 def m_power_containment(s: int, I: Ideal,

@@ -1,9 +1,10 @@
 """Global monomial orders: grevlex (default), lex, grlex.
 
 Every order exposes ``key(exponents) -> sortable tuple`` with larger keys for
-larger monomials, so ``max`` and ``sorted`` work directly.  A variable
-precedence permutation may be supplied; the default is declaration order
-(first variable largest).
+larger monomials, so ``max`` and ``sorted`` work directly, and
+``degree(exponents)``, the grading the Buchberger engine selects pairs by.
+A variable precedence permutation may be supplied; the default is
+declaration order (first variable largest).
 """
 
 from __future__ import annotations
@@ -42,6 +43,10 @@ class MonomialOrder:
         if self.kind == LEX:
             return exps
         return (sum(exps), exps)
+
+    def degree(self, exps) -> int:
+        """The standard degree: every variable has weight 1."""
+        return sum(exps)
 
     def compare(self, a, b) -> int:
         """-1, 0 or +1 as a <, =, > b.  Accepts Monomials or exponent tuples."""
@@ -85,7 +90,8 @@ class EliminationOrder(MonomialOrder):
     Any monomial involving an eliminated variable is larger than any monomial
     free of them; ties are broken by grevlex on the whole exponent vector.
     Used internally for ideal intersections; restricted to the remaining
-    variables it agrees with grevlex.
+    variables it agrees with grevlex.  The eliminated variables have weight 0
+    in ``degree``, so t*A + (1-t)*B is graded when A and B are.
     """
 
     __slots__ = ("nelim",)
@@ -100,6 +106,9 @@ class EliminationOrder(MonomialOrder):
             sum(exps),
             tuple(-e for e in reversed(exps)),
         )
+
+    def degree(self, exps) -> int:
+        return sum(exps[self.nelim:])
 
     def __eq__(self, other):
         return (

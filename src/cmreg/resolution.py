@@ -177,7 +177,7 @@ def _syzygy_step(ring, basis, leads, order: SchreyerOrder, twists):
         _axpy(work, field, field.neg(field.one), u, basis[i])
         _axpy(work, field, ratio, v, basis[j])
         quot = {}
-        rem, _ = _reduce(work, basis, leads, order.key, field, quotients=quot)
+        rem = _reduce(work, basis, leads, order.key, field, quotients=quot)
         if rem:
             raise SelfCheckError("S-pair of a syzygy-level basis did not reduce to zero")
         sig = {(i, u): field.one}

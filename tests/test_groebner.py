@@ -5,13 +5,8 @@ import pytest
 from cmreg.errors import DegreeCeilingError, UsageError
 from cmreg.fields import GF
 from cmreg import groebner
-from cmreg.groebner import (
-    Ideal,
-    buchberger,
-    intersect,
-    normal_form,
-    saturate,
-)
+from cmreg.groebner import Ideal, intersect, saturate, saturate_variable
+from cmreg.orders import EliminationOrder
 from cmreg.polynomials import Monomial, PolyRing, Polynomial
 from cmreg.resolution import SchreyerOrder, _syzygy_step
 
@@ -77,18 +72,18 @@ def test_normal_form_is_canonical_and_linear():
     R = ring()
     x, y, z = R.variables()
     I = Ideal(R, (x * x - y * z, y * y - x * z))
-    gb = buchberger(I)
+    gb = I.groebner_basis()
     rng = random.Random(3)
     for d in (2, 3, 4):
         mons = degree_monomials(3, d)
         for _ in range(10):
             f = R.poly({m: rng.randrange(P) for m in mons})
             g = R.poly({m: rng.randrange(P) for m in mons})
-            nf = normal_form(f, gb)
-            ng = normal_form(g, gb)
-            assert normal_form(f + g, gb) == nf + ng
+            nf = gb.normal_form(f)
+            ng = gb.normal_form(g)
+            assert gb.normal_form(f + g) == nf + ng
             # idempotence: a normal form reduces to itself
-            assert normal_form(nf, gb) == nf
+            assert gb.normal_form(nf) == nf
             # no lead monomial of the basis divides a surviving term
             for m, _ in nf.sorted_terms():
                 assert not any(lm.divides(m) for lm in gb.lead_monomials)
@@ -333,6 +328,49 @@ def test_degree_ceiling_trips():
         I.groebner_basis(degree_ceiling=2)
 
 
+def test_intersection_ceiling_counts_ring_degree():
+    # the ceiling counts degree in the ring's variables, not in the auxiliary
+    # t of t*A + (1-t)*B: the S-pair of t*x and t*y - y has degree 2
+    R = ring()
+    x, y, z = R.variables()
+    assert gens_of(intersect(Ideal(R, (x,)), Ideal(R, (y,)),
+                             degree_ceiling=2)) == {"x*y"}
+    # (xy) cap (yz, xz) = (xyz) needs a pair of degree 3
+    with pytest.raises(DegreeCeilingError, match="S-pair of degree 3"):
+        intersect(Ideal(R, (x * y,)), Ideal(R, (y * z, x * z)),
+                  degree_ceiling=2)
+
+
+@pytest.mark.parametrize("p,seed", [(2, 71), (32003, 72)])
+def test_engine_installs_only_graded_elements(monkeypatch, p, seed):
+    # every element the engine installs is homogeneous in the grading of
+    # its ring's order, so a pair's degree is the degree of its S-polynomial
+    installed = {"plain": 0, "permuted": 0, "elimination": 0}
+    update = groebner._update
+
+    def checked(order, G, leads, pairs, heap, f, lmf):
+        assert len({order.degree(m.exps) for _, m in f}) == 1
+        if isinstance(order, EliminationOrder):
+            installed["elimination"] += 1
+        elif order.precedence != tuple(range(order.nvars)):
+            installed["permuted"] += 1
+        else:
+            installed["plain"] += 1
+        return update(order, G, leads, pairs, heap, f, lmf)
+
+    monkeypatch.setattr(groebner, "_update", checked)
+    rng = random.Random(seed)
+    R = ring(p=p)
+    for _ in range(6):
+        A, B = (Ideal(R, [_random_form(R, rng.randint(1, 3), rng, 0.5)
+                          for _ in range(rng.randint(1, 3))])
+                for _ in range(2))
+        A.groebner_basis()
+        saturate_variable(A, 0)
+        intersect(A, B)
+    assert all(installed.values()), installed
+
+
 def test_groebner_hilbert_agreement_random():
     """Dimension counts from the reduced basis (standard monomials) agree
     with brute-force rank over 20 random ideals."""
@@ -384,8 +422,8 @@ def _check_division(R, start, basis, leads, key):
     remainder term is divisible by a lead at its own position.  Returns the
     number of quotient terms."""
     quotients = {}
-    rem, _ = groebner._reduce(start, basis, leads, key, R.field,
-                              quotients=quotients)
+    rem = groebner._reduce(start, basis, leads, key, R.field,
+                           quotients=quotients)
     for pos, m in rem:
         assert not any(lp == pos and lm.divides(m) for lp, lm, _ in leads)
     total = _by_position(rem, R)

@@ -78,6 +78,15 @@ def test_elimination_order_blocks():
             assert order.compare(pa, pb) == grevlex.compare(pa, pb)
 
 
+def test_degree_gives_eliminated_variables_weight_zero():
+    permuted = MonomialOrder(LEX, 4, precedence=(3, 1, 2, 0))
+    for a in itertools.product(range(3), repeat=4):
+        assert MonomialOrder(GREVLEX, 4).degree(a) == sum(a)
+        assert permuted.degree(a) == sum(a)
+        assert EliminationOrder(4, 1).degree(a) == sum(a[1:])
+    assert EliminationOrder(4, 1).degree((7, 1, 0, 2)) == 3
+
+
 def test_compare_validates_arity_and_spells_out():
     order = MonomialOrder(GREVLEX, 2)
     with pytest.raises(UsageError):
