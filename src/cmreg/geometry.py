@@ -23,6 +23,15 @@ a univariate Euclid on the dehomogenization at y, and rehomogenize.  The
 scan reads each hyperplane's gcd degree off coefficient rows of the forms,
 lifted once per extension degree, and builds Polynomials only for a new
 best hyperplane, whose degree binary_gcd must confirm.
+
+The hyperplane W_c at dual point c has a common root P exactly when
+(f_1(P):...:f_m(P)) = c, so deg gcd(W_c) is the length of the fiber over c
+of phi = (f_1:...:f_m): P^1 -> P^(m-1), and r is phi's largest fiber
+length over the enumerated points.  A dual point off the image curve has
+gcd degree 0: the scan runs the gcd kernel only where a degree-d form F
+with F(f_1, f_2, f_3) = 0 vanishes at (c_1, c_2, c_3) (the image-curve
+filter).  F is built lazily, once the kernel alone has spent about what F
+costs, so short scans never build it.
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ from .fields import (
     GF,
     MAX_EXTENSION_DEGREE,
     PrimeField,
+    _pmul,
     _rank,
     _rref,
     _unieuclid,
@@ -220,20 +230,26 @@ def _extension_ring(ring: PolyRing, k: int) -> PolyRing:
     return PolyRing(ring.names, GF(ring.field.p, k), ring.order)
 
 
+def _fiber_setup(spec: ProjectionSpec, k: int):
+    """(ring over GF(p^k), lifted projection forms, lifted generators of
+    I_X): the part of a fiber's set-up that depends only on the extension
+    degree k of its point."""
+    if not 1 <= k <= MAX_EXTENSION_DEGREE:
+        raise UsageError(f"unsupported extension degree {k}")
+    big = _extension_ring(spec.ring, k)
+    return (big, [lift_polynomial(f, big) for f in spec.forms],
+            [lift_polynomial(g, big) for g in spec.ideal.gens])
+
+
 class _Fiber:
     """One fiber, resolved: the saturated ideal in the substituted ring plus
     everything needed to re-embed it."""
 
     __slots__ = ("saturated", "linear_forms", "small", "positions", "big")
 
-    def __init__(self, spec: ProjectionSpec, point: ClosedPoint,
-                 degree_ceiling: int):
-        if not 1 <= point.k <= MAX_EXTENSION_DEGREE:
-            raise UsageError(f"unsupported extension degree {point.k}")
-        big = _extension_ring(spec.ring, point.k)
+    def __init__(self, setup, point: ClosedPoint, degree_ceiling: int):
+        big, forms, gens = setup
         field = big.field
-        forms = [lift_polynomial(f, big) for f in spec.forms]
-        gens = [lift_polynomial(g, big) for g in spec.ideal.gens]
         coords = [field.coerce(c) for c in point.coords]
 
         i0 = next(i for i, c in enumerate(coords) if c != field.zero)
@@ -304,7 +320,8 @@ def fiber_ideal(spec: ProjectionSpec, point: ClosedPoint,
 
     The result lives in the spec's ring with coefficients lifted to GF(p^k)
     for the point's extension degree k."""
-    return _Fiber(spec, point, degree_ceiling).ambient_ideal()
+    return _Fiber(_fiber_setup(spec, point.k), point,
+                  degree_ceiling).ambient_ideal()
 
 
 def fiber_regularity(Z: Ideal,
@@ -355,12 +372,16 @@ def max_fiber_regularity(spec: ProjectionSpec,
     empty = 0
     count = 0
     partial = False
+    k = 0
     for point in enumerate_closed_points(spec.ring.field.p, K, spec.s):
         if count >= budget:
             partial = True
             break
         count += 1
-        fib = _Fiber(spec, point, degree_ceiling)
+        if point.k != k:
+            k = point.k
+            setup = _fiber_setup(spec, k)
+        fib = _Fiber(setup, point, degree_ceiling)
         if fib.is_empty(degree_ceiling):
             empty += 1
             continue
@@ -499,6 +520,76 @@ def _hyperplane_gcd_degree(field, rows, coords):
     return len(g) - 1 + ycontent
 
 
+def _image_curve_form(field, rows, d):
+    """{(a, b, c): raw coefficient} of a nonzero degree-d form F with
+    F(f_1, f_2, f_3) = 0, for the coefficient rows of three independent
+    degree-d binary forms over a prime field.
+
+    F is a kernel vector of the evaluation map S_d(P^2) -> S_{d^2}(P^1),
+    c_1^a c_2^b c_3^c -> f_1^a f_2^b f_3^c.  The kernel is nonzero: the
+    image of (f_1:f_2:f_3) is a plane curve of degree at most d, and its
+    equation times any form of the complementary degree lies in it."""
+    p = field.p
+    powers = []
+    for row in rows:
+        pw = [[1]]
+        for _ in range(d):
+            pw.append(_pmul(pw[-1], row, p))
+        powers.append(pw)
+    monos = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    images = [_pmul(_pmul(powers[0][a], powers[1][b], p), powers[2][c], p)
+              for a, b, c in monos]
+    # one column per monomial (_pmul drops top zeros); the first free
+    # column gives a kernel vector
+    matrix = [[img[i] if i < len(img) else 0 for img in images]
+              for i in range(d * d + 1)]
+    pivots = _rref(field, matrix)
+    free = next((j for j in range(len(monos)) if j not in pivots), None)
+    if free is None:
+        raise SelfCheckError("no degree-d form vanishes on the image curve")
+    form = {monos[free]: field.one}
+    for r, col in enumerate(pivots):
+        if matrix[r][free] != field.zero:
+            form[monos[col]] = field.neg(matrix[r][free])
+    return form
+
+
+def _on_curve_test(field, form, d):
+    """Predicate on dual-point coordinates over field: does the image-curve
+    form vanish at the first three?  Horner in the third coordinate, with
+    the coefficients (forms in the first two) cached per leading pair; the
+    form's coefficients are lifted into field once."""
+    zero, one, add, mul = field.zero, field.one, field.add, field.mul
+    by_power = [[] for _ in range(d + 1)]
+    for (a, b, c), v in form.items():
+        by_power[c].append((a, b, field.coerce(v)))
+    pair = None
+    coeffs = None
+
+    def on_curve(coords):
+        nonlocal pair, coeffs
+        c1, c2, c3 = coords[:3]
+        if (c1, c2) != pair:
+            pair = (c1, c2)
+            p1 = [one]
+            p2 = [one]
+            for _ in range(d):
+                p1.append(mul(p1[-1], c1))
+                p2.append(mul(p2[-1], c2))
+            coeffs = []
+            for terms in reversed(by_power):
+                g = zero
+                for a, b, v in terms:
+                    g = add(g, mul(v, mul(p1[a], p2[b])))
+                coeffs.append(g)
+        v = zero
+        for g in coeffs:
+            v = add(mul(v, c3), g)
+        return v == zero
+
+    return on_curve
+
+
 def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
               budget: int = DEFAULT_FIBER_BUDGET) -> TwoVarsReport:
     """max over codimension-1 subspaces V' of V of deg gcd(V'), with a
@@ -513,7 +604,15 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     comes from those rows alone (_hyperplane_gcd_degree).  Only a point
     that beats the best degree so far gets its basis built as Polynomials,
     and binary_gcd, an independent route through the contents of the
-    forms, must then give the same degree, or SelfCheckError is raised."""
+    forms, must then give the same degree, or SelfCheckError is raised.
+
+    Image-curve filter: after the first N^2/2 points, N = (d+1)(d+2)/2,
+    the scan builds a degree-d form F vanishing on the image of
+    (f_1:f_2:f_3) (_image_curve_form) and from then on skips the kernel at
+    every point with F(c_1, c_2, c_3) != 0.  Such a point's gcd degree is
+    0, so it can matter only before the first witness, and the first point
+    is always scanned; enumeration order, the budget count, the ceiling
+    exit and the reports are those of the full scan."""
     forms = tuple(forms)
     if len(forms) < 2:
         raise UsageError("V must have dimension at least 2")
@@ -531,7 +630,8 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
         raise UsageError("forms must share a single degree")
     d = degs.pop()
 
-    if _rank(ring.field, [_coefficient_row(f, d) for f in forms]) != len(forms):
+    base_rows = [_coefficient_row(f, d) for f in forms]
+    if _rank(ring.field, base_rows) != len(forms):
         raise UsageError("forms are linearly dependent: not a basis")
 
     g = binary_gcd(forms)
@@ -552,6 +652,13 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     witness_gcd = None
     count = 0
     k = 0
+    # the kernel runs alone on the first N^2/2 points, N = (d+1)(d+2)/2:
+    # by then it has spent about what building the image-curve form costs,
+    # so a short scan never pays for the form
+    n = (d + 1) * (d + 2) // 2
+    lazy = n * n // 2
+    curve = None
+    on_curve = None
     for point_field, coords in _closed_point_coords(ring.field.p, K, m - 1):
         if count >= budget:
             report = TwoVarsReport(d, m, best, witness, witness_gcd, K,
@@ -567,6 +674,15 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
             field = big.field
             lifted = [lift_polynomial(f, big) for f in forms]
             rows = [_coefficient_row(f, d) for f in lifted]
+            if curve is not None:
+                on_curve = _on_curve_test(field, curve, d)
+        if curve is None and count > lazy:
+            curve = _image_curve_form(ring.field, base_rows[:3], d)
+            on_curve = _on_curve_test(field, curve, d)
+        # off the image curve the gcd degree is 0, which can only matter
+        # before the first witness
+        if on_curve and best >= 0 and not on_curve(coords):
+            continue
         deg = _hyperplane_gcd_degree(field, rows, coords)
         if deg > best:
             i0 = coords.index(field.one)

@@ -11,9 +11,12 @@ from cmreg.errors import (
 )
 from cmreg.fields import GF, FieldElement, _rank
 from cmreg.geometry import (
+    _closed_point_coords,
     _coefficient_row,
     _hyperplane_gcd_degree,
+    _image_curve_form,
     _normalized_points,
+    _on_curve_test,
     ClosedPoint,
     ProjectionSpec,
     binary_gcd,
@@ -27,7 +30,7 @@ from cmreg.geometry import (
 )
 from cmreg.groebner import Ideal
 from cmreg.hilbert import quotient_degree
-from cmreg.polynomials import Monomial, PolyRing, Polynomial
+from cmreg.polynomials import Monomial, PolyRing, Polynomial, lift_polynomial
 from cmreg.sessions import parse_session
 
 
@@ -252,6 +255,32 @@ def test_fiber_invariants_are_bounded_by_the_cover_degree():
         assert 1 <= fib.regularity <= fib.degree
 
 
+def test_fiber_search_lifts_once_per_extension_degree(monkeypatch):
+    # the ring, forms and generators over GF(p^k) are set up once per k,
+    # not once per closed point (56 points here)
+    lifts = []
+    lift = geometry.lift_polynomial
+
+    def counted_lift(f, target):
+        lifts.append(target.field.k)
+        return lift(f, target)
+
+    monkeypatch.setattr(geometry, "lift_polynomial", counted_lift)
+    R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(5))
+    x0, x1, x2, x3 = R.variables()
+    I = Ideal(R, (x0 * x2 - x1 * x1, x0 * x3 - x1 * x2, x1 * x3 - x2 * x2))
+    spec = ProjectionSpec(I, (x0 + x2, x1 + x3.scale(2)))
+    K = 3
+    rep = max_fiber_regularity(spec, K=K)
+    assert len(rep.fibers) + rep.empty_fibers == 56
+    per_k = len(spec.forms) + len(spec.ideal.gens)
+    assert len(lifts) <= per_k * K, len(lifts)
+    # fiber_ideal keeps its signature and sets up its own extension
+    pt = next(p for p in enumerate_closed_points(5, 2, 1) if p.k == 2)
+    assert fiber_ideal(spec, pt).gens == next(
+        f.ideal.gens for f in rep.fibers if f.point == pt)
+
+
 def test_projection_of_a_point_counts_empty_fibers():
     R = PolyRing(("x", "y", "z"), field=GF(7))
     x, y, z = R.variables()
@@ -464,6 +493,243 @@ def test_twovars_r_lifts_once_and_builds_bases_only_for_witnesses(monkeypatch):
         for k in range(1, K + 1):
             assert lifts.count(k) <= m, (k, lifts)
         assert len(gcds) <= rep.d + 2, len(gcds)
+
+
+def _system(R, m, rng, make):
+    """m forms from make(rng) that are independent with gcd 1."""
+    while True:
+        forms = make(rng)
+        d = forms[0].degree()
+        rows = [_coefficient_row(f, d) for f in forms]
+        if (len(forms) == m and _rank(R.field, rows) == m
+                and binary_gcd(forms).degree() == 0):
+            return forms
+
+
+def _forms_in_powers(R, m, e, power, rng):
+    """m random forms of degree e in x^power, y^power."""
+    x, y = R.variables()
+    out = []
+    for _ in range(m):
+        f = _random_binary_form(R, e, rng)
+        out.append(f.substitute([x**power, y**power]))
+    return out
+
+
+def _twovars_cases(R, m, rng):
+    """(kind, forms) for each kind of system of m forms over R."""
+    p = R.field.p
+
+    def common_factor(r):
+        # the first m - 1 forms, a hyperplane of V, share a factor h
+        h = _random_binary_form(R, r.randint(1, 2), r)
+        shared = [h * _random_binary_form(R, m, r) for _ in range(m - 1)]
+        return shared + [_random_binary_form(R, m + h.degree(), r)]
+
+    makers = [
+        ("random",
+         lambda r: [_random_binary_form(R, m + 1, r) for _ in range(m)]),
+        ("common factor", common_factor),
+        # phi factors through (x:y) -> (x^2:y^2), so every fiber has
+        # length at least 2
+        ("non-birational", lambda r: _forms_in_powers(R, m, m - 1, 2, r)),
+    ]
+    if p in (2, 3):
+        # phi factors through the Frobenius (x:y) -> (x^p:y^p)
+        makers.append(("inseparable",
+                       lambda r: _forms_in_powers(R, m, m - 1, p, r)))
+    return [(kind, _system(R, m, rng, make)) for kind, make in makers]
+
+
+@pytest.mark.parametrize("p,k,seed", [(2, 1, 81), (3, 1, 82), (5, 2, 83),
+                                      (101, 1, 84)])
+def test_image_curve_form_vanishes_where_a_hyperplane_has_a_gcd(p, k, seed):
+    # soundness of the image-curve filter: F is built over GF(p) from
+    # f_1, f_2, f_3, and at every dual point over GF(p^k) whose hyperplane
+    # has a gcd of positive degree (all points when there are at most about
+    # 800, else a seeded sample of 300, half of them images phi(1:t)) it
+    # vanishes at (c_1, c_2, c_3)
+    rng = random.Random(seed)
+    R = ring2(p)
+    big = PolyRing(R.names, GF(p, k), R.order)
+    field = big.field
+    positive = {}
+    for m in (3, 4):
+        for kind, forms in _twovars_cases(R, m, rng):
+            d = forms[0].degree()
+            rows = [_coefficient_row(f, d) for f in forms]
+            form = _image_curve_form(R.field, rows[:3], d)
+            # F(f_1, f_2, f_3) = 0, in Polynomial arithmetic
+            total = R.zero()
+            for (a, b, c), v in form.items():
+                total = total + (forms[0]**a * forms[1]**b
+                                 * forms[2]**c).scale(v)
+            assert form and total.is_zero(), (kind, forms)
+            on_curve = _on_curve_test(field, form, d)
+            lifted = [lift_polynomial(f, big) for f in forms]
+            if field.order ** (m - 1) <= 800:
+                points = list(_normalized_points(field, m - 1))
+            else:
+                points = [_random_normalized_point(field, m, rng)
+                          for _ in range(150)]
+                for _ in range(150):
+                    t = field.random(rng)
+                    image = [field.zero] * m
+                    for j, f in enumerate(lifted):
+                        for mon, c in f._terms.items():
+                            term = field.mul(c, field.pow_(t, mon.exps[0]))
+                            image[j] = field.add(image[j], term)
+                    inv = field.inv(next(c for c in image if c != field.zero))
+                    points.append(tuple(field.mul(inv, c) for c in image))
+            for coords in points:
+                i0 = coords.index(field.one)
+                basis = [lifted[j] - lifted[i0].scale(c)
+                         for j, c in enumerate(coords) if j != i0]
+                if binary_gcd(basis).degree() > 0:
+                    assert on_curve(coords), (kind, forms, coords)
+                    positive[kind, m] = positive.get((kind, m), 0) + 1
+    kinds = {"random", "common factor", "non-birational"}
+    if p in (2, 3):
+        kinds.add("inseparable")
+    assert set(positive) == {(kind, m) for kind in kinds for m in (3, 4)}, \
+        positive
+
+
+def _unfiltered_twovars(forms, K, budget):
+    """(r, witness, witness gcd, exhausted) of the dual-point scan with the
+    gcd kernel at every point: the scan of twovars_r without the image-curve
+    filter."""
+    ring = forms[0].ring
+    d = forms[0].degree()
+    m = len(forms)
+    ceiling = max(0, d - m + 2)
+    best, witness, witness_gcd = -1, None, None
+    k = 0
+    points = _closed_point_coords(ring.field.p, K, m - 1)
+    for count, (field, coords) in enumerate(points):
+        if count >= budget:
+            return best, witness, witness_gcd, True
+        if field.k != k:
+            k = field.k
+            big = PolyRing(ring.names, field, ring.order)
+            lifted = [lift_polynomial(f, big) for f in forms]
+            rows = [_coefficient_row(f, d) for f in lifted]
+        deg = _hyperplane_gcd_degree(field, rows, coords)
+        if deg > best:
+            i0 = coords.index(field.one)
+            witness = tuple(lifted[j] - lifted[i0].scale(c)
+                            for j, c in enumerate(coords) if j != i0)
+            witness_gcd = binary_gcd(witness)
+            best = deg
+            if best >= ceiling:
+                break
+    return best, witness, witness_gcd, False
+
+
+@pytest.mark.parametrize("p,K,m,seed", [(2, 3, 4, 91), (3, 3, 3, 92),
+                                        (3, 2, 4, 93), (5, 2, 3, 94),
+                                        (7, 1, 4, 95), (11, 1, 3, 96)])
+def test_filtered_twovars_matches_the_unfiltered_scan(p, K, m, seed,
+                                                      monkeypatch):
+    # r, witness and witness gcd of twovars_r against the kernel at every
+    # dual point, and the partial reports at budgets around the point where
+    # the filter starts and in the middle of the scan
+    kernel_calls = []
+    kernel = geometry._hyperplane_gcd_degree
+
+    def counted_kernel(field, rows, coords):
+        kernel_calls.append(coords)
+        return kernel(field, rows, coords)
+
+    monkeypatch.setattr(geometry, "_hyperplane_gcd_degree", counted_kernel)
+    rng = random.Random(seed)
+    R = ring2(p)
+    total = sum(1 for _ in _closed_point_coords(p, K, m - 1))
+    skipped = 0
+    for kind, forms in _twovars_cases(R, m, rng):
+        d = forms[0].degree()
+        n = (d + 1) * (d + 2) // 2
+        lazy = n * n // 2
+        budgets = [1, lazy - 1, lazy + 1, (lazy + total) // 2, total + 1]
+        for budget in budgets:
+            want = _unfiltered_twovars(forms, K, budget)
+            kernel_calls.clear()
+            try:
+                rep = twovars_r(forms, K, budget)
+                exhausted = False
+            except BudgetError as exc:
+                rep = exc.partial
+                exhausted = True
+            got = (rep.r, rep.witness, rep.witness_gcd, exhausted)
+            assert got == want, (kind, forms, budget)
+            if not exhausted and rep.r < max(0, d - m + 2):
+                skipped += total - len(kernel_calls)
+    # the filter ran and skipped points in at least one full scan
+    assert skipped > 0
+
+
+def _rational_normal_curve_projection(forms):
+    """The rational normal curve of degree d in P^d, cut out by the 2x2
+    minors of its Hankel matrix, with the linear forms whose coefficient
+    vectors are the coefficient rows of the degree-d binary forms: through
+    z_i = x^i y^(d-i), its fibers over P^(m-1) are those of (f_1:...:f_m)."""
+    d = forms[0].degree()
+    names = tuple(f"z{i}" for i in range(d + 1))
+    R = PolyRing(names, field=forms[0].ring.field)
+    z = R.variables()
+    minors = [z[i] * z[j + 1] - z[i + 1] * z[j]
+              for i in range(d) for j in range(i + 1, d)]
+    linear = []
+    for f in forms:
+        L = R.zero()
+        for i, c in enumerate(_coefficient_row(f, d)):
+            L = L + z[i].scale(c)
+        linear.append(L)
+    return ProjectionSpec(Ideal(R, minors), linear)
+
+
+@pytest.mark.parametrize("p,K,max_m,seed", [(2, 1, 4, 101), (2, 2, 4, 102),
+                                            (3, 1, 4, 103), (3, 2, 3, 104)])
+def test_twovars_r_is_the_largest_fiber_of_the_rational_normal_curve(
+        p, K, max_m, seed):
+    # an independent route to r: saturated fiber ideals and their Hilbert
+    # functions (max_fiber_regularity) instead of gcds of binary forms
+    rng = random.Random(seed)
+    R = ring2(p)
+    x, y = R.variables()
+    systems = [(x**3, x * x * y, y**3)]
+    for m in range(3, max_m + 1):
+        # degree at most 5 keeps the curve in at most 6 variables
+        systems += [forms for _, forms in _twovars_cases(R, m, rng)
+                    if forms[0].degree() <= 5]
+    for forms in systems:
+        rep = max_fiber_regularity(_rational_normal_curve_projection(forms),
+                                   K=K)
+        r = twovars_r(forms, K).r
+        assert r == max(f.degree for f in rep.fibers), forms
+
+
+def test_twovars_r_runs_the_kernel_only_on_the_image_curve(monkeypatch):
+    # the kernel runs alone on the first N^2/2 dual points, N = 15 for
+    # quartics, and afterwards only where the image-curve form vanishes,
+    # about p + 1 points of P^2(GF(101)); the full scan visits 10,303
+    calls = []
+    kernel = geometry._hyperplane_gcd_degree
+
+    def counted_kernel(field, rows, coords):
+        calls.append(coords)
+        return kernel(field, rows, coords)
+
+    monkeypatch.setattr(geometry, "_hyperplane_gcd_degree", counted_kernel)
+    forms = parse_session(
+        "ring p=101 vars=x,y\n"
+        "forms quartics = 17*x^4 + 3*x^3*y + 58*x^2*y^2 + 90*x*y^3 + 41*y^4, "
+        "5*x^4 + 77*x^3*y + 12*x*y^3 + 64*y^4, "
+        "33*x^3*y + 2*x^2*y^2 + 71*x*y^3 + 9*y^4\n").forms["quartics"]
+    rep = twovars_r(forms, 1)
+    assert rep.r == 2 < rep.d - 1  # below the ceiling: every point visited
+    n = (rep.d + 1) * (rep.d + 2) // 2
+    assert len(calls) <= n * n // 2 + 2 * (101 + 1), len(calls)
 
 
 def test_twovars_verify_fixtures():
