@@ -231,6 +231,8 @@ def epsilon_containment(I_X: Ideal, forms, t_max: int,
     """
     if t_max < 1:
         raise UsageError("t_max must be at least 1")
+    if window < 1:
+        raise UsageError("window must be at least 1")
     ring = I_X.ring
     degs = set()
     for f in forms:
@@ -338,6 +340,8 @@ def conjecture_sampler(I_X: Ideal, c: int, trials: int, seed: int,
         raise UsageError("c must be at least 1")
     if trials < 0:
         raise UsageError("trials must be nonnegative")
+    if window < 1:
+        raise UsageError("window must be at least 1")
     ring = I_X.ring
     field = ring.field
     n = quotient_dimension(I_X, degree_ceiling) - 1

@@ -7,7 +7,7 @@ the l_i to the coordinates of p; since p is normalized (first nonzero
 coordinate 1, at index i0), the minors reduce to the s independent linear
 forms l_j - p_j * l_{i0}.  Those forms are eliminated by substitution, the
 remainder is saturated in the smaller ring, and degree and regularity are
-read off the Hilbert function there; both are invariant under the linear
+read off the Hilbert numerator there; both are invariant under the linear
 change of coordinates, and the saturation of the ambient fiber ideal is the
 linear forms plus any section of the saturated small-ring ideal.
 
@@ -57,12 +57,7 @@ from .fields import (
     _unieuclid,
 )
 from .groebner import DEFAULT_DEGREE_CEILING, Ideal, saturate
-from .hilbert import (
-    finite_length_witness,
-    hilbert_function,
-    quotient_degree,
-    quotient_dimension,
-)
+from .hilbert import _split, finite_length_witness, hilbert_numerator
 from .orders import GREVLEX, MonomialOrder
 from .polynomials import Monomial, PolyRing, Polynomial, lift_polynomial
 
@@ -284,7 +279,7 @@ class _Fiber:
             h = g.substitute(images)
             if not h.is_zero():
                 sub_gens.append(h)
-        self.saturated = saturate(Ideal(small, sub_gens), None, degree_ceiling)
+        self.saturated = saturate(Ideal(small, sub_gens), degree_ceiling)
         self.linear_forms = tuple(linear)
         self.small = small
         self.positions = keep
@@ -326,26 +321,26 @@ def fiber_ideal(spec: ProjectionSpec, point: ClosedPoint,
 
 def fiber_regularity(Z: Ideal,
                      degree_ceiling: int = DEFAULT_DEGREE_CEILING):
-    """(degree, regularity) of a saturated ideal of finitely many points.
+    """(degree, regularity) of a saturated ideal of finitely many points,
+    read off its Hilbert numerator N = Q * (1-T)^(n-1).
 
-    The degree is the stable value of the Hilbert function and the
-    regularity is 1 + the first degree where the Hilbert function reaches
-    it."""
-    dim = quotient_dimension(Z, degree_ceiling)
+    S/Z is Cohen-Macaulay of dimension 1, so its Hilbert series is
+    Q(T)/(1-T) with Q >= 0 (Q is the Hilbert series of S/(Z, l) for a linear
+    nonzerodivisor l, over a large enough field).  The Hilbert function
+    h(e) = Q_0 + ... + Q_e first reaches deg Z = Q(1) at e = deg Q, so
+    reg Z = deg Q + 1 (Eisenbud, The Geometry of Syzygies, ch. 4).  A
+    negative coefficient of Q means Z is not saturated: SelfCheckError."""
+    Q, c = _split(hilbert_numerator(Z, degree_ceiling))
+    dim = -1 if Q is None else Z.ring.nvars - c
     if dim != 1:
         raise DimensionError(
             f"fiber regularity needs a finite scheme; the affine cone has "
             f"Krull dimension {dim}, not 1"
         )
-    deg = quotient_degree(Z, degree_ceiling)
-    bound = 4
-    while bound <= 1 << 16:
-        h = hilbert_function(Z, bound, degree_ceiling)
-        for e in range(bound + 1):
-            if h.value(e) == deg:
-                return deg, e + 1
-        bound *= 2
-    raise SelfCheckError("Hilbert function never reached the degree")
+    if min(Q) < 0:
+        raise SelfCheckError(f"fiber Hilbert numerator {Q} has a negative "
+                             "coefficient: the ideal is not saturated")
+    return sum(Q), len(Q)
 
 
 def max_fiber_regularity(spec: ProjectionSpec,
@@ -360,7 +355,10 @@ def max_fiber_regularity(spec: ProjectionSpec,
     a shortfall is flagged as possible K-insufficiency (a maximizing point
     may live in a deeper extension), an excess is a fatal self-check
     failure.  Exhausting the point budget raises BudgetError carrying the
-    partial report, whose max is then only a lower bound."""
+    partial report, whose max is then only a lower bound, or no report when
+    the budget ran out before the first nonempty fiber."""
+    if budget < 1:
+        raise UsageError("fiber budget must be at least 1")
     _require_prime_base(spec.ring, "fiber search")
     cert = check_finite(spec, degree_ceiling)
     if not cert.finite:
@@ -389,6 +387,9 @@ def max_fiber_regularity(spec: ProjectionSpec,
         fibers.append(FiberReport(point, fib.ambient_ideal(), deg, reg))
 
     if not fibers:
+        if partial:
+            raise BudgetError(f"fiber budget {budget} exhausted after "
+                              f"{count} points, all with empty fibers")
         raise GeometryError("no fibers found within the enumeration bound")
     max_reg = max(f.regularity for f in fibers)
     argmax = tuple(f.point for f in fibers if f.regularity == max_reg)
@@ -613,6 +614,8 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     0, so it can matter only before the first witness, and the first point
     is always scanned; enumeration order, the budget count, the ceiling
     exit and the reports are those of the full scan."""
+    if budget < 1:
+        raise UsageError("subspace budget must be at least 1")
     forms = tuple(forms)
     if len(forms) < 2:
         raise UsageError("V must have dimension at least 2")
@@ -737,6 +740,8 @@ def twovars_verify(forms, t_max: int, K: int = DEFAULT_EXTENSION_BOUND,
     K."""
     from .asymptotics import STATUS_STABLE, power_table
 
+    if window < 1:
+        raise UsageError("window must be at least 1")
     rep = twovars_r(forms, K, budget)
     ring = forms[0].ring
     I = Ideal(ring, tuple(forms))

@@ -332,15 +332,19 @@ class Ideal:
 
 class GroebnerBasis:
     """The reduced basis of an ideal under its ring's order: monic elements,
-    pairwise irreducible, sorted by descending lead monomial."""
+    pairwise irreducible, sorted by descending lead monomial.
 
-    __slots__ = ("ideal", "ring", "elements", "lead_monomials")
+    ``numerator`` is the Hilbert numerator of the lead-term ideal, filled by
+    ``hilbert.hilbert_numerator`` on first use."""
+
+    __slots__ = ("ideal", "ring", "elements", "lead_monomials", "numerator")
 
     def __init__(self, ideal: Ideal, elements):
         self.ideal = ideal
         self.ring = ideal.ring
         self.elements = tuple(elements)
         self.lead_monomials = tuple(g.lead_monomial() for g in self.elements)
+        self.numerator = None
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -459,10 +463,9 @@ def _same_hilbert_polynomial(num_a, num_b, n: int) -> bool:
     return Q is None or c >= n
 
 
-def saturate(I: Ideal, variable: int | None = None,
-             degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
-    """Saturation by one variable, or by the maximal ideal m when none is
-    given; either way presented by its reduced basis with that basis cached.
+def saturate(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
+    """Saturation by the maximal ideal m, presented by its reduced basis with
+    that basis cached.
 
     J = I : x_i^infinity contains I^sat = I : m^infinity, and equals it
     exactly when S/J and S/I have the same Hilbert polynomial, i.e. when
@@ -473,8 +476,6 @@ def saturate(I: Ideal, variable: int | None = None,
     Only when no variable certifies are the per-variable saturations
     intersected.
     """
-    if variable is not None:
-        return saturate_variable(I, variable, degree_ceiling)
     from .hilbert import hilbert_numerator  # hilbert imports this module
 
     n = I.ring.nvars

@@ -3,9 +3,11 @@
 The Hilbert series of S/I equals N(T) / (1-T)^n where N is the numerator of
 the monomial ideal LT(I).  N is computed by a pivot recursion: splitting off
 the most shared variable x gives N(J) = N(J + (x)) + T * N(J : x), with
-pairwise-coprime generator sets as the closed-form base case.  Everything
-downstream (Hilbert function values, Krull dimension, degree, finite-length
-detection, top nonzero degree, power containment) reads off N.
+pairwise-coprime generator sets as the closed-form base case.  N is
+computed once per Groebner basis and cached on it (GroebnerBasis.numerator),
+so every Hilbert invariant of an ideal (Hilbert function values, Krull
+dimension, degree, top nonzero degree, power containment, the saturation
+certificate and fiber regularity) reads the same value.
 """
 
 from __future__ import annotations
@@ -115,11 +117,14 @@ def _numerator(gens) -> list:
 
 
 def hilbert_numerator(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> tuple:
-    """Coefficients of N(T) with Hilbert series of S/I equal to N/(1-T)^n."""
+    """Coefficients of N(T) with Hilbert series of S/I equal to N/(1-T)^n,
+    computed on the first call for a basis and cached on it."""
     gb = I.groebner_basis(degree_ceiling)
-    gens = [m.exps for m in gb.lead_monomials]
-    out = _numerator(_minimalize(gens)) if gens else [1]
-    return tuple(_strip(list(out)) or [0])
+    if gb.numerator is None:
+        gens = [m.exps for m in gb.lead_monomials]
+        out = _numerator(_minimalize(gens)) if gens else [1]
+        gb.numerator = tuple(_strip(list(out)) or [0])
+    return gb.numerator
 
 
 def hilbert_function(I: Ideal, d_max: int,
@@ -137,14 +142,9 @@ def hilbert_function(I: Ideal, d_max: int,
     return HilbertFunction(tuple(coeffs), d_max)
 
 
-def _numerator_split(I: Ideal, degree_ceiling: int):
-    """(Q, c): N = Q * (1-T)^c with Q(1) != 0; Q is None for the unit ideal."""
-    return _split(hilbert_numerator(I, degree_ceiling))
-
-
 def quotient_dimension(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> int:
     """Krull dimension of S/I; -1 for the unit ideal."""
-    Q, c = _numerator_split(I, degree_ceiling)
+    Q, c = _split(hilbert_numerator(I, degree_ceiling))
     if Q is None:
         return -1
     return I.ring.nvars - c
@@ -152,7 +152,7 @@ def quotient_dimension(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -
 
 def quotient_degree(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> int:
     """Multiplicity of S/I: Q(1) where N = Q * (1-T)^codim; 0 for the unit ideal."""
-    Q, c = _numerator_split(I, degree_ceiling)
+    Q, _ = _split(hilbert_numerator(I, degree_ceiling))
     if Q is None:
         return 0
     return sum(Q)
@@ -184,7 +184,7 @@ def top_degree_finite(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) ->
             "in the lead-term ideal"
         )
     # finite length: N = Q * (1-T)^n, so the Hilbert series is Q itself
-    Q, _ = _numerator_split(I, degree_ceiling)
+    Q, _ = _split(hilbert_numerator(I, degree_ceiling))
     if Q is None:
         return -1
     return len(Q) - 1

@@ -78,12 +78,6 @@ class MonomialOrder:
         return f"MonomialOrder({self.kind!r}, {self.nvars}, precedence={self.precedence})"
 
 
-def monomial_compare(order: MonomialOrder, a, b) -> str:
-    """Spelled-out comparison used by reports: 'less', 'equal' or 'greater'."""
-    c = order.compare(a, b)
-    return "less" if c < 0 else "greater" if c > 0 else "equal"
-
-
 class EliminationOrder(MonomialOrder):
     """Block order eliminating the first ``nelim`` variables.
 

@@ -175,10 +175,6 @@ class Polynomial:
     def lead_coefficient(self):
         return self._terms[self.lead_monomial()]
 
-    def lead_term(self):
-        m = self.lead_monomial()
-        return m, self._terms[m]
-
     def coefficient(self, mon: Monomial) -> FieldElement:
         raw = self._terms.get(mon, self.ring.field.zero)
         return FieldElement(self.ring.field, raw)

@@ -64,11 +64,6 @@ def _table(headers, rows):
     return ["  ".join(c.rjust(w) for c, w in zip(row, widths)) for row in cells]
 
 
-def _opt(v):
-    """None-preserving int for JSON slots that may be unset."""
-    return None if v is None else v
-
-
 def gb_report(name: str, ring, gbasis) -> Report:
     elements = [str(g) for g in gbasis.elements]
     leads = [str(ring.poly({m: 1})) for m in gbasis.lead_monomials]
@@ -154,8 +149,8 @@ def powers_report(name: str, ring, rep) -> Report:
         "route": rep.route,
         "window": rep.window,
         "rows": rows,
-        "epsilon_estimate": _opt(rep.epsilon_estimate),
-        "stable_from_t": _opt(rep.stable_from_t),
+        "epsilon_estimate": rep.epsilon_estimate,
+        "stable_from_t": rep.stable_from_t,
         "status": rep.status,
     }
     lines = [
@@ -186,8 +181,8 @@ def epsilon_report(name: str, ring, rep) -> Report:
         "d": rep.d,
         "window": rep.window,
         "rows": rows,
-        "epsilon": _opt(rep.epsilon),
-        "stable_from_t": _opt(rep.stable_from_t),
+        "epsilon": rep.epsilon,
+        "stable_from_t": rep.stable_from_t,
         "status": rep.status,
     }
     lines = [
@@ -212,7 +207,7 @@ def bounds_report(name: str, ring, rep) -> Report:
         "projection": name,
         "ring": _ring_json(ring),
         "d": rep.d,
-        "epsilon": _opt(rep.epsilon_computed),
+        "epsilon": rep.epsilon_computed,
         "status": rep.status,
         "reg_R": rep.reg_R,
         "deg_X": rep.deg_X,
@@ -248,8 +243,8 @@ def fibers_report(name: str, ring, rep, extra_warnings=()) -> Report:
     summary = {
         "max_regularity": rep.max_regularity,
         "argmax": [str(q) for q in rep.argmax],
-        "epsilon": _opt(rep.epsilon),
-        "equals_epsilon_plus_1": _opt(rep.equals_epsilon_plus_1),
+        "epsilon": rep.epsilon,
+        "equals_epsilon_plus_1": rep.equals_epsilon_plus_1,
         "K": rep.K,
         "fiber_count": len(rep.fibers),
         "empty_fibers": rep.empty_fibers,
@@ -297,7 +292,7 @@ def twovars_report(name: str, ring, verdict) -> Report:
         "K": verdict.K,
         "status": verdict.status,
         "rows": rows,
-        "equality_on_stable_rows": _opt(verdict.equality_on_stable_rows),
+        "equality_on_stable_rows": verdict.equality_on_stable_rows,
     }
     lines = [
         f"ring: {_ring_desc(ring)}",
@@ -325,8 +320,8 @@ def twovars_report(name: str, ring, verdict) -> Report:
 
 def sample_report(name: str, ring, rep) -> Report:
     rows = [
-        {"trial": r.trial, "epsilon": _opt(r.epsilon),
-         "stabilized": r.stabilized, "within_bound": _opt(r.within_bound)}
+        {"trial": r.trial, "epsilon": r.epsilon,
+         "stabilized": r.stabilized, "within_bound": r.within_bound}
         for r in rep.rows
     ]
     result = {

@@ -49,9 +49,23 @@ def degree_monomials(nvars, d):
     return out
 
 
-def hilbert_by_rank(p, nvars, gens, d):
+def _times_g(c, min_poly, p):
+    """c * g in GF(p)[g]/(min_poly), low-degree-first coefficient lists,
+    min_poly monic: g^k = -(min_poly without its top term)."""
+    top = c[-1]
+    return [(a - top * m) % p for a, m in zip([0] + list(c[:-1]), min_poly)]
+
+
+def hilbert_by_rank(p, nvars, gens, d, min_poly=None):
     """h_{S/I}(d) for I generated by ``gens`` (lists of (exps, coeff)),
-    via the rank of the degree-d coefficient matrix of I."""
+    via the rank of the degree-d coefficient matrix of I.
+
+    Over GF(p) a coefficient is an int.  With ``min_poly`` (monic, degree k)
+    the field is GF(p^k) = GF(p)[g]/(min_poly) and a coefficient is its
+    k-tuple in the basis 1, g, ..., g^(k-1); the matrix is then read over
+    GF(p), each row r standing for the GF(p)-span of r, g*r, ..., g^(k-1)*r,
+    so its GF(p)-rank is k times the GF(p^k)-rank."""
+    k = 1 if min_poly is None else len(min_poly) - 1
     basis = degree_monomials(nvars, d)
     index = {m: i for i, m in enumerate(basis)}
     rows = []
@@ -60,12 +74,21 @@ def hilbert_by_rank(p, nvars, gens, d):
         if gdeg > d:
             continue
         for mult in degree_monomials(nvars, d - gdeg):
-            row = [0] * len(basis)
+            cols = {}
             for exps, c in gen:
                 shifted = tuple(a + b for a, b in zip(exps, mult))
-                row[index[shifted]] = c % p
-            rows.append(row)
-    return len(basis) - gf_rank(p, rows)
+                cols[index[shifted]] = [c % p] if k == 1 else list(c)
+            for _ in range(k):
+                row = [0] * (k * len(basis))
+                for i, c in cols.items():
+                    row[k * i:k * i + k] = c
+                rows.append(row)
+                if k > 1:
+                    cols = {i: _times_g(c, min_poly, p)
+                            for i, c in cols.items()}
+    rank = gf_rank(p, rows)
+    assert rank % k == 0
+    return len(basis) - rank // k
 
 
 def poly_to_dense(f):

@@ -213,6 +213,29 @@ def test_fibers_budget_exhaustion(conic_file, capsys):
     assert "max fiber regularity >= 2" in err
 
 
+def test_fibers_budget_spent_on_empty_fibers_exits_3(tmp_path, capsys):
+    # the point (0:1:0) lies over the last of the four points of P^1(GF(3))
+    path = tmp_path / "point.reg"
+    path.write_text("ring p=3 vars=x,y,z\nideal pt = x, z\n"
+                    "forms V = x, y\nprojection P = pt : V\n")
+    code, out, err = run(capsys, ["fibers", str(path), "-s", "P",
+                                  "--ext-bound", "1", "--budget", "2"])
+    assert code == 3
+    assert "budget 2 exhausted" in err
+    assert "partial lower bound" not in err
+    assert out == ""
+
+
+def test_budgets_below_one_exit_2(conic_file, binary_file, capsys):
+    for budget in ("0", "-1"):
+        for argv in (["fibers", conic_file, "-s", "down"],
+                     ["twovars", binary_file, "-f", "cuspish"]):
+            code, out, err = run(capsys, argv + ["--budget", budget])
+            assert code == 2, (argv, budget)
+            assert "budget must be at least 1" in err
+            assert out == ""
+
+
 def test_twovars_command(binary_file, capsys):
     doc = run_json(capsys, ["twovars", binary_file, "-f", "msquared"])
     res = doc["result"]
@@ -362,7 +385,7 @@ def test_json_envelope_shape(conic_file, capsys):
     assert set(sample) == {"command", "version", "warnings", "result", "seed"}
 
 
-def test_usage_errors_exit_2(conic_file, tmp_path, capsys):
+def test_usage_errors_exit_2(conic_file, binary_file, tmp_path, capsys):
     code, _, err = run(capsys, ["gb", conic_file, "-i", "nosuch"])
     assert code == 2
     assert "unknown ideal" in err and "conic" in err
@@ -378,6 +401,17 @@ def test_usage_errors_exit_2(conic_file, tmp_path, capsys):
     code, _, err = run(capsys, ["gb", conic_file, "-i", "conic",
                                 "--degree-ceiling", "0"])
     assert code == 2
+    for argv in (["epsilon", conic_file, "-s", "down"],
+                 ["bounds", conic_file, "-s", "down"],
+                 ["fibers", conic_file, "-s", "down"],
+                 ["sample", conic_file, "-i", "conic"],
+                 # a scan that would exhaust its budget (exit 3) first
+                 ["twovars", binary_file, "-f", "cuspish", "--budget", "1"]):
+        for window in ("0", "-1"):
+            code, out, err = run(capsys, argv + ["--window", window])
+            assert code == 2, (argv, window)
+            assert "window must be at least 1" in err
+            assert out == ""
 
 
 def test_argparse_failures_exit_2(conic_file, capsys):

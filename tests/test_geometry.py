@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from cmreg import geometry, messages
+from cmreg import geometry, hilbert, messages
 from cmreg.errors import (
     BudgetError,
     DimensionError,
     GeometryError,
+    SelfCheckError,
     UsageError,
 )
 from cmreg.fields import GF, FieldElement, _rank
@@ -28,10 +29,16 @@ from cmreg.geometry import (
     twovars_r,
     twovars_verify,
 )
-from cmreg.groebner import Ideal
-from cmreg.hilbert import quotient_degree
+from cmreg.groebner import DEFAULT_DEGREE_CEILING, Ideal
+from cmreg.hilbert import (
+    hilbert_function,
+    quotient_degree,
+    quotient_dimension,
+)
 from cmreg.polynomials import Monomial, PolyRing, Polynomial, lift_polynomial
 from cmreg.sessions import parse_session
+
+from oracle import degree_monomials, hilbert_by_rank, poly_to_dense
 
 
 def ring2(p=7):
@@ -316,6 +323,175 @@ def test_fiber_regularity_rejects_positive_dimension():
     x, _, _ = R.variables()
     with pytest.raises(DimensionError):
         fiber_regularity(Ideal(R, (x,)))  # a line, not points
+
+
+def test_fiber_regularity_rejects_an_unsaturated_ideal_of_points():
+    # (x, y) cap m^2 = (x^2, xy, y^2, xz, yz): the point (0:0:1) plus an
+    # embedded component at the irrelevant ideal; HS = 1/(1-T) + 2T, so
+    # Q = 1 + 2T - 2T^2 has a negative coefficient
+    R = PolyRing(("x", "y", "z"), field=GF(7))
+    x, y, z = R.variables()
+    Z = Ideal(R, (x * x, x * y, y * y, x * z, y * z))
+    assert quotient_dimension(Z) == 1
+    with pytest.raises(SelfCheckError):
+        fiber_regularity(Z)
+    with pytest.raises(DimensionError, match="Krull dimension -1"):
+        fiber_regularity(Ideal(R, (R.one(),)))
+
+
+def test_fiber_search_budget_runs_out_before_the_first_fiber():
+    # the point (0:1:0) lies over (0:1), the last of the four points of
+    # P^1(GF(3)); a budget that ends on empty fibers is a resource limit
+    # with no partial maximum, not a geometric failure
+    R = PolyRing(("x", "y", "z"), field=GF(3))
+    x, y, z = R.variables()
+    spec = ProjectionSpec(Ideal(R, (x, z)), (x, y))
+    for budget in (1, 2, 3):
+        with pytest.raises(BudgetError) as exc:
+            max_fiber_regularity(spec, K=1, budget=budget)
+        assert exc.value.partial is None
+    rep = max_fiber_regularity(spec, K=1, budget=4)
+    assert (rep.max_regularity, rep.empty_fibers) == (1, 3)
+
+
+def test_budgets_below_one_are_usage_errors():
+    spec = conic_spec()
+    R = ring2(101)
+    x, y = R.variables()
+    for budget in (0, -1):
+        with pytest.raises(UsageError, match="budget must be at least 1"):
+            max_fiber_regularity(spec, K=1, budget=budget)
+        with pytest.raises(UsageError, match="budget must be at least 1"):
+            twovars_r((x**3, x * x * y, y**3), 1, budget)
+
+
+def test_fiber_search_computes_one_numerator_per_basis(monkeypatch):
+    # saturate's certificate, fiber_regularity and the Hilbert function all
+    # read the numerator cached on a basis: the recursion runs at most once
+    # per GroebnerBasis, though the numerator is read more often
+    depth = 0
+    top_level = 0
+    numerator = hilbert._numerator
+
+    def counted_numerator(gens):
+        nonlocal depth, top_level
+        top_level += depth == 0
+        depth += 1
+        try:
+            return numerator(gens)
+        finally:
+            depth -= 1
+
+    bases = []  # keeps every basis alive, so ids are not reused
+    per_basis = {}
+    read = hilbert.hilbert_numerator
+
+    def counted_read(I, degree_ceiling=DEFAULT_DEGREE_CEILING):
+        gb = I.groebner_basis(degree_ceiling)
+        bases.append(gb)
+        before = top_level
+        out = read(I, degree_ceiling)
+        per_basis[id(gb)] = per_basis.get(id(gb), 0) + top_level - before
+        return out
+
+    monkeypatch.setattr(hilbert, "_numerator", counted_numerator)
+    monkeypatch.setattr(hilbert, "hilbert_numerator", counted_read)
+    monkeypatch.setattr(geometry, "hilbert_numerator", counted_read,
+                        raising=False)
+    R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(5))
+    x0, x1, x2, x3 = R.variables()
+    I = Ideal(R, (x0 * x2 - x1 * x1, x0 * x3 - x1 * x2, x1 * x3 - x2 * x2))
+    spec = ProjectionSpec(I, (x0 + x2, x1 + x3.scale(2)))
+    rep = max_fiber_regularity(spec, K=3)
+    assert len(rep.fibers) + rep.empty_fibers == 56
+    assert top_level == sum(per_basis.values())
+    assert max(per_basis.values()) <= 1, max(per_basis.values())
+    assert len(bases) > len(per_basis)
+
+
+def _regularity_by_doubling(Z):
+    """(degree, regularity) of a saturated ideal of points the long way:
+    the first degree e where the Hilbert function reaches the degree,
+    searched in windows 0..4, 0..8, ..., gives regularity e + 1."""
+    assert quotient_dimension(Z) == 1
+    deg = quotient_degree(Z)
+    bound = 4
+    while bound <= 1 << 16:
+        h = hilbert_function(Z, bound)
+        for e in range(bound + 1):
+            if h.value(e) == deg:
+                return deg, e + 1
+        bound *= 2
+    raise AssertionError("Hilbert function never reached the degree")
+
+
+def _random_form(R, d, rng):
+    """Dense random form of degree d, nonzero."""
+    field = R.field
+    while True:
+        f = R.poly({e: field.random(rng)
+                    for e in degree_monomials(R.nvars, d)})
+        if not f.is_zero():
+            return f
+
+
+def _random_finite_projections(field, rng):
+    """Seeded finite projections to P^1: plane curves of degree 3 and 6, a
+    quartic with a doubled line, and the intersection of two quadrics in
+    P^3, each with two random independent linear forms."""
+    plane = PolyRing(("x", "y", "z"), field=field)
+    space = PolyRing(("x", "y", "z", "w"), field=field)
+    kinds = [
+        lambda: (plane, (_random_form(plane, 3, rng),)),
+        lambda: (plane, (_random_form(plane, 6, rng),)),
+        lambda: (plane, (_random_form(plane, 1, rng) ** 2
+                         * _random_form(plane, 2, rng),)),
+        lambda: (space, (_random_form(space, 2, rng),
+                         _random_form(space, 2, rng))),
+    ]
+    specs = []
+    for make in kinds:
+        while True:
+            R, gens = make()
+            forms = (_random_form(R, 1, rng), _random_form(R, 1, rng))
+            try:
+                spec = ProjectionSpec(Ideal(R, gens), forms)
+            except UsageError:  # dependent forms
+                continue
+            if check_finite(spec).finite:
+                specs.append(spec)
+                break
+    return specs
+
+
+@pytest.mark.parametrize("p,K,seed", [(2, 1, 111), (3, 1, 112), (5, 2, 113),
+                                      (7, 1, 114)])
+def test_fiber_regularity_matches_the_hilbert_function_oracles(p, K, seed):
+    # on every fiber of seeded projections, degree and regularity read off
+    # the numerator equal the doubling search of the Hilbert function, and
+    # that Hilbert function equals ranks of the degree-d pieces; with
+    # K = 2 over GF(5) the degree-2 points give fibers over GF(5^2)
+    rng = random.Random(seed)
+    fields = set()
+    regs = set()
+    for spec in _random_finite_projections(GF(p), rng):
+        rep = max_fiber_regularity(spec, K=K)
+        for fib in rep.fibers:
+            Z = fib.ideal
+            field = Z.ring.field
+            fields.add(field.order if field.k > 1 else field.p)
+            deg, reg = fiber_regularity(Z)
+            assert (deg, reg) == (fib.degree, fib.regularity)
+            assert (deg, reg) == _regularity_by_doubling(Z)
+            regs.add(reg)
+            h = hilbert_function(Z, reg + 1)
+            dense = [poly_to_dense(g) for g in Z.gens]
+            min_poly = field.min_poly if field.k > 1 else None
+            for d in range(reg + 2):
+                assert h.value(d) == hilbert_by_rank(
+                    p, Z.ring.nvars, dense, d, min_poly), (spec.ideal, d)
+    assert fields == ({p, p * p} if K == 2 else {p})
+    assert max(regs) == 6 and len(regs) > 2  # the window doubled once
 
 
 # --- binary forms ---

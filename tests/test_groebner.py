@@ -197,7 +197,7 @@ def test_saturation_fixtures():
     # saturating strips it down to the line (x)
     I = Ideal(R, (x * x, x * y, x * z))
     assert gens_of(saturate(I)) == {"x"}
-    assert gens_of(saturate(I, variable=1)) == {"x"}
+    assert gens_of(saturate_variable(I, 1)) == {"x"}
     # but an embedded prime at an honest point of the plane survives:
     # (x^2, xy) = (x) cap (x^2, y) and the point (0:0:1) stays embedded
     J = Ideal(R, (x * x, x * y))
@@ -209,7 +209,7 @@ def test_saturation_fixtures():
     J = Ideal(R, (x * z - y * y,))
     assert saturate(J).equals(J)
     with pytest.raises(UsageError):
-        saturate(I, variable=3)
+        saturate_variable(I, 3)
 
 
 def test_saturation_membership_certificate():
@@ -286,7 +286,7 @@ def test_saturation_matches_the_intersection_route(p, k, seed):
             I = I.plus(Ideal(R, (extra,)))
         parts = [_saturate_by_intersection(I, i) for i in range(n)]
         for i, ref in enumerate(parts):
-            got = saturate(I, variable=i)
+            got = saturate_variable(I, i)
             assert got.gens == ref.groebner_basis().elements
             assert Ideal(R, got.gens).groebner_basis().elements == got.gens
         ref = parts[0]

@@ -9,7 +9,6 @@ from cmreg.orders import (
     LEX,
     EliminationOrder,
     MonomialOrder,
-    monomial_compare,
 )
 
 
@@ -91,9 +90,6 @@ def test_compare_validates_arity_and_spells_out():
     order = MonomialOrder(GREVLEX, 2)
     with pytest.raises(UsageError):
         order.compare((1, 0, 0), (0, 1))
-    assert monomial_compare(order, (1, 1), (2, 0)) == "less"
-    assert monomial_compare(order, (2, 0), (1, 1)) == "greater"
-    assert monomial_compare(order, (2, 1), (2, 1)) == "equal"
 
 
 def test_order_equality_and_hash():
