@@ -150,17 +150,6 @@ def _normalized_points(field, s):
             yield prefix + tail
 
 
-def _orbit(field, coords):
-    """Frobenius orbit of a coordinate tuple of raw values."""
-    out = [coords]
-    cur = coords
-    while True:
-        cur = tuple(field.frobenius(c) for c in cur)
-        if cur == coords:
-            return out
-        out.append(cur)
-
-
 def _closed_point_coords(p: int, K: int, s: int):
     """(GF(p^k), raw normalized coordinates) of each closed point of P^s
     over GF(p) with k <= K, in the order of enumerate_closed_points."""
@@ -177,13 +166,18 @@ def _closed_point_coords(p: int, K: int, s: int):
         yield field, coords
     for k in range(2, K + 1):
         field = GF(p, k)
+        frob = {a: field.frobenius(a) for a in field.elements()}
         for coords in _normalized_points(field, s):
-            orbit = _orbit(field, coords)
-            if len(orbit) != k:
-                continue
-            if coords != min(orbit):
-                continue
-            yield field, coords
+            # coords represents a closed point of degree k exactly when its
+            # k - 1 other Frobenius images all lie above it: an image equal
+            # to it means a smaller orbit, one below it a smaller member
+            cur = coords
+            for _ in range(k - 1):
+                cur = tuple(frob[c] for c in cur)
+                if cur <= coords:
+                    break
+            else:
+                yield field, coords
 
 
 def enumerate_closed_points(p: int, K: int, s: int):

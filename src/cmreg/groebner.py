@@ -6,7 +6,11 @@ homogeneous of the degree of its lcm, and pairs are selected by that degree,
 ties broken by the lcm's order key, with Gebauer-Moeller pair pruning.  The
 one internal input outside the standard grading, t*A + (1-t)*B of an
 intersection, is graded because the elimination order gives t weight 0.
-Public constructors enforce the homogeneous-only policy.
+Public constructors enforce the homogeneous-only policy.  Under the standard
+degree the pair loop stops at the first pair of a degree e whose every
+monomial lies in the current lead ideal: every pair left has degree >= e, so
+its S-polynomial reduces to zero, and the basis is already complete.  For an
+m-primary ideal no pair above the top degree of S/I plus one is formed.
 
 All reduction to normal form runs through one loop, ``_reduce``, over term
 dicts keyed by (pos, Monomial).  An ideal element sits at position 0; the
@@ -166,10 +170,40 @@ def _update(order, G, leads, pairs, heap, f, lmf):
     leads.append((0, lmf, f[(0, lmf)]))
 
 
+def _covers_degree(lead_exps, powers, e) -> bool:
+    """Whether every monomial of degree e is divisible by one of the exponent
+    tuples ``lead_exps``, given ``powers[i]``, the least a with x_i^a among
+    them, for every variable i.  Only monomials with every exponent below its
+    pure power need a check."""
+    n = len(lead_exps[0])
+
+    def uncovered(prefix, left):
+        i = len(prefix)
+        if i == n - 1:
+            if left >= powers[i]:
+                return False
+            m = prefix + (left,)
+            return not any(all(a <= b for a, b in zip(l, m)) for l in lead_exps)
+        return any(uncovered(prefix + (a,), left - a)
+                   for a in range(min(left, powers[i] - 1) + 1))
+
+    return not uncovered((), e)
+
+
 def _engine(polys, ring, degree_ceiling) -> list:
     """Reduced Groebner basis of input that is homogeneous in the grading of
     ``ring.order``; S-pairs are taken by degree, and one above
-    ``degree_ceiling`` raises."""
+    ``degree_ceiling`` raises.
+
+    Under the standard degree (a plain ``MonomialOrder``) the pair loop stops
+    at the first popped pair of a degree e whose every monomial a current
+    lead divides.  Pairs come off the heap in nondecreasing degree, so every
+    pair left has degree >= e and its S-polynomial, homogeneous of that
+    degree, has only terms in the lead ideal: it reduces to zero, and G is
+    already a Groebner basis.  The test runs once every variable has a pure
+    power among the leads (S/I then has finite length), and again only when
+    e or G has changed; the ceiling counts only the pairs taken before the
+    stop."""
     inputs = []
     seen = set()
     for f in polys:
@@ -192,6 +226,11 @@ def _engine(polys, ring, degree_ceiling) -> list:
     pairs: dict = {}
     heap: list = []
 
+    # the Artinian stop needs finitely many monomials per degree
+    standard = type(order) is MonomialOrder
+    powers = {}  # variable -> exponent of its pure-power lead
+    tested = None  # (degree, len(G)) of the last stop test that failed
+
     def install(terms):
         red = _reduce(terms, G, leads, key, field)
         if red:
@@ -199,6 +238,12 @@ def _engine(polys, ring, degree_ceiling) -> list:
             inv = field.inv(red[lead])
             monic = {pm: field.mul(c, inv) for pm, c in red.items()}
             _update(order, G, leads, pairs, heap, monic, lead[1])
+            # no lead divides a new lead, so a later pure power of x_i is
+            # always a lower one
+            exps = lead[1].exps
+            support = [i for i, a in enumerate(exps) if a]
+            if len(support) == 1:
+                powers[support[0]] = exps[support[0]]
 
     for f in inputs:
         install(_at0(f))
@@ -207,6 +252,12 @@ def _engine(polys, ring, degree_ceiling) -> list:
         degree, _, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue  # deleted by the chain criterion
+        if (standard and len(powers) == ring.nvars
+                and tested != (degree, len(G))):
+            if _covers_degree([lead[1].exps for lead in leads], powers,
+                              degree):
+                break  # every pair left reduces to zero
+            tested = (degree, len(G))
         if degree > degree_ceiling:
             raise DegreeCeilingError(
                 f"S-pair of degree {degree} exceeds the degree ceiling "

@@ -438,6 +438,16 @@ def test_degree_ceiling_exit_3(tmp_path, capsys):
     assert "degree ceiling" in err
 
 
+def test_degree_ceiling_ignores_pairs_after_the_basis_is_done(tmp_path, capsys):
+    # the basis is done in degree 3; the pairs of degree 4 left on the heap
+    # reduce to zero and are never taken
+    session = tmp_path / "artinian.reg"
+    session.write_text("ring p=7 vars=x,y\nideal I = x^2 + y^2, x*y\n")
+    doc = run_json(capsys, ["gb", str(session), "-i", "I",
+                            "--degree-ceiling", "3"])
+    assert doc["result"]["basis"] == ["y^3", "x^2 + y^2", "x*y"]
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -924,3 +924,28 @@ def test_twovars_verify_fixtures():
         assert row.reg_power == 2 * row.t + 1
     assert squares.report is not None
     assert squares.report.dim_V == 2
+
+
+def _closed_points_by_full_orbit(p, K, s):
+    """(k, coords) of each closed point, by building every Frobenius orbit."""
+    out = []
+    for k in range(1, K + 1):
+        field = GF(p, k)
+        for coords in _normalized_points(field, s):
+            orbit = [coords]
+            cur = coords
+            while True:
+                cur = tuple(field.frobenius(c) for c in cur)
+                if cur == coords:
+                    break
+                orbit.append(cur)
+            if len(orbit) == k and coords == min(orbit):
+                out.append((k, coords))
+    return out
+
+
+@pytest.mark.parametrize("p,K,s", [(2, 3, 3), (3, 3, 2), (3, 2, 3),
+                                   (5, 3, 1), (5, 2, 2)])
+def test_closed_points_match_the_full_orbit_reference(p, K, s):
+    got = [(field.k, coords) for field, coords in _closed_point_coords(p, K, s)]
+    assert got == _closed_points_by_full_orbit(p, K, s)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from cmreg.errors import DegreeCeilingError, UsageError
 from cmreg.fields import GF
 from cmreg import groebner
 from cmreg.groebner import Ideal, intersect, saturate, saturate_variable
+from cmreg.hilbert import finite_length_witness, hilbert_function, top_degree_finite
 from cmreg.orders import EliminationOrder
 from cmreg.polynomials import Monomial, PolyRing, Polynomial
 from cmreg.resolution import SchreyerOrder, _syzygy_step
@@ -468,3 +470,106 @@ def test_reducer_quotients_reconstruct_the_input(p, k, seed):
                 start = _random_terms(R, rng, range(len(cols)), (1, 2, 3), 12)
                 divided += _check_division(R, start, sigs, sig_leads, order.key)
     assert divided > 0
+
+
+def _m_primary_ideals(p, k, nvars, seed, count=4):
+    """Frozen-seed ideals of random forms of degrees 2 and 3 whose quotient
+    has finite length: nvars forms, one more half the time."""
+    rng = random.Random(seed)
+    R = PolyRing(("x", "y", "z", "w")[:nvars], field=GF(p, k))
+    out = []
+    while len(out) < count:
+        gens = [_random_form(R, rng.randint(2, 3), rng, 0.7)
+                for _ in range(nvars + rng.randint(0, 1))]
+        gens = [g for g in gens if not g.is_zero()]
+        if gens and finite_length_witness(Ideal(R, gens)) is None:
+            out.append(gens)
+    return R, out
+
+
+ARTINIAN_CASES = [(2, 1, 3, 81), (32003, 1, 3, 82), (5, 2, 3, 83),
+                  (2, 1, 4, 84), (32003, 1, 4, 85), (5, 2, 4, 86)]
+
+
+@pytest.mark.parametrize("p,k,nvars,seed", ARTINIAN_CASES)
+def test_engine_stops_at_the_artinian_degree(monkeypatch, p, k, nvars, seed):
+    # for m-primary I, m^(top + 1) lies in the lead ideal once every pair of
+    # degree <= top + 1 is taken, so no pair above that degree is formed
+    degrees = []
+    spoly = groebner._spoly
+
+    def recorded(field, f, lf, g, lg):
+        degrees.append(sum(lf[1].lcm(lg[1]).exps))
+        return spoly(field, f, lf, g, lg)
+
+    monkeypatch.setattr(groebner, "_spoly", recorded)
+    R, cases = _m_primary_ideals(p, k, nvars, seed)
+    stopped = unstopped = 0
+    for gens in cases:
+        del degrees[:]
+        I = Ideal(R, gens)
+        basis = I.groebner_basis().elements
+        top = top_degree_finite(I)
+        assert max(degrees, default=0) <= top + 1
+        stopped += len(degrees)
+        # the same pairs without the stop: the loop runs until the heap is
+        # empty and reaches the same reduced basis
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_covers_degree", lambda *args: False)
+            del degrees[:]
+            assert Ideal(R, gens).groebner_basis().elements == basis
+            unstopped += len(degrees)
+    assert stopped < unstopped
+
+
+def _check_stopped_basis(I, top):
+    """Buchberger's criterion, generator membership and the Hilbert function
+    against the rank oracle, all without the engine."""
+    R = I.ring
+    gb = I.groebner_basis()
+    for f, g in itertools.combinations(gb.elements, 2):
+        lcm = f.lead_monomial().lcm(g.lead_monomial())
+        s = (Polynomial(R, {lcm.quotient(f.lead_monomial()): R.field.one}) * f
+             - Polynomial(R, {lcm.quotient(g.lead_monomial()): R.field.one}) * g)
+        assert gb.normal_form(s).is_zero()
+    assert all(gb.contains(g) for g in I.gens)
+    field = R.field
+    min_poly = field.min_poly if field.k > 1 else None
+    dense = [poly_to_dense(g) for g in I.gens]
+    h = hilbert_function(I, top + 1)
+    assert h.values[top + 1] == 0
+    for d in range(top + 2):
+        assert h.values[d] == hilbert_by_rank(field.p, R.nvars, dense, d,
+                                              min_poly), d
+
+
+@pytest.mark.parametrize("p,k,nvars,seed", ARTINIAN_CASES)
+def test_stopped_basis_passes_an_independent_check(p, k, nvars, seed):
+    R, cases = _m_primary_ideals(p, k, nvars, seed)
+    for gens in cases:
+        I = Ideal(R, gens)
+        _check_stopped_basis(I, top_degree_finite(I))
+
+
+def test_stopped_basis_of_a_twisted_cubic_projection():
+    # the ideals (V)^t + I_X of epsilon_containment for a general linear
+    # projection of the twisted cubic to P^1
+    R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(11))
+    x0, x1, x2, x3 = R.variables()
+    I_X = Ideal(R, (x1 * x1 - x0 * x2, x1 * x2 - x0 * x3, x2 * x2 - x1 * x3))
+    V = Ideal(R, (x0 + 2 * x1 + 3 * x2 + 4 * x3, x1 + 5 * x2 + 9 * x3))
+    for t in (1, 2, 3):
+        A = V.power(t).plus(I_X)
+        _check_stopped_basis(A, top_degree_finite(A))
+
+
+def test_degree_ceiling_counts_only_the_pairs_before_the_stop():
+    # (x^2 + y^2, x*y) has its basis in degree 3; the pairs of degree 4 left
+    # on the heap reduce to zero and are never taken, so ceiling 3 suffices
+    R = ring("xy")
+    x, y = R.variables()
+    I = Ideal(R, (x * x + y * y, x * y))
+    assert [str(g) for g in I.groebner_basis(degree_ceiling=3)] == [
+        "y^3", "x^2 + y^2", "x*y"]
+    with pytest.raises(DegreeCeilingError, match="S-pair of degree 3"):
+        Ideal(R, I.gens).groebner_basis(degree_ceiling=2)
