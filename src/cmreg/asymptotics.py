@@ -76,14 +76,6 @@ class EpsilonReport:
 
 
 @dataclass(frozen=True)
-class AsymptoticFit:
-    d: int
-    epsilon: int | None
-    stable_from_t: int | None
-    status: str
-
-
-@dataclass(frozen=True)
 class BoundReport:
     d: int
     epsilon_computed: int | None
@@ -209,16 +201,6 @@ def power_table(I: Ideal, t_max: int, route: str = "resolution",
         [r.t for r in rows], [r.e_t for r in rows], window, warnings)
     return PowerRegReport(d, route, tuple(rows), eps, stable_from, status,
                           window, tuple(warnings))
-
-
-def fit_asymptotic(report: PowerRegReport) -> AsymptoticFit:
-    """(d, epsilon, stable_from_t) read off a power table's stabilized tail."""
-    if len(report.rows) < report.window + 1:
-        raise UsageError(
-            f"need at least window + 1 = {report.window + 1} rows to fit"
-        )
-    return AsymptoticFit(report.d, report.epsilon_estimate,
-                         report.stable_from_t, report.status)
 
 
 def epsilon_containment(I_X: Ideal, forms, t_max: int,

@@ -30,8 +30,7 @@ of phi = (f_1:...:f_m): P^1 -> P^(m-1), and r is phi's largest fiber
 length over the enumerated points.  A dual point off the image curve has
 gcd degree 0: the scan runs the gcd kernel only where a degree-d form F
 with F(f_1, f_2, f_3) = 0 vanishes at (c_1, c_2, c_3) (the image-curve
-filter).  F is built lazily, once the kernel alone has spent about what F
-costs, so short scans never build it.
+filter).  F is built once, before the scan.
 """
 
 from __future__ import annotations
@@ -601,13 +600,12 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     and binary_gcd, an independent route through the contents of the
     forms, must then give the same degree, or SelfCheckError is raised.
 
-    Image-curve filter: after the first N^2/2 points, N = (d+1)(d+2)/2,
-    the scan builds a degree-d form F vanishing on the image of
-    (f_1:f_2:f_3) (_image_curve_form) and from then on skips the kernel at
-    every point with F(c_1, c_2, c_3) != 0.  Such a point's gcd degree is
-    0, so it can matter only before the first witness, and the first point
-    is always scanned; enumeration order, the budget count, the ceiling
-    exit and the reports are those of the full scan."""
+    Image-curve filter: before the scan, a degree-d form F vanishing on the
+    image of (f_1:f_2:f_3) is built (_image_curve_form), and the scan skips
+    the kernel at every point with F(c_1, c_2, c_3) != 0.  Such a point's
+    gcd degree is 0, so it can matter only before the first witness, and
+    the first point is always scanned; enumeration order, the budget count,
+    the ceiling exit and the reports are those of the full scan."""
     if budget < 1:
         raise UsageError("subspace budget must be at least 1")
     forms = tuple(forms)
@@ -649,13 +647,7 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     witness_gcd = None
     count = 0
     k = 0
-    # the kernel runs alone on the first N^2/2 points, N = (d+1)(d+2)/2:
-    # by then it has spent about what building the image-curve form costs,
-    # so a short scan never pays for the form
-    n = (d + 1) * (d + 2) // 2
-    lazy = n * n // 2
-    curve = None
-    on_curve = None
+    curve = _image_curve_form(ring.field, base_rows[:3], d)
     for point_field, coords in _closed_point_coords(ring.field.p, K, m - 1):
         if count >= budget:
             report = TwoVarsReport(d, m, best, witness, witness_gcd, K,
@@ -671,14 +663,10 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
             field = big.field
             lifted = [lift_polynomial(f, big) for f in forms]
             rows = [_coefficient_row(f, d) for f in lifted]
-            if curve is not None:
-                on_curve = _on_curve_test(field, curve, d)
-        if curve is None and count > lazy:
-            curve = _image_curve_form(ring.field, base_rows[:3], d)
             on_curve = _on_curve_test(field, curve, d)
         # off the image curve the gcd degree is 0, which can only matter
         # before the first witness
-        if on_curve and best >= 0 and not on_curve(coords):
+        if best >= 0 and not on_curve(coords):
             continue
         deg = _hyperplane_gcd_degree(field, rows, coords)
         if deg > best:

@@ -320,7 +320,7 @@ class Ideal:
             checked.append(g)
         self.ring = ring
         self.gens = tuple(checked)
-        self._gb = {}
+        self._gb = None
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -360,10 +360,17 @@ class Ideal:
         return Ideal(self.ring, prods)
 
     def groebner_basis(self, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
-        if degree_ceiling not in self._gb:
+        """The reduced Groebner basis, computed on the first call and cached.
+
+        The reduced basis is unique, so one cached basis serves every later
+        call whatever its ceiling: degree_ceiling bounds only the work still
+        to be done, and a cached basis needs none.  Without a cached basis,
+        an S-pair above the ceiling raises DegreeCeilingError.
+        """
+        if self._gb is None:
             elements = _engine(list(self.gens), self.ring, degree_ceiling)
-            self._gb[degree_ceiling] = GroebnerBasis(self, elements)
-        return self._gb[degree_ceiling]
+            self._gb = GroebnerBasis(self, elements)
+        return self._gb
 
     def contains(self, f: Polynomial, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> bool:
         return self.groebner_basis(degree_ceiling).contains(f)
@@ -457,10 +464,10 @@ def intersect(A: Ideal, B: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) 
     return Ideal(ring, kept)
 
 
-def _presented(ring: PolyRing, elements, degree_ceiling: int) -> Ideal:
+def _presented(ring: PolyRing, elements) -> Ideal:
     """The ideal generated by a reduced basis, with that basis cached."""
     J = Ideal(ring, elements)
-    J._gb[degree_ceiling] = GroebnerBasis(J, elements)
+    J._gb = GroebnerBasis(J, elements)
     return J
 
 
@@ -501,7 +508,7 @@ def saturate_variable(I: Ideal, i: int, degree_ceiling: int = DEFAULT_DEGREE_CEI
                         degree_ceiling)
         reduced = _engine([_divide_out(g, i, ring) for g in basis], ring,
                           degree_ceiling)
-    return _presented(ring, reduced, degree_ceiling)
+    return _presented(ring, reduced)
 
 
 def _same_hilbert_polynomial(num_a, num_b, n: int) -> bool:
@@ -538,5 +545,4 @@ def saturate(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
             return J
         parts.append(J)
     result = functools.reduce(lambda a, b: intersect(a, b, degree_ceiling), parts)
-    return _presented(I.ring, result.groebner_basis(degree_ceiling).elements,
-                      degree_ceiling)
+    return _presented(I.ring, result.groebner_basis(degree_ceiling).elements)

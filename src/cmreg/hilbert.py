@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from .errors import DimensionError, UsageError
 from .groebner import DEFAULT_DEGREE_CEILING, Ideal
-from .polynomials import Monomial, PolyRing
 
 
 @dataclass(frozen=True)
@@ -188,26 +187,3 @@ def top_degree_finite(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) ->
     if Q is None:
         return -1
     return len(Q) - 1
-
-
-def m_power_containment(s: int, I: Ideal,
-                        degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> bool:
-    """Whether m^s is contained in I, for finite-length S/I."""
-    if s < 0:
-        raise UsageError("power s must be nonnegative")
-    return top_degree_finite(I, degree_ceiling) < s
-
-
-def monomials_of_degree(ring: PolyRing, d: int):
-    """All degree-d monomials of the ring, in a fixed deterministic order."""
-    if d < 0:
-        raise UsageError("degree must be nonnegative")
-    n = ring.nvars
-    for bars in itertools.combinations(range(d + n - 1), n - 1):
-        exps = []
-        prev = -1
-        for b in bars:
-            exps.append(b - prev - 1)
-            prev = b
-        exps.append(d + n - 1 - prev - 1)
-        yield Monomial(tuple(exps))

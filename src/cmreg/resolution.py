@@ -1,6 +1,7 @@
-"""Graded free modules, Schreyer syzygies, minimal resolutions, Betti tables.
+"""Schreyer resolutions of S/J, their Betti tables and minimal resolutions.
 
-Resolutions are built non-minimally: the reduced Groebner basis of the ideal
+Only the Schreyer tower (``_schreyer_tower``) computes syzygies.  It builds
+resolutions non-minimally: the reduced Groebner basis of the ideal
 is the first differential, and each further level is the syzygy module of the
 previous basis under the induced Schreyer order.  Schreyer's theorem makes
 every level a Groebner basis for free, so no module Buchberger loop runs on
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 
 from .errors import SelfCheckError, UsageError
 from .fields import _rank
-from .groebner import (DEFAULT_DEGREE_CEILING, GroebnerBasis, Ideal, _axpy,
-                       _ideal_basis, _reduce)
+from .groebner import (DEFAULT_DEGREE_CEILING, Ideal, _axpy, _ideal_basis,
+                       _reduce)
 from .polynomials import Monomial, Polynomial
 
 
@@ -41,48 +42,6 @@ class FreeModule:
     @property
     def rank(self) -> int:
         return len(self.twists)
-
-
-class ModuleElement:
-    """Sparse element of a graded free module: (basis index, Polynomial) pairs.
-
-    Homogeneity is enforced: deg(component) + twist(index) must agree across
-    the support.
-    """
-
-    __slots__ = ("free", "ring", "components", "degree")
-
-    def __init__(self, free: FreeModule, ring, components):
-        pairs = []
-        degree = None
-        for idx, poly in components:
-            if not 0 <= idx < free.rank:
-                raise UsageError("basis index out of range")
-            if not isinstance(poly, Polynomial) or poly.ring != ring:
-                raise UsageError("component lives in a different ring")
-            if poly.is_zero():
-                continue
-            d = poly.homogeneous_degree()
-            if d is None:
-                raise UsageError("module element components must be homogeneous")
-            total = d + free.twists[idx]
-            if degree is None:
-                degree = total
-            elif degree != total:
-                raise UsageError("module element is not homogeneous across positions")
-            pairs.append((idx, poly))
-        pairs.sort(key=lambda pair: pair[0])
-        self.free = free
-        self.ring = ring
-        self.components = tuple(pairs)
-        self.degree = degree
-
-    def is_zero(self) -> bool:
-        return not self.components
-
-    def __repr__(self):
-        inside = ", ".join(f"e{idx}*({poly})" for idx, poly in self.components)
-        return f"ModuleElement({inside or '0'})"
 
 
 class SchreyerOrder:
@@ -119,23 +78,6 @@ class SchreyerOrder:
 
 
 # --- Schreyer syzygies ---
-
-def _flat(element: ModuleElement) -> dict:
-    """A module element as one term dict keyed by (pos, Monomial)."""
-    out = {}
-    for idx, poly in element.components:
-        for m, c in poly._terms.items():
-            out[(idx, m)] = c
-    return out
-
-
-def _unflat(flat: dict, free: FreeModule, ring) -> ModuleElement:
-    per_pos = {}
-    for (pos, m), c in flat.items():
-        per_pos.setdefault(pos, {})[m] = c
-    comps = [(pos, Polynomial(ring, terms)) for pos, terms in sorted(per_pos.items())]
-    return ModuleElement(free, ring, comps)
-
 
 def _syzygy_step(ring, basis, leads, order: SchreyerOrder, twists):
     """One tower level: syzygies of a module GB, pruned, sorted, with the
@@ -204,41 +146,6 @@ def _syzygy_step(ring, basis, leads, order: SchreyerOrder, twists):
     return sig_flats, sig_leads, next_order, next_twists
 
 
-def syzygies(G, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
-    """Generators of the syzygy module of a Groebner basis.
-
-    Accepts an ideal GroebnerBasis (embedded at position 0) or a list of
-    ModuleElements already forming a module GB.  One syzygy per kept S-pair;
-    pairs whose lead quotient is divisible by another kept quotient at the
-    same position are pruned (the pruned set is still a basis).
-    """
-    if isinstance(G, GroebnerBasis):
-        ring = G.ring
-        elems = sorted(G.elements, key=lambda g: g.lead_monomial().exps,
-                       reverse=True)
-        basis, leads = _ideal_basis(elems)
-        order = SchreyerOrder.trivial(ring, 1)
-        twists = [g.homogeneous_degree() for g in elems]
-        free = FreeModule(tuple(twists))
-    else:
-        elems = [g for g in G if not g.is_zero()]
-        if not elems:
-            return []
-        ring = elems[0].ring
-        free = FreeModule(tuple(e.degree for e in elems))
-        order0 = SchreyerOrder.trivial(ring, elems[0].free.rank)
-        basis = [_flat(e) for e in elems]
-        leads = []
-        for b in basis:
-            pm = max(b, key=lambda t: order0.key(*t))
-            leads.append((pm[0], pm[1], b[pm]))
-        order = order0
-        twists = [e.degree for e in elems]
-
-    sig_flats, _, _, _ = _syzygy_step(ring, basis, leads, order, twists)
-    return [_unflat(s, free, ring) for s in sig_flats]
-
-
 # --- resolutions ---
 
 class Resolution:
@@ -248,13 +155,12 @@ class Resolution:
     is the map F_{k+1} -> F_k.
     """
 
-    __slots__ = ("ring", "frees", "differentials", "minimal")
+    __slots__ = ("ring", "frees", "differentials")
 
-    def __init__(self, ring, frees, differentials, minimal):
+    def __init__(self, ring, frees, differentials):
         self.ring = ring
         self.frees = tuple(frees)
         self.differentials = tuple(dict(D) for D in differentials)
-        self.minimal = minimal
 
     @property
     def length(self) -> int:
@@ -526,10 +432,10 @@ def minimal_free_resolution(J: Ideal, of: str = "quotient",
     frees, diffs = _schreyer_tower(J, degree_ceiling)
     frees, diffs = _minimize(J.ring, frees, diffs)
     if of == "quotient":
-        res = Resolution(J.ring, frees, diffs, True)
+        res = Resolution(J.ring, frees, diffs)
         return res, _betti_from_frees(frees)
     # the resolution of the ideal is the quotient's with F_0 = S stripped
-    res = Resolution(J.ring, frees[1:] or [FreeModule(())], diffs[1:], True)
+    res = Resolution(J.ring, frees[1:] or [FreeModule(())], diffs[1:])
     return res, _betti_from_frees(frees[1:])
 
 

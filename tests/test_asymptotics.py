@@ -8,7 +8,6 @@ from cmreg.asymptotics import (
     ci_formula_check,
     conjecture_sampler,
     epsilon_containment,
-    fit_asymptotic,
     power_table,
 )
 from cmreg.errors import DimensionError, GeometryError, UsageError
@@ -117,11 +116,7 @@ def test_fit_asymptotic():
     R = ring2()
     x, y = R.variables()
     rep = power_table(Ideal(R, (x * x, y * y)), 4, route="both")
-    fit = fit_asymptotic(rep)
-    assert (fit.d, fit.epsilon, fit.stable_from_t) == (2, 1, 1)
-    short = power_table(Ideal(R, (x, y)), 2, route="both", window=2)
-    with pytest.raises(UsageError):
-        fit_asymptotic(short)
+    assert (rep.d, rep.epsilon_estimate, rep.stable_from_t) == (2, 1, 1)
 
 
 def test_epsilon_containment_conic():

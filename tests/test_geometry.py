@@ -808,8 +808,9 @@ def _unfiltered_twovars(forms, K, budget):
 def test_filtered_twovars_matches_the_unfiltered_scan(p, K, m, seed,
                                                       monkeypatch):
     # r, witness and witness gcd of twovars_r against the kernel at every
-    # dual point, and the partial reports at budgets around the point where
-    # the filter starts and in the middle of the scan
+    # dual point, and the partial reports at budgets from the first point,
+    # around N^2/2 points (N = (d+1)(d+2)/2), in the middle and past the end
+    # of the scan
     kernel_calls = []
     kernel = geometry._hyperplane_gcd_degree
 
@@ -886,9 +887,9 @@ def test_twovars_r_is_the_largest_fiber_of_the_rational_normal_curve(
 
 
 def test_twovars_r_runs_the_kernel_only_on_the_image_curve(monkeypatch):
-    # the kernel runs alone on the first N^2/2 dual points, N = 15 for
-    # quartics, and afterwards only where the image-curve form vanishes,
-    # about p + 1 points of P^2(GF(101)); the full scan visits 10,303
+    # after the first point the kernel runs only where the image-curve form
+    # vanishes, at most about 2(p + 1) points of P^2(GF(101)); the full scan
+    # visits 10,303
     calls = []
     kernel = geometry._hyperplane_gcd_degree
 
@@ -904,8 +905,7 @@ def test_twovars_r_runs_the_kernel_only_on_the_image_curve(monkeypatch):
         "33*x^3*y + 2*x^2*y^2 + 71*x*y^3 + 9*y^4\n").forms["quartics"]
     rep = twovars_r(forms, 1)
     assert rep.r == 2 < rep.d - 1  # below the ceiling: every point visited
-    n = (rep.d + 1) * (rep.d + 2) // 2
-    assert len(calls) <= n * n // 2 + 2 * (101 + 1), len(calls)
+    assert len(calls) <= 1 + 2 * (101 + 1), len(calls)
 
 
 def test_twovars_verify_fixtures():

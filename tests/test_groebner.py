@@ -330,6 +330,19 @@ def test_degree_ceiling_trips():
         I.groebner_basis(degree_ceiling=2)
 
 
+def test_one_cached_basis_serves_every_ceiling():
+    # the reduced basis is unique, so once computed it is returned whatever
+    # the ceiling; only an ideal without a cached basis checks the ceiling
+    R = ring("xy")
+    x, y = R.variables()
+    I = Ideal(R, (x * x * x - y * y * x, x * x * y + y * y * y))
+    gb = I.groebner_basis()
+    assert I.groebner_basis(degree_ceiling=2) is gb
+    with pytest.raises(DegreeCeilingError,
+                       match="S-pair of degree 4 exceeds the degree ceiling 2"):
+        Ideal(R, I.gens).groebner_basis(degree_ceiling=2)
+
+
 def test_intersection_ceiling_counts_ring_degree():
     # the ceiling counts degree in the ring's variables, not in the auxiliary
     # t of t*A + (1-t)*B: the S-pair of t*x and t*y - y has degree 2

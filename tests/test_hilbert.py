@@ -10,8 +10,6 @@ from cmreg.hilbert import (
     finite_length_witness,
     hilbert_function,
     hilbert_numerator,
-    m_power_containment,
-    monomials_of_degree,
     quotient_degree,
     quotient_dimension,
     top_degree_finite,
@@ -111,29 +109,6 @@ def test_complete_intersection_socle_degree_formula():
     for a, b, c in [(1, 1, 1), (2, 2, 2), (2, 3, 4), (3, 3, 1)]:
         I = Ideal(R, (x**a, y**b, z**c))
         assert top_degree_finite(I) == a + b + c - 3
-
-
-def test_m_power_containment():
-    R = ring()
-    x, y, z = R.variables()
-    I = Ideal(R, (x * x, y * y, z * z))  # top degree 3
-    assert not m_power_containment(3, I)
-    assert m_power_containment(4, I)
-    assert m_power_containment(0, Ideal(R, (R.one(),)))
-    with pytest.raises(UsageError):
-        m_power_containment(-1, I)
-
-
-def test_monomials_of_degree_is_complete_and_deterministic():
-    R = ring()
-    mons2 = list(monomials_of_degree(R, 2))
-    assert len(mons2) == 6
-    assert len({m.exps for m in mons2}) == 6
-    assert all(sum(m.exps) == 2 for m in mons2)
-    assert [m.exps for m in monomials_of_degree(R, 2)] == [m.exps for m in mons2]
-    assert [m.exps for m in monomials_of_degree(R, 0)] == [(0, 0, 0)]
-    with pytest.raises(UsageError):
-        list(monomials_of_degree(R, -1))
 
 
 def test_hilbert_function_value_range_checks():

@@ -11,6 +11,7 @@ from cmreg.polynomials import PolyRing
 from cmreg.resolution import (
     BettiTable,
     FreeModule,
+    Resolution,
     _betti_by_ranks,
     _betti_from_frees,
     _minimize,
@@ -18,7 +19,6 @@ from cmreg.resolution import (
     betti_table,
     minimal_free_resolution,
     regularity,
-    syzygies,
 )
 
 from oracle import free_module_hilbert
@@ -170,18 +170,21 @@ def test_betti_by_ranks_matches_the_minimized_complex():
         _betti_by_ranks(R, frees, [{(0, 0): one}, {(0, 0): one}])
 
 
-def test_syzygies_annihilate_the_basis():
+def test_schreyer_tower_is_a_complex():
+    # consecutive differentials of the non-minimal tower compose to zero;
+    # d_1 d_2 = 0 says the level-1 syzygies annihilate the Groebner basis
     R = ring()
     x, y, z = R.variables()
     I = Ideal(R, (x * x - y * z, x * y + z * z, y * y * y - x * z * z))
     gb = I.groebner_basis()
-    elems = sorted(gb.elements, key=lambda g: g.lead_monomial().exps, reverse=True)
-    for syz in syzygies(gb):
-        total = R.zero()
-        for idx, poly in syz.components:
-            total = total + poly * elems[idx]
-        assert total.is_zero()
-    assert len(syzygies(gb)) >= len(gb) - 1
+    frees, diffs = _schreyer_tower(I, 64)
+    assert Resolution(R, frees, diffs).is_complex()
+    assert frees[2].rank >= len(gb) - 1
+    rng = random.Random(47)
+    for _ in range(10):
+        I = random_ideal(R, rng)
+        frees, diffs = _schreyer_tower(I, 64)
+        assert Resolution(R, frees, diffs).is_complex(), I
 
 
 def test_resolution_of_ideal_strips_the_leading_free_module():
