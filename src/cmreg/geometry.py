@@ -11,6 +11,14 @@ read off the Hilbert numerator there; both are invariant under the linear
 change of coordinates, and the saturation of the ambient fiber ideal is the
 linear forms plus any section of the saturated small-ring ideal.
 
+When a fiber has one linear form l (a projection to P^1, s = 1), its
+substituted ideal has the Hilbert series of S/(I_X + l), which is
+(1-T) HS(S/I_X) + T HS(0 :_{S/I_X} l) and so bounded below by
+(1-T) HS(S/I_X): I_X's numerator read over the small ring's (1-T)^(n-1).
+That numerator is computed once per search and bounds every fiber's basis
+computation, which drops the S-pairs of a degree where the bound is met
+(see ``groebner._engine``).  With two or more forms there is no such bound.
+
 Closed points over GF(p) are Galois orbits of points with coordinates in
 GF(p^k); enumeration walks k = 1..K, keeps the points whose Frobenius orbit
 has size exactly k, and takes the lexicographically least normalized orbit
@@ -55,7 +63,7 @@ from .fields import (
     _rref,
     _unieuclid,
 )
-from .groebner import DEFAULT_DEGREE_CEILING, Ideal, saturate
+from .groebner import DEFAULT_DEGREE_CEILING, Ideal, _bounded, saturate
 from .hilbert import _split, finite_length_witness, hilbert_numerator
 from .orders import GREVLEX, MonomialOrder
 from .polynomials import Monomial, PolyRing, Polynomial, lift_polynomial
@@ -149,9 +157,8 @@ def _normalized_points(field, s):
             yield prefix + tail
 
 
-def _closed_point_coords(p: int, K: int, s: int):
-    """(GF(p^k), raw normalized coordinates) of each closed point of P^s
-    over GF(p) with k <= K, in the order of enumerate_closed_points."""
+def _check_extension_bound(K: int):
+    """UsageError unless 1 <= K <= MAX_EXTENSION_DEGREE."""
     if K < 1:
         raise UsageError("extension bound K must be at least 1")
     if K > MAX_EXTENSION_DEGREE:
@@ -159,6 +166,12 @@ def _closed_point_coords(p: int, K: int, s: int):
             f"extension bound K = {K} exceeds the supported maximum "
             f"{MAX_EXTENSION_DEGREE}"
         )
+
+
+def _closed_point_coords(p: int, K: int, s: int):
+    """(GF(p^k), raw normalized coordinates) of each closed point of P^s
+    over GF(p) with k <= K, in the order of enumerate_closed_points."""
+    _check_extension_bound(K)
     field = GF(p)
     # every rational point is its own Frobenius orbit
     for coords in _normalized_points(field, s):
@@ -229,13 +242,28 @@ def _fiber_setup(spec: ProjectionSpec, k: int):
             [lift_polynomial(g, big) for g in spec.ideal.gens])
 
 
+def _fiber_bound(spec: ProjectionSpec, degree_ceiling: int):
+    """A Hilbert numerator, over the substituted ring's (1-T)^(n-1), whose
+    series is at most the Hilbert function of every substituted fiber
+    ideal; () (no bound) unless each fiber has a single linear form, i.e.
+    the projection goes to P^1.
+
+    With one form l, HS(S/(I_X + l)) = (1-T) HS(S/I_X) + T HS(0 :_{S/I_X} l),
+    and the substituted ring has the same series, so the numerator N of
+    I_X over (1-T)^n bounds it, read over (1-T)^(n-1)."""
+    if spec.s != 1:
+        return ()
+    return hilbert_numerator(spec.ideal, degree_ceiling)
+
+
 class _Fiber:
     """One fiber, resolved: the saturated ideal in the substituted ring plus
-    everything needed to re-embed it."""
+    everything needed to re-embed it.  ``bound`` is ``_fiber_bound``'s."""
 
     __slots__ = ("saturated", "linear_forms", "small", "positions", "big")
 
-    def __init__(self, setup, point: ClosedPoint, degree_ceiling: int):
+    def __init__(self, setup, point: ClosedPoint, degree_ceiling: int,
+                 bound):
         big, forms, gens = setup
         field = big.field
         coords = [field.coerce(c) for c in point.coords]
@@ -272,7 +300,8 @@ class _Fiber:
             h = g.substitute(images)
             if not h.is_zero():
                 sub_gens.append(h)
-        self.saturated = saturate(Ideal(small, sub_gens), degree_ceiling)
+        self.saturated = saturate(_bounded(small, sub_gens, bound),
+                                  degree_ceiling)
         self.linear_forms = tuple(linear)
         self.small = small
         self.positions = keep
@@ -308,8 +337,8 @@ def fiber_ideal(spec: ProjectionSpec, point: ClosedPoint,
 
     The result lives in the spec's ring with coefficients lifted to GF(p^k)
     for the point's extension degree k."""
-    return _Fiber(_fiber_setup(spec, point.k), point,
-                  degree_ceiling).ambient_ideal()
+    return _Fiber(_fiber_setup(spec, point.k), point, degree_ceiling,
+                  _fiber_bound(spec, degree_ceiling)).ambient_ideal()
 
 
 def fiber_regularity(Z: Ideal,
@@ -359,6 +388,7 @@ def max_fiber_regularity(spec: ProjectionSpec,
             f"projection is not finite: variable {cert.witness} has no pure "
             "power among the lead terms of I_X + (V)"
         )
+    bound = _fiber_bound(spec, degree_ceiling)
     fibers = []
     empty = 0
     count = 0
@@ -372,7 +402,7 @@ def max_fiber_regularity(spec: ProjectionSpec,
         if point.k != k:
             k = point.k
             setup = _fiber_setup(spec, k)
-        fib = _Fiber(setup, point, degree_ceiling)
+        fib = _Fiber(setup, point, degree_ceiling, bound)
         if fib.is_empty(degree_ceiling):
             empty += 1
             continue
@@ -608,6 +638,7 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     the ceiling exit and the reports are those of the full scan."""
     if budget < 1:
         raise UsageError("subspace budget must be at least 1")
+    _check_extension_bound(K)
     forms = tuple(forms)
     if len(forms) < 2:
         raise UsageError("V must have dimension at least 2")

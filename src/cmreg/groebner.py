@@ -7,10 +7,15 @@ ties broken by the lcm's order key, with Gebauer-Moeller pair pruning.  The
 one internal input outside the standard grading, t*A + (1-t)*B of an
 intersection, is graded because the elimination order gives t weight 0.
 Public constructors enforce the homogeneous-only policy.  Under the standard
-degree the pair loop stops at the first pair of a degree e whose every
-monomial lies in the current lead ideal: every pair left has degree >= e, so
-its S-polynomial reduces to zero, and the basis is already complete.  For an
-m-primary ideal no pair above the top degree of S/I plus one is formed.
+degree one test, driven by a lower bound B_e <= HF(S/I)_e on the Hilbert
+function, decides at each pair's degree e whether the pair needs forming:
+once the current lead ideal has only B_e standard monomials in degree e it
+agrees with in(I) there, so every pair of degree e reduces to zero and is
+dropped.  The default bound is 0, where the test stops the loop at the
+first degree e whose every monomial lies in the lead ideal, since every pair
+left has degree >= e; for an m-primary ideal no pair above the top degree of
+S/I plus one is formed.  A private constructor carries a sharper bound to
+the engine (the fiber search's, in ``geometry``).
 
 All reduction to normal form runs through one loop, ``_reduce``, over term
 dicts keyed by (pos, Monomial).  An ideal element sits at position 0; the
@@ -19,7 +24,8 @@ positions of a free module.  The caller gives the basis, its leads and the
 order key; quotient collection (syzygies) is an optional argument.
 
 Saturation by a variable x_i divides a grevlex basis with x_i last by its
-largest x_i-powers (Bayer-Stillman).  Saturation by the irrelevant maximal
+largest x_i-powers (Bayer-Stillman), and returns the basis unchanged when
+x_i divides none of its leads.  Saturation by the irrelevant maximal
 ideal returns the first per-variable saturation whose quotient has the same
 Hilbert polynomial as S/I, which certifies it; when no variable does, it
 intersects the per-variable saturations.  Intersections add one auxiliary
@@ -32,6 +38,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import math
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
 from .orders import GREVLEX, EliminationOrder, MonomialOrder
@@ -170,40 +177,62 @@ def _update(order, G, leads, pairs, heap, f, lmf):
     leads.append((0, lmf, f[(0, lmf)]))
 
 
-def _covers_degree(lead_exps, powers, e) -> bool:
-    """Whether every monomial of degree e is divisible by one of the exponent
-    tuples ``lead_exps``, given ``powers[i]``, the least a with x_i^a among
-    them, for every variable i.  Only monomials with every exponent below its
-    pure power need a check."""
+def _standard_count(lead_exps, powers, e, limit) -> int:
+    """The number of monomials of degree e that no exponent tuple in
+    ``lead_exps`` divides, counted only until it passes ``limit``.
+    ``powers[i]`` is the exponent of x_i's pure power among them, where there
+    is one; a monomial with a larger x_i-exponent is not standard, so only
+    the others are enumerated."""
     n = len(lead_exps[0])
+    count = 0
 
-    def uncovered(prefix, left):
+    def passed(prefix, left):
+        nonlocal count
         i = len(prefix)
+        top = left if i not in powers else min(left, powers[i] - 1)
         if i == n - 1:
-            if left >= powers[i]:
-                return False
-            m = prefix + (left,)
-            return not any(all(a <= b for a, b in zip(l, m)) for l in lead_exps)
-        return any(uncovered(prefix + (a,), left - a)
-                   for a in range(min(left, powers[i] - 1) + 1))
+            if left <= top:
+                m = prefix + (left,)
+                if not any(all(a <= b for a, b in zip(l, m))
+                           for l in lead_exps):
+                    count += 1
+            return count > limit
+        return any(passed(prefix + (a,), left - a) for a in range(top + 1))
 
-    return not uncovered((), e)
+    passed((), e)
+    return count
 
 
-def _engine(polys, ring, degree_ceiling) -> list:
+def _series_coefficient(num, n, e) -> int:
+    """The coefficient of T^e in num(T) / (1-T)^n."""
+    return sum(c * math.comb(e - j + n - 1, n - 1)
+               for j, c in enumerate(num[:e + 1]))
+
+
+def _engine(polys, ring, degree_ceiling, bound=()) -> list:
     """Reduced Groebner basis of input that is homogeneous in the grading of
     ``ring.order``; S-pairs are taken by degree, and one above
     ``degree_ceiling`` raises.
 
-    Under the standard degree (a plain ``MonomialOrder``) the pair loop stops
-    at the first popped pair of a degree e whose every monomial a current
-    lead divides.  Pairs come off the heap in nondecreasing degree, so every
-    pair left has degree >= e and its S-polynomial, homogeneous of that
-    degree, has only terms in the lead ideal: it reduces to zero, and G is
-    already a Groebner basis.  The test runs once every variable has a pure
-    power among the leads (S/I then has finite length), and again only when
-    e or G has changed; the ceiling counts only the pairs taken before the
-    stop."""
+    ``bound`` is a Hilbert numerator N_B over (1-T)^n whose series
+    coefficients B_e are at most HF(S/I)_e; the default N_B = 0 bounds
+    nothing.  Under the standard degree (a plain ``MonomialOrder``), at a
+    popped pair of degree e the standard monomials of the current leads L in
+    degree e are counted until the count passes B_e (Traverso, Hilbert
+    functions and the Buchberger algorithm, JSC 22, 1996).  L lies in in(I),
+    so HF(S/L)_e >= HF(S/I)_e >= B_e:
+
+    - a count equal to B_e means L_e = in(I)_e, so every pair of degree e
+      reduces to zero and is dropped without being formed; when B_e = 0,
+      L holds every monomial of degree e and so of every degree above, and
+      the loop stops, since pairs come off the heap in nondecreasing degree;
+    - a count below B_e proves the bound wrong: SelfCheckError.
+
+    With B_e = 0 the count cannot reach 0 before every variable has a pure
+    power among the leads (S/I then has finite length), so it waits for
+    that; a negative B_e is never met and never counted.  The test runs
+    again only when e or G has changed; the ceiling counts only the pairs
+    taken, so dropped pairs and pairs after the stop never trip it."""
     inputs = []
     seen = set()
     for f in polys:
@@ -226,10 +255,12 @@ def _engine(polys, ring, degree_ceiling) -> list:
     pairs: dict = {}
     heap: list = []
 
-    # the Artinian stop needs finitely many monomials per degree
+    # the count needs finitely many monomials per degree
     standard = type(order) is MonomialOrder
+    n = ring.nvars
     powers = {}  # variable -> exponent of its pure-power lead
-    tested = None  # (degree, len(G)) of the last stop test that failed
+    tested = None  # (degree, len(G)) of the last count
+    met = False  # whether that count met the bound
 
     def install(terms):
         red = _reduce(terms, G, leads, key, field)
@@ -252,12 +283,22 @@ def _engine(polys, ring, degree_ceiling) -> list:
         degree, _, i, j = heapq.heappop(heap)
         if pairs.pop((i, j), None) is None:
             continue  # deleted by the chain criterion
-        if (standard and len(powers) == ring.nvars
-                and tested != (degree, len(G))):
-            if _covers_degree([lead[1].exps for lead in leads], powers,
-                              degree):
-                break  # every pair left reduces to zero
+        if standard and tested != (degree, len(G)):
             tested = (degree, len(G))
+            met = False
+            b = _series_coefficient(bound, n, degree)
+            if b > 0 or (b == 0 and len(powers) == n):
+                count = _standard_count([lead[1].exps for lead in leads],
+                                        powers, degree, b)
+                if count < b:
+                    raise SelfCheckError(
+                        f"{count} standard monomials of degree {degree} "
+                        f"fall below the Hilbert function bound {b}")
+                if count == 0:
+                    break  # every pair left reduces to zero
+                met = count == b
+        if met:
+            continue  # L agrees with in(I) in this degree
         if degree > degree_ceiling:
             raise DegreeCeilingError(
                 f"S-pair of degree {degree} exceeds the degree ceiling "
@@ -299,7 +340,7 @@ class Ideal:
     inhomogeneous generators; zero generators are dropped and duplicates
     (up to scaling) removed."""
 
-    __slots__ = ("ring", "gens", "_gb")
+    __slots__ = ("ring", "gens", "_gb", "_bound")
 
     def __init__(self, ring: PolyRing, gens=()):
         checked = []
@@ -321,6 +362,7 @@ class Ideal:
         self.ring = ring
         self.gens = tuple(checked)
         self._gb = None
+        self._bound = ()
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -368,7 +410,8 @@ class Ideal:
         an S-pair above the ceiling raises DegreeCeilingError.
         """
         if self._gb is None:
-            elements = _engine(list(self.gens), self.ring, degree_ceiling)
+            elements = _engine(list(self.gens), self.ring, degree_ceiling,
+                               self._bound)
             self._gb = GroebnerBasis(self, elements)
         return self._gb
 
@@ -464,10 +507,20 @@ def intersect(A: Ideal, B: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) 
     return Ideal(ring, kept)
 
 
-def _presented(ring: PolyRing, elements) -> Ideal:
-    """The ideal generated by a reduced basis, with that basis cached."""
+def _bounded(ring: PolyRing, gens, bound) -> Ideal:
+    """The ideal generated by ``gens``, whose basis computation may drop the
+    pairs of a degree where the Hilbert numerator ``bound`` is met (see
+    ``_engine``): B_e <= HF(S/I)_e must hold for every e."""
+    I = Ideal(ring, gens)
+    I._bound = tuple(bound)
+    return I
+
+
+def _presented(ring: PolyRing, elements, gb=None) -> Ideal:
+    """The ideal generated by a reduced basis, with that basis cached: the
+    GroebnerBasis ``gb`` when one already holds it."""
     J = Ideal(ring, elements)
-    J._gb = GroebnerBasis(J, elements)
+    J._gb = GroebnerBasis(J, elements) if gb is None else gb
     return J
 
 
@@ -492,7 +545,11 @@ def saturate_variable(I: Ideal, i: int, degree_ceiling: int = DEFAULT_DEGREE_CEI
     of I by its largest power of x_i gives a Groebner basis of
     I : x_i^infinity (Bayer-Stillman, Invent. Math. 87, 1987).  When that
     order is the ring's own, I's cached basis is divided and only needs
-    reducing; otherwise the quotients are rebased in the ring's order.
+    reducing; otherwise the quotients are rebased in the ring's order.  In
+    the ring's own order, when x_i divides no lead of I's basis, x_i is a
+    nonzerodivisor on S/I and I is its own saturation: the result is
+    presented by I's basis and shares I's GroebnerBasis, cached numerator
+    included.
     """
     ring = I.ring
     n = ring.nvars
@@ -500,8 +557,11 @@ def saturate_variable(I: Ideal, i: int, degree_ceiling: int = DEFAULT_DEGREE_CEI
         raise UsageError("variable index out of range")
     order = MonomialOrder(GREVLEX, n, [j for j in range(n) if j != i] + [i])
     if order == ring.order:
-        basis = I.groebner_basis(degree_ceiling).elements
-        reduced = _reduce_basis([_divide_out(g, i, ring) for g in basis], ring)
+        gb = I.groebner_basis(degree_ceiling)
+        if not any(m.exps[i] for m in gb.lead_monomials):
+            return _presented(ring, gb.elements, gb)
+        reduced = _reduce_basis([_divide_out(g, i, ring) for g in gb.elements],
+                                ring)
     else:
         aux = PolyRing(ring.names, ring.field, order)
         basis = _engine([Polynomial(aux, g._terms) for g in I.gens], aux,

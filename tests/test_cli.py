@@ -5,6 +5,7 @@ import pytest
 
 from cmreg import __version__
 from cmreg.cli import main
+from cmreg.fields import MAX_EXTENSION_DEGREE
 
 CONIC_SESSION = """\
 ring p=7 vars=x,y,z order=grevlex
@@ -233,6 +234,25 @@ def test_budgets_below_one_exit_2(conic_file, binary_file, capsys):
             code, out, err = run(capsys, argv + ["--budget", budget])
             assert code == 2, (argv, budget)
             assert "budget must be at least 1" in err
+            assert out == ""
+
+
+def test_twovars_rejects_an_invalid_extension_bound(tmp_path, binary_file,
+                                                   capsys):
+    # two forms take the r = d path, which enumerates nothing; three forms
+    # enumerate dual points; both reject K outside 1..MAX_EXTENSION_DEGREE
+    # before any work
+    two = tmp_path / "two.reg"
+    two.write_text("ring p=101 vars=x,y\nforms pair = x^2, y^2\n")
+    for path, name in ((str(two), "pair"), (binary_file, "cuspish")):
+        for K, message in (
+                (0, "extension bound K must be at least 1"),
+                (MAX_EXTENSION_DEGREE + 1,
+                 f"extension bound K = {MAX_EXTENSION_DEGREE + 1} exceeds")):
+            code, out, err = run(capsys, ["twovars", path, "-f", name,
+                                          "--ext-bound", str(K)])
+            assert code == 2, (name, K)
+            assert message in err
             assert out == ""
 
 

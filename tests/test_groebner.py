@@ -3,9 +3,15 @@ import random
 
 import pytest
 
-from cmreg.errors import DegreeCeilingError, UsageError
+from cmreg.errors import DegreeCeilingError, SelfCheckError, UsageError
 from cmreg.fields import GF
-from cmreg import groebner
+from cmreg import geometry, groebner, hilbert, reports
+from cmreg.geometry import (
+    ProjectionSpec,
+    check_finite,
+    fiber_regularity,
+    max_fiber_regularity,
+)
 from cmreg.groebner import Ideal, intersect, saturate, saturate_variable
 from cmreg.hilbert import finite_length_witness, hilbert_function, top_degree_finite
 from cmreg.orders import EliminationOrder
@@ -269,6 +275,7 @@ def _random_form(R, d, rng, density):
 def test_saturation_matches_the_intersection_route(p, k, seed):
     rng = random.Random(seed)
     field = GF(p, k)
+    reused = 0
     for _ in range(24):
         n = rng.choice((2, 3, 4))
         R = PolyRing(tuple("xyzw"[:n]), field=field)
@@ -297,6 +304,9 @@ def test_saturation_matches_the_intersection_route(p, k, seed):
         got = saturate(I)
         assert got.gens == ref.groebner_basis().elements
         assert Ideal(R, got.gens).groebner_basis().elements == got.gens
+        # the last variable divides no lead: I is returned as it is
+        reused += got.groebner_basis() is I.groebner_basis()
+    assert reused
 
 
 def test_saturation_falls_back_to_intersection(monkeypatch):
@@ -320,6 +330,47 @@ def test_saturation_falls_back_to_intersection(monkeypatch):
     calls.clear()
     assert gens_of(saturate(Ideal(R, (x * x, x * y, x * z)))) == {"x"}
     assert not calls
+
+
+def test_saturation_reuses_a_saturated_basis(monkeypatch):
+    # x3, last in grevlex, divides no lead of the twisted cubic's basis, so
+    # it is a nonzerodivisor and saturate returns I's own basis object,
+    # whose numerator the certificate reads from the cache; calls counts the
+    # top-level calls of the numerator recursion
+    calls = []
+    depth = 0
+    numerator = hilbert._numerator
+
+    def counted(gens):
+        nonlocal depth
+        if depth == 0:
+            calls.append(1)
+        depth += 1
+        try:
+            return numerator(gens)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(hilbert, "_numerator", counted)
+    R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(P))
+    x0, x1, x2, x3 = R.variables()
+    I = Ideal(R, (x0 * x2 - x1 * x1, x0 * x3 - x1 * x2, x1 * x3 - x2 * x2))
+    S = saturate(I)
+    gb = I.groebner_basis()
+    assert not any(m.exps[3] for m in gb.lead_monomials)
+    assert S.groebner_basis() is gb
+    assert S.gens == gb.elements
+    assert len(calls) == 1
+    # x*(x, y, z): z divides the lead x*z, so the divided basis (x) is new
+    # and has its own numerator
+    R = ring()
+    x, y, z = R.variables()
+    del calls[:]
+    I = Ideal(R, (x * x, x * y, x * z))
+    S = saturate(I)
+    assert S.groebner_basis() is not I.groebner_basis()
+    assert gens_of(S) == {"x"}
+    assert len(calls) == 2
 
 
 def test_degree_ceiling_trips():
@@ -528,16 +579,18 @@ def test_engine_stops_at_the_artinian_degree(monkeypatch, p, k, nvars, seed):
         # the same pairs without the stop: the loop runs until the heap is
         # empty and reaches the same reduced basis
         with monkeypatch.context() as m:
-            m.setattr(groebner, "_covers_degree", lambda *args: False)
+            m.setattr(groebner, "_standard_count",
+                      lambda lead_exps, powers, e, limit: limit + 1)
             del degrees[:]
             assert Ideal(R, gens).groebner_basis().elements == basis
             unstopped += len(degrees)
     assert stopped < unstopped
 
 
-def _check_stopped_basis(I, top):
+def _check_basis(I, through):
     """Buchberger's criterion, generator membership and the Hilbert function
-    against the rank oracle, all without the engine."""
+    against the rank oracle in degrees 0..through, all without the
+    engine."""
     R = I.ring
     gb = I.groebner_basis()
     for f, g in itertools.combinations(gb.elements, 2):
@@ -549,11 +602,16 @@ def _check_stopped_basis(I, top):
     field = R.field
     min_poly = field.min_poly if field.k > 1 else None
     dense = [poly_to_dense(g) for g in I.gens]
-    h = hilbert_function(I, top + 1)
-    assert h.values[top + 1] == 0
-    for d in range(top + 2):
+    h = hilbert_function(I, through)
+    for d in range(through + 1):
         assert h.values[d] == hilbert_by_rank(field.p, R.nvars, dense, d,
                                               min_poly), d
+
+
+def _check_stopped_basis(I, top):
+    """``_check_basis`` through top + 1, where S/I is zero."""
+    _check_basis(I, top + 1)
+    assert hilbert_function(I, top + 1).values[top + 1] == 0
 
 
 @pytest.mark.parametrize("p,k,nvars,seed", ARTINIAN_CASES)
@@ -586,3 +644,199 @@ def test_degree_ceiling_counts_only_the_pairs_before_the_stop():
         "y^3", "x^2 + y^2", "x*y"]
     with pytest.raises(DegreeCeilingError, match="S-pair of degree 3"):
         Ideal(R, I.gens).groebner_basis(degree_ceiling=2)
+
+
+# --- the Hilbert-function bound of a fiber ideal ---
+
+def _twisted_cubic_projection(p, seed):
+    """The twisted cubic over GF(p) with two frozen-seed random linear
+    forms, redrawn until they are independent and the projection is
+    finite."""
+    rng = random.Random(seed)
+    R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(p))
+    x0, x1, x2, x3 = R.variables()
+    I_X = Ideal(R, (x1 * x1 - x0 * x2, x1 * x2 - x0 * x3, x2 * x2 - x1 * x3))
+    while True:
+        forms = [_random_form(R, 1, rng, 0.8) for _ in range(2)]
+        try:
+            spec = ProjectionSpec(I_X, forms)
+        except UsageError:  # a zero or dependent form
+            continue
+        if check_finite(spec).finite:
+            return spec
+
+
+def _fiber_ideals(monkeypatch, spec, K):
+    """(I_X + (l) in the substituted ring, its saturation) for every fiber
+    that max_fiber_regularity resolves over points with k <= K."""
+    seen = []
+    real = geometry.saturate
+
+    def recorded(I, degree_ceiling=groebner.DEFAULT_DEGREE_CEILING):
+        J = real(I, degree_ceiling)
+        seen.append((I, J))
+        return J
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "saturate", recorded)
+        max_fiber_regularity(spec, K=K)
+    return seen
+
+
+def _bound_by_rank(I_X):
+    """e -> HF(S/I_X)_e - HF(S/I_X)_(e-1) from ranks, the coefficients of
+    (1-T) HS(S/I_X), for I_X over a prime field."""
+    p, n = I_X.ring.field.p, I_X.ring.nvars
+    dense = [poly_to_dense(g) for g in I_X.gens]
+    cache = {-1: 0}
+
+    def h(e):
+        if e not in cache:
+            cache[e] = hilbert_by_rank(p, n, dense, e)
+        return cache[e]
+
+    return lambda e: h(e) - h(e - 1)
+
+
+def _fiber_basis_through(I, Z):
+    """One past the larger of the top basis degree of I and the regularity
+    of the fiber Z, when Z is not empty."""
+    top = max(g.degree() for g in I.groebner_basis())
+    if Z.groebner_basis().elements[0].degree() > 0:
+        top = max(top, fiber_regularity(Z)[1])
+    return top + 1
+
+
+TWISTED_CUBIC_CASES = [(5, 2, 131), (7, 2, 132), (11, 1, 133)]
+
+
+def _formed_pairs(monkeypatch, I):
+    """Compute I's basis and return, for each S-pair formed, its degree and
+    the lead exponents of the basis at that moment."""
+    formed = []
+    state = {}
+    spoly, update = groebner._spoly, groebner._update
+
+    def tracked(order, G, leads, *rest):
+        state["leads"] = leads
+        return update(order, G, leads, *rest)
+
+    def recorded(field, f, lf, g, lg):
+        formed.append((sum(lf[1].lcm(lg[1]).exps),
+                       [lead[1].exps for lead in state["leads"]]))
+        return spoly(field, f, lf, g, lg)
+
+    with monkeypatch.context() as m:
+        m.setattr(groebner, "_update", tracked)
+        m.setattr(groebner, "_spoly", recorded)
+        I.groebner_basis()
+    return formed
+
+
+def _assert_unmet(formed, nvars, bound):
+    """Every pair was formed at a degree e where its leads left more
+    standard monomials, enumerated here, than bound(e)."""
+    for e, lead_exps in formed:
+        standard = sum(1 for m in degree_monomials(nvars, e)
+                       if not any(all(a <= b for a, b in zip(l, m))
+                                  for l in lead_exps))
+        assert standard > bound(e), (e, standard, bound(e))
+
+
+@pytest.mark.parametrize("p,K,seed", TWISTED_CUBIC_CASES)
+def test_bound_met_degrees_form_no_pairs(monkeypatch, p, K, seed):
+    # no pair is formed under the fiber bound at a degree where the leads of
+    # the basis at that moment meet it, counted and bounded without the
+    # library (on these fibers the input leads already meet it at every
+    # pair's degree); without the bound the same reduced bases take more
+    # pairs
+    spec = _twisted_cubic_projection(p, seed)
+    bound = _bound_by_rank(spec.ideal)
+    bounded = unbounded = 0
+    for I, _ in _fiber_ideals(monkeypatch, spec, K):
+        assert I._bound  # one linear form: the search passes a bound
+        J = groebner._bounded(I.ring, I.gens, I._bound)
+        formed = _formed_pairs(monkeypatch, J)
+        _assert_unmet(formed, I.ring.nvars, bound)
+        U = Ideal(I.ring, I.gens)
+        unformed = _formed_pairs(monkeypatch, U)
+        assert (J.groebner_basis().elements == U.groebner_basis().elements
+                == I.groebner_basis().elements)
+        assert len(unformed) >= len(formed)
+        bounded += len(formed)
+        unbounded += len(unformed)
+    assert bounded < unbounded
+
+
+def test_pairs_are_formed_only_until_the_bound_is_met(monkeypatch):
+    # the points (0:1:0), (0:0:1), (1:2:3) of P^2 have h = 1, 3, 3, ...,
+    # numerator (1 + 2T)(1-T)^2 over (1-T)^3, and a cubic in their basis:
+    # from the three quadrics alone the leads x^2, x*y, x*z leave 4 standard
+    # cubics, so one pair of degree 3 is formed, and once its cubic is in
+    # the count meets the bound and the other pairs are dropped
+    R = ring()
+    x, y, z = R.variables()
+    quads = (x * x + y * z, x * y + (y * z).scale(2), x * z + (y * z).scale(3))
+    J = groebner._bounded(R, quads, (1, 0, -3, 2))
+    formed = _formed_pairs(monkeypatch, J)
+    _assert_unmet(formed, 3, lambda e: 1 if e == 0 else 3)
+    assert [e for e, _ in formed] == [3]
+    U = Ideal(R, quads)
+    assert len(_formed_pairs(monkeypatch, U)) > 1
+    assert J.groebner_basis().elements == U.groebner_basis().elements
+    assert str(J.groebner_basis().elements[0]) == "y^2*z + 4*y*z^2"
+
+
+@pytest.mark.parametrize("p,K,seed", TWISTED_CUBIC_CASES)
+def test_bounded_fiber_basis_passes_an_independent_check(monkeypatch, p, K,
+                                                         seed):
+    spec = _twisted_cubic_projection(p, seed)
+    for I, Z in _fiber_ideals(monkeypatch, spec, K):
+        assert I._bound
+        _check_basis(I, _fiber_basis_through(I, Z))
+
+
+def _fiber_report_bytes(spec):
+    rep = max_fiber_regularity(spec, K=1)
+    return reports.fibers_report("P", spec.ring, rep).to_json()
+
+
+def test_a_strict_fiber_bound_gives_the_same_bases_and_report(monkeypatch):
+    # I_X = twisted cubic cap m^3 is not saturated and every linear form is
+    # a zero divisor on S/I_X: (1-T) HS(S/I_X) = 1 + 3T + 6T^2 + 0T^3 + 3T^4
+    # + ... lies strictly below the Hilbert function of I_X + (l) in degree
+    # 3, and the bases and the report stay those without a bound
+    R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(11))
+    x0, x1, x2, x3 = R.variables()
+    tc = Ideal(R, (x1 * x1 - x0 * x2, x1 * x2 - x0 * x3, x2 * x2 - x1 * x3))
+    I_X = intersect(tc, Ideal(R, R.variables()).power(3))
+    spec = ProjectionSpec(I_X, (x0 + x1.scale(2) + x2.scale(3) + x3.scale(4),
+                                x1 + x2.scale(5) + x3.scale(9)))
+    bound = _bound_by_rank(I_X)
+    assert [bound(e) for e in range(6)] == [1, 3, 6, 0, 3, 3]
+    fibers = _fiber_ideals(monkeypatch, spec, 1)
+    strict = 0
+    for I, Z in fibers:
+        through = _fiber_basis_through(I, Z)
+        h = hilbert_function(I, through)
+        assert all(h.values[e] >= bound(e) for e in range(through + 1))
+        strict += h.values[3] > bound(3)
+        _check_basis(I, through)
+        assert (Ideal(I.ring, I.gens).groebner_basis().elements
+                == I.groebner_basis().elements)
+    assert strict == len(fibers) == 12
+    with_bound = _fiber_report_bytes(spec)
+    monkeypatch.setattr(geometry, "_fiber_bound", lambda spec, ceiling: ())
+    assert _fiber_report_bytes(spec) == with_bound
+
+
+def test_a_bound_above_the_lead_count_raises():
+    # the bound 1/(1-T)^3 claims S/I = S; the pair of degree 3 meets leads
+    # x^2 and x*y, which leave fewer standard monomials
+    R = ring()
+    x, y, z = R.variables()
+    gens = (x * x - y * z, x * y)
+    with pytest.raises(SelfCheckError,
+                       match="below the Hilbert function bound 10"):
+        groebner._bounded(R, gens, (1,)).groebner_basis()
+    assert len(Ideal(R, gens).groebner_basis()) == 3
