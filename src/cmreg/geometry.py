@@ -5,19 +5,19 @@ l_s); it is finite on X exactly when I_X + (V) has finite length.  The fiber
 over a closed point p of P^s is cut out by I_X plus the 2x2 minors binding
 the l_i to the coordinates of p; since p is normalized (first nonzero
 coordinate 1, at index i0), the minors reduce to the s independent linear
-forms l_j - p_j * l_{i0}.  Those forms are eliminated by substitution, the
-remainder is saturated in the smaller ring, and degree and regularity are
-read off the Hilbert numerator there; both are invariant under the linear
-change of coordinates, and the saturation of the ambient fiber ideal is the
-linear forms plus any section of the saturated small-ring ideal.
+forms l_j - p_j * l_{i0}.  Each fiber is saturated as a subscheme of P^n,
+in a grevlex ring over the residue field set up once per degree k, and
+degree and regularity are read off its Hilbert numerator.  The engine
+reduces I_X by the linear forms first, so the saturated basis is the reduced
+forms plus the fiber's basis free of their lead (pivot) variables; a fiber
+is presented by the forms as built followed by that second part.
 
-When a fiber has one linear form l (a projection to P^1, s = 1), its
-substituted ideal has the Hilbert series of S/(I_X + l), which is
-(1-T) HS(S/I_X) + T HS(0 :_{S/I_X} l) and so bounded below by
-(1-T) HS(S/I_X): I_X's numerator read over the small ring's (1-T)^(n-1).
-That numerator is computed once per search and bounds every fiber's basis
-computation, which drops the S-pairs of a degree where the bound is met
-(see ``groebner._engine``).  With two or more forms there is no such bound.
+When a fiber has one linear form l (a projection to P^1, s = 1),
+HS(S/(I_X + l)) = (1-T) HS(S/I_X) + T HS(0 :_{S/I_X} l) is bounded below by
+(1-T) HS(S/I_X), the numerator (1-T) N of I_X over (1-T)^n.  That bound is
+computed once per search and bounds every fiber's basis computation, which
+drops the S-pairs of a degree where the bound is met (see
+``groebner._engine``).  With two or more forms there is no such bound.
 
 Closed points over GF(p) are Galois orbits of points with coordinates in
 GF(p^k); enumeration walks k = 1..K, keeps the points whose Frobenius orbit
@@ -47,6 +47,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import messages
+from .asymptotics import STATUS_STABLE, power_table
 from .errors import (
     BudgetError,
     DimensionError,
@@ -64,7 +65,7 @@ from .fields import (
     _unieuclid,
 )
 from .groebner import DEFAULT_DEGREE_CEILING, Ideal, _bounded, saturate
-from .hilbert import _split, finite_length_witness, hilbert_numerator
+from .hilbert import _split, _zmul, finite_length_witness, hilbert_numerator
 from .orders import GREVLEX, MonomialOrder
 from .polynomials import Monomial, PolyRing, Polynomial, lift_polynomial
 
@@ -232,39 +233,42 @@ def _extension_ring(ring: PolyRing, k: int) -> PolyRing:
 
 
 def _fiber_setup(spec: ProjectionSpec, k: int):
-    """(ring over GF(p^k), lifted projection forms, lifted generators of
-    I_X): the part of a fiber's set-up that depends only on the extension
-    degree k of its point."""
+    """(the spec's ring over GF(p^k), that ring under grevlex, where fibers
+    are resolved whatever the spec's order, and the projection forms and
+    generators of I_X lifted into it): the part of a fiber's set-up that
+    depends only on the extension degree k of its point."""
     if not 1 <= k <= MAX_EXTENSION_DEGREE:
         raise UsageError(f"unsupported extension degree {k}")
-    big = _extension_ring(spec.ring, k)
-    return (big, [lift_polynomial(f, big) for f in spec.forms],
+    home = _extension_ring(spec.ring, k)
+    grevlex = MonomialOrder(GREVLEX, home.nvars)
+    big = (home if home.order == grevlex
+           else PolyRing(home.names, home.field, grevlex))
+    return (home, big, [lift_polynomial(f, big) for f in spec.forms],
             [lift_polynomial(g, big) for g in spec.ideal.gens])
 
 
 def _fiber_bound(spec: ProjectionSpec, degree_ceiling: int):
-    """A Hilbert numerator, over the substituted ring's (1-T)^(n-1), whose
-    series is at most the Hilbert function of every substituted fiber
-    ideal; () (no bound) unless each fiber has a single linear form, i.e.
-    the projection goes to P^1.
+    """A Hilbert numerator over (1-T)^n whose series is at most the Hilbert
+    function of every fiber ideal I_X + (l); () (no bound) unless each fiber
+    has a single linear form l, i.e. the projection goes to P^1.
 
-    With one form l, HS(S/(I_X + l)) = (1-T) HS(S/I_X) + T HS(0 :_{S/I_X} l),
-    and the substituted ring has the same series, so the numerator N of
-    I_X over (1-T)^n bounds it, read over (1-T)^(n-1)."""
+    HS(S/(I_X + l)) = (1-T) HS(S/I_X) + T HS(0 :_{S/I_X} l), so with N the
+    numerator of I_X the bound is (1-T) N."""
     if spec.s != 1:
         return ()
-    return hilbert_numerator(spec.ideal, degree_ceiling)
+    return _zmul((1, -1), hilbert_numerator(spec.ideal, degree_ceiling))
 
 
 class _Fiber:
-    """One fiber, resolved: the saturated ideal in the substituted ring plus
-    everything needed to re-embed it.  ``bound`` is ``_fiber_bound``'s."""
+    """One fiber, resolved as a subscheme of P^n: the saturation of I_X plus
+    the fiber's linear forms, in the grevlex ring of ``_fiber_setup``.
+    ``bound`` is ``_fiber_bound``'s."""
 
-    __slots__ = ("saturated", "linear_forms", "small", "positions", "big")
+    __slots__ = ("saturated", "linear_forms", "pivots", "home")
 
     def __init__(self, setup, point: ClosedPoint, degree_ceiling: int,
                  bound):
-        big, forms, gens = setup
+        home, big, forms, gens = setup
         field = big.field
         coords = [field.coerce(c) for c in point.coords]
 
@@ -275,68 +279,42 @@ class _Fiber:
             if j != i0:
                 linear.append(f - base.scale(c))
 
-        # substitute the pivot variables of the fiber's linear forms away
-        rows = [_linear_coefficients(f) for f in linear]
-        pivots = _rref(field, rows)
+        # the pivot variables are the leads of the reduced linear forms
+        pivots = _rref(field, [_linear_coefficients(f) for f in linear])
         if len(pivots) != len(linear):
             raise SelfCheckError("fiber linear forms are dependent")
-        keep = [i for i in range(big.nvars) if i not in pivots]
-        small = PolyRing(tuple(big.names[i] for i in keep), field,
-                         MonomialOrder(GREVLEX, len(keep)))
-        keep_pos = {v: i for i, v in enumerate(keep)}
-        small_vars = small.variables()
-        images = [None] * big.nvars
-        for row, col in zip(rows, pivots):
-            img = small.zero()
-            for j in keep:
-                if row[j] != field.zero:
-                    img = img - small_vars[keep_pos[j]].scale(row[j])
-            images[col] = img
-        for j in keep:
-            images[j] = small_vars[keep_pos[j]]
-
-        sub_gens = []
-        for g in gens:
-            h = g.substitute(images)
-            if not h.is_zero():
-                sub_gens.append(h)
-        self.saturated = saturate(_bounded(small, sub_gens, bound),
+        self.saturated = saturate(_bounded(big, gens + linear, bound),
                                   degree_ceiling)
         self.linear_forms = tuple(linear)
-        self.small = small
-        self.positions = keep
-        self.big = big
+        self.pivots = pivots
+        self.home = home
 
-    def is_empty(self, degree_ceiling: int) -> bool:
-        gb = self.saturated.groebner_basis(degree_ceiling)
+    def is_empty(self) -> bool:
+        gb = self.saturated.groebner_basis()
         return bool(gb.elements) and gb.elements[0].degree() == 0
 
     def ambient_ideal(self) -> Ideal:
+        """The linear forms as built, then the saturated basis elements led
+        by no pivot variable (the others are the reduced linear forms), in
+        the spec's ring."""
         gens = list(self.linear_forms)
         for g in self.saturated.gens:
-            gens.append(_embed(g, self.big, self.positions))
-        return Ideal(self.big, gens)
-
-
-def _embed(poly: Polynomial, big: PolyRing, positions) -> Polynomial:
-    """Section of the substitution: subring variable i goes to the ambient
-    variable at positions[i]."""
-    terms = {}
-    for m, c in poly._terms.items():
-        exps = [0] * big.nvars
-        for i, e in enumerate(m.exps):
-            exps[positions[i]] = e
-        terms[Monomial(tuple(exps))] = c
-    return Polynomial(big, terms)
+            lead = g.lead_monomial().exps
+            if not any(lead[i] for i in self.pivots):
+                gens.append(g)
+        return Ideal(self.home, [Polynomial(self.home, g._terms)
+                                 for g in gens])
 
 
 def fiber_ideal(spec: ProjectionSpec, point: ClosedPoint,
                 degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
-    """Saturated ideal of the fiber over a closed point; the unit ideal for
-    points outside the image.
+    """Saturated ideal of the fiber over a closed point, as a subscheme of
+    P^n; it contains 1 for points outside the image.
 
     The result lives in the spec's ring with coefficients lifted to GF(p^k)
-    for the point's extension degree k."""
+    for the point's extension degree k, generated by the fiber's linear
+    forms and the elements of the saturated basis free of their pivot
+    variables."""
     return _Fiber(_fiber_setup(spec, point.k), point, degree_ceiling,
                   _fiber_bound(spec, degree_ceiling)).ambient_ideal()
 
@@ -403,7 +381,7 @@ def max_fiber_regularity(spec: ProjectionSpec,
             k = point.k
             setup = _fiber_setup(spec, k)
         fib = _Fiber(setup, point, degree_ceiling, bound)
-        if fib.is_empty(degree_ceiling):
+        if fib.is_empty():
             empty += 1
             continue
         deg, reg = fiber_regularity(fib.saturated, degree_ceiling)
@@ -738,7 +716,7 @@ class TwoVarsVerdict:
     status: str
     K: int
     warnings: tuple
-    report: TwoVarsReport | None = None
+    report: TwoVarsReport
 
 
 def twovars_verify(forms, t_max: int, K: int = DEFAULT_EXTENSION_BOUND,
@@ -751,8 +729,6 @@ def twovars_verify(forms, t_max: int, K: int = DEFAULT_EXTENSION_BOUND,
     the closed field, so the inequality is asserted fatally; equality is
     expected exactly when a maximizing subspace is defined within degree
     K."""
-    from .asymptotics import STATUS_STABLE, power_table
-
     if window < 1:
         raise UsageError("window must be at least 1")
     rep = twovars_r(forms, K, budget)

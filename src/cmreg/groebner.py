@@ -412,7 +412,7 @@ class Ideal:
         if self._gb is None:
             elements = _engine(list(self.gens), self.ring, degree_ceiling,
                                self._bound)
-            self._gb = GroebnerBasis(self, elements)
+            self._gb = GroebnerBasis(self.ring, elements)
         return self._gb
 
     def contains(self, f: Polynomial, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> bool:
@@ -438,11 +438,10 @@ class GroebnerBasis:
     ``numerator`` is the Hilbert numerator of the lead-term ideal, filled by
     ``hilbert.hilbert_numerator`` on first use."""
 
-    __slots__ = ("ideal", "ring", "elements", "lead_monomials", "numerator")
+    __slots__ = ("ring", "elements", "lead_monomials", "numerator")
 
-    def __init__(self, ideal: Ideal, elements):
-        self.ideal = ideal
-        self.ring = ideal.ring
+    def __init__(self, ring: PolyRing, elements):
+        self.ring = ring
         self.elements = tuple(elements)
         self.lead_monomials = tuple(g.lead_monomial() for g in self.elements)
         self.numerator = None
@@ -520,7 +519,7 @@ def _presented(ring: PolyRing, elements, gb=None) -> Ideal:
     """The ideal generated by a reduced basis, with that basis cached: the
     GroebnerBasis ``gb`` when one already holds it."""
     J = Ideal(ring, elements)
-    J._gb = GroebnerBasis(J, elements) if gb is None else gb
+    J._gb = GroebnerBasis(ring, elements) if gb is None else gb
     return J
 
 

@@ -6,8 +6,8 @@ the most shared variable x gives N(J) = N(J + (x)) + T * N(J : x), with
 pairwise-coprime generator sets as the closed-form base case.  N is
 computed once per Groebner basis and cached on it (GroebnerBasis.numerator),
 so every Hilbert invariant of an ideal (Hilbert function values, Krull
-dimension, degree, top nonzero degree, power containment, the saturation
-certificate and fiber regularity) reads the same value.
+dimension, degree, top nonzero degree, the saturation certificate and
+fiber regularity) reads the same value.
 """
 
 from __future__ import annotations

@@ -277,25 +277,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({m.degree for m in self._terms}) <= 1
 
-    def substitute(self, images: list) -> "Polynomial":
-        """Evaluate at variable -> polynomial images (all in the same target ring)."""
-        target = images[0].ring
-        total = target.zero()
-        pow_cache = [{} for _ in range(self.ring.nvars)]
-
-        def var_power(i, e):
-            if e not in pow_cache[i]:
-                pow_cache[i][e] = images[i] ** e
-            return pow_cache[i][e]
-
-        for m, c in self._terms.items():
-            piece = target.constant(_lift_coeff(self.ring.field, target.field, c))
-            for i, e in enumerate(m.exps):
-                if e:
-                    piece = piece * var_power(i, e)
-            total = total + piece
-        return total
-
     def structure_key(self):
         """Hashable canonical identity: ring-independent sorted term tuple."""
         return tuple(sorted((m.exps, c) for m, c in self._terms.items()))

@@ -293,17 +293,16 @@ def twovars_report(name: str, ring, verdict) -> Report:
         "status": verdict.status,
         "rows": rows,
         "equality_on_stable_rows": verdict.equality_on_stable_rows,
+        "dim_V": verdict.report.dim_V,
+        "witness_gcd": str(verdict.report.witness_gcd),
+        "witness": [str(f) for f in verdict.report.witness],
     }
     lines = [
         f"ring: {_ring_desc(ring)}",
         f"two-variable invariant for {name}: d = {verdict.d}, "
         f"r = {verdict.r} (K = {verdict.K})",
+        f"witness gcd: {verdict.report.witness_gcd}",
     ]
-    if verdict.report is not None:
-        result["dim_V"] = verdict.report.dim_V
-        result["witness_gcd"] = str(verdict.report.witness_gcd)
-        result["witness"] = [str(f) for f in verdict.report.witness]
-        lines.append(f"witness gcd: {verdict.report.witness_gcd}")
     if verdict.rows:
         lines.append("")
         lines.extend(_table(
@@ -343,10 +342,8 @@ def sample_report(name: str, ring, rep) -> Report:
     ]
     lines.extend(_table(
         ("trial", "epsilon", "stabilized", "within bound"),
-        [(r.trial,
-          "-" if r.epsilon is None else r.epsilon,
-          "yes" if r.stabilized else "no",
-          "-" if r.within_bound is None else ("yes" if r.within_bound else "no"))
+        [(r.trial, r.epsilon, "yes" if r.stabilized else "no",
+          "yes" if r.within_bound else "no")
          for r in rep.rows],
     ))
     lines.append("")

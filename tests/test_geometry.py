@@ -35,6 +35,7 @@ from cmreg.hilbert import (
     quotient_degree,
     quotient_dimension,
 )
+from cmreg.orders import GREVLEX, GRLEX, LEX, MonomialOrder
 from cmreg.polynomials import Monomial, PolyRing, Polynomial, lift_polynomial
 from cmreg.sessions import parse_session
 
@@ -262,17 +263,47 @@ def test_fiber_invariants_are_bounded_by_the_cover_degree():
         assert 1 <= fib.regularity <= fib.degree
 
 
+def test_fibers_are_resolved_in_grevlex_whatever_the_ring_order():
+    # a fiber is saturated under grevlex and presented in the spec's ring:
+    # lex and grlex rings give the grevlex generators term for term
+    def fibers(kind):
+        R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(5),
+                     order=MonomialOrder(kind, 4))
+        x0, x1, x2, x3 = R.variables()
+        I = Ideal(R, (x0 * x2 - x1 * x1, x0 * x3 - x1 * x2,
+                      x1 * x3 - x2 * x2))
+        spec = ProjectionSpec(I, (x0 + x3.scale(2), x1 + x2 + x3.scale(3)))
+        rep = max_fiber_regularity(spec, K=2)
+        assert all(f.ideal.ring.order == R.order for f in rep.fibers)
+        return [(f.point, f.degree, f.regularity,
+                 [g._terms for g in f.ideal.gens]) for f in rep.fibers]
+
+    reference = fibers(GREVLEX)
+    assert len(reference) == 16
+    assert fibers(LEX) == reference
+    assert fibers(GRLEX) == reference
+
+
 def test_fiber_search_lifts_once_per_extension_degree(monkeypatch):
     # the ring, forms and generators over GF(p^k) are set up once per k,
-    # not once per closed point (56 points here)
+    # not once per closed point (56 points here), and every fiber is
+    # resolved in that ring: no ring is built per point
     lifts = []
     lift = geometry.lift_polynomial
+    rings = []
+    make_ring = geometry.PolyRing
 
     def counted_lift(f, target):
         lifts.append(target.field.k)
         return lift(f, target)
 
+    def counted_ring(*args, **kwargs):
+        ring = make_ring(*args, **kwargs)
+        rings.append(ring.field.k)
+        return ring
+
     monkeypatch.setattr(geometry, "lift_polynomial", counted_lift)
+    monkeypatch.setattr(geometry, "PolyRing", counted_ring)
     R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(5))
     x0, x1, x2, x3 = R.variables()
     I = Ideal(R, (x0 * x2 - x1 * x1, x0 * x3 - x1 * x2, x1 * x3 - x2 * x2))
@@ -282,6 +313,7 @@ def test_fiber_search_lifts_once_per_extension_degree(monkeypatch):
     assert len(rep.fibers) + rep.empty_fibers == 56
     per_k = len(spec.forms) + len(spec.ideal.gens)
     assert len(lifts) <= per_k * K, len(lifts)
+    assert rings == list(range(2, K + 1)), rings
     # fiber_ideal keeps its signature and sets up its own extension
     pt = next(p for p in enumerate_closed_points(5, 2, 1) if p.k == 2)
     assert fiber_ideal(spec, pt).gens == next(
@@ -436,24 +468,31 @@ def _random_form(R, d, rng):
 
 
 def _random_finite_projections(field, rng):
-    """Seeded finite projections to P^1: plane curves of degree 3 and 6, a
-    quartic with a doubled line, and the intersection of two quadrics in
-    P^3, each with two random independent linear forms."""
+    """Seeded finite projections.  To P^1: plane curves of degree 3 and 6,
+    a quartic with a doubled line, and the intersection of two quadrics in
+    P^3.  To P^2, from a point of P^3: the twisted cubic and the
+    intersection of two quadrics.  The linear forms are random and
+    independent."""
     plane = PolyRing(("x", "y", "z"), field=field)
     space = PolyRing(("x", "y", "z", "w"), field=field)
-    kinds = [
-        lambda: (plane, (_random_form(plane, 3, rng),)),
-        lambda: (plane, (_random_form(plane, 6, rng),)),
-        lambda: (plane, (_random_form(plane, 1, rng) ** 2
-                         * _random_form(plane, 2, rng),)),
-        lambda: (space, (_random_form(space, 2, rng),
-                         _random_form(space, 2, rng))),
+    x, y, z, w = space.variables()
+    cubic = (x * z - y * y, x * w - y * z, y * w - z * z)
+    kinds = [  # (s, draw of the ring and generators of X)
+        (1, lambda: (plane, (_random_form(plane, 3, rng),))),
+        (1, lambda: (plane, (_random_form(plane, 6, rng),))),
+        (1, lambda: (plane, (_random_form(plane, 1, rng) ** 2
+                             * _random_form(plane, 2, rng),))),
+        (1, lambda: (space, (_random_form(space, 2, rng),
+                             _random_form(space, 2, rng)))),
+        (2, lambda: (space, cubic)),
+        (2, lambda: (space, (_random_form(space, 2, rng),
+                             _random_form(space, 2, rng)))),
     ]
     specs = []
-    for make in kinds:
+    for s, make in kinds:
         while True:
             R, gens = make()
-            forms = (_random_form(R, 1, rng), _random_form(R, 1, rng))
+            forms = tuple(_random_form(R, 1, rng) for _ in range(s + 1))
             try:
                 spec = ProjectionSpec(Ideal(R, gens), forms)
             except UsageError:  # dependent forms
@@ -467,10 +506,11 @@ def _random_finite_projections(field, rng):
 @pytest.mark.parametrize("p,K,seed", [(2, 1, 111), (3, 1, 112), (5, 2, 113),
                                       (7, 1, 114)])
 def test_fiber_regularity_matches_the_hilbert_function_oracles(p, K, seed):
-    # on every fiber of seeded projections, degree and regularity read off
-    # the numerator equal the doubling search of the Hilbert function, and
-    # that Hilbert function equals ranks of the degree-d pieces; with
-    # K = 2 over GF(5) the degree-2 points give fibers over GF(5^2)
+    # on every fiber of seeded projections to P^1 and P^2, degree and
+    # regularity read off the numerator equal the doubling search of the
+    # Hilbert function, and that Hilbert function equals ranks of the
+    # degree-d pieces; with K = 2 over GF(5) the degree-2 points give
+    # fibers over GF(5^2)
     rng = random.Random(seed)
     fields = set()
     regs = set()
@@ -480,6 +520,10 @@ def test_fiber_regularity_matches_the_hilbert_function_oracles(p, K, seed):
             Z = fib.ideal
             field = Z.ring.field
             fields.add(field.order if field.k > 1 else field.p)
+            # the s linear forms as built stand in for the reduced ones
+            # of the fiber's basis, and the rest of the basis follows
+            assert [g.degree() for g in Z.gens[:spec.s]] == [1] * spec.s
+            assert len(Z.gens) == len(Z.groebner_basis())
             deg, reg = fiber_regularity(Z)
             assert (deg, reg) == (fib.degree, fib.regularity)
             assert (deg, reg) == _regularity_by_doubling(Z)
@@ -683,12 +727,14 @@ def _system(R, m, rng, make):
 
 
 def _forms_in_powers(R, m, e, power, rng):
-    """m random forms of degree e in x^power, y^power."""
-    x, y = R.variables()
+    """m random forms of degree e in x^power, y^power: f(x^power, y^power)
+    for random binary forms f, built by scaling exponents."""
     out = []
     for _ in range(m):
         f = _random_binary_form(R, e, rng)
-        out.append(f.substitute([x**power, y**power]))
+        out.append(Polynomial(R, {
+            Monomial(tuple(power * a for a in mon.exps)): c
+            for mon, c in f._terms.items()}))
     return out
 
 

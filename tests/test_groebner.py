@@ -667,8 +667,8 @@ def _twisted_cubic_projection(p, seed):
 
 
 def _fiber_ideals(monkeypatch, spec, K):
-    """(I_X + (l) in the substituted ring, its saturation) for every fiber
-    that max_fiber_regularity resolves over points with k <= K."""
+    """(I_X + (l), its saturation) in P^n for every fiber that
+    max_fiber_regularity resolves over points with k <= K."""
     seen = []
     real = geometry.saturate
 

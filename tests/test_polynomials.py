@@ -109,26 +109,6 @@ def test_degree_and_homogeneity():
     assert R.zero().is_homogeneous()
 
 
-def test_substitute_is_a_ring_map():
-    R = ring3()
-    x, y, z = R.variables()
-    rng = random.Random(7)
-    images = [x + y, y * z, z + R.one()]
-    for _ in range(20):
-        f, g = random_poly(R, rng), random_poly(R, rng)
-        assert (f + g).substitute(images) == f.substitute(images) + g.substitute(
-            images
-        )
-        assert (f * g).substitute(images) == f.substitute(images) * g.substitute(
-            images
-        )
-    # substitution into a smaller ring
-    S = PolyRing(("u", "v"), field=GF(7))
-    u, v = S.variables()
-    f = x * y + z * z
-    assert f.substitute([u, v, S.zero()]) == u * v
-
-
 def test_lift_polynomial_to_extension_ring():
     R = ring3()
     x, y, _ = R.variables()
