@@ -54,6 +54,12 @@ class ResourceError(Exception):
     exit_code = 3
 
 
+class ExponentOverflowError(ResourceError, OverflowError):
+    """A product of monomials has an exponent at or above the 16-bit limit.
+
+    Also an OverflowError, so code that catches that keeps working."""
+
+
 class DegreeCeilingError(ResourceError):
     """An intermediate basis computation exceeded the configured degree ceiling."""
 

@@ -18,10 +18,19 @@ S/I plus one is formed.  A private constructor carries a sharper bound to
 the engine (the fiber search's, in ``geometry``).
 
 All reduction to normal form runs through one loop, ``_reduce``, over term
-dicts keyed by (pos, Monomial).  An ideal element sits at position 0; the
-Schreyer syzygy tower in ``resolution`` spreads its elements over the
-positions of a free module.  The caller gives the basis, its leads and the
-order key; quotient collection (syzygies) is an optional argument.
+dicts keyed by one int per term: the packed key of the term's monomial
+(``MonomialOrder.pack``), shifted left by ``bits`` with the rank of its
+position in the low bits.  Int comparison is the term order, and
+multiplying by a monomial u adds ``pack(u) << bits``.  An ideal element
+sits at position 0 with ``bits = 0``, so its keys are the packed keys
+themselves; the Schreyer syzygy tower in ``resolution`` spreads its
+elements over the positions of a free module.  The reducer takes terms
+largest first from a heap and divides each by the first lead at its rank
+whose exponent word divides it; quotient collection (syzygies) is an
+optional argument.  ``_axpy`` is the one place a monomial multiplies a term
+dict, so S-polynomials, syzygy S-pairs and ``Ideal.power`` all go through
+it.  Polynomials are converted to term dicts only where the engine and the
+tower take input and give output.
 
 Saturation by a variable x_i divides a grevlex basis with x_i last by its
 largest x_i-powers (Bayer-Stillman), and returns the basis unchanged when
@@ -41,123 +50,197 @@ import itertools
 import math
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
-from .orders import GREVLEX, EliminationOrder, MonomialOrder
+from .orders import GREVLEX, EliminationOrder, MonomialOrder, word_lcm
 from .polynomials import Monomial, PolyRing, Polynomial
 
 DEFAULT_DEGREE_CEILING = 64
 
 
-# --- the reducer: term dicts keyed by (pos, Monomial) ---
+# --- the reducer: term dicts keyed by packed ints ---
 
-def _at0(f: Polynomial) -> dict:
-    """f as a term dict at position 0."""
-    return {(0, m): c for m, c in f._terms.items()}
-
-
-def _ideal_basis(polys):
-    """Term dicts at position 0 and their leads (pos, mon, coeff), for
-    nonzero Polynomials."""
-    return ([_at0(g) for g in polys],
-            [(0, g.lead_monomial(), g.lead_coefficient()) for g in polys])
-
-
-def _ideal_key(ring):
-    """The ring's order on position-0 terms, as the reducer's order key."""
-    order_key = ring.order.key
-    return lambda pos, mon: order_key(mon.exps)
+def _at0(f: Polynomial, order) -> dict:
+    """f as a term dict keyed by the packed keys of ``order``."""
+    pack = order.pack
+    return {pack(m.exps): c for m, c in f._terms.items()}
 
 
 def _polynomial(ring, terms: dict) -> Polynomial:
-    """A position-0 term dict as a Polynomial."""
-    return Polynomial(ring, {m: c for (_, m), c in terms.items()})
+    """A term dict keyed by the packed keys of the ring's order as a
+    Polynomial."""
+    unpack = ring.order.unpack
+    return Polynomial(ring, {Monomial(unpack(k)): c for k, c in terms.items()})
 
 
-def _axpy(work: dict, field, coeff, u: Monomial, terms: dict):
-    """work -= coeff * u * terms, in place."""
+def _reach(order, bits: int, terms: dict) -> int:
+    """The fieldwise maximum of the exponent words of the terms' monomials:
+    ``(word_u + reach) & guards`` is nonzero exactly when some term times u
+    has an exponent at or above EXPONENT_LIMIT."""
+    word, guards = order.word, order.guards
+    reach = 0
+    for k in terms:
+        reach = word_lcm(reach, word(k >> bits), guards)
+    return reach
+
+
+class _Basis:
+    """Term dicts reduced against together, under one packed order.
+
+    A term key is ``K << bits | rank``: K is the packed key of the term's
+    monomial (for a Schreyer level, of its image) and ``rank`` that of its
+    position, 0 for an ideal.  ``leads[i] = (key, coeff, word, reach)`` holds
+    the lead term of ``terms[i]``, the exponent word of its monomial and the
+    element's ``_reach``.  ``table[rank]`` lists ``(word, i)`` for the leads
+    at that rank, in index order; the reducer divides a term by the first
+    of them that divides it.
+    """
+
+    __slots__ = ("order", "bits", "terms", "leads", "table")
+
+    def __init__(self, order, bits: int = 0):
+        self.order = order
+        self.bits = bits
+        self.terms = []
+        self.leads = []
+        self.table = {}
+
+    def append(self, terms: dict) -> None:
+        bits = self.bits
+        key = max(terms)
+        word = self.order.word(key >> bits)
+        self.table.setdefault(key & ((1 << bits) - 1), []).append(
+            (word, len(self.terms)))
+        self.leads.append((key, terms[key], word,
+                           _reach(self.order, bits, terms)))
+        self.terms.append(terms)
+
+    def __len__(self):
+        return len(self.terms)
+
+
+def _ideal_basis(order, polys) -> _Basis:
+    """The nonzero Polynomials ``polys`` as a basis of term dicts."""
+    basis = _Basis(order)
+    for g in polys:
+        basis.append(_at0(g, order))
+    return basis
+
+
+def _axpy(work: dict, field, coeff, shift: int, terms: dict, heap=None):
+    """work -= coeff * u * terms, in place, where u moves a term key by
+    ``shift`` (``pack(u) << bits``).  The only product of a monomial and a
+    term dict; the caller has checked it for exponent overflow.  When
+    ``heap`` is a list, the negated key of every term new to work is pushed
+    on it."""
+    add, mul = field.add, field.mul
     zero = field.zero
-    one_u = u.is_one()
-    for pm, c in terms.items():
-        if not one_u:
-            pm = (pm[0], u.mul(pm[1]))
-        v = field.sub(work.get(pm, zero), field.mul(coeff, c))
-        if v == zero:
-            work.pop(pm, None)
+    coeff = field.neg(coeff)
+    get = work.get
+    push = heapq.heappush
+    for k, c in terms.items():
+        k += shift
+        old = get(k)
+        if old is None:
+            work[k] = mul(coeff, c)
+            if heap is not None:
+                push(heap, -k)
         else:
-            work[pm] = v
+            v = add(old, mul(coeff, c))
+            if v == zero:
+                del work[k]
+            else:
+                work[k] = v
 
 
-def _reduce(start: dict, basis, leads, key, field, quotients=None):
+def _reduce(start: dict, basis: _Basis, field, quotients=None):
     """Fully reduce the term dict ``start`` against ``basis``.
 
-    ``key(pos, mon)`` sorts terms by the order under which leads[i] =
-    (pos, Monomial, coeff) is the lead of basis[i]; each term is divided by
-    the first lead at its own position that divides it.  Returns the
-    remainder, whose terms come out in descending order, so its first key is
-    its lead.  A ``quotients`` dict gains q at (i, u) for each q * u * basis[i]
-    subtracted, so that start = remainder + sum q * u * basis[i]; terms are
-    taken in strictly descending order, so no (i, u) comes twice.
+    Terms are taken largest first from a max-heap of keys (Monagan-Pearce,
+    Sparse polynomial division using a heap, JSC 46, 2011): a key is pushed
+    when its term becomes new to the work dict, and a popped key no longer
+    there is skipped.  Each term is divided by the first lead at its own
+    rank whose word divides its word.  Every product lies below the term it
+    cancels, so terms come out in strictly descending order and the
+    remainder's first key is its lead.  A ``quotients`` dict gains q at
+    (i, pack(u)) for each q * u * basis.terms[i] subtracted, so that
+    start = remainder + sum q * u * basis.terms[i]; no (i, pack(u)) comes
+    twice.
     """
+    order, bits = basis.order, basis.bits
+    guards, mask = order.guards, order.mask
+    negated = order.negated
+    low = (1 << bits) - 1
+    table, leads, terms = basis.table, basis.leads, basis.terms
+    div = field.div
+    pop = heapq.heappop
     work = dict(start)
+    heap = [-k for k in work]
+    heapq.heapify(heap)
     out = {}
-    cache = {}
-
-    def order_key(pm):
-        k = cache.get(pm)
-        if k is None:
-            k = cache[pm] = key(*pm)
-        return k
-
-    while work:
-        pm = max(work, key=order_key)
-        pos, mon = pm
-        c = work.pop(pm)
-        for idx, (lp, lm, lc) in enumerate(leads):
-            if lp == pos and lm.divides(mon):
+    while heap:
+        k = -pop(heap)
+        c = work.get(k)
+        if c is None:
+            continue  # cancelled since it was pushed
+        img = k >> bits
+        word = (-img if negated else img) & mask
+        for lw, idx in table.get(k & low, ()):
+            if ((word | guards) - lw) & guards == guards:
                 break
         else:
-            out[pm] = c
+            del work[k]
+            out[k] = c
             continue
-        u = mon.quotient(lm)
-        factor = field.div(c, lc)
+        lkey, lc, lw, reach = leads[idx]
+        order.check(word - lw + reach)
+        du = img - (lkey >> bits)
+        factor = div(c, lc)
         if quotients is not None:
-            quotients[(idx, u)] = factor
-        work[pm] = c
-        _axpy(work, field, factor, u, basis[idx])
+            quotients[(idx, du)] = factor
+        _axpy(work, field, factor, du << bits, terms[idx], heap)
     return out
 
 
-def _spoly(field, f: dict, lf, g: dict, lg) -> dict:
-    """S-polynomial of two term dicts with leads lf, lg = (pos, mon, coeff)."""
-    lcm = lf[1].lcm(lg[1])
+def _spoly(order, field, f: dict, lf, g: dict, lg) -> dict:
+    """S-polynomial of two term dicts of an ideal basis with leads
+    lf, lg = (key, coeff, word, reach)."""
+    lcm = word_lcm(lf[2], lg[2], order.guards)
+    order.check(lcm - lf[2] + lf[3])
+    order.check(lcm - lg[2] + lg[3])
+    key = order.pack(order.exponents(lcm))
     work = {}
-    _axpy(work, field, field.neg(field.inv(lf[2])), lcm.quotient(lf[1]), f)
-    _axpy(work, field, field.inv(lg[2]), lcm.quotient(lg[1]), g)
+    _axpy(work, field, field.neg(field.inv(lf[1])), key - lf[0], f)
+    _axpy(work, field, field.inv(lg[1]), key - lg[0], g)
     return work
 
 
-def _update(order, G, leads, pairs, heap, f, lmf):
-    """Install the monic term dict f, with lead monomial lmf, as a new basis
-    element, pruning pairs Gebauer-Moeller style.  ``pairs`` maps each live
-    pair (i, j) to its lcm; ``heap`` holds (degree, order key, i, j) of every
-    pair pushed, deleted ones included."""
+def _update(order, G: _Basis, pairs, heap, f):
+    """Install the monic term dict f as a new element of the ideal basis G,
+    pruning pairs Gebauer-Moeller style.  ``pairs`` maps each live pair
+    (i, j) to the word of its lcm; ``heap`` holds (degree, packed lcm key,
+    i, j) of every pair pushed, deleted ones included."""
     t = len(G)
-    lcms = [lead[1].lcm(lmf) for lead in leads]
+    guards = order.guards
+    wf = order.word(max(f))
+    words = [lead[2] for lead in G.leads]
+    lcms = [word_lcm(w, wf, guards) for w in words]
 
     # drop old pairs made redundant by f (chain criterion)
     for (i, j), lij in list(pairs.items()):
-        if lmf.divides(lij) and lcms[i] != lij and lcms[j] != lij:
+        if (((lij | guards) - wf) & guards == guards
+                and lcms[i] != lij and lcms[j] != lij):
             del pairs[(i, j)]
 
     # candidate pairs (i, t): prune those whose lcm is a proper multiple
     survivors = []
     for i in range(t):
         li = lcms[i]
+        lig = li | guards
         redundant = False
         for j in range(t):
             if j == i:
                 continue
             lj = lcms[j]
-            if lj != li and lj.divides(li):
+            if lj != li and (lig - lj) & guards == guards:
                 redundant = True
                 break
         if not redundant:
@@ -165,16 +248,17 @@ def _update(order, G, leads, pairs, heap, f, lmf):
 
     groups = {}
     for i in survivors:
-        groups.setdefault(lcms[i].exps, []).append(i)
-    for exps, members in sorted(groups.items()):
-        if any(leads[i][1].coprime(lmf) for i in members):
+        groups.setdefault(lcms[i], []).append(i)
+    for lcm, members in groups.items():
+        # coprime leads: their lcm is their product
+        if any(lcm == words[i] + wf for i in members):
             continue
         i = min(members)
-        pairs[(i, t)] = lcms[i]
-        heapq.heappush(heap, (order.degree(exps), order.key(exps), i, t))
+        pairs[(i, t)] = lcm
+        exps = order.exponents(lcm)
+        heapq.heappush(heap, (order.degree(exps), order.pack(exps), i, t))
 
     G.append(f)
-    leads.append((0, lmf, f[(0, lmf)]))
 
 
 def _standard_count(lead_exps, powers, e, limit) -> int:
@@ -243,41 +327,42 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> list:
         if k not in seen:
             seen.add(k)
             inputs.append(f)
-    if all(len(f) == 1 for f in inputs):
-        return _reduce_basis(inputs, ring)
-
     order = ring.order
+    if all(len(f) == 1 for f in inputs):
+        return _reduce_basis([_at0(f, order) for f in inputs], ring)
+
     inputs.sort(key=lambda f: order.key(f.lead_monomial().exps))
     field = ring.field
-    key = _ideal_key(ring)
-    G: list = []
-    leads: list = []
+    G = _Basis(order)
     pairs: dict = {}
     heap: list = []
 
     # the count needs finitely many monomials per degree
     standard = type(order) is MonomialOrder
     n = ring.nvars
+    lead_exps = []  # exponent vectors of the leads of G
     powers = {}  # variable -> exponent of its pure-power lead
     tested = None  # (degree, len(G)) of the last count
     met = False  # whether that count met the bound
 
     def install(terms):
-        red = _reduce(terms, G, leads, key, field)
+        red = _reduce(terms, G, field)
         if red:
             lead = next(iter(red))
             inv = field.inv(red[lead])
-            monic = {pm: field.mul(c, inv) for pm, c in red.items()}
-            _update(order, G, leads, pairs, heap, monic, lead[1])
+            mul = field.mul
+            _update(order, G, pairs, heap,
+                    {k: mul(c, inv) for k, c in red.items()})
             # no lead divides a new lead, so a later pure power of x_i is
             # always a lower one
-            exps = lead[1].exps
+            exps = order.unpack(lead)
+            lead_exps.append(exps)
             support = [i for i, a in enumerate(exps) if a]
             if len(support) == 1:
                 powers[support[0]] = exps[support[0]]
 
     for f in inputs:
-        install(_at0(f))
+        install(_at0(f, order))
 
     while heap:
         degree, _, i, j = heapq.heappop(heap)
@@ -288,8 +373,7 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> list:
             met = False
             b = _series_coefficient(bound, n, degree)
             if b > 0 or (b == 0 and len(powers) == n):
-                count = _standard_count([lead[1].exps for lead in leads],
-                                        powers, degree, b)
+                count = _standard_count(lead_exps, powers, degree, b)
                 if count < b:
                     raise SelfCheckError(
                         f"{count} standard monomials of degree {degree} "
@@ -304,35 +388,35 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> list:
                 f"S-pair of degree {degree} exceeds the degree ceiling "
                 f"{degree_ceiling}"
             )
-        s = _spoly(field, G[i], leads[i], G[j], leads[j])
+        s = _spoly(order, field, G.terms[i], G.leads[i], G.terms[j],
+                   G.leads[j])
         if s:
             install(s)
 
-    return _reduce_basis([_polynomial(ring, g) for g in G], ring)
+    return _reduce_basis(G.terms, ring)
 
 
 def _reduce_basis(G, ring) -> list:
     """Minimalize lead terms, then tail-reduce each element: the reduced basis
-    of a list of nonzero monic Polynomials."""
-    order_key = ring.order.key
-    by_lead = sorted(G, key=lambda g: order_key(g.lead_monomial().exps))
-    minimal = []
-    for g in by_lead:
-        lm = g.lead_monomial()
-        if not any(h.lead_monomial().divides(lm) for h in minimal):
+    of a list of nonzero monic term dicts, as Polynomials."""
+    order = ring.order
+    guards = order.guards
+    minimal = _Basis(order)
+    for g in sorted(G, key=max):
+        w = order.word(max(g))
+        if not any(((w | guards) - lw) & guards == guards
+                   for _, _, lw, _ in minimal.leads):
             minimal.append(g)
-    basis, leads = _ideal_basis(minimal)
-    key = _ideal_key(ring)
     reduced = []
-    for g, (pos, lm, lc) in zip(basis, leads):
-        # the tail and every term its reduction produces lie below lm, so
-        # g's own lead divides none of them
+    for g, (key, lc, _, _) in zip(minimal.terms, minimal.leads):
+        # the tail and every term its reduction produces lie below the
+        # lead, so g's own lead divides none of them
         tail = dict(g)
-        del tail[(pos, lm)]
-        red = _reduce(tail, basis, leads, key, ring.field)
-        reduced.append(_polynomial(ring, {(pos, lm): lc, **red}))
-    reduced.sort(key=lambda g: order_key(g.lead_monomial().exps), reverse=True)
-    return reduced
+        del tail[key]
+        red = _reduce(tail, minimal, ring.field)
+        reduced.append((key, _polynomial(ring, {key: lc, **red})))
+    reduced.sort(key=lambda t: t[0], reverse=True)
+    return [g for _, g in reduced]
 
 
 class Ideal:
@@ -393,12 +477,21 @@ class Ideal:
             raise UsageError("ideal powers require t >= 1")
         if t == 1:
             return self
+        order, field = self.ring.order, self.ring.field
+        gens = [_at0(g, order) for g in self.gens]
+        reach = [_reach(order, 0, g) for g in gens]
         prods = []
-        for combo in itertools.combinations_with_replacement(self.gens, t):
-            f = combo[0]
-            for g in combo[1:]:
-                f = f * g
-            prods.append(f)
+        for combo in itertools.combinations_with_replacement(range(len(gens)),
+                                                             t):
+            f = gens[combo[0]]
+            for i in combo[1:]:
+                # f * g, one term of g at a time
+                order.check(_reach(order, 0, f) + reach[i])
+                work = {}
+                for k, c in gens[i].items():
+                    _axpy(work, field, field.neg(c), k, f)
+                f = work
+            prods.append(_polynomial(self.ring, f))
         return Ideal(self.ring, prods)
 
     def groebner_basis(self, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
@@ -449,8 +542,8 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise UsageError("polynomial lives in a different ring")
-        basis, leads = _ideal_basis(self.elements)
-        red = _reduce(_at0(f), basis, leads, _ideal_key(self.ring),
+        order = self.ring.order
+        red = _reduce(_at0(f, order), _ideal_basis(order, self.elements),
                       self.ring.field)
         return _polynomial(self.ring, red)
 
@@ -559,8 +652,8 @@ def saturate_variable(I: Ideal, i: int, degree_ceiling: int = DEFAULT_DEGREE_CEI
         gb = I.groebner_basis(degree_ceiling)
         if not any(m.exps[i] for m in gb.lead_monomials):
             return _presented(ring, gb.elements, gb)
-        reduced = _reduce_basis([_divide_out(g, i, ring) for g in gb.elements],
-                                ring)
+        reduced = _reduce_basis([_at0(_divide_out(g, i, ring), ring.order)
+                                 for g in gb.elements], ring)
     else:
         aux = PolyRing(ring.names, ring.field, order)
         basis = _engine([Polynomial(aux, g._terms) for g in I.gens], aux,

@@ -1,17 +1,17 @@
 """Sparse multivariate polynomials over a finite field.
 
 A Monomial is an exponent tuple with cached total degree; exponents are
-checked 16-bit values, overflow raises instead of wrapping.  A Polynomial maps
-Monomials to nonzero raw field coefficients; values are immutable once built.
+checked 16-bit values, the width of a field of the packed keys in ``orders``
+less its guard bit.  A product that reaches ``EXPONENT_LIMIT`` raises
+ExponentOverflowError instead of wrapping.  A Polynomial maps Monomials to
+nonzero raw field coefficients; values are immutable once built.
 """
 
 from __future__ import annotations
 
-from .errors import UsageError
+from .errors import ExponentOverflowError, UsageError
 from .fields import FieldElement, GF, DEFAULT_PRIME
-from .orders import GREVLEX, MonomialOrder
-
-EXPONENT_LIMIT = 1 << 16
+from .orders import EXPONENT_LIMIT, GREVLEX, MonomialOrder
 
 
 class Monomial:
@@ -27,7 +27,8 @@ class Monomial:
         out = tuple(a + b for a, b in zip(self.exps, other.exps))
         for e in out:
             if e >= EXPONENT_LIMIT:
-                raise OverflowError(f"exponent {e} exceeds the 16-bit limit")
+                raise ExponentOverflowError(
+                    f"exponent {e} exceeds the 16-bit limit")
         return Monomial(out)
 
     def divides(self, other: "Monomial") -> bool:

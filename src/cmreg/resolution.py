@@ -6,8 +6,11 @@ is the first differential, and each further level is the syzygy module of the
 previous basis under the induced Schreyer order.  Schreyer's theorem makes
 every level a Groebner basis for free, so no module Buchberger loop runs on
 the tower: each kept S-pair of a level reduces to zero under ``groebner``'s
-one reducer, over (pos, Monomial) terms in the Schreyer order, and its
-quotients give the syzygy.  Basis elements at each level are sorted with
+one reducer, and its quotients give the syzygy.  A level's terms are ints,
+``(pack(m) + pack(image of e_pos)) << bits | rank(pos)`` (``SchreyerOrder``),
+so int comparison is the Schreyer order and multiplying by u adds
+``pack(u) << bits``.  The tower converts to Polynomials only where it gives
+output, the differentials.  Basis elements at each level are sorted with
 lead monomials lexicographically decreasing inside each position group;
 that keeps the variables supporting level-k lead quotients shrinking, which
 bounds the tower length by nvars + 1.
@@ -28,8 +31,9 @@ from dataclasses import dataclass
 
 from .errors import SelfCheckError, UsageError
 from .fields import _rank
-from .groebner import (DEFAULT_DEGREE_CEILING, Ideal, _axpy, _ideal_basis,
-                       _reduce)
+from .groebner import (DEFAULT_DEGREE_CEILING, Ideal, _axpy, _Basis,
+                       _ideal_basis, _reduce)
+from .orders import word_lcm
 from .polynomials import Monomial, Polynomial
 
 
@@ -45,105 +49,134 @@ class FreeModule:
 
 
 class SchreyerOrder:
-    """Term order on a free module, flattened through the syzygy tower.
+    """Term order on a free module, flattened through the syzygy tower, on
+    packed int keys.
 
-    key(pos, mon) compares the image lead monomial mon * weights[pos] in the
-    ring order, breaks ties along the recorded position path, then by the
-    position itself (smaller position wins).
+    The term m * e_pos has key ``(pack(m) + weights[pos]) << bits |
+    ranks[pos]``.  ``weights[pos]`` is the packed key of the image monomial
+    of e_pos, so the key compares the image m * image(e_pos) in the ring
+    order first.  Ties go by ``ranks``, which order the positions by the
+    recorded position path, negated, then by the position itself (smaller
+    position wins).  Multiplying a term by u adds ``pack(u) << bits``.
     """
 
-    __slots__ = ("ring", "weights", "ties", "_ringkey", "_negties")
+    __slots__ = ("ring", "weights", "ties", "ranks", "bits", "_positions")
 
     def __init__(self, ring, weights, ties):
         self.ring = ring
         self.weights = tuple(weights)
         self.ties = tuple(ties)
-        self._ringkey = ring.order.key
-        self._negties = tuple(tuple(-x for x in t) for t in self.ties)
+        positions = sorted(range(len(self.ties)),
+                           key=lambda p: (tuple(-x for x in self.ties[p]), -p))
+        ranks = [0] * len(positions)
+        for r, p in enumerate(positions):
+            ranks[p] = r
+        self.ranks = tuple(ranks)
+        self.bits = (len(positions) - 1).bit_length()
+        self._positions = tuple(positions)
 
     @classmethod
     def trivial(cls, ring, rank: int):
-        one = ring.one_monomial
-        return cls(ring, (one,) * rank, ((),) * rank)
+        return cls(ring, (0,) * rank, ((),) * rank)
 
-    def key(self, pos: int, mon: Monomial):
-        return (self._ringkey(mon.mul(self.weights[pos]).exps),
-                self._negties[pos], -pos)
+    def term(self, pos: int, key: int) -> int:
+        """The key of m * e_pos, for m of packed key ``key``."""
+        return (key + self.weights[pos]) << self.bits | self.ranks[pos]
+
+    def split(self, term: int):
+        """(pos, packed key of m) of the term m * e_pos."""
+        pos = self._positions[term & ((1 << self.bits) - 1)]
+        return pos, (term >> self.bits) - self.weights[pos]
 
     def induced(self, leads):
-        """Order on the next level, given (pos, mon) leads of this level's basis."""
-        weights = tuple(mon.mul(self.weights[pos]) for pos, mon in leads)
-        ties = tuple(self.ties[pos] + (pos,) for pos, mon in leads)
-        return SchreyerOrder(self.ring, weights, ties)
+        """Order on the next level, given the lead term keys of this level's
+        basis."""
+        positions = [self.split(k)[0] for k in leads]
+        return SchreyerOrder(self.ring, [k >> self.bits for k in leads],
+                             [self.ties[p] + (p,) for p in positions])
 
 
 # --- Schreyer syzygies ---
 
-def _syzygy_step(ring, basis, leads, order: SchreyerOrder, twists):
+def _syzygy_step(ring, basis: _Basis, order: SchreyerOrder, twists):
     """One tower level: syzygies of a module GB, pruned, sorted, with the
     induced order and twists for the next level.
 
-    Returns (sigmas, sigma_leads, next_order, next_twists) where each sigma is
-    a flat dict over the basis-index positions.
+    Returns (sigmas, next_order, next_twists): sigmas is the basis of the
+    next level, whose term dicts are keyed by next_order's terms over the
+    basis-index positions.
     """
     field = ring.field
+    mono = ring.order
+    guards = mono.guards
+    leads = basis.leads
     groups = {}
-    for i, (p, m, c) in enumerate(leads):
-        groups.setdefault(p, []).append(i)
+    for i, (k, _, _, _) in enumerate(leads):
+        groups.setdefault(order.split(k)[0], []).append(i)
+    # the leads at one position share its weight, so their image words
+    # give the same lcm quotients as their monomials
+    exps = [mono.exponents(lead[2]) for lead in leads]
 
     kept = []
     for p, members in sorted(groups.items()):
         for i in members:
-            mi = leads[i][1]
+            ei, wi = exps[i], leads[i][2]
             cands = []
             for j in members:
                 if j <= i:
                     continue
-                u = mi.lcm(leads[j][1]).quotient(mi)
-                cands.append((u.degree, u.exps, j, u))
+                u = tuple(max(a, b) - a for a, b in zip(ei, exps[j]))
+                cands.append((sum(u), u, j,
+                              word_lcm(wi, leads[j][2], guards) - wi))
             cands.sort(key=lambda t: t[:3])
             chosen = []
-            for _, _, j, u in cands:
-                if not any(k.divides(u) for k, _ in chosen):
-                    chosen.append((u, j))
-            kept.extend((i, j, u) for u, j in chosen)
+            for _, u, j, wu in cands:
+                if not any(((wu | guards) - wk) & guards == guards
+                           for wk, _, _ in chosen):
+                    chosen.append((wu, u, j))
+            kept.extend((i, j, u, wu) for wu, u, j in chosen)
 
+    next_order = order.induced([lead[0] for lead in leads])
+    bits, nbits = order.bits, next_order.bits
+    one = field.one
     sigmas = []
-    for i, j, u in kept:
-        pi, mi, ci = leads[i]
-        pj, mj, cj = leads[j]
-        lcm = mi.lcm(mj)
-        v = lcm.quotient(mj)
+    for i, j, u, wu in kept:
+        ki, ci, wi, ri = leads[i]
+        kj, cj, wj, rj = leads[j]
+        wv = wi + wu - wj  # the word of v = lcm / m_j
+        mono.check(wu + ri)
+        mono.check(wv + rj)
+        ku = mono.pack(u)
+        kv = (ki >> bits) + ku - (kj >> bits)
         ratio = field.div(ci, cj)
         work = {}
-        _axpy(work, field, field.neg(field.one), u, basis[i])
-        _axpy(work, field, ratio, v, basis[j])
+        _axpy(work, field, field.neg(one), ku << bits, basis.terms[i])
+        _axpy(work, field, ratio, kv << bits, basis.terms[j])
         quot = {}
-        rem = _reduce(work, basis, leads, order.key, field, quotients=quot)
-        if rem:
+        if _reduce(work, basis, field, quotients=quot):
             raise SelfCheckError("S-pair of a syzygy-level basis did not reduce to zero")
-        sig = {(i, u): field.one}
-        key_j = (j, v)
-        sig[key_j] = field.sub(sig.get(key_j, field.zero), ratio)
-        for (idx, um), q in quot.items():
-            prev = sig.get((idx, um), field.zero)
-            val = field.sub(prev, q)
+        lead = next_order.term(i, ku)
+        sig = {lead: one}
+        tj = next_order.term(j, kv)
+        sig[tj] = field.sub(sig.get(tj, field.zero), ratio)
+        for (idx, km), q in quot.items():
+            t = next_order.term(idx, km)
+            val = field.sub(sig.get(t, field.zero), q)
             if val == field.zero:
-                sig.pop((idx, um), None)
+                sig.pop(t, None)
             else:
-                sig[(idx, um)] = val
-        sigmas.append(((i, tuple(-e for e in u.exps), j), sig, (i, u)))
+                sig[t] = val
+        sigmas.append(((i, tuple(-e for e in u), j), sig, lead, sum(u)))
 
     sigmas.sort(key=lambda t: t[0])
-    sig_flats = [s for _, s, _ in sigmas]
-    sig_leads = [(i, u, field.one) for _, _, (i, u) in sigmas]
-    # order on the free module the sigmas live in, induced by the basis leads
-    next_order = order.induced([(p, m) for p, m, _ in leads])
-    next_twists = [twists[i] + u.degree for _, _, (i, u) in sigmas]
-    for sig, (i, u, _) in zip(sig_flats, sig_leads):
-        if max(sig, key=lambda t: next_order.key(*t)) != (i, u):
+    next_basis = _Basis(mono, nbits)
+    next_twists = []
+    for (i, _, _), sig, lead, degree in sigmas:
+        if max(sig) != lead:
             raise SelfCheckError("syzygy lead differs from its Schreyer prediction")
-    return sig_flats, sig_leads, next_order, next_twists
+        next_basis.append(sig)
+        next_twists.append(twists[i] + degree)
+    return next_basis, next_order, next_twists
 
 
 # --- resolutions ---
@@ -258,30 +291,31 @@ def _schreyer_tower(J: Ideal, degree_ceiling: int):
     if not gb.elements:
         return frees, diffs
     cols = sorted(gb.elements, key=lambda g: g.lead_monomial().exps, reverse=True)
-    basis, leads = _ideal_basis(cols)
+    basis = _ideal_basis(ring.order, cols)
     order = SchreyerOrder.trivial(ring, 1)
     twists = [g.homogeneous_degree() for g in cols]
     frees.append(FreeModule(tuple(twists)))
     diffs.append({(0, c): g for c, g in enumerate(cols)})
+    unpack = ring.order.unpack
 
     while True:
-        sig_flats, sig_leads, next_order, next_twists = _syzygy_step(
-            ring, basis, leads, order, twists)
-        if not sig_flats:
+        sigmas, next_order, next_twists = _syzygy_step(ring, basis, order,
+                                                       twists)
+        if not sigmas.terms:
             return frees, diffs
         if len(diffs) > ring.nvars + 1:
             raise SelfCheckError("syzygy tower exceeded its length bound")
         D = {}
-        for cidx, sig in enumerate(sig_flats):
+        for cidx, sig in enumerate(sigmas.terms):
             per_row = {}
-            for (pos, m), c in sig.items():
-                per_row.setdefault(pos, {})[m] = c
+            for t, c in sig.items():
+                pos, k = next_order.split(t)
+                per_row.setdefault(pos, {})[Monomial(unpack(k))] = c
             for row, terms in per_row.items():
                 D[(row, cidx)] = Polynomial(ring, terms)
         frees.append(FreeModule(tuple(next_twists)))
         diffs.append(D)
-        basis, leads, order, twists = (sig_flats, sig_leads, next_order,
-                                       next_twists)
+        basis, order, twists = sigmas, next_order, next_twists
 
 
 def _minimize(ring, frees, diffs):

@@ -468,6 +468,16 @@ def test_degree_ceiling_ignores_pairs_after_the_basis_is_done(tmp_path, capsys):
     assert doc["result"]["basis"] == ["y^3", "x^2 + y^2", "x*y"]
 
 
+def test_exponent_overflow_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.reg"
+    path.write_text("ring p=7 vars=x,y\nideal I = x^40000, y^40000\n")
+    code, out, err = run(capsys, ["powers", str(path), "-i", "I", "--tmax",
+                                  "2", "--route", "hilbert"])
+    assert code == 3
+    assert out == ""
+    assert err == "error: exponent 80000 exceeds the 16-bit limit\n"
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

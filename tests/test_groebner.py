@@ -14,7 +14,7 @@ from cmreg.geometry import (
 )
 from cmreg.groebner import Ideal, intersect, saturate, saturate_variable
 from cmreg.hilbert import finite_length_witness, hilbert_function, top_degree_finite
-from cmreg.orders import EliminationOrder
+from cmreg.orders import EliminationOrder, word_lcm
 from cmreg.polynomials import Monomial, PolyRing, Polynomial
 from cmreg.resolution import SchreyerOrder, _syzygy_step
 
@@ -414,15 +414,15 @@ def test_engine_installs_only_graded_elements(monkeypatch, p, seed):
     installed = {"plain": 0, "permuted": 0, "elimination": 0}
     update = groebner._update
 
-    def checked(order, G, leads, pairs, heap, f, lmf):
-        assert len({order.degree(m.exps) for _, m in f}) == 1
+    def checked(order, G, pairs, heap, f):
+        assert len({order.degree(order.unpack(k)) for k in f}) == 1
         if isinstance(order, EliminationOrder):
             installed["elimination"] += 1
         elif order.precedence != tuple(range(order.nvars)):
             installed["permuted"] += 1
         else:
             installed["plain"] += 1
-        return update(order, G, leads, pairs, heap, f, lmf)
+        return update(order, G, pairs, heap, f)
 
     monkeypatch.setattr(groebner, "_update", checked)
     rng = random.Random(seed)
@@ -464,41 +464,56 @@ def test_groebner_hilbert_agreement_random():
             assert standard == hilbert_by_rank(P, 3, dense, d)
 
 
-def _by_position(terms, R):
-    """A (pos, Monomial) term dict as {pos: Polynomial}."""
+def _by_position(terms, R, split):
+    """A term dict as {pos: Polynomial}, ``split(key) = (pos, Monomial)``."""
     rows = {}
-    for (pos, m), c in terms.items():
+    for key, c in terms.items():
+        pos, m = split(key)
         rows.setdefault(pos, {})[m] = c
     return {pos: Polynomial(R, t) for pos, t in rows.items()}
 
 
-def _random_terms(R, rng, positions, degrees, count):
+def _random_terms(R, rng, positions, degrees, count, term):
+    """A random term dict, ``term(pos, exps)`` giving each term's key."""
     terms = {}
     for _ in range(count):
         exps = rng.choice(degree_monomials(R.nvars, rng.choice(degrees)))
         c = R.field.random(rng)
         if c != R.field.zero:
-            terms[(rng.choice(positions), Monomial(exps))] = c
+            terms[term(rng.choice(positions), exps)] = c
     return terms
 
 
-def _check_division(R, start, basis, leads, key):
+def _codec(R, order):
+    """(split, term) for the term keys of a SchreyerOrder (the trivial one of
+    rank 1 for ideals): split(key) = (pos, Monomial), term(pos, exps) = key."""
+    def split(key):
+        pos, k = order.split(key)
+        return pos, Monomial(R.order.unpack(k))
+    return split, lambda pos, exps: order.term(pos, R.order.pack(exps))
+
+
+def _check_division(R, start, basis, split):
     """Reduce ``start`` with quotient collection and check, with Polynomial
-    arithmetic, that start = remainder + sum q * u * basis[i] and that no
-    remainder term is divisible by a lead at its own position.  Returns the
-    number of quotient terms."""
+    arithmetic, that start = remainder + sum q * u * basis[i], that no
+    remainder term is divisible by a lead at its own position, and that the
+    remainder's keys come out strictly descending, so its first key is its
+    lead.  Returns the number of quotient terms."""
     quotients = {}
-    rem = groebner._reduce(start, basis, leads, key, R.field,
-                           quotients=quotients)
-    for pos, m in rem:
-        assert not any(lp == pos and lm.divides(m) for lp, lm, _ in leads)
-    total = _by_position(rem, R)
+    rem = groebner._reduce(start, basis, R.field, quotients=quotients)
+    keys = list(rem)
+    assert all(a > b for a, b in zip(keys, keys[1:]))
+    leads = [split(lead[0]) for lead in basis.leads]
+    for key in rem:
+        pos, m = split(key)
+        assert not any(lp == pos and lm.divides(m) for lp, lm in leads)
+    total = _by_position(rem, R, split)
     for (i, u), q in quotients.items():
-        mult = Polynomial(R, {u: q})
-        for pos, row in _by_position(basis[i], R).items():
+        mult = Polynomial(R, {Monomial(R.order.unpack(u)): q})
+        for pos, row in _by_position(basis.terms[i], R, split).items():
             total[pos] = total.get(pos, R.zero()) + mult * row
     total = {pos: row for pos, row in total.items() if not row.is_zero()}
-    assert total == _by_position(start, R)
+    assert total == _by_position(start, R, split)
     return len(quotients)
 
 
@@ -506,7 +521,7 @@ def _check_division(R, start, basis, leads, key):
 def test_reducer_quotients_reconstruct_the_input(p, k, seed):
     rng = random.Random(seed)
     field = GF(p, k)
-    divided = 0
+    divided = [0, 0, 0]
     for _ in range(8):
         R = PolyRing(("x", "y", "z"), field=field)
         gens = [f for f in (_random_form(R, rng.randint(1, 3), rng, 0.5)
@@ -514,26 +529,31 @@ def test_reducer_quotients_reconstruct_the_input(p, k, seed):
                 if not f.is_zero()]
         if not gens:
             continue
-        key = groebner._ideal_key(R)
+        order = SchreyerOrder.trivial(R, 1)
+        split, term = _codec(R, order)
         # ideal input at position 0, against the raw (non-monic) generators
         # and against the reduced basis
         for polys in (gens, Ideal(R, gens).groebner_basis().elements):
-            basis, leads = groebner._ideal_basis(polys)
+            basis = groebner._ideal_basis(R.order, polys)
             for _ in range(4):
-                start = _random_terms(R, rng, [0], (2, 3, 4), 12)
-                divided += _check_division(R, start, basis, leads, key)
-        # the first syzygy level of the Schreyer tower, under its induced order
+                start = _random_terms(R, rng, [0], (2, 3, 4), 12, term)
+                divided[0] += _check_division(R, start, basis, split)
+        # the first two syzygy levels of the Schreyer tower, under their
+        # induced orders; tie paths first differ at the second
         cols = sorted(Ideal(R, gens).groebner_basis().elements,
                       key=lambda g: g.lead_monomial().exps, reverse=True)
-        basis, leads = groebner._ideal_basis(cols)
-        sigs, sig_leads, order, _ = _syzygy_step(
-            R, basis, leads, SchreyerOrder.trivial(R, 1),
-            [g.homogeneous_degree() for g in cols])
-        if sigs:
+        basis = groebner._ideal_basis(R.order, cols)
+        twists = [g.homogeneous_degree() for g in cols]
+        for level in (1, 2):
+            basis, order, twists = _syzygy_step(R, basis, order, twists)
+            if not len(basis):
+                break
+            split, term = _codec(R, order)
             for _ in range(4):
-                start = _random_terms(R, rng, range(len(cols)), (1, 2, 3), 12)
-                divided += _check_division(R, start, sigs, sig_leads, order.key)
-    assert divided > 0
+                start = _random_terms(R, rng, range(len(order.weights)),
+                                      (1, 2, 3), 12, term)
+                divided[level] += _check_division(R, start, basis, split)
+    assert all(divided), divided
 
 
 def _m_primary_ideals(p, k, nvars, seed, count=4):
@@ -562,9 +582,10 @@ def test_engine_stops_at_the_artinian_degree(monkeypatch, p, k, nvars, seed):
     degrees = []
     spoly = groebner._spoly
 
-    def recorded(field, f, lf, g, lg):
-        degrees.append(sum(lf[1].lcm(lg[1]).exps))
-        return spoly(field, f, lf, g, lg)
+    def recorded(order, field, f, lf, g, lg):
+        degrees.append(sum(order.exponents(
+            word_lcm(lf[2], lg[2], order.guards))))
+        return spoly(order, field, f, lf, g, lg)
 
     monkeypatch.setattr(groebner, "_spoly", recorded)
     R, cases = _m_primary_ideals(p, k, nvars, seed)
@@ -717,14 +738,15 @@ def _formed_pairs(monkeypatch, I):
     state = {}
     spoly, update = groebner._spoly, groebner._update
 
-    def tracked(order, G, leads, *rest):
-        state["leads"] = leads
-        return update(order, G, leads, *rest)
+    def tracked(order, G, *rest):
+        state["leads"] = G.leads
+        return update(order, G, *rest)
 
-    def recorded(field, f, lf, g, lg):
-        formed.append((sum(lf[1].lcm(lg[1]).exps),
-                       [lead[1].exps for lead in state["leads"]]))
-        return spoly(field, f, lf, g, lg)
+    def recorded(order, field, f, lf, g, lg):
+        formed.append((sum(order.exponents(
+                           word_lcm(lf[2], lg[2], order.guards))),
+                       [order.exponents(lead[2]) for lead in state["leads"]]))
+        return spoly(order, field, f, lf, g, lg)
 
     with monkeypatch.context() as m:
         m.setattr(groebner, "_update", tracked)

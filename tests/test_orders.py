@@ -1,15 +1,19 @@
 import itertools
+import random
 
 import pytest
 
-from cmreg.errors import UsageError
+from cmreg.errors import ExponentOverflowError, UsageError
 from cmreg.orders import (
+    EXPONENT_LIMIT,
     GREVLEX,
     GRLEX,
     LEX,
     EliminationOrder,
     MonomialOrder,
+    word_lcm,
 )
+from cmreg.polynomials import Monomial
 
 
 def test_classic_grevlex_vs_grlex_separation():
@@ -97,3 +101,70 @@ def test_order_equality_and_hash():
     assert MonomialOrder(GREVLEX, 3) != MonomialOrder(GRLEX, 3)
     assert EliminationOrder(3, 1) != MonomialOrder(GREVLEX, 3)
     assert hash(EliminationOrder(3, 2)) == hash(EliminationOrder(3, 2))
+
+
+# --- packed keys ---
+
+def _packed_orders(n, rng):
+    """Grevlex, lex, grlex, each under a random precedence too, and the
+    elimination order of the first variable, in n variables."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    orders = [MonomialOrder(kind, n) for kind in (GREVLEX, LEX, GRLEX)]
+    orders += [MonomialOrder(kind, n, precedence=perm)
+               for kind in (GREVLEX, LEX, GRLEX)]
+    return orders + [EliminationOrder(n, 1)]
+
+
+def _exponent_vectors(n, rng, count=24):
+    """Frozen-seed exponent vectors with 0, 65535 and small exponents."""
+    choices = (0, 0, 1, 2, 3, EXPONENT_LIMIT - 1)
+    vecs = [(0,) * n, (EXPONENT_LIMIT - 1,) * n]
+    while len(vecs) < count:
+        vecs.append(tuple(rng.choice(choices) if rng.random() < 0.8
+                          else rng.randrange(EXPONENT_LIMIT)
+                          for _ in range(n)))
+    return vecs
+
+
+@pytest.mark.parametrize("n,seed", [(2, 141), (3, 142), (4, 143), (5, 144)])
+def test_packed_keys_follow_the_order_and_multiply_by_adding(n, seed):
+    rng = random.Random(seed)
+    vecs = _exponent_vectors(n, rng)
+    for order in _packed_orders(n, rng):
+        packed = [order.pack(a) for a in vecs]
+        for a, ka in zip(vecs, packed):
+            assert order.unpack(ka) == a
+            assert order.exponents(order.word(ka)) == a
+            for b, kb in zip(vecs, packed):
+                assert (ka > kb) == (order.key(a) > order.key(b))
+                assert (ka == kb) == (a == b)
+                ab = tuple(x + y for x, y in zip(a, b))
+                assert order.pack(ab) == ka + kb
+                assert order.word(ka + kb) == order.word(ka) + order.word(kb)
+
+
+@pytest.mark.parametrize("n,seed", [(2, 151), (3, 152), (4, 153), (5, 154)])
+def test_words_divide_and_overflow_by_their_guard_bits(n, seed):
+    rng = random.Random(seed)
+    vecs = _exponent_vectors(n, rng)
+    for order in _packed_orders(n, rng):
+        guards = order.guards
+        words = [order.word(order.pack(a)) for a in vecs]
+        for a, wa in zip(vecs, words):
+            assert wa & guards == 0
+            for b, wb in zip(vecs, words):
+                divides = ((wb | guards) - wa) & guards == guards
+                assert divides == Monomial(a).divides(Monomial(b))
+                assert order.exponents(word_lcm(wa, wb, guards)) == tuple(
+                    max(x, y) for x, y in zip(a, b))
+                # a product reaching the limit sets a guard bit and raises
+                ab = [x + y for x, y in zip(a, b)]
+                over = [e for e in ab if e >= EXPONENT_LIMIT]
+                assert bool((wa + wb) & guards) == bool(over)
+                if over:
+                    with pytest.raises(ExponentOverflowError,
+                                       match=f"exponent {over[0]} exceeds"):
+                        order.check(wa + wb)
+                else:
+                    order.check(wa + wb)

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from cmreg.errors import UsageError
+from cmreg.errors import ExponentOverflowError, ResourceError, UsageError
 from cmreg.fields import GF
 from cmreg.orders import GREVLEX, LEX, MonomialOrder
+from cmreg.groebner import Ideal
 from cmreg.polynomials import Monomial, PolyRing, Polynomial, lift_polynomial
 
 
@@ -137,3 +138,22 @@ def test_structure_key_is_ring_independent():
     f2 = R2.poly({(1, 1, 0): 2, (0, 0, 2): 3})
     assert f1.structure_key() == f2.structure_key()
     assert f1 != f2  # different rings
+
+
+def test_exponents_stop_at_the_16_bit_limit():
+    R = PolyRing(("x", "y"), field=GF(7))
+    x, y = R.variables()
+    top = x ** 65535
+    assert top.lead_monomial().exps == (65535, 0)
+    assert issubclass(ExponentOverflowError, OverflowError)
+    assert issubclass(ExponentOverflowError, ResourceError)
+    with pytest.raises(ExponentOverflowError,
+                       match="exponent 65536 exceeds the 16-bit limit"):
+        top * x
+    # the packed products of Ideal.power and of the engine's S-pairs
+    with pytest.raises(ExponentOverflowError, match="exponent 65536"):
+        Ideal(R, (x, top)).power(2)
+    # the S-pair of x*y and x^65535 + y^65535 multiplies the latter by y
+    I = Ideal(R, (x * y, top + y ** 65535))
+    with pytest.raises(ExponentOverflowError, match="exponent 65536"):
+        I.groebner_basis(degree_ceiling=1 << 17)
