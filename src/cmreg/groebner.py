@@ -331,7 +331,7 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> list:
     if all(len(f) == 1 for f in inputs):
         return _reduce_basis([_at0(f, order) for f in inputs], ring)
 
-    inputs.sort(key=lambda f: order.key(f.lead_monomial().exps))
+    inputs.sort(key=lambda f: order.pack(f.lead_monomial().exps))
     field = ring.field
     G = _Basis(order)
     pairs: dict = {}

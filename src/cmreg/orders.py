@@ -1,13 +1,13 @@
 """Global monomial orders: grevlex (default), lex, grlex.
 
-Every order exposes ``key(exponents) -> sortable tuple`` with larger keys for
-larger monomials, so ``max`` and ``sorted`` work directly, and
-``degree(exponents)``, the grading the Buchberger engine selects pairs by.
-A variable precedence permutation may be supplied; the default is
-declaration order (first variable largest).
-
-Packed keys.  The reducer in ``groebner`` and the Schreyer tower in
-``resolution`` key terms by one int per monomial, ``pack(exponents)``:
+Each order is defined once, by ``pack(exponents)``: one int per monomial,
+larger for larger monomials, so ``max`` and ``sorted`` take it as their
+key.  It orders exponents in [0, EXPONENT_LIMIT) only; ``compare``, which
+takes raw tuples, checks that range.  ``degree(exponents)`` is the
+grading the Buchberger engine selects pairs by.  A variable precedence
+permutation may be supplied; the default is declaration order (first
+variable largest).  The reducer in ``groebner`` and the Schreyer tower in
+``resolution`` key terms by packed keys too:
 
 - int comparison of packed keys is the order's comparison;
 - ``pack(a*b) = pack(a) + pack(b)``, so multiplying a term by u adds
@@ -77,15 +77,6 @@ class MonomialOrder:
         self.negated = kind == GREVLEX  # whether word(key) negates the key
         self.mask = (1 << self.width) - 1
 
-    def key(self, exps):
-        if not self._identity:
-            exps = tuple(exps[i] for i in self.precedence)
-        if self.kind == GREVLEX:
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        if self.kind == LEX:
-            return exps
-        return (sum(exps), exps)
-
     def degree(self, exps) -> int:
         """The standard degree: every variable has weight 1."""
         return sum(exps)
@@ -136,17 +127,18 @@ class MonomialOrder:
                 f"exponent {e} exceeds the 16-bit limit")
 
     def compare(self, a, b) -> int:
-        """-1, 0 or +1 as a <, =, > b.  Accepts Monomials or exponent tuples."""
-        ea = getattr(a, "exps", a)
-        eb = getattr(b, "exps", b)
-        if len(ea) != self.nvars or len(eb) != self.nvars:
+        """-1, 0 or +1 as a <, =, > b.  Accepts Monomials or exponent tuples,
+        whose exponents must lie in [0, EXPONENT_LIMIT) for ``pack``."""
+        ka, kb = self._checked_pack(a), self._checked_pack(b)
+        return (ka > kb) - (ka < kb)
+
+    def _checked_pack(self, m) -> int:
+        exps = getattr(m, "exps", m)
+        if len(exps) != self.nvars:
             raise UsageError("monomial arity does not match the order")
-        ka, kb = self.key(ea), self.key(eb)
-        if ka < kb:
-            return -1
-        if ka > kb:
-            return 1
-        return 0
+        if any(not 0 <= e < EXPONENT_LIMIT for e in exps):
+            raise UsageError("exponents must be 16-bit non-negative integers")
+        return self.pack(exps)
 
     def __eq__(self, other):
         return (
@@ -183,13 +175,6 @@ class EliminationOrder(MonomialOrder):
         # the grevlex key deg*M - P lies in [0, 2^_above) for every sum of
         # two exponent vectors, whose degree is below nvars * 2^17
         self._above = self.width + FIELD_BITS + nvars.bit_length()
-
-    def key(self, exps):
-        return (
-            sum(exps[: self.nelim]),
-            sum(exps),
-            tuple(-e for e in reversed(exps)),
-        )
 
     def degree(self, exps) -> int:
         return sum(exps[self.nelim:])

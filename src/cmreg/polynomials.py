@@ -114,11 +114,11 @@ class PolyRing:
         return self.constant(1)
 
     def poly(self, terms) -> "Polynomial":
-        """Build from {Monomial or exps: coefficient}; coefficients are coerced."""
+        """Build from {Monomial or exps: coefficient}; exponents are checked
+        and coefficients coerced."""
         out = {}
         for mon, c in dict(terms).items():
-            if not isinstance(mon, Monomial):
-                mon = self.monomial(mon)
+            mon = self.monomial(getattr(mon, "exps", mon))
             raw = self.field.coerce(c)
             if raw != self.field.zero:
                 out[mon] = raw
@@ -169,8 +169,8 @@ class Polynomial:
         if not self._terms:
             raise UsageError("the zero polynomial has no lead term")
         if self._lead is None:
-            key = self.ring.order.key
-            self._lead = max(self._terms, key=lambda m: key(m.exps))
+            pack = self.ring.order.pack
+            self._lead = max(self._terms, key=lambda m: pack(m.exps))
         return self._lead
 
     def lead_coefficient(self):
@@ -182,8 +182,8 @@ class Polynomial:
 
     def sorted_terms(self):
         """Terms in strictly descending monomial order."""
-        key = self.ring.order.key
-        return sorted(self._terms.items(), key=lambda t: key(t[0].exps), reverse=True)
+        pack = self.ring.order.pack
+        return sorted(self._terms.items(), key=lambda t: pack(t[0].exps), reverse=True)
 
     def __add__(self, other):
         other = self._check(other)

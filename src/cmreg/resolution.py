@@ -7,20 +7,21 @@ previous basis under the induced Schreyer order.  Schreyer's theorem makes
 every level a Groebner basis for free, so no module Buchberger loop runs on
 the tower: each kept S-pair of a level reduces to zero under ``groebner``'s
 one reducer, and its quotients give the syzygy.  A level's terms are ints,
-``(pack(m) + pack(image of e_pos)) << bits | rank(pos)`` (``SchreyerOrder``),
-so int comparison is the Schreyer order and multiplying by u adds
-``pack(u) << bits``.  The tower converts to Polynomials only where it gives
-output, the differentials.  Basis elements at each level are sorted with
-lead monomials lexicographically decreasing inside each position group;
-that keeps the variables supporting level-k lead quotients shrinking, which
-bounds the tower length by nvars + 1.
+``(pack(m) + pack(image of e_pos)) << bits | (top - pos)``
+(``SchreyerOrder``), so int comparison is the Schreyer order and
+multiplying by u adds ``pack(u) << bits``.  Basis elements at each level
+are sorted with lead monomials lexicographically decreasing inside each
+position group; that keeps the variables supporting level-k lead quotients
+shrinking, which bounds the tower length by nvars + 1.
 
+The tower stays packed: each differential is a list of term dicts.
 Betti numbers, and with them regularity, come from ranks: tensored with the
 field, the non-minimal complex splits by internal degree, so each beta_{i,j}
-is a twist count minus the ranks of two blocks of constant entries
-(Erocal-Motsak-Schreyer-Steenpass, "Refined algorithms to compute
-syzygies", JSC 74, 2016).  Only ``minimal_free_resolution``, which returns
-explicit minimal differentials, minimizes the complex: cancelling a unit at
+is a twist count minus the ranks of two blocks of constant entries, the
+terms whose monomial key is 0 (Erocal-Motsak-Schreyer-Steenpass, "Refined
+algorithms to compute syzygies", JSC 74, 2016).  Only
+``minimal_free_resolution`` converts the differentials to Polynomials
+(``_differentials``) and minimizes the complex: cancelling a unit at
 (r, c) of D_k applies a Schur update to D_k only, while D_{k+1} just loses
 row c and D_{k-1} just loses column r.
 """
@@ -53,47 +54,42 @@ class SchreyerOrder:
     packed int keys.
 
     The term m * e_pos has key ``(pack(m) + weights[pos]) << bits |
-    ranks[pos]``.  ``weights[pos]`` is the packed key of the image monomial
-    of e_pos, so the key compares the image m * image(e_pos) in the ring
-    order first.  Ties go by ``ranks``, which order the positions by the
-    recorded position path, negated, then by the position itself (smaller
-    position wins).  Multiplying a term by u adds ``pack(u) << bits``.
+    (top - pos)``, top the largest position.  ``weights[pos]`` is the packed
+    key of the image monomial of e_pos, so the key compares the image
+    m * image(e_pos) in the ring order first; on a tie the smaller
+    position is the larger term.  Multiplying a term by u adds ``pack(u) << bits``.
+
+    Schreyer's order breaks those ties by the path of lead positions down
+    the tower first, then by the position.  The path never decides: the
+    positions of level 1 all have the path (0,), and ``_syzygy_step`` sorts each level's
+    basis by the position of its lead, so by induction the paths are
+    nondecreasing in the position and order the positions as they do.
     """
 
-    __slots__ = ("ring", "weights", "ties", "ranks", "bits", "_positions")
+    __slots__ = ("weights", "top", "bits")
 
-    def __init__(self, ring, weights, ties):
-        self.ring = ring
+    def __init__(self, weights):
         self.weights = tuple(weights)
-        self.ties = tuple(ties)
-        positions = sorted(range(len(self.ties)),
-                           key=lambda p: (tuple(-x for x in self.ties[p]), -p))
-        ranks = [0] * len(positions)
-        for r, p in enumerate(positions):
-            ranks[p] = r
-        self.ranks = tuple(ranks)
-        self.bits = (len(positions) - 1).bit_length()
-        self._positions = tuple(positions)
+        self.top = len(self.weights) - 1
+        self.bits = self.top.bit_length()
 
     @classmethod
-    def trivial(cls, ring, rank: int):
-        return cls(ring, (0,) * rank, ((),) * rank)
+    def trivial(cls, rank: int):
+        return cls((0,) * rank)
 
     def term(self, pos: int, key: int) -> int:
         """The key of m * e_pos, for m of packed key ``key``."""
-        return (key + self.weights[pos]) << self.bits | self.ranks[pos]
+        return (key + self.weights[pos]) << self.bits | (self.top - pos)
 
     def split(self, term: int):
         """(pos, packed key of m) of the term m * e_pos."""
-        pos = self._positions[term & ((1 << self.bits) - 1)]
+        pos = self.top - (term & ((1 << self.bits) - 1))
         return pos, (term >> self.bits) - self.weights[pos]
 
     def induced(self, leads):
         """Order on the next level, given the lead term keys of this level's
         basis."""
-        positions = [self.split(k)[0] for k in leads]
-        return SchreyerOrder(self.ring, [k >> self.bits for k in leads],
-                             [self.ties[p] + (p,) for p in positions])
+        return SchreyerOrder([k >> self.bits for k in leads])
 
 
 # --- Schreyer syzygies ---
@@ -283,39 +279,45 @@ class BettiTable:
 
 
 def _schreyer_tower(J: Ideal, degree_ceiling: int):
-    """Non-minimal resolution of S/J: free modules and differentials."""
+    """Non-minimal resolution of S/J, kept packed: (frees, tower).
+
+    tower[k] = (columns, order) is the differential F_{k+1} -> F_k: one term
+    dict per generator of F_{k+1}, keyed by ``order``'s terms over the
+    positions of F_k.  Level 1 is the ideal's reduced basis under the
+    trivial order of rank 1.
+    """
     ring = J.ring
     gb = J.groebner_basis(degree_ceiling)
-    frees = [FreeModule((0,))]
-    diffs = []
-    if not gb.elements:
-        return frees, diffs
     cols = sorted(gb.elements, key=lambda g: g.lead_monomial().exps, reverse=True)
     basis = _ideal_basis(ring.order, cols)
-    order = SchreyerOrder.trivial(ring, 1)
+    order = SchreyerOrder.trivial(1)
     twists = [g.homogeneous_degree() for g in cols]
-    frees.append(FreeModule(tuple(twists)))
-    diffs.append({(0, c): g for c, g in enumerate(cols)})
-    unpack = ring.order.unpack
-
-    while True:
-        sigmas, next_order, next_twists = _syzygy_step(ring, basis, order,
-                                                       twists)
-        if not sigmas.terms:
-            return frees, diffs
-        if len(diffs) > ring.nvars + 1:
+    frees = [FreeModule((0,))]
+    tower = []
+    while basis.terms:
+        if len(tower) > ring.nvars + 1:
             raise SelfCheckError("syzygy tower exceeded its length bound")
+        frees.append(FreeModule(tuple(twists)))
+        tower.append((basis.terms, order))
+        basis, order, twists = _syzygy_step(ring, basis, order, twists)
+    return frees, tower
+
+
+def _differentials(ring, tower):
+    """The tower's differentials as {(row, col): Polynomial} maps."""
+    unpack = ring.order.unpack
+    diffs = []
+    for columns, order in tower:
         D = {}
-        for cidx, sig in enumerate(sigmas.terms):
+        for col, terms in enumerate(columns):
             per_row = {}
-            for t, c in sig.items():
-                pos, k = next_order.split(t)
-                per_row.setdefault(pos, {})[Monomial(unpack(k))] = c
-            for row, terms in per_row.items():
-                D[(row, cidx)] = Polynomial(ring, terms)
-        frees.append(FreeModule(tuple(next_twists)))
+            for t, c in terms.items():
+                row, k = order.split(t)
+                per_row.setdefault(row, {})[Monomial(unpack(k))] = c
+            for row, entry in per_row.items():
+                D[(row, col)] = Polynomial(ring, entry)
         diffs.append(D)
-        basis, order, twists = sigmas, next_order, next_twists
+    return diffs
 
 
 def _minimize(ring, frees, diffs):
@@ -403,24 +405,30 @@ def _betti_from_frees(frees) -> BettiTable:
     return BettiTable(entries)
 
 
-def _betti_by_ranks(ring, frees, diffs) -> BettiTable:
+def _betti_by_ranks(ring, frees, tower) -> BettiTable:
     """Betti table of S/J from a non-minimal resolution, without minimizing.
 
     Over the field the complex splits by internal degree j, so
     beta_{i,j} = #{twist j in F_i} - rank C_{i-1,j} - rank C_{i,j}, where
-    C_{k,j} holds the constant entries of diffs[k] between twist-j
-    generators (a graded map has constant entries only there).
+    C_{k,j} holds the constant entries of differential k, the terms of
+    ``tower[k]`` whose monomial key is 0.  A graded map has constant
+    entries only between generators of equal twist; one elsewhere raises
+    SelfCheckError.
     """
     field = ring.field
-    one = ring.one_monomial
     ranks = {}
-    for k, D in enumerate(diffs):
+    for k, (columns, order) in enumerate(tower):
         rows_tw, cols_tw = frees[k].twists, frees[k + 1].twists
         blocks = {}
-        for (r, c), p in D.items():
+        for c, terms in enumerate(columns):
             j = cols_tw[c]
-            if rows_tw[r] == j:
-                blocks.setdefault(j, {}).setdefault(c, {})[r] = p._terms[one]
+            for t, v in terms.items():
+                r, key = order.split(t)
+                if key == 0:
+                    if rows_tw[r] != j:
+                        raise SelfCheckError(
+                            f"constant entry joins twists {rows_tw[r]} and {j}")
+                    blocks.setdefault(j, {}).setdefault(c, {})[r] = v
         for j, cols in blocks.items():
             index = {r: a for a, r in enumerate(
                 sorted({r for col in cols.values() for r in col}))}
@@ -445,8 +453,8 @@ def betti_table(J: Ideal, of: str = "quotient",
     by ranks of its constant blocks; no differential is minimized."""
     if of not in ("quotient", "ideal"):
         raise UsageError(f"unknown resolution target {of!r}")
-    frees, diffs = _schreyer_tower(J, degree_ceiling)
-    betti = _betti_by_ranks(J.ring, frees, diffs)
+    frees, tower = _schreyer_tower(J, degree_ceiling)
+    betti = _betti_by_ranks(J.ring, frees, tower)
     if of == "quotient":
         return betti
     # J is resolved by the quotient's complex with F_0 = S stripped
@@ -463,8 +471,8 @@ def minimal_free_resolution(J: Ideal, of: str = "quotient",
     """
     if of not in ("quotient", "ideal"):
         raise UsageError(f"unknown resolution target {of!r}")
-    frees, diffs = _schreyer_tower(J, degree_ceiling)
-    frees, diffs = _minimize(J.ring, frees, diffs)
+    frees, tower = _schreyer_tower(J, degree_ceiling)
+    frees, diffs = _minimize(J.ring, frees, _differentials(J.ring, tower))
     if of == "quotient":
         res = Resolution(J.ring, frees, diffs)
         return res, _betti_from_frees(frees)

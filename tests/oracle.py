@@ -49,6 +49,23 @@ def degree_monomials(nvars, d):
     return out
 
 
+def order_key(kind, exps, precedence=None, nelim=0):
+    """A reference sort key, as tuples, for the monomial orders: larger keys
+    for larger monomials.  ``kind`` is "grevlex", "lex" or "grlex", read
+    with the variables permuted into ``precedence`` (first largest);
+    ``nelim`` > 0 gives the elimination order of the first ``nelim``
+    variables, their degree above grevlex on the whole vector."""
+    if nelim:
+        return (sum(exps[:nelim]), sum(exps), tuple(-e for e in reversed(exps)))
+    if precedence is not None:
+        exps = tuple(exps[i] for i in precedence)
+    if kind == "grevlex":
+        return (sum(exps), tuple(-e for e in reversed(exps)))
+    if kind == "lex":
+        return tuple(exps)
+    return (sum(exps), tuple(exps))
+
+
 def _times_g(c, min_poly, p):
     """c * g in GF(p)[g]/(min_poly), low-degree-first coefficient lists,
     min_poly monic: g^k = -(min_poly without its top term)."""

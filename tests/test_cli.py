@@ -369,6 +369,48 @@ def test_gb_and_fibers_report_golden_bytes(tmp_path, capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == text_digest, argv
 
 
+# argv -> (exit code, sha256 of the --json bytes, sha256 of the text
+# report).  Captured from the tower that converted every syzygy into
+# Polynomial differentials.  quads is m-primary in 3 variables; tc has no
+# finite length, so `powers` suppresses its monotonicity checks and
+# `--route both` exits 1 with no report.
+REG_POWERS_GOLDEN = {
+    ("reg", "quads.reg", "-i", "quads"): (
+        0, "aab334535370d937466896df57f083c81042cfb680cc9d0ef928fe0b684a3774",
+        "6908bbb81f51c8622c897d38f4e33073041a12a7ef09f113bc5896f3f377e512"),
+    ("reg", "tc5.reg", "-i", "tc"): (
+        0, "424eb61a60b53556b7c1f7cc3416e5cd19d55ca694765d44cca3cbcd50f987c8",
+        "8fd66bec4a39bdcd0f67dca9efd5955ce7d851211f96b26c07f165469dc6c936"),
+    ("powers", "quads.reg", "-i", "quads", "--route", "resolution"): (
+        0, "f86082a09ca8146dbcf6d323136503db871e9d014115e9c2ecf5d9af835f631f",
+        "1655f8630ff3c3c398beab9d98482485549db8b65e46cb0142bbed8918891386"),
+    ("powers", "quads.reg", "-i", "quads", "--route", "both"): (
+        0, "f1acc064d2164b97460e7e88acdf20ad213f8ac0651352b2499461ddd298e04c",
+        "3a5db2cfb250c6d2856562eae66972657e6d61fec109cdbd11927f1fa9969c18"),
+    ("powers", "tc5.reg", "-i", "tc", "--route", "resolution"): (
+        0, "9e42daa993131d58922965d07193134afde0d504fdd7b51263c5f0425542fd1e",
+        "37d49170545b48638abf17cbeac4affbed5d464b40c57d8ba8e3a04c040ba755"),
+    ("powers", "tc5.reg", "-i", "tc", "--route", "both"): (
+        1, hashlib.sha256(b"").hexdigest(), hashlib.sha256(b"").hexdigest()),
+}
+
+
+def test_reg_and_powers_report_golden_bytes(tmp_path, capsys):
+    for name, text in GOLDEN_SESSIONS.items():
+        (tmp_path / name).write_text(text)
+    for (cmd, session, *rest), (status, digest, text_digest) in (
+            REG_POWERS_GOLDEN.items()):
+        argv = [cmd, str(tmp_path / session)] + rest
+        for extra, expected in ((["--json"], digest), ([], text_digest)):
+            code, out, err = run(capsys, argv + extra)
+            assert code == status, (argv, err)
+            assert hashlib.sha256(out.encode()).hexdigest() == expected, argv
+            if status:
+                assert "route 'both' needs finite length" in err
+            else:
+                assert err == ""
+
+
 def test_sample_command(conic_file, capsys):
     argv = [
         "sample", conic_file, "-i", "conic",

@@ -529,7 +529,7 @@ def test_reducer_quotients_reconstruct_the_input(p, k, seed):
                 if not f.is_zero()]
         if not gens:
             continue
-        order = SchreyerOrder.trivial(R, 1)
+        order = SchreyerOrder.trivial(1)
         split, term = _codec(R, order)
         # ideal input at position 0, against the raw (non-monic) generators
         # and against the reduced basis
@@ -539,7 +539,7 @@ def test_reducer_quotients_reconstruct_the_input(p, k, seed):
                 start = _random_terms(R, rng, [0], (2, 3, 4), 12, term)
                 divided[0] += _check_division(R, start, basis, split)
         # the first two syzygy levels of the Schreyer tower, under their
-        # induced orders; tie paths first differ at the second
+        # induced orders
         cols = sorted(Ideal(R, gens).groebner_basis().elements,
                       key=lambda g: g.lead_monomial().exps, reverse=True)
         basis = groebner._ideal_basis(R.order, cols)

@@ -15,6 +15,8 @@ from cmreg.orders import (
 )
 from cmreg.polynomials import Monomial
 
+from oracle import order_key
+
 
 def test_classic_grevlex_vs_grlex_separation():
     # x*z^2 vs y^3 (same degree): grlex ranks by leftmost exponent,
@@ -96,6 +98,21 @@ def test_compare_validates_arity_and_spells_out():
         order.compare((1, 0, 0), (0, 1))
 
 
+@pytest.mark.parametrize("order", [MonomialOrder(GREVLEX, 2),
+                                   MonomialOrder(LEX, 2, precedence=(1, 0)),
+                                   MonomialOrder(GRLEX, 2),
+                                   EliminationOrder(2, 1)])
+def test_compare_rejects_exponents_pack_cannot_order(order):
+    # pack orders exponents in [0, EXPONENT_LIMIT) only: one past either
+    # end raises instead of comparing wrongly, on either side
+    assert order.compare((EXPONENT_LIMIT - 1, 0), (0, 0)) > 0
+    for bad in ((-1, 0), (0, EXPONENT_LIMIT), (EXPONENT_LIMIT + 5, 1)):
+        with pytest.raises(UsageError, match="16-bit"):
+            order.compare(bad, (0, 1))
+        with pytest.raises(UsageError, match="16-bit"):
+            order.compare(Monomial((1, 0)), Monomial(bad))
+
+
 def test_order_equality_and_hash():
     assert MonomialOrder(GREVLEX, 3) == MonomialOrder(GREVLEX, 3)
     assert MonomialOrder(GREVLEX, 3) != MonomialOrder(GRLEX, 3)
@@ -133,11 +150,15 @@ def test_packed_keys_follow_the_order_and_multiply_by_adding(n, seed):
     vecs = _exponent_vectors(n, rng)
     for order in _packed_orders(n, rng):
         packed = [order.pack(a) for a in vecs]
+        nelim = getattr(order, "nelim", 0)
+
+        def ref(a):
+            return order_key(order.kind, a, order.precedence, nelim)
         for a, ka in zip(vecs, packed):
             assert order.unpack(ka) == a
             assert order.exponents(order.word(ka)) == a
             for b, kb in zip(vecs, packed):
-                assert (ka > kb) == (order.key(a) > order.key(b))
+                assert (ka > kb) == (ref(a) > ref(b))
                 assert (ka == kb) == (a == b)
                 ab = tuple(x + y for x, y in zip(a, b))
                 assert order.pack(ab) == ka + kb

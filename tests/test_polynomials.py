@@ -4,7 +4,7 @@ import pytest
 
 from cmreg.errors import ExponentOverflowError, ResourceError, UsageError
 from cmreg.fields import GF
-from cmreg.orders import GREVLEX, LEX, MonomialOrder
+from cmreg.orders import EXPONENT_LIMIT, GREVLEX, LEX, MonomialOrder
 from cmreg.groebner import Ideal
 from cmreg.polynomials import Monomial, PolyRing, Polynomial, lift_polynomial
 
@@ -157,3 +157,9 @@ def test_exponents_stop_at_the_16_bit_limit():
     I = Ideal(R, (x * y, top + y ** 65535))
     with pytest.raises(ExponentOverflowError, match="exponent 65536"):
         I.groebner_basis(degree_ceiling=1 << 17)
+    # poly checks Monomials as it checks tuples: the packed key that orders
+    # the terms holds 16-bit exponents only
+    for bad in (Monomial((EXPONENT_LIMIT, 0)), Monomial((-1, 2)),
+                Monomial((1, 0, 0))):
+        with pytest.raises(UsageError):
+            R.poly({bad: 1, (0, 1): 1})

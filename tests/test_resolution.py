@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from cmreg import resolution
+from cmreg.asymptotics import power_table
 from cmreg.errors import SelfCheckError, UsageError
 from cmreg.fields import GF
 from cmreg.fixtures import projective_plane_ideal
@@ -12,8 +14,10 @@ from cmreg.resolution import (
     BettiTable,
     FreeModule,
     Resolution,
+    SchreyerOrder,
     _betti_by_ranks,
     _betti_from_frees,
+    _differentials,
     _minimize,
     _schreyer_tower,
     betti_table,
@@ -21,7 +25,7 @@ from cmreg.resolution import (
     regularity,
 )
 
-from oracle import free_module_hilbert
+from oracle import degree_monomials, free_module_hilbert
 
 P = 7
 
@@ -31,8 +35,6 @@ def ring(names=("x", "y", "z")):
 
 
 def random_ideal(R, rng, max_gens=3, max_deg=3):
-    from oracle import degree_monomials
-
     gens = []
     for _ in range(rng.randrange(1, max_gens + 1)):
         d = rng.randrange(1, max_deg + 1)
@@ -137,8 +139,6 @@ def test_euler_characteristic_matches_hilbert_function():
 def test_betti_by_ranks_matches_the_minimized_complex():
     """Ranks of the constant blocks give the minimized complex's table, over
     several characteristics and 1-4 variables, zero and unit ideals included."""
-    from oracle import degree_monomials
-
     for p in (2, 3, 7, 32003):
         for nv in (1, 2, 3, 4):
             rng = random.Random(1000 * p + nv)
@@ -155,19 +155,22 @@ def test_betti_by_ranks_matches_the_minimized_complex():
                         gens.append(R.poly(terms))
                 ideals.append(Ideal(R, gens))
             for I in ideals:
-                frees, diffs = _schreyer_tower(I, 40)
-                minimal, _ = _minimize(R, frees, diffs)
-                assert (_betti_by_ranks(R, frees, diffs)
+                frees, tower = _schreyer_tower(I, 40)
+                minimal, _ = _minimize(R, frees, _differentials(R, tower))
+                assert (_betti_by_ranks(R, frees, tower)
                         == _betti_from_frees(minimal)), (p, I)
                 for of in ("quotient", "ideal"):
                     _, betti = minimal_free_resolution(I, of)
                     assert betti_table(I, of) == betti, (p, I, of)
     # d_1 d_2 != 0 is no complex: beta_{1,0} = 1 - 1 - 1 is caught
     R = ring()
-    one = R.one()
+    unit = ([{0: R.field.one}], SchreyerOrder.trivial(1))
     frees = [FreeModule((0,))] * 3
-    with pytest.raises(SelfCheckError):
-        _betti_by_ranks(R, frees, [{(0, 0): one}, {(0, 0): one}])
+    with pytest.raises(SelfCheckError, match="negative Betti"):
+        _betti_by_ranks(R, frees, [unit, unit])
+    # a constant entry between different twists is no graded map
+    with pytest.raises(SelfCheckError, match="joins twists 0 and 1"):
+        _betti_by_ranks(R, [FreeModule((0,)), FreeModule((1,))], [unit])
 
 
 def test_schreyer_tower_is_a_complex():
@@ -177,14 +180,64 @@ def test_schreyer_tower_is_a_complex():
     x, y, z = R.variables()
     I = Ideal(R, (x * x - y * z, x * y + z * z, y * y * y - x * z * z))
     gb = I.groebner_basis()
-    frees, diffs = _schreyer_tower(I, 64)
-    assert Resolution(R, frees, diffs).is_complex()
+    frees, tower = _schreyer_tower(I, 64)
+    assert Resolution(R, frees, _differentials(R, tower)).is_complex()
     assert frees[2].rank >= len(gb) - 1
     rng = random.Random(47)
     for _ in range(10):
         I = random_ideal(R, rng)
-        frees, diffs = _schreyer_tower(I, 64)
-        assert Resolution(R, frees, diffs).is_complex(), I
+        frees, tower = _schreyer_tower(I, 64)
+        assert Resolution(R, frees, _differentials(R, tower)).is_complex(), I
+
+
+@pytest.mark.parametrize("nvars,seed", [(3, 191), (4, 192)])
+def test_schreyer_rank_is_the_position(nvars, seed):
+    """At every level the sigmas' leads sit at nondecreasing positions, so
+    the tie paths of the Schreyer order (the lead positions down the tower)
+    are nondecreasing too, and ranking by position alone is the order: a
+    term's low bits are top - pos."""
+    rng = random.Random(seed)
+    R = ring(("x", "y", "z", "w")[:nvars])
+    levels = 0
+    for _ in range(6):
+        I = random_ideal(R, rng, max_gens=4)
+        frees, tower = _schreyer_tower(I, 64)
+        paths = [()]
+        for columns, order in tower:
+            assert order.top == len(order.weights) - 1 == len(paths) - 1
+            leads = [order.split(max(col))[0] for col in columns]
+            assert leads == sorted(leads)
+            paths = [paths[p] + (p,) for p in leads]
+            assert paths == sorted(paths)
+            mask = (1 << order.bits) - 1
+            for pos in range(order.top + 1):
+                for exps in [(0,) * nvars] + degree_monomials(nvars, 2):
+                    k = R.order.pack(exps)
+                    t = order.term(pos, k)
+                    assert order.split(t) == (pos, k)
+                    assert t & mask == order.top - pos
+            levels += len(tower) > 1
+    assert levels
+
+
+def test_rank_path_builds_no_polynomial_differential(monkeypatch):
+    # betti_table, regularity and the resolution route of power_table read
+    # the packed tower; only minimal_free_resolution converts it
+    R = ring()
+    x, y, z = R.variables()
+    I = Ideal(R, (x * x + y * z, y * y - x * z, z * z))
+    res, betti = minimal_free_resolution(I)
+
+    def refuse(ring, tower):
+        raise AssertionError("differentials built on the rank path")
+
+    monkeypatch.setattr(resolution, "_differentials", refuse)
+    assert betti_table(I) == betti
+    assert regularity(I) == betti.regularity() + 1
+    table = power_table(I, 2, route="resolution")
+    assert table.rows[0].reg_power == betti.regularity() + 1
+    with pytest.raises(AssertionError, match="rank path"):
+        minimal_free_resolution(I)
 
 
 def test_resolution_of_ideal_strips_the_leading_free_module():
