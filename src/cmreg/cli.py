@@ -28,6 +28,7 @@ from .geometry import (
     DEFAULT_EXTENSION_BOUND,
     DEFAULT_FIBER_BUDGET,
     ProjectionSpec,
+    _check_search,
     max_fiber_regularity,
     twovars_verify,
 )
@@ -187,6 +188,7 @@ def _run(args) -> reports.Report:
 
     if cmd == "fibers":
         I, forms = _session_projection(session, args.projection)
+        _check_search(args.ext_bound, args.budget, "fiber")
         eps_rep = epsilon_containment(I, forms, args.tmax,
                                       window=args.window,
                                       degree_ceiling=ceiling)

@@ -8,7 +8,7 @@ from importlib import resources
 from .fields import GF, DEFAULT_PRIME
 from .groebner import Ideal
 from .orders import GREVLEX, MonomialOrder
-from .polynomials import Monomial, PolyRing, Polynomial
+from .polynomials import PolyRing
 
 
 def projective_plane_complex() -> dict:
@@ -36,5 +36,5 @@ def projective_plane_ideal(p: int = DEFAULT_PRIME) -> Ideal:
         exps = [0] * len(vertices)
         for v in complement:
             exps[index[v]] = 1
-        gens.append(Polynomial(ring, {Monomial(tuple(exps)): field.one}))
+        gens.append(ring.poly({tuple(exps): 1}))
     return Ideal(ring, gens)

@@ -67,7 +67,7 @@ from .fields import (
 from .groebner import DEFAULT_DEGREE_CEILING, Ideal, _bounded, saturate
 from .hilbert import _split, _zmul, finite_length_witness, hilbert_numerator
 from .orders import GREVLEX, MonomialOrder
-from .polynomials import Monomial, PolyRing, Polynomial, lift_polynomial
+from .polynomials import PolyRing, Polynomial, lift_polynomial
 
 DEFAULT_EXTENSION_BOUND = 2
 DEFAULT_FIBER_BUDGET = 20000
@@ -79,8 +79,8 @@ def _linear_coefficients(f: Polynomial):
         raise UsageError(f"form {f} is not linear")
     ring = f.ring
     vec = [ring.field.zero] * ring.nvars
-    for m, c in f._terms.items():
-        vec[m.exps.index(1)] = c
+    for exps, c in f.sorted_terms():
+        vec[exps.index(1)] = c
     return vec
 
 
@@ -167,6 +167,15 @@ def _check_extension_bound(K: int):
             f"extension bound K = {K} exceeds the supported maximum "
             f"{MAX_EXTENSION_DEGREE}"
         )
+
+
+def _check_search(K: int, budget: int, what: str):
+    """UsageError unless the ``what`` budget is at least 1 and K is a
+    supported extension bound: the argument checks of a point search, made
+    before any work."""
+    if budget < 1:
+        raise UsageError(f"{what} budget must be at least 1")
+    _check_extension_bound(K)
 
 
 def _closed_point_coords(p: int, K: int, s: int):
@@ -299,11 +308,12 @@ class _Fiber:
         the spec's ring."""
         gens = list(self.linear_forms)
         for g in self.saturated.gens:
-            lead = g.lead_monomial().exps
+            lead = g.lead_monomial()
             if not any(lead[i] for i in self.pivots):
                 gens.append(g)
-        return Ideal(self.home, [Polynomial(self.home, g._terms)
-                                 for g in gens])
+        if self.saturated.ring != self.home:
+            gens = [lift_polynomial(g, self.home) for g in gens]
+        return Ideal(self.home, gens)
 
 
 def fiber_ideal(spec: ProjectionSpec, point: ClosedPoint,
@@ -357,8 +367,7 @@ def max_fiber_regularity(spec: ProjectionSpec,
     failure.  Exhausting the point budget raises BudgetError carrying the
     partial report, whose max is then only a lower bound, or no report when
     the budget ran out before the first nonempty fiber."""
-    if budget < 1:
-        raise UsageError("fiber budget must be at least 1")
+    _check_search(K, budget, "fiber")
     _require_prime_base(spec.ring, "fiber search")
     cert = check_finite(spec, degree_ceiling)
     if not cert.finite:
@@ -425,12 +434,13 @@ def _split_contents(h: Polynomial):
     nonzero binary form; the list is the dehomogenization at y of the
     content-free part, constant term and lead both nonzero."""
     field = h.ring.field
-    cx = min(m.exps[0] for m in h._terms)
-    cy = min(m.exps[1] for m in h._terms)
+    terms = h.sorted_terms()
+    cx = min(exps[0] for exps, _ in terms)
+    cy = min(exps[1] for exps, _ in terms)
     deg = h.degree() - cx - cy
     coeffs = [field.zero] * (deg + 1)
-    for m, c in h._terms.items():
-        coeffs[m.exps[0] - cx] = c
+    for exps, c in terms:
+        coeffs[exps[0] - cx] = c
     return cx, cy, coeffs
 
 
@@ -449,11 +459,8 @@ def _binary_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     inv = field.inv(u[-1])
     cx = min(fx, gx)
     cy = min(fy, gy)
-    terms = {}
-    for i, c in enumerate(u):
-        if c != field.zero:
-            terms[Monomial((i + cx, udeg - i + cy))] = field.mul(inv, c)
-    return Polynomial(ring, terms)
+    return ring.poly({(i + cx, udeg - i + cy): field.mul(inv, c)
+                      for i, c in enumerate(u)})
 
 
 def binary_gcd(forms) -> Polynomial:
@@ -484,8 +491,8 @@ def _coefficient_row(f: Polynomial, d: int):
     """Dense row of raw values of a binary form of degree d: row[i] is the
     coefficient of x^i y^(d-i)."""
     row = [f.ring.field.zero] * (d + 1)
-    for m, c in f._terms.items():
-        row[m.exps[0]] = c
+    for exps, c in f.sorted_terms():
+        row[exps[0]] = c
     return row
 
 
@@ -614,9 +621,7 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     gcd degree is 0, so it can matter only before the first witness, and
     the first point is always scanned; enumeration order, the budget count,
     the ceiling exit and the reports are those of the full scan."""
-    if budget < 1:
-        raise UsageError("subspace budget must be at least 1")
-    _check_extension_bound(K)
+    _check_search(K, budget, "subspace")
     forms = tuple(forms)
     if len(forms) < 2:
         raise UsageError("V must have dimension at least 2")

@@ -27,10 +27,10 @@ themselves; the Schreyer syzygy tower in ``resolution`` spreads its
 elements over the positions of a free module.  The reducer takes terms
 largest first from a heap and divides each by the first lead at its rank
 whose exponent word divides it; quotient collection (syzygies) is an
-optional argument.  ``_axpy`` is the one place a monomial multiplies a term
-dict, so S-polynomials, syzygy S-pairs and ``Ideal.power`` all go through
-it.  Polynomials are converted to term dicts only where the engine and the
-tower take input and give output.
+optional argument.  A Polynomial's own terms are such a dict, so the
+engine and the tower take and give them as they are; ``_axpy``, in
+``polynomials``, is the one place a monomial multiplies a term dict, so
+S-polynomials, syzygy S-pairs and Polynomial products all go through it.
 
 Saturation by a variable x_i divides a grevlex basis with x_i last by its
 largest x_i-powers (Bayer-Stillman), and returns the basis unchanged when
@@ -48,39 +48,16 @@ import functools
 import heapq
 import itertools
 import math
+import operator
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
 from .orders import GREVLEX, EliminationOrder, MonomialOrder, word_lcm
-from .polynomials import Monomial, PolyRing, Polynomial
+from .polynomials import PolyRing, Polynomial, _axpy, _reach, lift_polynomial
 
 DEFAULT_DEGREE_CEILING = 64
 
 
 # --- the reducer: term dicts keyed by packed ints ---
-
-def _at0(f: Polynomial, order) -> dict:
-    """f as a term dict keyed by the packed keys of ``order``."""
-    pack = order.pack
-    return {pack(m.exps): c for m, c in f._terms.items()}
-
-
-def _polynomial(ring, terms: dict) -> Polynomial:
-    """A term dict keyed by the packed keys of the ring's order as a
-    Polynomial."""
-    unpack = ring.order.unpack
-    return Polynomial(ring, {Monomial(unpack(k)): c for k, c in terms.items()})
-
-
-def _reach(order, bits: int, terms: dict) -> int:
-    """The fieldwise maximum of the exponent words of the terms' monomials:
-    ``(word_u + reach) & guards`` is nonzero exactly when some term times u
-    has an exponent at or above EXPONENT_LIMIT."""
-    word, guards = order.word, order.guards
-    reach = 0
-    for k in terms:
-        reach = word_lcm(reach, word(k >> bits), guards)
-    return reach
-
 
 class _Basis:
     """Term dicts reduced against together, under one packed order.
@@ -118,37 +95,12 @@ class _Basis:
 
 
 def _ideal_basis(order, polys) -> _Basis:
-    """The nonzero Polynomials ``polys`` as a basis of term dicts."""
+    """The nonzero Polynomials ``polys``, whose ring has the order
+    ``order``, as a basis of term dicts."""
     basis = _Basis(order)
     for g in polys:
-        basis.append(_at0(g, order))
+        basis.append(g._terms)
     return basis
-
-
-def _axpy(work: dict, field, coeff, shift: int, terms: dict, heap=None):
-    """work -= coeff * u * terms, in place, where u moves a term key by
-    ``shift`` (``pack(u) << bits``).  The only product of a monomial and a
-    term dict; the caller has checked it for exponent overflow.  When
-    ``heap`` is a list, the negated key of every term new to work is pushed
-    on it."""
-    add, mul = field.add, field.mul
-    zero = field.zero
-    coeff = field.neg(coeff)
-    get = work.get
-    push = heapq.heappush
-    for k, c in terms.items():
-        k += shift
-        old = get(k)
-        if old is None:
-            work[k] = mul(coeff, c)
-            if heap is not None:
-                push(heap, -k)
-        else:
-            v = add(old, mul(coeff, c))
-            if v == zero:
-                del work[k]
-            else:
-                work[k] = v
 
 
 def _reduce(start: dict, basis: _Basis, field, quotients=None):
@@ -317,21 +269,11 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> list:
     that; a negative B_e is never met and never counted.  The test runs
     again only when e or G has changed; the ceiling counts only the pairs
     taken, so dropped pairs and pairs after the stop never trip it."""
-    inputs = []
-    seen = set()
-    for f in polys:
-        if f.is_zero():
-            continue
-        f = f.monic()
-        k = f.structure_key()
-        if k not in seen:
-            seen.add(k)
-            inputs.append(f)
-    order = ring.order
+    inputs = [f for f in polys if f]
     if all(len(f) == 1 for f in inputs):
-        return _reduce_basis([_at0(f, order) for f in inputs], ring)
+        return _reduce_basis([f.monic()._terms for f in inputs], ring)
 
-    inputs.sort(key=lambda f: order.pack(f.lead_monomial().exps))
+    order = ring.order
     field = ring.field
     G = _Basis(order)
     pairs: dict = {}
@@ -361,8 +303,8 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> list:
             if len(support) == 1:
                 powers[support[0]] = exps[support[0]]
 
-    for f in inputs:
-        install(_at0(f, order))
+    for terms in sorted((f._terms for f in inputs), key=max):
+        install(terms)
 
     while heap:
         degree, _, i, j = heapq.heappop(heap)
@@ -414,7 +356,7 @@ def _reduce_basis(G, ring) -> list:
         tail = dict(g)
         del tail[key]
         red = _reduce(tail, minimal, ring.field)
-        reduced.append((key, _polynomial(ring, {key: lc, **red})))
+        reduced.append((key, Polynomial(ring, {key: lc, **red})))
     reduced.sort(key=lambda t: t[0], reverse=True)
     return [g for _, g in reduced]
 
@@ -477,21 +419,8 @@ class Ideal:
             raise UsageError("ideal powers require t >= 1")
         if t == 1:
             return self
-        order, field = self.ring.order, self.ring.field
-        gens = [_at0(g, order) for g in self.gens]
-        reach = [_reach(order, 0, g) for g in gens]
-        prods = []
-        for combo in itertools.combinations_with_replacement(range(len(gens)),
-                                                             t):
-            f = gens[combo[0]]
-            for i in combo[1:]:
-                # f * g, one term of g at a time
-                order.check(_reach(order, 0, f) + reach[i])
-                work = {}
-                for k, c in gens[i].items():
-                    _axpy(work, field, field.neg(c), k, f)
-                f = work
-            prods.append(_polynomial(self.ring, f))
+        prods = [functools.reduce(operator.mul, combo) for combo in
+                 itertools.combinations_with_replacement(self.gens, t)]
         return Ideal(self.ring, prods)
 
     def groebner_basis(self, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
@@ -542,10 +471,9 @@ class GroebnerBasis:
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
             raise UsageError("polynomial lives in a different ring")
-        order = self.ring.order
-        red = _reduce(_at0(f, order), _ideal_basis(order, self.elements),
+        red = _reduce(f._terms, _ideal_basis(self.ring.order, self.elements),
                       self.ring.field)
-        return _polynomial(self.ring, red)
+        return Polynomial(self.ring, red)
 
     def contains(self, f: Polynomial) -> bool:
         return self.normal_form(f).is_zero()
@@ -568,11 +496,17 @@ def _aux_ring(ring: PolyRing) -> PolyRing:
 
 
 def _shift_up(f: Polynomial, aux: PolyRing, t_exp: int) -> Polynomial:
-    return Polynomial(aux, {Monomial((t_exp,) + m.exps): c for m, c in f._terms.items()})
+    """t^t_exp * f in the ring of ``_aux_ring``."""
+    unpack, pack = f.ring.order.unpack, aux.order.pack
+    return Polynomial(aux, {pack((t_exp,) + unpack(k)): c
+                            for k, c in f._terms.items()})
 
 
 def _project_down(f: Polynomial, ring: PolyRing) -> Polynomial:
-    return Polynomial(ring, {Monomial(m.exps[1:]): c for m, c in f._terms.items()})
+    """A t-free f of the ring of ``_aux_ring`` in ``ring``."""
+    unpack, pack = f.ring.order.unpack, ring.order.pack
+    return Polynomial(ring, {pack(unpack(k)[1:]): c
+                             for k, c in f._terms.items()})
 
 
 def intersect(A: Ideal, B: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
@@ -589,7 +523,9 @@ def intersect(A: Ideal, B: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) 
     basis = _engine(gens, aux, degree_ceiling)
     kept = []
     for g in basis:
-        if all(m.exps[0] == 0 for m in g._terms):
+        # a term with t lies above every t-free term, so g is t-free when
+        # its lead is
+        if g.lead_monomial()[0] == 0:
             h = _project_down(g, ring)
             if h.homogeneous_degree() is None:
                 raise SelfCheckError(
@@ -617,16 +553,13 @@ def _presented(ring: PolyRing, elements, gb=None) -> Ideal:
 
 
 def _divide_out(f: Polynomial, i: int, ring: PolyRing) -> Polynomial:
-    """f over the largest power of x_i dividing it, as an element of ``ring``."""
-    k = min(m.exps[i] for m in f._terms)
-    if k == 0:
-        return Polynomial(ring, f._terms)
-    terms = {}
-    for m, c in f._terms.items():
-        exps = list(m.exps)
-        exps[i] -= k
-        terms[Monomial(tuple(exps))] = c
-    return Polynomial(ring, terms)
+    """f over the largest power of x_i dividing it, as an element of
+    ``ring``, a ring on f's variables."""
+    unpack, pack = f.ring.order.unpack, ring.order.pack
+    terms = [(unpack(k), c) for k, c in f._terms.items()]
+    k = min(exps[i] for exps, _ in terms)
+    return Polynomial(ring, {pack(exps[:i] + (exps[i] - k,) + exps[i + 1:]): c
+                             for exps, c in terms})
 
 
 def saturate_variable(I: Ideal, i: int, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
@@ -650,13 +583,13 @@ def saturate_variable(I: Ideal, i: int, degree_ceiling: int = DEFAULT_DEGREE_CEI
     order = MonomialOrder(GREVLEX, n, [j for j in range(n) if j != i] + [i])
     if order == ring.order:
         gb = I.groebner_basis(degree_ceiling)
-        if not any(m.exps[i] for m in gb.lead_monomials):
+        if not any(m[i] for m in gb.lead_monomials):
             return _presented(ring, gb.elements, gb)
-        reduced = _reduce_basis([_at0(_divide_out(g, i, ring), ring.order)
+        reduced = _reduce_basis([_divide_out(g, i, ring)._terms
                                  for g in gb.elements], ring)
     else:
         aux = PolyRing(ring.names, ring.field, order)
-        basis = _engine([Polynomial(aux, g._terms) for g in I.gens], aux,
+        basis = _engine([lift_polynomial(g, aux) for g in I.gens], aux,
                         degree_ceiling)
         reduced = _engine([_divide_out(g, i, ring) for g in basis], ring,
                           degree_ceiling)

@@ -120,7 +120,7 @@ def hilbert_numerator(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) ->
     computed on the first call for a basis and cached on it."""
     gb = I.groebner_basis(degree_ceiling)
     if gb.numerator is None:
-        gens = [m.exps for m in gb.lead_monomials]
+        gens = gb.lead_monomials
         out = _numerator(_minimalize(gens)) if gens else [1]
         gb.numerator = tuple(_strip(list(out)) or [0])
     return gb.numerator
@@ -166,7 +166,7 @@ def finite_length_witness(I: Ideal,
     for i in range(ring.nvars):
         found = False
         for m in gb.lead_monomials:
-            if all(e == 0 for j, e in enumerate(m.exps) if j != i):
+            if all(e == 0 for j, e in enumerate(m) if j != i):
                 found = True
                 break
         if not found:

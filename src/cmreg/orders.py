@@ -4,10 +4,11 @@ Each order is defined once, by ``pack(exponents)``: one int per monomial,
 larger for larger monomials, so ``max`` and ``sorted`` take it as their
 key.  It orders exponents in [0, EXPONENT_LIMIT) only; ``compare``, which
 takes raw tuples, checks that range.  ``degree(exponents)`` is the
-grading the Buchberger engine selects pairs by.  A variable precedence
+grading the Buchberger engine selects pairs by, and ``total_degree(key)``
+reads the standard degree off a key.  A variable precedence
 permutation may be supplied; the default is declaration order (first
-variable largest).  The reducer in ``groebner`` and the Schreyer tower in
-``resolution`` key terms by packed keys too:
+variable largest).  Polynomials, the reducer in ``groebner`` and the
+Schreyer tower in ``resolution`` key their terms by packed keys:
 
 - int comparison of packed keys is the order's comparison;
 - ``pack(a*b) = pack(a) + pack(b)``, so multiplying a term by u adds
@@ -81,6 +82,14 @@ class MonomialOrder:
         """The standard degree: every variable has weight 1."""
         return sum(exps)
 
+    def total_degree(self, key: int) -> int:
+        """The sum of the exponents of the monomial of packed key ``key``:
+        the int above the word for grevlex (rounded up, as the word is
+        subtracted) and grlex, the sum of the word's fields for lex."""
+        if self.kind == LEX:
+            return sum(self.exponents(key))
+        return (key + self.mask if self.negated else key) >> self.width
+
     def pack(self, exps) -> int:
         """The packed key of an exponent vector (see the module docstring)."""
         if not self._identity:
@@ -127,13 +136,12 @@ class MonomialOrder:
                 f"exponent {e} exceeds the 16-bit limit")
 
     def compare(self, a, b) -> int:
-        """-1, 0 or +1 as a <, =, > b.  Accepts Monomials or exponent tuples,
-        whose exponents must lie in [0, EXPONENT_LIMIT) for ``pack``."""
+        """-1, 0 or +1 as a <, =, > b, for exponent tuples whose exponents
+        lie in [0, EXPONENT_LIMIT), the range of ``pack``."""
         ka, kb = self._checked_pack(a), self._checked_pack(b)
         return (ka > kb) - (ka < kb)
 
-    def _checked_pack(self, m) -> int:
-        exps = getattr(m, "exps", m)
+    def _checked_pack(self, exps) -> int:
         if len(exps) != self.nvars:
             raise UsageError("monomial arity does not match the order")
         if any(not 0 <= e < EXPONENT_LIMIT for e in exps):
@@ -178,6 +186,9 @@ class EliminationOrder(MonomialOrder):
 
     def degree(self, exps) -> int:
         return sum(exps[self.nelim:])
+
+    def total_degree(self, key: int) -> int:
+        return super().total_degree(key & ((1 << self._above) - 1))
 
     def pack(self, exps) -> int:
         return ((sum(exps[: self.nelim]) << self._above)

@@ -1,75 +1,35 @@
 """Sparse multivariate polynomials over a finite field.
 
-A Monomial is an exponent tuple with cached total degree; exponents are
-checked 16-bit values, the width of a field of the packed keys in ``orders``
-less its guard bit.  A product that reaches ``EXPONENT_LIMIT`` raises
-ExponentOverflowError instead of wrapping.  A Polynomial maps Monomials to
-nonzero raw field coefficients; values are immutable once built.
+A Polynomial maps the packed keys of its ring's order
+(``MonomialOrder.pack``) to nonzero raw field coefficients; values are
+immutable once built.  Int comparison of keys is the order, so the lead
+term is the largest key, and the key of a product is the sum of the keys,
+so the one product of a monomial and a term dict, ``_axpy``, adds a key to
+every key; ``groebner`` and ``resolution`` reduce these dicts as they are.
+Only ``orders``, this module, ``groebner`` and ``resolution`` read keys.
+
+At the API a monomial is its exponent tuple: ``PolyRing.monomial``,
+``poly``, ``coefficient``, ``lead_monomial`` and ``sorted_terms`` take or
+give tuples.  Exponents are checked 16-bit values, the width of a key's
+field less its guard bit; a product that reaches ``EXPONENT_LIMIT`` raises
+ExponentOverflowError instead of wrapping.  ``lift_polynomial`` moves a
+polynomial between rings on the same variables, repacking its keys when
+the orders differ.
 """
 
 from __future__ import annotations
 
-from .errors import ExponentOverflowError, UsageError
+import heapq
+
+from .errors import UsageError
 from .fields import FieldElement, GF, DEFAULT_PRIME
-from .orders import EXPONENT_LIMIT, GREVLEX, MonomialOrder
-
-
-class Monomial:
-    __slots__ = ("exps", "degree", "_hash")
-
-    def __init__(self, exps):
-        exps = tuple(exps)
-        self.exps = exps
-        self.degree = sum(exps)
-        self._hash = hash(exps)
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        out = tuple(a + b for a, b in zip(self.exps, other.exps))
-        for e in out:
-            if e >= EXPONENT_LIMIT:
-                raise ExponentOverflowError(
-                    f"exponent {e} exceeds the 16-bit limit")
-        return Monomial(out)
-
-    def divides(self, other: "Monomial") -> bool:
-        for a, b in zip(self.exps, other.exps):
-            if a > b:
-                return False
-        return True
-
-    def quotient(self, other: "Monomial") -> "Monomial":
-        """self / other; caller guarantees divisibility."""
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps)))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(min(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def coprime(self, other: "Monomial") -> bool:
-        for a, b in zip(self.exps, other.exps):
-            if a and b:
-                return False
-        return True
-
-    def is_one(self) -> bool:
-        return self.degree == 0
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and other.exps == self.exps
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"Monomial{self.exps}"
+from .orders import EXPONENT_LIMIT, GREVLEX, MonomialOrder, word_lcm
 
 
 class PolyRing:
     """A polynomial ring: variable names, coefficient field, monomial order."""
 
-    __slots__ = ("names", "field", "order", "nvars", "one_monomial")
+    __slots__ = ("names", "field", "order", "nvars")
 
     def __init__(self, names, field=None, order=None):
         names = tuple(names)
@@ -83,20 +43,20 @@ class PolyRing:
         self.order = order if order is not None else MonomialOrder(GREVLEX, self.nvars)
         if self.order.nvars != self.nvars:
             raise UsageError("order arity does not match the ring")
-        self.one_monomial = Monomial((0,) * self.nvars)
 
-    def monomial(self, exps) -> Monomial:
+    def monomial(self, exps) -> tuple:
+        """The exponent tuple ``exps``, checked against the ring."""
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise UsageError("exponent vector has the wrong arity")
         if any(e < 0 or e >= EXPONENT_LIMIT for e in exps):
             raise UsageError("exponents must be 16-bit non-negative integers")
-        return Monomial(exps)
+        return exps
 
     def variable(self, i: int) -> "Polynomial":
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, {Monomial(tuple(exps)): self.field.one})
+        return Polynomial(self, {self.order.pack(exps): self.field.one})
 
     def variables(self):
         return [self.variable(i) for i in range(self.nvars)]
@@ -108,20 +68,20 @@ class PolyRing:
         raw = self.field.coerce(c)
         if raw == self.field.zero:
             return self.zero()
-        return Polynomial(self, {self.one_monomial: raw})
+        return Polynomial(self, {0: raw})  # 1 has key 0 in every order
 
     def one(self) -> "Polynomial":
         return self.constant(1)
 
     def poly(self, terms) -> "Polynomial":
-        """Build from {Monomial or exps: coefficient}; exponents are checked
+        """Build from {exponent tuple: coefficient}; exponents are checked
         and coefficients coerced."""
+        pack = self.order.pack
         out = {}
-        for mon, c in dict(terms).items():
-            mon = self.monomial(getattr(mon, "exps", mon))
+        for exps, c in dict(terms).items():
             raw = self.field.coerce(c)
             if raw != self.field.zero:
-                out[mon] = raw
+                out[pack(self.monomial(exps))] = raw
         return Polynomial(self, out)
 
     def __eq__(self, other):
@@ -140,14 +100,14 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable sparse polynomial; ``_terms`` maps Monomial -> raw coefficient."""
+    """Immutable sparse polynomial; ``_terms`` maps packed key -> raw
+    coefficient."""
 
-    __slots__ = ("ring", "_terms", "_lead")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self._terms = terms
-        self._lead = None
 
     def _check(self, other):
         if not isinstance(other, Polynomial):
@@ -165,25 +125,28 @@ class Polynomial:
     def __len__(self):
         return len(self._terms)
 
-    def lead_monomial(self) -> Monomial:
+    def _lead_key(self) -> int:
         if not self._terms:
             raise UsageError("the zero polynomial has no lead term")
-        if self._lead is None:
-            pack = self.ring.order.pack
-            self._lead = max(self._terms, key=lambda m: pack(m.exps))
-        return self._lead
+        return max(self._terms)
+
+    def lead_monomial(self) -> tuple:
+        return self.ring.order.unpack(self._lead_key())
 
     def lead_coefficient(self):
-        return self._terms[self.lead_monomial()]
+        return self._terms[self._lead_key()]
 
-    def coefficient(self, mon: Monomial) -> FieldElement:
-        raw = self._terms.get(mon, self.ring.field.zero)
-        return FieldElement(self.ring.field, raw)
+    def coefficient(self, exps) -> FieldElement:
+        key = self.ring.order.pack(self.ring.monomial(exps))
+        return FieldElement(self.ring.field,
+                            self._terms.get(key, self.ring.field.zero))
 
     def sorted_terms(self):
-        """Terms in strictly descending monomial order."""
-        pack = self.ring.order.pack
-        return sorted(self._terms.items(), key=lambda t: pack(t[0].exps), reverse=True)
+        """(exponent tuple, raw coefficient) pairs in strictly descending
+        monomial order."""
+        unpack = self.ring.order.unpack
+        return [(unpack(k), c)
+                for k, c in sorted(self._terms.items(), reverse=True)]
 
     def __add__(self, other):
         other = self._check(other)
@@ -221,16 +184,12 @@ class Polynomial:
         other = self._check(other)
         if not self._terms or not other._terms:
             return self.ring.zero()
-        field = self.ring.field
+        order, field = self.ring.order, self.ring.field
+        order.check(_reach(order, 0, self._terms)
+                    + _reach(order, 0, other._terms))
         out = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1.mul(m2)
-                s = field.add(out.get(m, field.zero), field.mul(c1, c2))
-                if s == field.zero:
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+        for k, c in other._terms.items():
+            _axpy(out, field, field.neg(c), k, self._terms)
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -265,22 +224,19 @@ class Polynomial:
     def degree(self):
         if not self._terms:
             return None
-        return max(m.degree for m in self._terms)
+        return max(map(self.ring.order.total_degree, self._terms))
 
     def homogeneous_degree(self):
         """The common total degree of all terms, or None if degrees are mixed
         or the polynomial is zero."""
-        degs = {m.degree for m in self._terms}
+        degs = set(map(self.ring.order.total_degree, self._terms))
         if len(degs) == 1:
             return degs.pop()
         return None
 
-    def is_homogeneous(self) -> bool:
-        return len({m.degree for m in self._terms}) <= 1
-
     def structure_key(self):
-        """Hashable canonical identity: ring-independent sorted term tuple."""
-        return tuple(sorted((m.exps, c) for m, c in self._terms.items()))
+        """Hashable identity of the terms, comparable within one ring."""
+        return tuple(sorted(self._terms.items()))
 
     def __eq__(self, other):
         return (
@@ -298,9 +254,9 @@ class Polynomial:
         field = self.ring.field
         names = self.ring.names
         parts = []
-        for m, c in self.sorted_terms():
+        for exps, c in self.sorted_terms():
             factors = []
-            for name, e in zip(names, m.exps):
+            for name, e in zip(names, exps):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
@@ -318,19 +274,56 @@ class Polynomial:
         return f"<{self}>"
 
 
-def _lift_coeff(src_field, dst_field, raw):
-    """Carry a raw coefficient into a target field (same field, or prime into
-    its extension)."""
-    if src_field == dst_field:
-        return raw
-    return dst_field.coerce(FieldElement(src_field, raw))
+# --- term dicts: the products the reducer in ``groebner`` is built on ---
+
+def _reach(order, bits: int, terms: dict) -> int:
+    """The fieldwise maximum of the exponent words of the terms' monomials:
+    ``(word_u + reach) & guards`` is nonzero exactly when some term times u
+    has an exponent at or above EXPONENT_LIMIT."""
+    word, guards = order.word, order.guards
+    reach = 0
+    for k in terms:
+        reach = word_lcm(reach, word(k >> bits), guards)
+    return reach
+
+
+def _axpy(work: dict, field, coeff, shift: int, terms: dict, heap=None):
+    """work -= coeff * u * terms, in place, where u moves a term key by
+    ``shift`` (``pack(u) << bits``).  The only product of a monomial and a
+    term dict; the caller has checked it for exponent overflow.  When
+    ``heap`` is a list, the negated key of every term new to work is pushed
+    on it."""
+    add, mul = field.add, field.mul
+    zero = field.zero
+    coeff = field.neg(coeff)
+    get = work.get
+    push = heapq.heappush
+    for k, c in terms.items():
+        k += shift
+        old = get(k)
+        if old is None:
+            work[k] = mul(coeff, c)
+            if heap is not None:
+                push(heap, -k)
+        else:
+            v = add(old, mul(coeff, c))
+            if v == zero:
+                del work[k]
+            else:
+                work[k] = v
 
 
 def lift_polynomial(f: Polynomial, target: PolyRing) -> Polynomial:
-    """Reinterpret f in a ring with the same variables over an extension field."""
+    """f in a ring on the same variables: its keys repacked when the orders
+    differ, its coefficients carried into the target field (the same
+    field, or an extension of the prime field)."""
     if target.names != f.ring.names:
         raise UsageError("target ring must share variable names")
-    out = {}
-    for m, c in f._terms.items():
-        out[m] = _lift_coeff(f.ring.field, target.field, c)
-    return Polynomial(target, out)
+    terms = f._terms
+    if target.order != f.ring.order:
+        unpack, pack = f.ring.order.unpack, target.order.pack
+        terms = {pack(unpack(k)): c for k, c in terms.items()}
+    src, dst = f.ring.field, target.field
+    if src != dst:
+        terms = {k: dst.coerce(FieldElement(src, c)) for k, c in terms.items()}
+    return Polynomial(target, terms)

@@ -32,10 +32,10 @@ from dataclasses import dataclass
 
 from .errors import SelfCheckError, UsageError
 from .fields import _rank
-from .groebner import (DEFAULT_DEGREE_CEILING, Ideal, _axpy, _Basis,
-                       _ideal_basis, _reduce)
+from .groebner import (DEFAULT_DEGREE_CEILING, Ideal, _Basis, _ideal_basis,
+                       _reduce)
 from .orders import word_lcm
-from .polynomials import Monomial, Polynomial
+from .polynomials import Polynomial, _axpy
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def _schreyer_tower(J: Ideal, degree_ceiling: int):
     """
     ring = J.ring
     gb = J.groebner_basis(degree_ceiling)
-    cols = sorted(gb.elements, key=lambda g: g.lead_monomial().exps, reverse=True)
+    cols = sorted(gb.elements, key=lambda g: g.lead_monomial(), reverse=True)
     basis = _ideal_basis(ring.order, cols)
     order = SchreyerOrder.trivial(1)
     twists = [g.homogeneous_degree() for g in cols]
@@ -305,7 +305,6 @@ def _schreyer_tower(J: Ideal, degree_ceiling: int):
 
 def _differentials(ring, tower):
     """The tower's differentials as {(row, col): Polynomial} maps."""
-    unpack = ring.order.unpack
     diffs = []
     for columns, order in tower:
         D = {}
@@ -313,7 +312,7 @@ def _differentials(ring, tower):
             per_row = {}
             for t, c in terms.items():
                 row, k = order.split(t)
-                per_row.setdefault(row, {})[Monomial(unpack(k))] = c
+                per_row.setdefault(row, {})[k] = c
             for row, entry in per_row.items():
                 D[(row, col)] = Polynomial(ring, entry)
         diffs.append(D)

@@ -49,6 +49,11 @@ def degree_monomials(nvars, d):
     return out
 
 
+def divides(a, b):
+    """Whether the monomial of exponent tuple a divides that of b."""
+    return all(x <= y for x, y in zip(a, b))
+
+
 def order_key(kind, exps, precedence=None, nelim=0):
     """A reference sort key, as tuples, for the monomial orders: larger keys
     for larger monomials.  ``kind`` is "grevlex", "lex" or "grlex", read
@@ -111,7 +116,7 @@ def hilbert_by_rank(p, nvars, gens, d, min_poly=None):
 def poly_to_dense(f):
     """Library polynomial -> [(exps, int coeff)] for the oracle (prime
     fields only, where raw coefficients are ints)."""
-    return [(m.exps, c) for m, c in f.sorted_terms()]
+    return f.sorted_terms()
 
 
 def free_module_hilbert(nvars, twists, d):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cmreg import __version__
+from cmreg import __version__, cli, geometry
 from cmreg.cli import main
 from cmreg.fields import MAX_EXTENSION_DEGREE
 
@@ -235,6 +235,27 @@ def test_budgets_below_one_exit_2(conic_file, binary_file, capsys):
             assert code == 2, (argv, budget)
             assert "budget must be at least 1" in err
             assert out == ""
+
+
+def test_fibers_rejects_its_search_arguments_before_any_work(
+        conic_file, monkeypatch, capsys):
+    # the point search's arguments are checked before epsilon and the
+    # finiteness certificate, which are the expensive part of the set-up
+    def refused(*args, **kwargs):
+        raise AssertionError("work done before the argument checks")
+
+    monkeypatch.setattr(cli, "epsilon_containment", refused)
+    monkeypatch.setattr(geometry, "check_finite", refused)
+    for flags, message in (
+            (["--ext-bound", "0"], "extension bound K must be at least 1"),
+            (["--ext-bound", str(MAX_EXTENSION_DEGREE + 1)],
+             f"extension bound K = {MAX_EXTENSION_DEGREE + 1} exceeds"),
+            (["--budget", "0"], "fiber budget must be at least 1")):
+        code, out, err = run(capsys, ["fibers", conic_file, "-s", "down"]
+                             + flags)
+        assert code == 2, flags
+        assert message in err
+        assert out == ""
 
 
 def test_twovars_rejects_an_invalid_extension_bound(tmp_path, binary_file,
