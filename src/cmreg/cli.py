@@ -13,6 +13,7 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import __version__, reports
@@ -39,6 +40,9 @@ from .sessions import parse_session
 DEFAULT_TMAX = 4
 
 
+# prog is fixed and parsing keeps no state on the parser, so the first call
+# of main builds the one parser that serves every later call
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cmreg",
@@ -218,8 +222,7 @@ def _run(args) -> reports.Report:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         report = _run(args)
     except ResourceError as exc:

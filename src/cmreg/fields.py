@@ -9,6 +9,7 @@ boundaries and in tests.
 from __future__ import annotations
 
 import random
+from operator import mul
 
 from .errors import UsageError
 
@@ -234,6 +235,21 @@ class PrimeField:
     def frobenius(self, a):
         return a
 
+    def zero_scan(self, d):
+        """A function from the coefficients of a polynomial of degree at
+        most d (raw values, low degree first) to its zeros, in elements()
+        order; every element is a zero of the zero polynomial.  The table
+        of the powers a^0..a^d of every element a is built here, once, so
+        each evaluation is one sum of raw int products."""
+        p = self.p
+        table = [[pow(a, i, p) for i in range(d + 1)] for a in range(p)]
+
+        def zeros(coeffs):
+            return [a for a, row in enumerate(table)
+                    if not sum(map(mul, coeffs, row)) % p]
+
+        return zeros
+
     def random(self, rng):
         return rng.randrange(self.p)
 
@@ -359,6 +375,25 @@ class ExtensionField:
 
     def frobenius(self, a):
         return self.pow_(a, self.p)
+
+    def zero_scan(self, d):
+        """A function from the coefficients of a polynomial of degree at
+        most d (raw values, low degree first) to its zeros, in elements()
+        order, by Horner's rule at every element."""
+        elems = list(self.elements())
+        zero, add, mul_ = self.zero, self.add, self.mul
+
+        def zeros(coeffs):
+            out = []
+            for a in elems:
+                v = zero
+                for c in reversed(coeffs):
+                    v = add(mul_(v, a), c)
+                if v == zero:
+                    out.append(a)
+            return out
+
+        return zeros
 
     def random(self, rng):
         return tuple(rng.randrange(self.p) for _ in range(self.k))

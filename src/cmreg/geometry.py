@@ -22,7 +22,8 @@ drops the S-pairs of a degree where the bound is met (see
 Closed points over GF(p) are Galois orbits of points with coordinates in
 GF(p^k); enumeration walks k = 1..K, keeps the points whose Frobenius orbit
 has size exactly k, and takes the lexicographically least normalized orbit
-member as the representative.
+member as the representative, deciding this once per block of points
+that share a prefix (_point_blocks).
 
 The two-variable invariant r is the maximum over codimension-1 subspaces V'
 of V of deg gcd(V').  Hyperplanes of V are enumerated as dual points with
@@ -38,7 +39,8 @@ of phi = (f_1:...:f_m): P^1 -> P^(m-1), and r is phi's largest fiber
 length over the enumerated points.  A dual point off the image curve has
 gcd degree 0: the scan runs the gcd kernel only where a degree-d form F
 with F(f_1, f_2, f_3) = 0 vanishes at (c_1, c_2, c_3) (the image-curve
-filter).  F is built once, before the scan.
+filter).  F is built once, before the scan, and its zeros are found once
+per block of dual points sharing (c_1, c_2) (_curve_scan).
 """
 
 from __future__ import annotations
@@ -147,17 +149,6 @@ class ClosedPoint:
         return "(" + ":".join(field.format_coeff(c.raw) for c in self.coords) + ")"
 
 
-def _normalized_points(field, s):
-    """All normalized points of P^s(field): first nonzero coordinate is 1."""
-    elems = list(field.elements())
-    one = field.one
-    zero = field.zero
-    for i0 in range(s + 1):
-        prefix = (zero,) * i0 + (one,)
-        for tail in itertools.product(elems, repeat=s - i0):
-            yield prefix + tail
-
-
 def _check_extension_bound(K: int):
     """UsageError unless 1 <= K <= MAX_EXTENSION_DEGREE."""
     if K < 1:
@@ -178,28 +169,55 @@ def _check_search(K: int, budget: int, what: str):
     _check_extension_bound(K)
 
 
-def _closed_point_coords(p: int, K: int, s: int):
-    """(GF(p^k), raw normalized coordinates) of each closed point of P^s
-    over GF(p) with k <= K, in the order of enumerate_closed_points."""
+def _point_blocks(p: int, K: int, s: int):
+    """(GF(p^k), its elements in elements() order, prefix, width) for each
+    block of closed points of P^s over GF(p) with k <= K, in the order of
+    enumerate_closed_points: the block holds the orbit representatives
+    prefix + tail, tail over itertools.product(elements, repeat=width).
+
+    A block starts as the normalized points sharing their first two
+    coordinates, or as the point (1) of P^0.  With phi the Frobenius map
+    and 1 <= i < k: if every phi^i(prefix) lies above the prefix, every
+    point of the block is the least member of an orbit of size k; if one
+    lies below it, no point is; otherwise the block is split by its next
+    coordinate, and a point that some phi^i fixes is dropped."""
     _check_extension_bound(K)
-    field = GF(p)
-    # every rational point is its own Frobenius orbit
-    for coords in _normalized_points(field, s):
-        yield field, coords
-    for k in range(2, K + 1):
+    for k in range(1, K + 1):
         field = GF(p, k)
-        frob = {a: field.frobenius(a) for a in field.elements()}
-        for coords in _normalized_points(field, s):
-            # coords represents a closed point of degree k exactly when its
-            # k - 1 other Frobenius images all lie above it: an image equal
-            # to it means a smaller orbit, one below it a smaller member
-            cur = coords
+        elems = list(field.elements())
+        one, zero = field.one, field.zero
+        if s:
+            starts = [((one, c), s - 1) for c in elems]
+            starts += [((zero,) * i0 + (one,), s - i0)
+                       for i0 in range(1, s + 1)]
+        else:
+            starts = [((one,), 0)]
+        frob = {a: field.frobenius(a) for a in elems}
+        stack = starts[::-1]
+        while stack:
+            prefix, width = stack.pop()
+            fixed = False
+            cur = prefix
             for _ in range(k - 1):
                 cur = tuple(frob[c] for c in cur)
-                if cur <= coords:
+                if cur < prefix:
                     break
+                fixed = fixed or cur == prefix
             else:
-                yield field, coords
+                if not fixed:
+                    yield field, elems, prefix, width
+                elif width:
+                    stack.extend((prefix + (c,), width - 1)
+                                 for c in reversed(elems))
+
+
+def _closed_point_coords(p: int, K: int, s: int):
+    """(GF(p^k), raw normalized coordinates) of each closed point of P^s
+    over GF(p) with k <= K, in the order of enumerate_closed_points: the
+    blocks of _point_blocks, flattened."""
+    for field, elems, prefix, width in _point_blocks(p, K, s):
+        for tail in itertools.product(elems, repeat=width):
+            yield field, prefix + tail
 
 
 def enumerate_closed_points(p: int, K: int, s: int):
@@ -563,40 +581,62 @@ def _image_curve_form(field, rows, d):
     return form
 
 
-def _on_curve_test(field, form, d):
-    """Predicate on dual-point coordinates over field: does the image-curve
-    form vanish at the first three?  Horner in the third coordinate, with
-    the coefficients (forms in the first two) cached per leading pair; the
-    form's coefficients are lifted into field once."""
-    zero, one, add, mul = field.zero, field.one, field.add, field.mul
-    by_power = [[] for _ in range(d + 1)]
+def _curve_scan(form, d, p: int, K: int, s: int):
+    """(position, field, coords) of the dual points of P^s, s >= 2, where
+    the twovars scan runs the gcd kernel, in enumeration order: the first
+    point, then each point whose c_3 is a zero of h(c_3) = F(c_1, c_2, c_3)
+    for the image-curve form F.  Positions count closed points from 0.
+    Each block of _point_blocks ends with (position of its last point,
+    field, None), so a budget is checked at every block.
+
+    The zeros of h are found once per (c_1, c_2).  A block whose prefix
+    fixes c_3 is on the curve or off it as a whole; in any other block
+    each zero z of h is a run of len(elements)^(width - 1) points."""
+    count = 0
+    k = 0
+    for field, elems, prefix, width in _point_blocks(p, K, s):
+        if field.k != k:
+            k = field.k
+            zero_scan = field.zero_scan(d)
+            index = {a: i for i, a in enumerate(elems)}
+            lifted = {e: field.coerce(v) for e, v in form.items()}
+            pair = None
+        if count == 0:
+            yield 0, field, prefix + (elems[0],) * width
+        if prefix[:2] != pair:
+            pair = prefix[:2]
+            zeros = zero_scan(_restricted_coefficients(field, lifted, d, pair))
+            zero_set = set(zeros)
+        if len(prefix) > 2:
+            runs = [(0, prefix, width)] if prefix[2] in zero_set else []
+        else:
+            size = len(elems) ** (width - 1)
+            runs = [(index[z] * size, prefix + (z,), width - 1)
+                    for z in zeros]
+        for offset, head, w in runs:
+            for i, tail in enumerate(itertools.product(elems, repeat=w),
+                                     count + offset):
+                if i:
+                    yield i, field, head + tail
+        count += len(elems) ** width
+        yield count - 1, field, None
+
+
+def _restricted_coefficients(field, form, d, pair):
+    """Coefficients, low degree first, of h(c_3) = F(c_1, c_2, c_3) at
+    (c_1, c_2) = pair, for F = {(a, b, c): raw value of field} of degree
+    d."""
+    add, mul = field.add, field.mul
+    c1, c2 = pair
+    p1 = [field.one]
+    p2 = [field.one]
+    for _ in range(d):
+        p1.append(mul(p1[-1], c1))
+        p2.append(mul(p2[-1], c2))
+    coeffs = [field.zero] * (d + 1)
     for (a, b, c), v in form.items():
-        by_power[c].append((a, b, field.coerce(v)))
-    pair = None
-    coeffs = None
-
-    def on_curve(coords):
-        nonlocal pair, coeffs
-        c1, c2, c3 = coords[:3]
-        if (c1, c2) != pair:
-            pair = (c1, c2)
-            p1 = [one]
-            p2 = [one]
-            for _ in range(d):
-                p1.append(mul(p1[-1], c1))
-                p2.append(mul(p2[-1], c2))
-            coeffs = []
-            for terms in reversed(by_power):
-                g = zero
-                for a, b, v in terms:
-                    g = add(g, mul(v, mul(p1[a], p2[b])))
-                coeffs.append(g)
-        v = zero
-        for g in coeffs:
-            v = add(mul(v, c3), g)
-        return v == zero
-
-    return on_curve
+        coeffs[c] = add(coeffs[c], mul(v, mul(p1[a], p2[b])))
+    return coeffs
 
 
 def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
@@ -619,8 +659,11 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     image of (f_1:f_2:f_3) is built (_image_curve_form), and the scan skips
     the kernel at every point with F(c_1, c_2, c_3) != 0.  Such a point's
     gcd degree is 0, so it can matter only before the first witness, and
-    the first point is always scanned; enumeration order, the budget count,
-    the ceiling exit and the reports are those of the full scan."""
+    the first point is always scanned.  _curve_scan finds the points on the
+    curve with one zero pass of F per block of points sharing (c_1, c_2),
+    and counts each block in one step.  Enumeration order, the point a
+    budget stops at, the ceiling exit and the reports are those of the full
+    scan."""
     _check_search(K, budget, "subspace")
     forms = tuple(forms)
     if len(forms) < 2:
@@ -659,29 +702,25 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     best = -1
     witness = None
     witness_gcd = None
-    count = 0
     k = 0
     curve = _image_curve_form(ring.field, base_rows[:3], d)
-    for point_field, coords in _closed_point_coords(ring.field.p, K, m - 1):
-        if count >= budget:
+    for pos, point_field, coords in _curve_scan(curve, d, ring.field.p, K,
+                                                 m - 1):
+        if pos >= budget:
             report = TwoVarsReport(d, m, best, witness, witness_gcd, K,
                                    (messages.partial_lower_bound(),))
             raise BudgetError(
-                f"subspace budget {budget} exhausted after {count} points",
+                f"subspace budget {budget} exhausted after {budget} points",
                 partial=report,
             )
-        count += 1
+        if coords is None:
+            continue
         if point_field.k != k:
             k = point_field.k
             big = _extension_ring(ring, k)
             field = big.field
             lifted = [lift_polynomial(f, big) for f in forms]
             rows = [_coefficient_row(f, d) for f in lifted]
-            on_curve = _on_curve_test(field, curve, d)
-        # off the image curve the gcd degree is 0, which can only matter
-        # before the first witness
-        if best >= 0 and not on_curve(coords):
-            continue
         deg = _hyperplane_gcd_degree(field, rows, coords)
         if deg > best:
             i0 = coords.index(field.one)

@@ -48,7 +48,6 @@ import functools
 import heapq
 import itertools
 import math
-import operator
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
 from .orders import GREVLEX, EliminationOrder, MonomialOrder, word_lcm
@@ -366,7 +365,7 @@ class Ideal:
     inhomogeneous generators; zero generators are dropped and duplicates
     (up to scaling) removed."""
 
-    __slots__ = ("ring", "gens", "_gb", "_bound")
+    __slots__ = ("ring", "gens", "_gb", "_bound", "_power")
 
     def __init__(self, ring: PolyRing, gens=()):
         checked = []
@@ -389,6 +388,7 @@ class Ideal:
         self.gens = tuple(checked)
         self._gb = None
         self._bound = ()
+        self._power = None
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -415,13 +415,29 @@ class Ideal:
         return Ideal(self.ring, prods)
 
     def power(self, t: int) -> "Ideal":
+        """I^t, generated by the products of t generators in the order of
+        itertools.combinations_with_replacement, each product the left fold
+        of its factors.  The products of the last power asked for are kept,
+        and a higher power extends them one generator at a time, so asking
+        for I^2, ..., I^t in turn costs one product per generator of each
+        power."""
         if t < 1:
             raise UsageError("ideal powers require t >= 1")
         if t == 1:
             return self
-        prods = [functools.reduce(operator.mul, combo) for combo in
-                 itertools.combinations_with_replacement(self.gens, t)]
-        return Ideal(self.ring, prods)
+        gens = self.gens
+        if self._power is None or self._power[0] > t:
+            self._power = (1, list(enumerate(gens)))
+        s, level = self._power
+        # level holds (index of the last factor, product) for the index
+        # tuples of length s in lexicographic order; extending each by an
+        # index at least its last keeps that order
+        while s < t:
+            level = [(j, f * gens[j]) for i, f in level
+                     for j in range(i, len(gens))]
+            s += 1
+        self._power = (s, level)
+        return Ideal(self.ring, [f for _, f in level])
 
     def groebner_basis(self, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
         """The reduced Groebner basis, computed on the first call and cached.

@@ -458,6 +458,43 @@ def test_reports_are_byte_deterministic(conic_file, capsys):
     assert t1 == t2
 
 
+def test_one_parser_serves_successive_calls(conic_file, binary_file, capsys,
+                                            monkeypatch):
+    # main parses with one parser, built on its first call; over a run of
+    # different subcommands, argparse usage errors (exit 2) among them, it
+    # gives the bytes and exit codes of a parser built afresh for each call
+    argvs = [
+        ["gb", conic_file, "-i", "conic"],
+        ["twovars", binary_file, "-f", "cuspish", "--json"],
+        ["fibers", conic_file, "-s", "down", "--tmax", "x"],
+        ["powers", binary_file, "-i", "squares", "--tmax", "3"],
+        ["gb", conic_file],
+        ["res", conic_file, "-i", "fat", "--of", "ideal", "--json"],
+        ["fibers", conic_file, "-s", "down", "--ext-bound", "1"],
+    ]
+    shared = cli._build_parser()
+    assert cli._build_parser() is shared
+    build = cli._build_parser.__wrapped__
+
+    def outcomes(fresh):
+        out = []
+        for argv in argvs:
+            parser = build() if fresh else shared
+            monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            out.append((code, captured.out, captured.err))
+        return out
+
+    once = outcomes(fresh=False)
+    assert once == outcomes(fresh=True)
+    assert [code for code, _, _ in once] == [0, 0, 2, 0, 2, 0, 0]
+    assert "usage: cmreg fibers" in once[2][2]
+
+
 def test_json_envelope_shape(conic_file, capsys):
     doc = run_json(capsys, ["reg", conic_file, "-i", "conic"])
     assert set(doc) == {"command", "version", "warnings", "result"}

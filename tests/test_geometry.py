@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,14 +11,13 @@ from cmreg.errors import (
     SelfCheckError,
     UsageError,
 )
-from cmreg.fields import GF, FieldElement, _rank
+from cmreg.fields import GF, ExtensionField, FieldElement, PrimeField, _rank
 from cmreg.geometry import (
     _closed_point_coords,
     _coefficient_row,
     _hyperplane_gcd_degree,
     _image_curve_form,
-    _normalized_points,
-    _on_curve_test,
+    _restricted_coefficients,
     ClosedPoint,
     ProjectionSpec,
     binary_gcd,
@@ -40,6 +40,17 @@ from cmreg.polynomials import PolyRing, lift_polynomial
 from cmreg.sessions import parse_session
 
 from oracle import degree_monomials, hilbert_by_rank, poly_to_dense
+
+
+def _normalized_points(field, s):
+    """All normalized points of P^s(field): first nonzero coordinate is 1."""
+    elems = list(field.elements())
+    one = field.one
+    zero = field.zero
+    for i0 in range(s + 1):
+        prefix = (zero,) * i0 + (one,)
+        for tail in itertools.product(elems, repeat=s - i0):
+            yield prefix + tail
 
 
 def ring2(p=7):
@@ -115,6 +126,37 @@ def test_closed_point_enumeration_validation():
 
 
 # --- projections and fibers ---
+
+
+def _evaluate(field, coeffs, a):
+    """coeffs (low degree first) at a, in FieldElement arithmetic."""
+    x = field.element(a)
+    return sum((field.element(c) * x**i for i, c in enumerate(coeffs)),
+               field.element(0))
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (101, 1), (5, 2), (2, 3)])
+def test_zero_scan_matches_evaluation_at_every_element(p, k):
+    field = GF(p, k)
+    elems = list(field.elements())
+    d = min(4, field.order)
+    zeros = field.zero_scan(d)
+    rng = random.Random(p * 10 + k)
+    # h = 0: every element; a nonzero constant: none
+    assert zeros([field.zero] * (d + 1)) == elems
+    assert zeros([field.one]) == zeros([field.one] + [field.zero] * d) == []
+    # d distinct zeros: the product of the (c - a), in elements() order
+    roots = rng.sample(elems, d)
+    h = [field.one]
+    for a in roots:
+        h = [field.sub(lo, field.mul(a, hi))
+             for lo, hi in zip([field.zero] + h, h + [field.zero])]
+    assert zeros(h) == [a for a in elems if a in roots]
+    # random polynomials of degree at most d, against evaluation
+    for _ in range(20):
+        h = [field.random(rng) for _ in range(rng.randint(1, d + 1))]
+        assert zeros(h) == [a for a in elems
+                            if _evaluate(field, h, a).is_zero()], h
 
 
 def test_projection_spec_validation():
@@ -787,7 +829,8 @@ def test_image_curve_form_vanishes_where_a_hyperplane_has_a_gcd(p, k, seed):
                 total = total + (forms[0]**a * forms[1]**b
                                  * forms[2]**c).scale(v)
             assert form and total.is_zero(), (kind, forms)
-            on_curve = _on_curve_test(field, form, d)
+            zeros = field.zero_scan(d)
+            lifted_form = {e: field.coerce(v) for e, v in form.items()}
             lifted = [lift_polynomial(f, big) for f in forms]
             if field.order ** (m - 1) <= 800:
                 points = list(_normalized_points(field, m - 1))
@@ -808,7 +851,9 @@ def test_image_curve_form_vanishes_where_a_hyperplane_has_a_gcd(p, k, seed):
                 basis = [lifted[j] - lifted[i0].scale(c)
                          for j, c in enumerate(coords) if j != i0]
                 if binary_gcd(basis).degree() > 0:
-                    assert on_curve(coords), (kind, forms, coords)
+                    h = _restricted_coefficients(field, lifted_form, d,
+                                                 coords[:2])
+                    assert coords[2] in zeros(h), (kind, forms, coords)
                     positive[kind, m] = positive.get((kind, m), 0) + 1
     kinds = {"random", "common factor", "non-birational"}
     if p in (2, 3):
@@ -995,3 +1040,138 @@ def _closed_points_by_full_orbit(p, K, s):
 def test_closed_points_match_the_full_orbit_reference(p, K, s):
     got = [(field.k, coords) for field, coords in _closed_point_coords(p, K, s)]
     assert got == _closed_points_by_full_orbit(p, K, s)
+
+
+def _start_prefixes(field, s):
+    """The prefixes _point_blocks starts from: (1, c) for every c, then the
+    normalized (0, ..., 0, 1) of each length from 2."""
+    one, zero = field.one, field.zero
+    starts = {(one, c) for c in field.elements()} if s else set()
+    return starts | {(zero,) * i0 + (one,)
+                     for i0 in range(1 if s else 0, s + 1)}
+
+
+def _frobenius_power(field, coords, i):
+    """phi^i(coords)."""
+    for _ in range(i):
+        coords = tuple(field.frobenius(c) for c in coords)
+    return coords
+
+
+@pytest.mark.parametrize("p,K,s", [(5, 3, 2), (2, 4, 2), (7, 2, 2),
+                                   (3, 3, 3), (2, 3, 0)])
+def test_point_blocks_hold_exactly_the_orbit_representatives(p, K, s):
+    # the blocks, flattened, are the full-orbit reference; every block's
+    # prefix lies strictly below its Frobenius images, and a block that is
+    # not a starting block comes from splitting a prefix that some phi^i
+    # fixes
+    got = []
+    for field, elems, prefix, width in geometry._point_blocks(p, K, s):
+        assert elems == list(field.elements())
+        assert all(_frobenius_power(field, prefix, i) > prefix
+                   for i in range(1, field.k)), prefix
+        if prefix not in _start_prefixes(field, s):
+            parent = prefix[:-1]
+            assert any(_frobenius_power(field, parent, i) == parent
+                       for i in range(1, field.k)), prefix
+        got += [(field.k, prefix + tail)
+                for tail in itertools.product(elems, repeat=width)]
+    assert got == _closed_points_by_full_orbit(p, K, s)
+
+
+def test_closed_points_of_degree_three_split_only_fixed_prefixes(monkeypatch):
+    # four quintics over GF(3), K = 3: the scan walks the 7,230 closed
+    # points of P^3 in 204 blocks, tabulates the Frobenius map once per
+    # extension degree (one call per element), and splits a block towards
+    # single points only when its starting prefix is fixed by some phi^i
+    calls = {}
+    frobenius = ExtensionField.frobenius
+
+    def counted(field, a):
+        calls[field.k] = calls.get(field.k, 0) + 1
+        return frobenius(field, a)
+
+    monkeypatch.setattr(ExtensionField, "frobenius", counted)
+    rng = random.Random(5)
+    R = ring2(3)
+    forms = _system(R, 4, rng, lambda r: [_random_binary_form(R, 5, r)
+                                          for _ in range(4)])
+    assert [f.degree() for f in forms] == [5] * 4
+    assert twovars_r(forms, 3).r == 2
+    assert calls == {2: 9, 3: 27}
+    calls.clear()
+    blocks = list(geometry._point_blocks(3, 3, 3))
+    assert calls == {2: 9, 3: 27}
+    assert sum(len(elems) ** width for _, elems, _, width in blocks) == 7230
+    assert len(blocks) == 204
+    for field, elems, prefix, width in blocks:
+        starts = _start_prefixes(field, 3)
+        root = next(prefix[:n] for n in range(2, 5) if prefix[:n] in starts)
+        if root != prefix:
+            assert any(_frobenius_power(field, root, i) == root
+                       for i in range(1, field.k)), prefix
+
+
+def _counted_zero_scans(monkeypatch):
+    """{extension degree: zero passes}, filled as the scan runs."""
+    passes = {}
+    for cls in (PrimeField, ExtensionField):
+        def zero_scan(field, d, scan=cls.zero_scan):
+            zeros = scan(field, d)
+
+            def counted(coeffs):
+                passes[field.k] = passes.get(field.k, 0) + 1
+                return zeros(coeffs)
+
+            return counted
+
+        monkeypatch.setattr(cls, "zero_scan", zero_scan)
+    return passes
+
+
+QUARTICS_101 = (
+    "ring p=101 vars=x,y\n"
+    "forms quartics = 17*x^4 + 3*x^3*y + 58*x^2*y^2 + 90*x*y^3 + 41*y^4, "
+    "5*x^4 + 77*x^3*y + 12*x*y^3 + 64*y^4, "
+    "33*x^3*y + 2*x^2*y^2 + 71*x*y^3 + 9*y^4\n")
+
+
+def test_twovars_scan_runs_one_zero_pass_per_leading_pair(monkeypatch):
+    # m = 3: at most q + 2 zero passes per extension degree, over GF(q) =
+    # GF(p^k): one per leading pair (1, c), (0, 1) and (0, 0)
+    passes = _counted_zero_scans(monkeypatch)
+    forms = parse_session(QUARTICS_101).forms["quartics"]
+    assert twovars_r(forms, 1).r == 2
+    assert passes == {1: 101 + 2}
+    passes.clear()
+    rng = random.Random(7)
+    R = ring2(3)
+    for kind, forms in _twovars_cases(R, 3, rng):
+        passes.clear()
+        rep = twovars_r(forms, 3)
+        for k, n in passes.items():
+            assert n <= 3**k + 2, (kind, passes)
+        if rep.r < forms[0].degree() - 1:
+            assert set(passes) == {1, 2, 3}, (kind, passes)
+
+
+def test_twovars_budgets_around_a_line_boundary_match_the_unfiltered_scan():
+    # over GF(101) a block is a line of 101 dual points; a budget at a line
+    # boundary and one point either side of it, at the first line, in the
+    # middle and at the last two blocks, stops where the full scan stops
+    forms = parse_session(QUARTICS_101).forms["quartics"]
+    total = 101 * 101 + 101 + 1
+    for budget in (100, 101, 102, 5049, 5050, 5051,
+                   total - 2, total - 1, total, total + 1):
+        want = _unfiltered_twovars(forms, 1, budget)
+        try:
+            rep = twovars_r(forms, 1, budget)
+            exhausted = False
+        except BudgetError as exc:
+            rep = exc.partial
+            exhausted = True
+            assert str(exc) == (f"subspace budget {budget} exhausted after "
+                                f"{budget} points")
+        assert (rep.r, rep.witness, rep.witness_gcd, exhausted) == want, \
+            budget
+        assert exhausted == (budget < total)

@@ -1,4 +1,7 @@
+import functools
 import itertools
+import math
+import operator
 import random
 
 import pytest
@@ -188,6 +191,27 @@ def test_sum_product_power():
         m.power(0)
     assert m.single_degree() == 1
     assert A.plus(Ideal(R, (y * y,))).single_degree() is None
+
+
+def test_power_products_match_the_combinations_definition():
+    # each I^t is built from the products of the largest power asked for so
+    # far; its generators, their order and their term order are those of
+    # the left-folded products over combinations_with_replacement, whatever
+    # order the powers are asked for in
+    rng = random.Random(17)
+    R = ring(p=32003)
+    x, y, _ = R.variables()
+    # the monomials make equal products (x^2 * y^2 = (x*y)^2), which the
+    # Ideal drops as duplicates
+    gens = [_random_form(R, 2, rng, 0.6) for _ in range(2)]
+    I = Ideal(R, gens + [x * x, x * y, y * y])
+    for t in (2, 3, 4, 1, 3, 2, 4, 4):
+        want = Ideal(R, [functools.reduce(operator.mul, combo) for combo in
+                         itertools.combinations_with_replacement(I.gens, t)])
+        got = I.power(t)
+        assert len(got.gens) < math.comb(len(I.gens) + t - 1, t) or t == 1
+        assert [list(g._terms.items()) for g in got.gens] == \
+            [list(g._terms.items()) for g in want.gens], t
 
 
 def test_intersection_fixtures():
