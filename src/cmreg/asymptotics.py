@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 from . import messages
 from .errors import DimensionError, GeometryError, SelfCheckError, UsageError
+from .fields import FieldElement
 from .groebner import DEFAULT_DEGREE_CEILING, Ideal
 from .hilbert import (
     finite_length_witness,
@@ -346,7 +347,7 @@ def conjecture_sampler(I_X: Ideal, c: int, trials: int, seed: int,
             coeffs = [field.random(rng) for _ in variables]
             f = ring.zero()
             for coeff, x in zip(coeffs, variables):
-                f = f + x.scale(field.element(coeff))
+                f = f + x.scale(FieldElement(field, coeff))
             if not f.is_zero():
                 forms.append(f)
         V = Ideal(ring, tuple(forms))

@@ -1,13 +1,22 @@
 """Exact arithmetic in prime fields GF(p) and small extensions GF(p^k).
 
-Raw element values are plain ints for GF(p) and coefficient tuples of length k
-for GF(p^k); the polynomial layer stores raw values and calls the field's
-methods directly.  ``FieldElement`` wraps a raw value for use at API
-boundaries and in tests.
+Raw element values are ints in every field, 0 the zero and 1 the one: a
+residue in range(p) in GF(p), and n + 1 for h^n in GF(p^k), h the first
+primitive element in elements() order, where a product adds logs and a sum
+reads a Zech logarithm log(1 + h^n) (Huber, IEEE Trans. Inf. Theory 36,
+1990) from tables built once per field, which GF caches.  The kernels
+``_axpy`` and ``_divide`` read the field's arithmetic once per call and run
+one inline loop per kind of field; the reducer, the Schreyer tower,
+Polynomial arithmetic and ``_rref`` are built on them.  Raw values are
+converted only at the edges: ``coerce`` (integer constants, power-basis
+tuples in g, the class of x modulo ``min_poly``, and FieldElements),
+``vector``, ``format_coeff``, ``elements()`` (in power-basis tuple order)
+and ``FieldElement``, which wraps a raw value for API boundaries and tests.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from operator import mul
 
@@ -15,6 +24,7 @@ from .errors import UsageError
 
 DEFAULT_PRIME = 32003
 MAX_EXTENSION_DEGREE = 8
+MAX_ORDER = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -75,44 +85,6 @@ def _ppowmod(a, e, f, p):
         base = _pmod(_pmul(base, base, p), f, p)
         e >>= 1
     return result
-
-
-def _pxgcd(a, f, p):
-    """Inverse of a modulo f (both reduced, f monic irreducible)."""
-    r0, r1 = list(f), list(a)
-    s0, s1 = [], [1]
-    while r1:
-        # divide r0 by r1
-        q = [0] * max(len(r0) - len(r1) + 1, 0)
-        r = list(r0)
-        d1 = len(r1) - 1
-        inv_lead = pow(r1[-1], p - 2, p)
-        while r and len(r) - 1 >= d1:
-            c = (r[-1] * inv_lead) % p
-            shift = len(r) - 1 - d1
-            if c:
-                q[shift] = c
-                for i, ci in enumerate(r1):
-                    r[shift + i] = (r[shift + i] - c * ci) % p
-            r.pop()
-            _norm(r)
-        r0, r1 = r1, _norm(r)
-        q = _norm(q)
-        new_s = [x % p for x in _psub(s0, _pmul(q, s1, p), p)]
-        s0, s1 = s1, _norm(new_s)
-    if len(r0) != 1:
-        raise ZeroDivisionError("element is not invertible")
-    inv_lead = pow(r0[0], p - 2, p)
-    return _norm([(c * inv_lead) % p for c in s0])
-
-
-def _psub(a, b, p):
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] = c
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return out
 
 
 class FieldElement:
@@ -186,17 +158,14 @@ class FieldElement:
 class PrimeField:
     """GF(p) with raw values in range(p)."""
 
-    __slots__ = ("p", "k", "order", "zero", "one", "min_poly")
+    __slots__ = ("p", "order")
+    k, zero, one, min_poly, zech = 1, 0, 1, None, None
 
     def __init__(self, p):
         if not is_prime(p):
             raise UsageError(f"characteristic {p} is not prime")
         self.p = p
-        self.k = 1
         self.order = p
-        self.zero = 0
-        self.one = 1
-        self.min_poly = None
 
     def coerce(self, v):
         if isinstance(v, FieldElement):
@@ -208,12 +177,10 @@ class PrimeField:
         raise UsageError(f"cannot coerce {v!r} into {self}")
 
     def add(self, a, b):
-        s = a + b
-        return s - self.p if s >= self.p else s
+        return (a + b) % self.p
 
     def sub(self, a, b):
-        d = a - b
-        return d + self.p if d < 0 else d
+        return (a - b) % self.p
 
     def neg(self, a):
         return self.p - a if a else 0
@@ -273,12 +240,18 @@ class PrimeField:
 
 
 class ExtensionField:
-    """GF(p^k) as GF(p)[g] modulo a monic irreducible ``min_poly`` of degree k.
+    """GF(p^k) as GF(p)[g] modulo a monic irreducible ``min_poly`` of degree
+    k, q = p^k <= MAX_ORDER, with raw value n + 1 for h^n and 0 for zero.
 
-    Raw values are tuples of k ints, low-degree-first coefficients in g.
+    ``zech = (W, Z, m)``: W[a + b] is the product of nonzero raw a and b;
+    a + b is W[a + Z[b - a]], or 0 where Z[b - a], the raw 1 + h^(b - a),
+    is 0; m is the raw -1.  ``_elements`` lists the raw values in
+    power-basis tuple order, and ``_ranks[a]`` is the position of a there.
     """
 
-    __slots__ = ("p", "k", "order", "min_poly", "zero", "one", "_red")
+    __slots__ = ("p", "k", "order", "min_poly", "zech", "_elements",
+                 "_ranks")
+    zero, one = 0, 1
 
     def __init__(self, p, k, min_poly):
         if not is_prime(p):
@@ -287,91 +260,80 @@ class ExtensionField:
             raise UsageError(
                 f"extension degree {k} outside supported range 2..{MAX_EXTENSION_DEGREE}"
             )
+        q = p**k
+        if q > MAX_ORDER:
+            raise UsageError(f"GF({p}^{k}) has {q} elements; extension "
+                             f"fields are limited to {MAX_ORDER}")
         self.p = p
         self.k = k
-        self.order = p**k
+        self.order = q
         self.min_poly = tuple(c % p for c in min_poly)
         if len(self.min_poly) != k + 1 or self.min_poly[-1] != 1:
             raise UsageError("minimal polynomial must be monic of degree k")
         if not _is_irreducible(list(self.min_poly), p):
             raise UsageError("minimal polynomial is reducible")
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
-        # reduction rows: g^(k+i) expressed in the power basis, i = 0..k-2
-        rows = []
-        cur = [(-c) % p for c in self.min_poly[:-1]]
-        rows.append(tuple(cur))
-        for _ in range(k - 2):
-            nxt = [0] + cur[:-1]
-            top = cur[-1]
-            if top:
-                for j in range(k):
-                    nxt[j] = (nxt[j] - top * self.min_poly[j]) % p
-            # the shift above multiplied by g and reduced the overflow term
-            cur = [c % p for c in nxt]
-            rows.append(tuple(cur))
-        self._red = rows
+        self._elements, self._ranks = _discrete_logs(p, k, self.min_poly)
+        q1 = q - 1
+        # 1 + h^n adds 1 to the constant coefficient of h^n, the leading
+        # digit of its rank _ranks[n + 1]
+        top = p ** (k - 1)
+        zech = [self._elements[r + top if r < q - top else r + top - q]
+                for r in self._ranks[1:]]
+        self.zech = ([(s - 2) % q1 + 1 for s in range(2 * q)], zech,
+                     1 if p == 2 else q1 // 2 + 1)
 
     def coerce(self, v):
         if isinstance(v, FieldElement):
             if v.field == self:
                 return v.raw
-            if isinstance(v.field, PrimeField) and v.field.p == self.p:
-                return (v.raw,) + (0,) * (self.k - 1)
-            raise UsageError(f"cannot coerce element of {v.field} into {self}")
+            if not (isinstance(v.field, PrimeField) and v.field.p == self.p):
+                raise UsageError(f"cannot coerce element of {v.field} into {self}")
+            v = v.raw
         if isinstance(v, int):
-            return (v % self.p,) + (0,) * (self.k - 1)
-        if isinstance(v, tuple) and len(v) == self.k:
-            return tuple(c % self.p for c in v)
-        raise UsageError(f"cannot coerce {v!r} into {self}")
+            v = (v,) + (0,) * (self.k - 1)
+        if not (isinstance(v, tuple) and len(v) == self.k):
+            raise UsageError(f"cannot coerce {v!r} into {self}")
+        rank = 0
+        for c in v:
+            rank = rank * self.p + c % self.p
+        return self._elements[rank]
+
+    def vector(self, a):
+        """The power-basis coefficients of raw a in g, low degree first."""
+        p, k, rank = self.p, self.k, self._ranks[a]
+        return tuple(rank // p ** (k - 1 - i) % p for i in range(k))
 
     def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        if not a:
+            return b
+        if not b:
+            return a
+        W, Z, _ = self.zech
+        z = Z[b - a]
+        return W[a + z] if z else 0
 
     def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
+        W, _, m = self.zech
+        return W[a + m] if a else 0
 
     def mul(self, a, b):
-        p, k = self.p, self.k
-        out = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        low = [c % p for c in out[:k]]
-        for i in range(k - 1):
-            c = out[k + i] % p
-            if c:
-                row = self._red[i]
-                for j in range(k):
-                    low[j] = (low[j] + c * row[j]) % p
-        return tuple(low)
+        return self.zech[0][a + b] if a and b else 0
 
     def inv(self, a):
-        if a == self.zero:
+        if not a:
             raise ZeroDivisionError("inverse of zero in " + str(self))
-        coeffs = _pxgcd(_norm(list(a)), list(self.min_poly), self.p)
-        coeffs = coeffs + [0] * (self.k - len(coeffs))
-        return tuple(coeffs)
+        return self.zech[0][self.order + 2 - a]
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
     def pow_(self, a, e):
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if not a:
+            return 0 if e else 1
+        return (a - 1) * e % (self.order - 1) + 1
 
     def frobenius(self, a):
         return self.pow_(a, self.p)
@@ -379,60 +341,54 @@ class ExtensionField:
     def zero_scan(self, d):
         """A function from the coefficients of a polynomial of degree at
         most d (raw values, low degree first) to its zeros, in elements()
-        order, by Horner's rule at every element."""
-        elems = list(self.elements())
-        zero, add, mul_ = self.zero, self.add, self.mul
+        order.  Each element's powers a^0..a^d are tabulated once, as
+        multiples of its log, so each evaluation is a sum of table products
+        through the Zech table."""
+        W, Z, _ = self.zech
+        q1 = self.order - 1
+        # the zero element: only the constant term counts
+        table = [(a, [(a - 1) * i % q1 + 1 for i in range(d + 1)] if a else [1])
+                 for a in self._elements]
 
         def zeros(coeffs):
             out = []
-            for a in elems:
-                v = zero
-                for c in reversed(coeffs):
-                    v = add(mul_(v, a), c)
-                if v == zero:
+            for a, row in table:
+                v = 0
+                for c, r in zip(coeffs, row):
+                    if c:
+                        t = W[c + r]
+                        if v:
+                            z = Z[t - v]
+                            v = W[v + z] if z else 0
+                        else:
+                            v = t
+                if not v:
                     out.append(a)
             return out
 
         return zeros
 
     def random(self, rng):
-        return tuple(rng.randrange(self.p) for _ in range(self.k))
+        return self.coerce(tuple(rng.randrange(self.p) for _ in range(self.k)))
 
     def elements(self):
-        def gen(prefix, left):
-            if left == 0:
-                yield tuple(prefix)
-                return
-            for c in range(self.p):
-                yield from gen(prefix + [c], left - 1)
-
-        return gen([], self.k)
+        return iter(self._elements)
 
     def element(self, v):
         return FieldElement(self, self.coerce(v))
 
     def format_coeff(self, a):
-        if all(c == 0 for c in a[1:]):
+        a = self.vector(a)
+        if not any(a[1:]):
             return str(a[0])
-        parts = []
-        for i, c in enumerate(a):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append("g" if c == 1 else f"{c}*g")
-            else:
-                parts.append(f"g^{i}" if c == 1 else f"{c}*g^{i}")
-        return "(" + " + ".join(parts) + ")"
+        return "(" + " + ".join(
+            str(c) if i == 0 else ("" if c == 1 else f"{c}*")
+            + ("g" if i == 1 else f"g^{i}") for i, c in enumerate(a) if c) + ")"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, ExtensionField)
-            and other.p == self.p
-            and other.k == self.k
-            and other.min_poly == self.min_poly
-        )
+        return (isinstance(other, ExtensionField)
+                and (other.p, other.k, other.min_poly)
+                == (self.p, self.k, self.min_poly))
 
     def __hash__(self):
         return hash(("GF", self.p, self.k, self.min_poly))
@@ -441,12 +397,39 @@ class ExtensionField:
         return f"GF({self.p}^{self.k})"
 
 
+def _discrete_logs(p, k, f):
+    """(elements, ranks) of GF(p)[g]/(f): the raw value of each element in
+    the order of its power-basis tuple (a_0, ..., a_{k-1}), whose rank is
+    a_0 p^(k-1) + ... + a_{k-1}, and the rank of each raw value, for the
+    first primitive element h in that order."""
+    q = p**k
+    weights = [p ** (k - 1 - i) for i in range(k)]
+    primes = [r for r in range(2, q) if (q - 1) % r == 0 and is_prime(r)]
+    for cand in range(1, q):
+        h = [cand // w % p for w in weights]
+        if all(_ppowmod(h, (q - 1) // r, f, p) != [1] for r in primes):
+            break
+    # the columns of the matrix of a -> a h in the power basis
+    cols = list(zip(*[(_pmod(_pmul([0] * i + [1], h, p), f, p) + [0] * k)[:k]
+                      for i in range(k)]))
+    elements = [0] * q
+    ranks = [0] * q
+    cur = [1] + [0] * (k - 1)
+    for n in range(1, q):
+        rank = sum(map(mul, cur, weights))
+        elements[rank] = n
+        ranks[n] = rank
+        cur = [sum(map(mul, cur, col)) % p for col in cols]
+    return elements, ranks
+
+
 def _is_irreducible(f, p):
     """f monic of degree k: no irreducible factor of degree <= k/2."""
     k = len(f) - 1
     if k == 1:
         return True
     xq = [0, 1]
+    F = GF(p)
     for _ in range(k // 2):
         xq = _ppowmod(xq, p, f, p)
         diff = list(xq) + [0] * (2 - len(xq))
@@ -454,7 +437,7 @@ def _is_irreducible(f, p):
         diff = _norm(diff)
         if not diff:
             return False
-        if len(_unieuclid(GF(p), f, diff)) != 1:
+        if len(_unieuclid(F, f, diff)) != 1:
             return False
     return True
 
@@ -470,34 +453,111 @@ def find_irreducible(p: int, k: int) -> tuple:
             return tuple(coeffs)
 
 
-# --- univariate Euclid on raw values, over any field ---
+# --- the coefficient kernels: term dicts keyed by ints ---
+
+def _axpy(work: dict, field, coeff, shift: int, terms: dict, heap=None):
+    """work -= coeff * u * terms, in place, for a nonzero raw ``coeff``,
+    where u moves a term key by ``shift``: ``pack(u) << bits`` for the
+    term dicts of ``polynomials`` and ``groebner``, 0 for matrix rows keyed
+    by column.  The one loop that multiplies a term dict into another; for
+    polynomials the caller has checked it for exponent overflow.  When
+    ``heap`` is a list, the negated key of every term new to work is pushed
+    on it."""
+    get = work.get
+    push = heapq.heappush
+    zech = field.zech
+    if zech is None:
+        p = field.p
+        m = p - coeff
+        for k, c in terms.items():
+            k += shift
+            old = get(k)
+            if old is None:
+                work[k] = m * c % p
+                if heap is not None:
+                    push(heap, -k)
+            else:
+                v = (old + m * c) % p
+                if v:
+                    work[k] = v
+                else:
+                    del work[k]
+    else:
+        W, Z, minus = zech
+        m = W[coeff + minus]
+        for k, c in terms.items():
+            k += shift
+            t = W[m + c]
+            old = get(k)
+            if old is None:
+                work[k] = t
+                if heap is not None:
+                    push(heap, -k)
+            else:
+                z = Z[t - old]
+                if z:
+                    work[k] = W[old + z]
+                else:
+                    del work[k]
+
+
+def _divide(field, terms: dict, c) -> dict:
+    """{key: v / c} over the terms of ``terms``, for a nonzero raw c."""
+    zech = field.zech
+    if zech is None:
+        p = field.p
+        inv = pow(c, p - 2, p)
+        return {k: v * inv % p for k, v in terms.items()}
+    W = zech[0]
+    s = field.order + 1 - c
+    return {k: W[v + s] for k, v in terms.items()}
+
+
+def _sparse(values) -> dict:
+    """{index: value} of the nonzero raw values of a sequence."""
+    return {i: c for i, c in enumerate(values) if c}
+
 
 def _unieuclid(field, a, b):
-    """gcd, up to a unit, of two dense univariate lists of raw values, low
-    degree first; [] when both are zero.  Each divisor's lead is inverted
-    once for the whole division."""
-    zero = field.zero
-    sub, mul = field.sub, field.mul
-    a = list(a)
-    b = list(b)
-    while a and a[-1] == zero:
-        a.pop()
-    while b and b[-1] == zero:
-        b.pop()
-    if len(a) < len(b):
+    """The monic gcd of two univariate polynomials given as dense lists of
+    raw values, low degree first; [] when both are zero.  Each divisor is
+    made monic once, and each division step runs inline, mod p on GF(p) and
+    through the Zech tables on GF(p^k)."""
+    a, b = _norm(list(a)), _norm(list(b))
+    if not b:
         a, b = b, a
+    zech = field.zech
     while b:
         db = len(b) - 1
-        inv_lead = field.inv(b[-1])
-        while len(a) > db:
-            # cancel the lead of a, which is nonzero, against b; the rest
-            # of b lines up with the top db entries of a
-            c = mul(a.pop(), inv_lead)
-            shift = len(a) - db
-            for i in range(db):
-                a[shift + i] = sub(a[shift + i], mul(c, b[i]))
-            while a and a[-1] == zero:
-                a.pop()
+        if zech is None:
+            p = field.p
+            inv = pow(b[-1], p - 2, p)
+            b = [c * inv % p for c in b]
+            while len(a) > db:
+                # cancel the lead of a against b, whose other terms line up
+                # with the top db terms of a
+                m = p - a.pop()
+                shift = len(a) - db
+                for i in range(db):
+                    a[shift + i] = (a[shift + i] + m * b[i]) % p
+                _norm(a)
+        else:
+            W, Z, minus = zech
+            s = field.order + 1 - b[-1]
+            b = [W[c + s] if c else 0 for c in b]
+            while len(a) > db:
+                m = W[a.pop() + minus]
+                shift = len(a) - db
+                for i in range(db):
+                    if b[i]:
+                        t = W[m + b[i]]
+                        old = a[shift + i]
+                        if old:
+                            z = Z[t - old]
+                            a[shift + i] = W[old + z] if z else 0
+                        else:
+                            a[shift + i] = t
+                _norm(a)
         a, b = b, a
     return a
 
@@ -505,40 +565,37 @@ def _unieuclid(field, a, b):
 # --- Gaussian elimination on rows of raw values ---
 
 def _rref(field, rows):
-    """In-place reduced row echelon form; returns the pivot column list."""
+    """Reduced row echelon form, in place, of rows given as dicts {column:
+    nonzero raw value}; returns the pivot column list, rows[i] being the
+    row of pivots[i]."""
     pivots = []
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        hit = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != field.zero:
-                hit = r
-                break
+    for col in sorted(set().union(*rows)):
+        rank = len(pivots)
+        hit = next((r for r in range(rank, len(rows)) if col in rows[r]),
+                   None)
         if hit is None:
             continue
-        rows[rank], rows[hit] = rows[hit], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != field.zero:
-                factor = rows[r][col]
-                rows[r] = [field.sub(a, field.mul(factor, b))
-                           for a, b in zip(rows[r], rows[rank])]
+        row = _divide(field, rows[hit], rows[hit][col])
+        rows[hit] = rows[rank]
+        rows[rank] = row
+        for other in rows:
+            if other is not row and col in other:
+                _axpy(other, field, other[col], 0, row)
         pivots.append(col)
-        rank += 1
     return pivots
 
 
 def _rank(field, rows) -> int:
-    return len(_rref(field, [list(r) for r in rows]))
+    """The rank of a matrix given by dense rows of raw values."""
+    return len(_rref(field, [_sparse(r) for r in rows]))
 
 
 _CACHE: dict = {}
 
 
 def GF(p: int = DEFAULT_PRIME, k: int = 1, min_poly=None):
-    """Field constructor; instances are cached so equal parameters share an object."""
+    """Field constructor; instances are cached so equal parameters share an
+    object, and an extension field's tables are built once."""
     key = (p, k, tuple(min_poly) if min_poly is not None else None)
     if key in _CACHE:
         return _CACHE[key]

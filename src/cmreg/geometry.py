@@ -60,10 +60,13 @@ from .errors import (
 from .fields import (
     GF,
     MAX_EXTENSION_DEGREE,
+    FieldElement,
     PrimeField,
+    _axpy,
     _pmul,
     _rank,
     _rref,
+    _sparse,
     _unieuclid,
 )
 from .groebner import DEFAULT_DEGREE_CEILING, Ideal, _bounded, saturate
@@ -75,15 +78,12 @@ DEFAULT_EXTENSION_BOUND = 2
 DEFAULT_FIBER_BUDGET = 20000
 
 
-def _linear_coefficients(f: Polynomial):
-    """Coefficient vector of a linear form; UsageError when not linear."""
+def _linear_coefficients(f: Polynomial) -> dict:
+    """{variable index: raw coefficient} of a linear form; UsageError when
+    not linear."""
     if f.is_zero() or f.homogeneous_degree() != 1:
         raise UsageError(f"form {f} is not linear")
-    ring = f.ring
-    vec = [ring.field.zero] * ring.nvars
-    for exps, c in f.sorted_terms():
-        vec[exps.index(1)] = c
-    return vec
+    return {exps.index(1): c for exps, c in f.sorted_terms()}
 
 
 def _require_prime_base(ring: PolyRing, what: str):
@@ -110,7 +110,7 @@ class ProjectionSpec:
             if not isinstance(f, Polynomial) or f.ring != ring:
                 raise UsageError("projection forms live in a different ring")
             rows.append(_linear_coefficients(f))
-        if _rank(ring.field, rows) != len(forms):
+        if len(_rref(ring.field, rows)) != len(forms):
             raise UsageError("projection forms are linearly dependent")
         self.ideal = ideal
         self.forms = forms
@@ -139,7 +139,8 @@ class ClosedPoint:
     """Orbit representative of a closed point of P^s over GF(p).
 
     Coordinates live in GF(p^k), are normalized (first nonzero = 1), and are
-    the lexicographically least member of the Frobenius orbit."""
+    the lexicographically least member of the Frobenius orbit, comparing
+    coordinates in elements() order (by their power-basis tuples)."""
 
     k: int
     coords: tuple
@@ -180,19 +181,22 @@ def _point_blocks(p: int, K: int, s: int):
     and 1 <= i < k: if every phi^i(prefix) lies above the prefix, every
     point of the block is the least member of an orbit of size k; if one
     lies below it, no point is; otherwise the block is split by its next
-    coordinate, and a point that some phi^i fixes is dropped."""
+    coordinate, and a point that some phi^i fixes is dropped.  Prefixes are
+    walked as tuples of positions in elements, which compare as the
+    coordinates' power-basis tuples do."""
     _check_extension_bound(K)
     for k in range(1, K + 1):
         field = GF(p, k)
         elems = list(field.elements())
-        one, zero = field.one, field.zero
+        rank = {a: i for i, a in enumerate(elems)}
+        one = rank[field.one]
         if s:
-            starts = [((one, c), s - 1) for c in elems]
-            starts += [((zero,) * i0 + (one,), s - i0)
+            starts = [((one, c), s - 1) for c in range(len(elems))]
+            starts += [((0,) * i0 + (one,), s - i0)
                        for i0 in range(1, s + 1)]
         else:
             starts = [((one,), 0)]
-        frob = {a: field.frobenius(a) for a in elems}
+        frob = [rank[field.frobenius(a)] for a in elems]
         stack = starts[::-1]
         while stack:
             prefix, width = stack.pop()
@@ -205,10 +209,10 @@ def _point_blocks(p: int, K: int, s: int):
                 fixed = fixed or cur == prefix
             else:
                 if not fixed:
-                    yield field, elems, prefix, width
+                    yield field, elems, tuple(elems[c] for c in prefix), width
                 elif width:
                     stack.extend((prefix + (c,), width - 1)
-                                 for c in reversed(elems))
+                                 for c in reversed(range(len(elems))))
 
 
 def _closed_point_coords(p: int, K: int, s: int):
@@ -224,7 +228,8 @@ def enumerate_closed_points(p: int, K: int, s: int):
     """Galois-orbit representatives of the closed points of P^s over GF(p)
     with residue extension degree at most K, in a deterministic order."""
     for field, coords in _closed_point_coords(p, K, s):
-        yield ClosedPoint(field.k, tuple(field.element(c) for c in coords))
+        yield ClosedPoint(field.k, tuple(FieldElement(field, c)
+                                         for c in coords))
 
 
 @dataclass(frozen=True)
@@ -297,9 +302,9 @@ class _Fiber:
                  bound):
         home, big, forms, gens = setup
         field = big.field
-        coords = [field.coerce(c) for c in point.coords]
+        coords = point.coords
 
-        i0 = next(i for i, c in enumerate(coords) if c != field.zero)
+        i0 = next(i for i, c in enumerate(coords) if not c.is_zero())
         base = forms[i0]
         linear = []
         for j, (c, f) in enumerate(zip(coords, forms)):
@@ -451,12 +456,10 @@ def _split_contents(h: Polynomial):
     """(x-content, y-content, dense coefficient list by x-degree) of a
     nonzero binary form; the list is the dehomogenization at y of the
     content-free part, constant term and lead both nonzero."""
-    field = h.ring.field
     terms = h.sorted_terms()
     cx = min(exps[0] for exps, _ in terms)
     cy = min(exps[1] for exps, _ in terms)
-    deg = h.degree() - cx - cy
-    coeffs = [field.zero] * (deg + 1)
+    coeffs = [0] * (h.degree() - cx - cy + 1)
     for exps, c in terms:
         coeffs[exps[0] - cx] = c
     return cx, cy, coeffs
@@ -469,16 +472,15 @@ def _binary_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
     if g.is_zero():
         return f.monic()
     ring = f.ring
-    field = ring.field
     fx, fy, fu = _split_contents(f)
     gx, gy, gu = _split_contents(g)
-    u = _unieuclid(field, fu, gu)
+    u = _unieuclid(ring.field, fu, gu)
     udeg = len(u) - 1
-    inv = field.inv(u[-1])
     cx = min(fx, gx)
     cy = min(fy, gy)
-    return ring.poly({(i + cx, udeg - i + cy): field.mul(inv, c)
-                      for i, c in enumerate(u)})
+    pack = ring.order.pack
+    return Polynomial(ring, {pack((i + cx, udeg - i + cy)): c
+                             for i, c in enumerate(u) if c})
 
 
 def binary_gcd(forms) -> Polynomial:
@@ -524,22 +526,18 @@ def _hyperplane_gcd_degree(field, rows, coords):
     deg gcd = deg gcd(u_j) + min_j (d - deg u_j): the univariate gcd holds
     the x-content, the minimum is the y-content.  Folding stops once both
     are 0."""
-    zero = field.zero
-    sub, mul = field.sub, field.mul
     i0 = coords.index(field.one)
-    pivot = rows[i0]
-    d = len(pivot) - 1
+    pivot = _sparse(rows[i0])
+    d = len(rows[i0]) - 1
     g = None
     ycontent = d
     for j, c in enumerate(coords):
         if j == i0:
             continue
-        if c == zero:
-            u = list(rows[j])
-        else:
-            u = [sub(a, mul(c, b)) for a, b in zip(rows[j], pivot)]
-        while u[-1] == zero:
-            u.pop()
+        u = _sparse(rows[j])
+        if c:
+            _axpy(u, field, c, 0, pivot)
+        u = [u.get(i, 0) for i in range(max(u) + 1)]
         ycontent = min(ycontent, d + 1 - len(u))
         g = u if g is None else _unieuclid(field, g, u)
         if len(g) == 1 and ycontent == 0:
@@ -568,16 +566,16 @@ def _image_curve_form(field, rows, d):
               for a, b, c in monos]
     # one column per monomial (_pmul drops top zeros); the first free
     # column gives a kernel vector
-    matrix = [[img[i] if i < len(img) else 0 for img in images]
-              for i in range(d * d + 1)]
+    matrix = [{j: img[i] for j, img in enumerate(images)
+               if i < len(img) and img[i]} for i in range(d * d + 1)]
     pivots = _rref(field, matrix)
     free = next((j for j in range(len(monos)) if j not in pivots), None)
     if free is None:
         raise SelfCheckError("no degree-d form vanishes on the image curve")
-    form = {monos[free]: field.one}
+    form = {monos[free]: 1}
     for r, col in enumerate(pivots):
-        if matrix[r][free] != field.zero:
-            form[monos[col]] = field.neg(matrix[r][free])
+        if free in matrix[r]:
+            form[monos[col]] = p - matrix[r][free]
     return form
 
 
@@ -724,7 +722,7 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
         deg = _hyperplane_gcd_degree(field, rows, coords)
         if deg > best:
             i0 = coords.index(field.one)
-            basis = [lifted[j] - lifted[i0].scale(c)
+            basis = [lifted[j] - lifted[i0].scale(FieldElement(field, c))
                      for j, c in enumerate(coords) if j != i0]
             gg = binary_gcd(basis)
             if gg.degree() != deg:

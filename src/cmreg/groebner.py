@@ -28,9 +28,11 @@ elements over the positions of a free module.  The reducer takes terms
 largest first from a heap and divides each by the first lead at its rank
 whose exponent word divides it; quotient collection (syzygies) is an
 optional argument.  A Polynomial's own terms are such a dict, so the
-engine and the tower take and give them as they are; ``_axpy``, in
-``polynomials``, is the one place a monomial multiplies a term dict, so
-S-polynomials, syzygy S-pairs and Polynomial products all go through it.
+engine and the tower take and give them as they are; the field kernel
+``fields._axpy`` is the one place a monomial multiplies a term dict, so
+S-polynomials, syzygy S-pairs, reduction steps and Polynomial arithmetic
+all go through it.  Basis elements are monic, so the reducer itself does
+no coefficient arithmetic.
 
 Saturation by a variable x_i divides a grevlex basis with x_i last by its
 largest x_i-powers (Bayer-Stillman), and returns the basis unchanged when
@@ -50,8 +52,9 @@ import itertools
 import math
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
+from .fields import _axpy, _divide
 from .orders import GREVLEX, EliminationOrder, MonomialOrder, word_lcm
-from .polynomials import PolyRing, Polynomial, _axpy, _reach, lift_polynomial
+from .polynomials import PolyRing, Polynomial, _reach, lift_polynomial
 
 DEFAULT_DEGREE_CEILING = 64
 
@@ -59,15 +62,15 @@ DEFAULT_DEGREE_CEILING = 64
 # --- the reducer: term dicts keyed by packed ints ---
 
 class _Basis:
-    """Term dicts reduced against together, under one packed order.
+    """Monic term dicts reduced against together, under one packed order.
 
     A term key is ``K << bits | rank``: K is the packed key of the term's
     monomial (for a Schreyer level, of its image) and ``rank`` that of its
-    position, 0 for an ideal.  ``leads[i] = (key, coeff, word, reach)`` holds
-    the lead term of ``terms[i]``, the exponent word of its monomial and the
-    element's ``_reach``.  ``table[rank]`` lists ``(word, i)`` for the leads
-    at that rank, in index order; the reducer divides a term by the first
-    of them that divides it.
+    position, 0 for an ideal.  ``leads[i] = (key, word, reach)`` holds the
+    lead key of ``terms[i]``, whose coefficient is 1, the exponent word of
+    its monomial and the element's ``_reach``.  ``table[rank]`` lists
+    ``(word, i)`` for the leads at that rank, in index order; the reducer
+    divides a term by the first of them that divides it.
     """
 
     __slots__ = ("order", "bits", "terms", "leads", "table")
@@ -82,11 +85,12 @@ class _Basis:
     def append(self, terms: dict) -> None:
         bits = self.bits
         key = max(terms)
+        if terms[key] != 1:
+            raise SelfCheckError("a basis element is not monic")
         word = self.order.word(key >> bits)
         self.table.setdefault(key & ((1 << bits) - 1), []).append(
             (word, len(self.terms)))
-        self.leads.append((key, terms[key], word,
-                           _reach(self.order, bits, terms)))
+        self.leads.append((key, word, _reach(self.order, bits, terms)))
         self.terms.append(terms)
 
     def __len__(self):
@@ -95,10 +99,10 @@ class _Basis:
 
 def _ideal_basis(order, polys) -> _Basis:
     """The nonzero Polynomials ``polys``, whose ring has the order
-    ``order``, as a basis of term dicts."""
+    ``order``, made monic, as a basis of term dicts."""
     basis = _Basis(order)
     for g in polys:
-        basis.append(g._terms)
+        basis.append(g.monic()._terms)
     return basis
 
 
@@ -109,19 +113,19 @@ def _reduce(start: dict, basis: _Basis, field, quotients=None):
     Sparse polynomial division using a heap, JSC 46, 2011): a key is pushed
     when its term becomes new to the work dict, and a popped key no longer
     there is skipped.  Each term is divided by the first lead at its own
-    rank whose word divides its word.  Every product lies below the term it
-    cancels, so terms come out in strictly descending order and the
-    remainder's first key is its lead.  A ``quotients`` dict gains q at
-    (i, pack(u)) for each q * u * basis.terms[i] subtracted, so that
-    start = remainder + sum q * u * basis.terms[i]; no (i, pack(u)) comes
-    twice.
+    rank whose word divides its word; leads are monic, so the quotient's
+    coefficient is the term's, and all coefficient arithmetic is in
+    ``_axpy``.  Every product lies below the term it cancels, so terms come
+    out in strictly descending order and the remainder's first key is its
+    lead.  A ``quotients`` dict gains q at (i, pack(u)) for each
+    q * u * basis.terms[i] subtracted, so that start = remainder +
+    sum q * u * basis.terms[i]; no (i, pack(u)) comes twice.
     """
     order, bits = basis.order, basis.bits
     guards, mask = order.guards, order.mask
     negated = order.negated
     low = (1 << bits) - 1
     table, leads, terms = basis.table, basis.leads, basis.terms
-    div = field.div
     pop = heapq.heappop
     work = dict(start)
     heap = [-k for k in work]
@@ -141,26 +145,25 @@ def _reduce(start: dict, basis: _Basis, field, quotients=None):
             del work[k]
             out[k] = c
             continue
-        lkey, lc, lw, reach = leads[idx]
+        lkey, lw, reach = leads[idx]
         order.check(word - lw + reach)
         du = img - (lkey >> bits)
-        factor = div(c, lc)
         if quotients is not None:
-            quotients[(idx, du)] = factor
-        _axpy(work, field, factor, du << bits, terms[idx], heap)
+            quotients[(idx, du)] = c
+        _axpy(work, field, c, du << bits, terms[idx], heap)
     return out
 
 
 def _spoly(order, field, f: dict, lf, g: dict, lg) -> dict:
-    """S-polynomial of two term dicts of an ideal basis with leads
-    lf, lg = (key, coeff, word, reach)."""
-    lcm = word_lcm(lf[2], lg[2], order.guards)
-    order.check(lcm - lf[2] + lf[3])
-    order.check(lcm - lg[2] + lg[3])
+    """S-polynomial of two monic term dicts of an ideal basis with leads
+    lf, lg = (key, word, reach)."""
+    lcm = word_lcm(lf[1], lg[1], order.guards)
+    order.check(lcm - lf[1] + lf[2])
+    order.check(lcm - lg[1] + lg[2])
     key = order.pack(order.exponents(lcm))
     work = {}
-    _axpy(work, field, field.neg(field.inv(lf[1])), key - lf[0], f)
-    _axpy(work, field, field.inv(lg[1]), key - lg[0], g)
+    _axpy(work, field, field.neg(field.one), key - lf[0], f)
+    _axpy(work, field, 1, key - lg[0], g)
     return work
 
 
@@ -172,7 +175,7 @@ def _update(order, G: _Basis, pairs, heap, f):
     t = len(G)
     guards = order.guards
     wf = order.word(max(f))
-    words = [lead[2] for lead in G.leads]
+    words = [lead[1] for lead in G.leads]
     lcms = [word_lcm(w, wf, guards) for w in words]
 
     # drop old pairs made redundant by f (chain criterion)
@@ -290,10 +293,7 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> list:
         red = _reduce(terms, G, field)
         if red:
             lead = next(iter(red))
-            inv = field.inv(red[lead])
-            mul = field.mul
-            _update(order, G, pairs, heap,
-                    {k: mul(c, inv) for k, c in red.items()})
+            _update(order, G, pairs, heap, _divide(field, red, red[lead]))
             # no lead divides a new lead, so a later pure power of x_i is
             # always a lower one
             exps = order.unpack(lead)
@@ -346,16 +346,16 @@ def _reduce_basis(G, ring) -> list:
     for g in sorted(G, key=max):
         w = order.word(max(g))
         if not any(((w | guards) - lw) & guards == guards
-                   for _, _, lw, _ in minimal.leads):
+                   for _, lw, _ in minimal.leads):
             minimal.append(g)
     reduced = []
-    for g, (key, lc, _, _) in zip(minimal.terms, minimal.leads):
+    for g, (key, _, _) in zip(minimal.terms, minimal.leads):
         # the tail and every term its reduction produces lie below the
         # lead, so g's own lead divides none of them
         tail = dict(g)
         del tail[key]
         red = _reduce(tail, minimal, ring.field)
-        reduced.append((key, Polynomial(ring, {key: lc, **red})))
+        reduced.append((key, Polynomial(ring, {key: 1, **red})))
     reduced.sort(key=lambda t: t[0], reverse=True)
     return [g for _, g in reduced]
 

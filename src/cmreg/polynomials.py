@@ -1,12 +1,15 @@
 """Sparse multivariate polynomials over a finite field.
 
 A Polynomial maps the packed keys of its ring's order
-(``MonomialOrder.pack``) to nonzero raw field coefficients; values are
-immutable once built.  Int comparison of keys is the order, so the lead
-term is the largest key, and the key of a product is the sum of the keys,
-so the one product of a monomial and a term dict, ``_axpy``, adds a key to
-every key; ``groebner`` and ``resolution`` reduce these dicts as they are.
-Only ``orders``, this module, ``groebner`` and ``resolution`` read keys.
+(``MonomialOrder.pack``) to nonzero raw field coefficients, ints in every
+field (see ``fields``); values are immutable once built.  Int comparison of
+keys is the order, so the lead term is the largest key, and the key of a
+product is the sum of the keys, so the field kernel ``fields._axpy``, the
+one product of a monomial and a term dict, adds a key to every key.  Sums,
+differences, negation, scaling and products all run through it, and
+``monic`` through ``fields._divide``; ``groebner`` and ``resolution``
+reduce these dicts as they are.  Only ``orders``, this module, ``groebner``
+and ``resolution`` read keys.
 
 At the API a monomial is its exponent tuple: ``PolyRing.monomial``,
 ``poly``, ``coefficient``, ``lead_monomial`` and ``sorted_terms`` take or
@@ -19,10 +22,8 @@ the orders differ.
 
 from __future__ import annotations
 
-import heapq
-
 from .errors import UsageError
-from .fields import FieldElement, GF, DEFAULT_PRIME
+from .fields import FieldElement, GF, DEFAULT_PRIME, _axpy, _divide
 from .orders import EXPONENT_LIMIT, GREVLEX, MonomialOrder, word_lcm
 
 
@@ -152,31 +153,21 @@ class Polynomial:
         other = self._check(other)
         field = self.ring.field
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = field.add(out.get(m, field.zero), c)
-            if s == field.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
+        _axpy(out, field, field.neg(field.one), 0, other._terms)
         return Polynomial(self.ring, out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._check(other)
-        field = self.ring.field
         out = dict(self._terms)
-        for m, c in other._terms.items():
-            s = field.sub(out.get(m, field.zero), c)
-            if s == field.zero:
-                out.pop(m, None)
-            else:
-                out[m] = s
+        _axpy(out, self.ring.field, 1, 0, other._terms)
         return Polynomial(self.ring, out)
 
     def __neg__(self):
-        field = self.ring.field
-        return Polynomial(self.ring, {m: field.neg(c) for m, c in self._terms.items()})
+        out = {}
+        _axpy(out, self.ring.field, 1, 0, self._terms)
+        return Polynomial(self.ring, out)
 
     def __mul__(self, other):
         if isinstance(other, (int, FieldElement)):
@@ -187,9 +178,12 @@ class Polynomial:
         order, field = self.ring.order, self.ring.field
         order.check(_reach(order, 0, self._terms)
                     + _reach(order, 0, other._terms))
+        # out -= (-c) * u * self for each term c * u of other
+        minus = {}
+        _axpy(minus, field, 1, 0, other._terms)
         out = {}
-        for k, c in other._terms.items():
-            _axpy(out, field, field.neg(c), k, self._terms)
+        for k, c in minus.items():
+            _axpy(out, field, c, k, self._terms)
         return Polynomial(self.ring, out)
 
     __rmul__ = __mul__
@@ -211,7 +205,9 @@ class Polynomial:
         raw = field.coerce(c)
         if raw == field.zero:
             return self.ring.zero()
-        return Polynomial(self.ring, {m: field.mul(v, raw) for m, v in self._terms.items()})
+        out = {}
+        _axpy(out, field, field.neg(raw), 0, self._terms)
+        return Polynomial(self.ring, out)
 
     def monic(self) -> "Polynomial":
         if not self._terms:
@@ -219,7 +215,7 @@ class Polynomial:
         lc = self.lead_coefficient()
         if lc == self.ring.field.one:
             return self
-        return self.scale(FieldElement(self.ring.field, self.ring.field.inv(lc)))
+        return Polynomial(self.ring, _divide(self.ring.field, self._terms, lc))
 
     def degree(self):
         if not self._terms:
@@ -274,7 +270,7 @@ class Polynomial:
         return f"<{self}>"
 
 
-# --- term dicts: the products the reducer in ``groebner`` is built on ---
+# --- term dicts ---
 
 def _reach(order, bits: int, terms: dict) -> int:
     """The fieldwise maximum of the exponent words of the terms' monomials:
@@ -285,32 +281,6 @@ def _reach(order, bits: int, terms: dict) -> int:
     for k in terms:
         reach = word_lcm(reach, word(k >> bits), guards)
     return reach
-
-
-def _axpy(work: dict, field, coeff, shift: int, terms: dict, heap=None):
-    """work -= coeff * u * terms, in place, where u moves a term key by
-    ``shift`` (``pack(u) << bits``).  The only product of a monomial and a
-    term dict; the caller has checked it for exponent overflow.  When
-    ``heap`` is a list, the negated key of every term new to work is pushed
-    on it."""
-    add, mul = field.add, field.mul
-    zero = field.zero
-    coeff = field.neg(coeff)
-    get = work.get
-    push = heapq.heappush
-    for k, c in terms.items():
-        k += shift
-        old = get(k)
-        if old is None:
-            work[k] = mul(coeff, c)
-            if heap is not None:
-                push(heap, -k)
-        else:
-            v = add(old, mul(coeff, c))
-            if v == zero:
-                del work[k]
-            else:
-                work[k] = v
 
 
 def lift_polynomial(f: Polynomial, target: PolyRing) -> Polynomial:

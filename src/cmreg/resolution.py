@@ -31,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SelfCheckError, UsageError
-from .fields import _rank
+from .fields import _axpy, _divide, _rref
 from .groebner import (DEFAULT_DEGREE_CEILING, Ideal, _Basis, _ideal_basis,
                        _reduce)
+from .hilbert import _strip, hilbert_numerator
 from .orders import word_lcm
-from .polynomials import Polynomial, _axpy
+from .polynomials import Polynomial
 
 
 @dataclass(frozen=True)
@@ -107,23 +108,23 @@ def _syzygy_step(ring, basis: _Basis, order: SchreyerOrder, twists):
     guards = mono.guards
     leads = basis.leads
     groups = {}
-    for i, (k, _, _, _) in enumerate(leads):
+    for i, (k, _, _) in enumerate(leads):
         groups.setdefault(order.split(k)[0], []).append(i)
     # the leads at one position share its weight, so their image words
     # give the same lcm quotients as their monomials
-    exps = [mono.exponents(lead[2]) for lead in leads]
+    exps = [mono.exponents(lead[1]) for lead in leads]
 
     kept = []
     for p, members in sorted(groups.items()):
         for i in members:
-            ei, wi = exps[i], leads[i][2]
+            ei, wi = exps[i], leads[i][1]
             cands = []
             for j in members:
                 if j <= i:
                     continue
                 u = tuple(max(a, b) - a for a, b in zip(ei, exps[j]))
                 cands.append((sum(u), u, j,
-                              word_lcm(wi, leads[j][2], guards) - wi))
+                              word_lcm(wi, leads[j][1], guards) - wi))
             cands.sort(key=lambda t: t[:3])
             chosen = []
             for _, u, j, wu in cands:
@@ -134,34 +135,27 @@ def _syzygy_step(ring, basis: _Basis, order: SchreyerOrder, twists):
 
     next_order = order.induced([lead[0] for lead in leads])
     bits, nbits = order.bits, next_order.bits
-    one = field.one
+    minus = field.neg(field.one)
     sigmas = []
     for i, j, u, wu in kept:
-        ki, ci, wi, ri = leads[i]
-        kj, cj, wj, rj = leads[j]
+        # the leads are monic: the S-pair is u * e_i - v * e_j
+        ki, wi, ri = leads[i]
+        kj, wj, rj = leads[j]
         wv = wi + wu - wj  # the word of v = lcm / m_j
         mono.check(wu + ri)
         mono.check(wv + rj)
         ku = mono.pack(u)
         kv = (ki >> bits) + ku - (kj >> bits)
-        ratio = field.div(ci, cj)
         work = {}
-        _axpy(work, field, field.neg(one), ku << bits, basis.terms[i])
-        _axpy(work, field, ratio, kv << bits, basis.terms[j])
+        _axpy(work, field, minus, ku << bits, basis.terms[i])
+        _axpy(work, field, 1, kv << bits, basis.terms[j])
         quot = {}
         if _reduce(work, basis, field, quotients=quot):
             raise SelfCheckError("S-pair of a syzygy-level basis did not reduce to zero")
         lead = next_order.term(i, ku)
-        sig = {lead: one}
-        tj = next_order.term(j, kv)
-        sig[tj] = field.sub(sig.get(tj, field.zero), ratio)
-        for (idx, km), q in quot.items():
-            t = next_order.term(idx, km)
-            val = field.sub(sig.get(t, field.zero), q)
-            if val == field.zero:
-                sig.pop(t, None)
-            else:
-                sig[t] = val
+        sig = {lead: 1, next_order.term(j, kv): minus}
+        _axpy(sig, field, 1, 0, {next_order.term(idx, km): q
+                                 for (idx, km), q in quot.items()})
         sigmas.append(((i, tuple(-e for e in u), j), sig, lead, sum(u)))
 
     sigmas.sort(key=lambda t: t[0])
@@ -195,28 +189,6 @@ class Resolution:
     def length(self) -> int:
         return len(self.frees) - 1
 
-    def is_complex(self) -> bool:
-        """Whether consecutive differentials compose to zero."""
-        for k in range(len(self.differentials) - 1):
-            A, B = self.differentials[k], self.differentials[k + 1]
-            rows_of = {}
-            for (r, c), p in A.items():
-                rows_of.setdefault(c, []).append((r, p))
-            sums = {}
-            for (r, c), p in B.items():
-                for s, q in rows_of.get(r, ()):
-                    key = (s, c)
-                    acc = sums.get(key)
-                    prod = q * p
-                    sums[key] = prod if acc is None else acc + prod
-            if any(not v.is_zero() for v in sums.values()):
-                return False
-        return True
-
-    def has_constant_entry(self) -> bool:
-        return any(p.degree() == 0
-                   for D in self.differentials for p in D.values())
-
 
 class BettiTable:
     """Graded Betti numbers beta_{i,j} with the usual grid rendering."""
@@ -225,9 +197,6 @@ class BettiTable:
 
     def __init__(self, entries):
         self.entries = {k: v for k, v in entries.items() if v}
-
-    def beta(self, i: int, j: int) -> int:
-        return self.entries.get((i, j), 0)
 
     def regularity(self) -> int:
         if not self.entries:
@@ -285,6 +254,11 @@ def _schreyer_tower(J: Ideal, degree_ceiling: int):
     dict per generator of F_{k+1}, keyed by ``order``'s terms over the
     positions of F_k.  Level 1 is the ideal's reduced basis under the
     trivial order of rank 1.
+
+    Every graded free resolution of S/J has Euler characteristic
+    sum_i (-1)^i sum_{j in twists(F_i)} T^j equal to the Hilbert numerator
+    of S/J (Eisenbud, The Geometry of Syzygies, ch. 1), cached on the
+    basis; a lost or extra syzygy or a wrong twist raises SelfCheckError.
     """
     ring = J.ring
     gb = J.groebner_basis(degree_ceiling)
@@ -300,6 +274,14 @@ def _schreyer_tower(J: Ideal, degree_ceiling: int):
         frees.append(FreeModule(tuple(twists)))
         tower.append((basis.terms, order))
         basis, order, twists = _syzygy_step(ring, basis, order, twists)
+    euler = [0] * (max(max(free.twists) for free in frees) + 1)
+    for i, free in enumerate(frees):
+        for j in free.twists:
+            euler[j] += (-1) ** i
+    euler = tuple(_strip(euler) or [0])
+    if euler != hilbert_numerator(J, degree_ceiling):
+        raise SelfCheckError(f"Euler characteristic {euler} of the "
+                             "resolution differs from the Hilbert numerator")
     return frees, tower
 
 
@@ -337,7 +319,6 @@ def _minimize(ring, frees, diffs):
                 break
             r, c = pivot
             unit = mats[k][pivot].lead_coefficient()
-            inv = field.inv(unit)
             col_c = {}
             row_r = {}
             dead = []
@@ -352,7 +333,7 @@ def _minimize(ring, frees, diffs):
             for key in dead:
                 del mats[k][key]
             for s, ps in col_c.items():
-                scaled = ps.scale(inv)
+                scaled = Polynomial(ring, _divide(field, ps._terms, unit))
                 for j, pj in row_r.items():
                     delta = scaled * pj
                     old = mats[k].get((s, j))
@@ -429,15 +410,7 @@ def _betti_by_ranks(ring, frees, tower) -> BettiTable:
                             f"constant entry joins twists {rows_tw[r]} and {j}")
                     blocks.setdefault(j, {}).setdefault(c, {})[r] = v
         for j, cols in blocks.items():
-            index = {r: a for a, r in enumerate(
-                sorted({r for col in cols.values() for r in col}))}
-            mat = []
-            for col in cols.values():
-                row = [field.zero] * len(index)
-                for r, v in col.items():
-                    row[index[r]] = v
-                mat.append(row)
-            ranks[(k, j)] = _rank(field, mat)
+            ranks[(k, j)] = len(_rref(field, list(cols.values())))
     entries = dict(_betti_from_frees(frees).entries)
     for (i, j) in entries:
         entries[(i, j)] -= ranks.get((i - 1, j), 0) + ranks.get((i, j), 0)

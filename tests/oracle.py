@@ -78,6 +78,37 @@ def _times_g(c, min_poly, p):
     return [(a - top * m) % p for a, m in zip([0] + list(c[:-1]), min_poly)]
 
 
+def gf_mul(a, b, min_poly, p):
+    """Schoolbook product of two power-basis tuples of GF(p)[g]/(min_poly),
+    low degree first, ``min_poly`` monic of degree k: the product's terms
+    of degree k and above are reduced top down by g^k = -(min_poly without
+    its top term)."""
+    k = len(min_poly) - 1
+    out = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for d in range(2 * k - 2, k - 1, -1):
+        c = out[d] % p
+        for i, m in enumerate(min_poly):
+            out[d - k + i] -= c * m
+    return tuple(c % p for c in out[:k])
+
+
+def gf_format(a):
+    """The text of a power-basis tuple: its constant when every other
+    coefficient is 0, else the nonzero terms c*g^i in parentheses."""
+    if not any(a[1:]):
+        return str(a[0])
+    parts = []
+    for i, c in enumerate(a):
+        if c:
+            power = "" if i == 0 else "g" if i == 1 else f"g^{i}"
+            coeff = str(c) if c != 1 or i == 0 else ""
+            parts.append("*".join(t for t in (coeff, power) if t))
+    return "(" + " + ".join(parts) + ")"
+
+
 def hilbert_by_rank(p, nvars, gens, d, min_poly=None):
     """h_{S/I}(d) for I generated by ``gens`` (lists of (exps, coeff)),
     via the rank of the degree-d coefficient matrix of I.
@@ -114,9 +145,12 @@ def hilbert_by_rank(p, nvars, gens, d, min_poly=None):
 
 
 def poly_to_dense(f):
-    """Library polynomial -> [(exps, int coeff)] for the oracle (prime
-    fields only, where raw coefficients are ints)."""
-    return f.sorted_terms()
+    """Library polynomial -> [(exps, coeff)] for the oracle: an int over a
+    prime field, the power-basis tuple (``field.vector``) over GF(p^k)."""
+    field = f.ring.field
+    if field.k == 1:
+        return f.sorted_terms()
+    return [(exps, field.vector(c)) for exps, c in f.sorted_terms()]
 
 
 def free_module_hilbert(nvars, twists, d):

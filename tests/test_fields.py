@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,8 @@ from cmreg.fields import (
     find_irreducible,
     is_prime,
 )
+
+from oracle import gf_format, gf_mul
 
 
 def test_is_prime_small_values():
@@ -105,9 +108,9 @@ def test_frobenius_is_additive_and_fixes_prime_subfield():
 def test_coercion_rules():
     F7 = GF(7)
     F49 = GF(7, 2)
-    assert F49.coerce(9) == (2, 0)
-    assert F49.coerce(F7.element(3)) == (3, 0)
-    assert F49.coerce((8, 7)) == (1, 0)
+    assert F49.vector(F49.coerce(9)) == (2, 0)
+    assert F49.vector(F49.coerce(F7.element(3))) == (3, 0)
+    assert F49.vector(F49.coerce((8, 7))) == (1, 0)
     with pytest.raises(UsageError):
         F49.coerce(GF(5).element(1))
     with pytest.raises(UsageError):
@@ -144,8 +147,38 @@ def test_find_irreducible_is_deterministic_and_valid():
 
 def test_element_repr_and_formatting():
     F = GF(7, 2)
-    g = FieldElement(F, (0, 1))
+    g = FieldElement(F, F.coerce((0, 1)))
     assert "g" in repr(g)
-    assert F.format_coeff((3, 0)) == "3"
-    assert F.format_coeff((0, 2)) == "(2*g)"
-    assert F.format_coeff((1, 1)) == "(1 + g)"
+    assert F.format_coeff(F.coerce((3, 0))) == "3"
+    assert F.format_coeff(F.coerce((0, 2))) == "(2*g)"
+    assert F.format_coeff(F.coerce((1, 1))) == "(1 + g)"
+
+
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 3), (5, 3), (7, 2)])
+def test_zech_arithmetic_matches_the_schoolbook_oracle(p, k):
+    # every sum, product and inverse of the Zech-log representation against
+    # schoolbook arithmetic on power-basis tuples; elements() runs in tuple
+    # order, and every element prints as its tuple does
+    F = GF(p, k)
+    els = list(F.elements())
+    tuples = list(itertools.product(range(p), repeat=k))
+    assert [F.vector(a) for a in els] == tuples
+    assert [F.format_coeff(a) for a in els] == [gf_format(t) for t in tuples]
+    assert els[0] == F.zero and F.vector(F.one) == tuples[p ** (k - 1)]
+    for a, ta in zip(els, tuples):
+        for b, tb in zip(els, tuples):
+            assert F.vector(F.add(a, b)) == tuple(
+                (x + y) % p for x, y in zip(ta, tb))
+            assert F.vector(F.mul(a, b)) == gf_mul(ta, tb, F.min_poly, p)
+        if a != F.zero:
+            assert gf_mul(ta, F.vector(F.inv(a)), F.min_poly, p) == \
+                tuples[p ** (k - 1)]
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+
+
+def test_extension_fields_are_capped_at_65536_elements():
+    assert GF(2, 8).order == 256 and GF(251, 2).order == 63001
+    for p, k in [(257, 2), (41, 3), (17, 4), (7, 6), (5, 7)]:
+        with pytest.raises(UsageError, match="limited to 65536"):
+            GF(p, k)

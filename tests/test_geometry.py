@@ -42,6 +42,14 @@ from cmreg.sessions import parse_session
 from oracle import degree_monomials, hilbert_by_rank, poly_to_dense
 
 
+def _power_basis(field, coords):
+    """coords as power-basis tuples, the order in which a closed point's
+    representative is the least member of its orbit."""
+    if field.k == 1:
+        return tuple(coords)
+    return tuple(field.vector(c) for c in coords)
+
+
 def _normalized_points(field, s):
     """All normalized points of P^s(field): first nonzero coordinate is 1."""
     elems = list(field.elements())
@@ -115,7 +123,8 @@ def test_closed_points_are_normalized_orbit_representatives():
             if cur == tuple(raws):
                 break
         assert len(orbit) == pt.k
-        assert tuple(raws) == min(orbit)
+        assert tuple(raws) == min(orbit,
+                                  key=lambda c: _power_basis(field, c))
 
 
 def test_closed_point_enumeration_validation():
@@ -130,8 +139,8 @@ def test_closed_point_enumeration_validation():
 
 def _evaluate(field, coeffs, a):
     """coeffs (low degree first) at a, in FieldElement arithmetic."""
-    x = field.element(a)
-    return sum((field.element(c) * x**i for i, c in enumerate(coeffs)),
+    x = FieldElement(field, a)
+    return sum((FieldElement(field, c) * x**i for i, c in enumerate(coeffs)),
                field.element(0))
 
 
@@ -505,7 +514,7 @@ def _random_form(R, d, rng):
     """Dense random form of degree d, nonzero."""
     field = R.field
     while True:
-        f = R.poly({e: field.random(rng)
+        f = R.poly({e: FieldElement(field, field.random(rng))
                     for e in degree_monomials(R.nvars, d)})
         if not f.is_zero():
             return f
@@ -661,7 +670,8 @@ def _random_binary_form(R, d, rng):
             coeffs[d] = field.zero
         if rng.random() < 0.3:
             coeffs[0] = field.zero
-        f = R.poly({(i, d - i): c for i, c in enumerate(coeffs)})
+        f = R.poly({(i, d - i): FieldElement(field, c)
+                    for i, c in enumerate(coeffs)})
         if f:
             return f
 
@@ -708,7 +718,7 @@ def test_hyperplane_gcd_degree_matches_binary_gcd(p, k, seed):
                       for _ in range(300)]
         for coords in points:
             i0 = coords.index(field.one)
-            basis = [forms[j] - forms[i0].scale(c)
+            basis = [forms[j] - forms[i0].scale(FieldElement(field, c))
                      for j, c in enumerate(coords) if j != i0]
             gg = binary_gcd(basis)
             deg = _hyperplane_gcd_degree(field, rows, coords)
@@ -775,7 +785,8 @@ def _forms_in_powers(R, m, e, power, rng):
     out = []
     for _ in range(m):
         f = _random_binary_form(R, e, rng)
-        out.append(R.poly({tuple(power * a for a in exps): c
+        out.append(R.poly({tuple(power * a for a in exps):
+                           FieldElement(R.field, c)
                            for exps, c in f.sorted_terms()}))
     return out
 
@@ -848,7 +859,7 @@ def test_image_curve_form_vanishes_where_a_hyperplane_has_a_gcd(p, k, seed):
                     points.append(tuple(field.mul(inv, c) for c in image))
             for coords in points:
                 i0 = coords.index(field.one)
-                basis = [lifted[j] - lifted[i0].scale(c)
+                basis = [lifted[j] - lifted[i0].scale(FieldElement(field, c))
                          for j, c in enumerate(coords) if j != i0]
                 if binary_gcd(basis).degree() > 0:
                     h = _restricted_coefficients(field, lifted_form, d,
@@ -884,7 +895,8 @@ def _unfiltered_twovars(forms, K, budget):
         deg = _hyperplane_gcd_degree(field, rows, coords)
         if deg > best:
             i0 = coords.index(field.one)
-            witness = tuple(lifted[j] - lifted[i0].scale(c)
+            witness = tuple(lifted[j]
+                            - lifted[i0].scale(FieldElement(field, c))
                             for j, c in enumerate(coords) if j != i0)
             witness_gcd = binary_gcd(witness)
             best = deg
@@ -1030,7 +1042,8 @@ def _closed_points_by_full_orbit(p, K, s):
                 if cur == coords:
                     break
                 orbit.append(cur)
-            if len(orbit) == k and coords == min(orbit):
+            if len(orbit) == k and coords == min(
+                    orbit, key=lambda c: _power_basis(field, c)):
                 out.append((k, coords))
     return out
 
@@ -1068,7 +1081,8 @@ def test_point_blocks_hold_exactly_the_orbit_representatives(p, K, s):
     got = []
     for field, elems, prefix, width in geometry._point_blocks(p, K, s):
         assert elems == list(field.elements())
-        assert all(_frobenius_power(field, prefix, i) > prefix
+        assert all(_power_basis(field, _frobenius_power(field, prefix, i))
+                   > _power_basis(field, prefix)
                    for i in range(1, field.k)), prefix
         if prefix not in _start_prefixes(field, s):
             parent = prefix[:-1]

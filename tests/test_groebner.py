@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cmreg.errors import DegreeCeilingError, SelfCheckError, UsageError
-from cmreg.fields import GF
+from cmreg.fields import GF, FieldElement
 from cmreg import geometry, groebner, hilbert, reports
 from cmreg.geometry import (
     ProjectionSpec,
@@ -295,7 +295,7 @@ def _saturate_by_intersection(I, i):
             for exps, c in g.sorted_terms():
                 exps = list(exps)
                 exps[i] -= k
-                terms[tuple(exps)] = c
+                terms[tuple(exps)] = FieldElement(R.field, c)
             quotients.append(R.poly(terms))
         nxt = Ideal(R, quotients)
         if nxt.equals(current):
@@ -308,7 +308,7 @@ def _random_form(R, d, rng, density):
     terms = {}
     for exps in degree_monomials(R.nvars, d):
         if rng.random() < density:
-            terms[exps] = field.random(rng)
+            terms[exps] = FieldElement(field, field.random(rng))
     return R.poly(terms)
 
 
@@ -511,7 +511,7 @@ def _by_position(terms, R, split):
     rows = {}
     for key, c in terms.items():
         pos, m = split(key)
-        rows.setdefault(pos, {})[m] = c
+        rows.setdefault(pos, {})[m] = FieldElement(R.field, c)
     return {pos: R.poly(t) for pos, t in rows.items()}
 
 
@@ -551,7 +551,7 @@ def _check_division(R, start, basis, split):
         assert not any(lp == pos and divides(lm, m) for lp, lm in leads)
     total = _by_position(rem, R, split)
     for (i, u), q in quotients.items():
-        mult = R.poly({R.order.unpack(u): q})
+        mult = R.poly({R.order.unpack(u): FieldElement(R.field, q)})
         for pos, row in _by_position(basis.terms[i], R, split).items():
             total[pos] = total.get(pos, R.zero()) + mult * row
     total = {pos: row for pos, row in total.items() if not row.is_zero()}
@@ -573,8 +573,8 @@ def test_reducer_quotients_reconstruct_the_input(p, k, seed):
             continue
         order = SchreyerOrder.trivial(1)
         split, term = _codec(R, order)
-        # ideal input at position 0, against the raw (non-monic) generators
-        # and against the reduced basis
+        # ideal input at position 0, against the raw generators (which
+        # _ideal_basis divides by their leads) and against the reduced basis
         for polys in (gens, Ideal(R, gens).groebner_basis().elements):
             basis = groebner._ideal_basis(R.order, polys)
             for _ in range(4):
@@ -596,6 +596,48 @@ def test_reducer_quotients_reconstruct_the_input(p, k, seed):
                                       (1, 2, 3), 12, term)
                 divided[level] += _check_division(R, start, basis, split)
     assert all(divided), divided
+
+
+@pytest.mark.parametrize("p,k,seed", [(32003, 1, 71), (7, 2, 72)])
+def test_reduce_matches_field_element_arithmetic(p, k, seed):
+    # the reducer's inline kernels (mod p, or Zech logs on GF(7^2)) against
+    # FieldElement arithmetic on exponent tuples: the basis holds the
+    # generators divided by their leads, and start = remainder + sum of
+    # q * u * basis[i] over the quotients
+    rng = random.Random(seed)
+    field = GF(p, k)
+    R = PolyRing(("x", "y", "z"), field=field)
+    unpack = R.order.unpack
+
+    def elementwise(terms):
+        return {unpack(key): FieldElement(field, c)
+                for key, c in terms.items()}
+
+    reduced = 0
+    for _ in range(10):
+        gens = [f for f in (_random_form(R, rng.randint(1, 3), rng, 0.6)
+                            for _ in range(rng.randint(1, 3)))
+                if not f.is_zero()]
+        start = _random_form(R, 4, rng, 0.5)._terms
+        if not gens or not start:
+            continue
+        basis = groebner._ideal_basis(R.order, gens)
+        for g, terms in zip(gens, basis.terms):
+            lc = FieldElement(field, g.lead_coefficient())
+            assert elementwise(terms) == {
+                e: c / lc for e, c in elementwise(g._terms).items()}
+        quotients = {}
+        rem = groebner._reduce(start, basis, field, quotients=quotients)
+        total = elementwise(rem)
+        for (i, u), q in quotients.items():
+            for e, c in elementwise(basis.terms[i]).items():
+                e = tuple(a + b for a, b in zip(unpack(u), e))
+                total[e] = (total.get(e, FieldElement(field, 0))
+                            + FieldElement(field, q) * c)
+        assert {e: c for e, c in total.items() if not c.is_zero()} == \
+            elementwise(start)
+        reduced += len(quotients)
+    assert reduced
 
 
 def _m_primary_ideals(p, k, nvars, seed, count=4):
@@ -626,7 +668,7 @@ def test_engine_stops_at_the_artinian_degree(monkeypatch, p, k, nvars, seed):
 
     def recorded(order, field, f, lf, g, lg):
         degrees.append(sum(order.exponents(
-            word_lcm(lf[2], lg[2], order.guards))))
+            word_lcm(lf[1], lg[1], order.guards))))
         return spoly(order, field, f, lf, g, lg)
 
     monkeypatch.setattr(groebner, "_spoly", recorded)
@@ -787,8 +829,8 @@ def _formed_pairs(monkeypatch, I):
 
     def recorded(order, field, f, lf, g, lg):
         formed.append((sum(order.exponents(
-                           word_lcm(lf[2], lg[2], order.guards))),
-                       [order.exponents(lead[2]) for lead in state["leads"]]))
+                           word_lcm(lf[1], lg[1], order.guards))),
+                       [order.exponents(lead[1]) for lead in state["leads"]]))
         return spoly(order, field, f, lf, g, lg)
 
     with monkeypatch.context() as m:

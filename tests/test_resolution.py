@@ -7,7 +7,7 @@ from cmreg.asymptotics import power_table
 from cmreg.errors import SelfCheckError, UsageError
 from cmreg.fields import GF
 from cmreg.fixtures import projective_plane_ideal
-from cmreg.groebner import Ideal
+from cmreg.groebner import Ideal, _Basis
 from cmreg.hilbert import hilbert_function
 from cmreg.polynomials import PolyRing
 from cmreg.resolution import (
@@ -28,6 +28,34 @@ from cmreg.resolution import (
 from oracle import degree_monomials, free_module_hilbert
 
 P = 7
+
+
+def is_complex(res: Resolution) -> bool:
+    """Whether consecutive differentials of res compose to zero."""
+    for k in range(len(res.differentials) - 1):
+        A, B = res.differentials[k], res.differentials[k + 1]
+        rows_of = {}
+        for (r, c), p in A.items():
+            rows_of.setdefault(c, []).append((r, p))
+        sums = {}
+        for (r, c), p in B.items():
+            for s, q in rows_of.get(r, ()):
+                key = (s, c)
+                acc = sums.get(key)
+                prod = q * p
+                sums[key] = prod if acc is None else acc + prod
+        if any(not v.is_zero() for v in sums.values()):
+            return False
+    return True
+
+
+def has_constant_entry(res: Resolution) -> bool:
+    return any(p.degree() == 0
+               for D in res.differentials for p in D.values())
+
+
+def beta(table: BettiTable, i: int, j: int) -> int:
+    return table.entries.get((i, j), 0)
 
 
 def ring(names=("x", "y", "z")):
@@ -56,8 +84,8 @@ def test_koszul_complex_of_the_maximal_ideal():
     assert betti.as_json_map() == {"0,0": 1, "1,1": 3, "2,2": 3, "3,3": 1}
     assert betti.regularity() == 0
     assert betti.projective_dimension() == 3
-    assert res.is_complex()
-    assert not res.has_constant_entry()
+    assert is_complex(res)
+    assert not has_constant_entry(res)
 
 
 def test_twisted_cubic_betti_table():
@@ -108,8 +136,8 @@ def test_resolutions_are_minimal_complexes():
         if I.is_zero_ideal():
             continue
         res, betti = minimal_free_resolution(I)
-        assert res.is_complex()
-        assert not res.has_constant_entry()
+        assert is_complex(res)
+        assert not has_constant_entry(res)
         assert res.length <= R.nvars  # Hilbert syzygy theorem
         # differentials are degree-compatible by construction; spot-check
         for k, D in enumerate(res.differentials):
@@ -134,6 +162,62 @@ def test_euler_characteristic_matches_hilbert_function():
             for i, free in enumerate(res.frees):
                 chi += (-1) ** i * free_module_hilbert(R.nvars, free.twists, d)
             assert chi == h.value(d), f"degree {d} of {I}"
+
+
+def _euler_cases():
+    """A complete intersection of points in P^2 and a twisted cubic in
+    P^3, whose quotient is not Artinian, over GF(7)."""
+    R = ring()
+    x, y, z = R.variables()
+    S = ring(("x0", "x1", "x2", "x3"))
+    x0, x1, x2, x3 = S.variables()
+    return [Ideal(R, (x * x, y * y, z * z)),
+            Ideal(S, (x0 * x2 - x1 * x1, x0 * x3 - x1 * x2,
+                      x1 * x3 - x2 * x2))]
+
+
+def _mutate_step(monkeypatch, level, mutate):
+    """Make the level-th call of _syzygy_step return mutate(its result)."""
+    real = resolution._syzygy_step
+    calls = []
+
+    def step(ring, basis, order, twists):
+        out = real(ring, basis, order, twists)
+        calls.append(level)
+        return mutate(*out) if len(calls) == level else out
+
+    monkeypatch.setattr(resolution, "_syzygy_step", step)
+
+
+def _drop_last_sigma(basis, order, twists):
+    kept = _Basis(basis.order, basis.bits)
+    for terms in basis.terms[:-1]:
+        kept.append(terms)
+    return kept, order, twists[:-1]
+
+
+def _shift_last_twist(basis, order, twists):
+    return basis, order, twists[:-1] + [twists[-1] + 1]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_euler_check_catches_a_dropped_sigma_or_a_shifted_twist(
+        monkeypatch, case):
+    # the tower's Euler characteristic must equal the Hilbert numerator;
+    # a sigma dropped at the last level leaves no S-pair to notice, so only
+    # that check can see it
+    I = _euler_cases()[case]
+    _, tower = _schreyer_tower(I, 64)
+    levels = len(tower) - 1  # _syzygy_step calls with a nonempty result
+    assert levels >= 1
+    for level in range(1, levels + 1):
+        for mutate in (_drop_last_sigma, _shift_last_twist):
+            with monkeypatch.context() as m:
+                _mutate_step(m, level, mutate)
+                with pytest.raises(SelfCheckError) as exc:
+                    betti_table(Ideal(I.ring, I.gens))
+                if level == levels or mutate is _shift_last_twist:
+                    assert "Euler characteristic" in str(exc.value)
 
 
 def test_betti_by_ranks_matches_the_minimized_complex():
@@ -181,13 +265,13 @@ def test_schreyer_tower_is_a_complex():
     I = Ideal(R, (x * x - y * z, x * y + z * z, y * y * y - x * z * z))
     gb = I.groebner_basis()
     frees, tower = _schreyer_tower(I, 64)
-    assert Resolution(R, frees, _differentials(R, tower)).is_complex()
+    assert is_complex(Resolution(R, frees, _differentials(R, tower)))
     assert frees[2].rank >= len(gb) - 1
     rng = random.Random(47)
     for _ in range(10):
         I = random_ideal(R, rng)
         frees, tower = _schreyer_tower(I, 64)
-        assert Resolution(R, frees, _differentials(R, tower)).is_complex(), I
+        assert is_complex(Resolution(R, frees, _differentials(R, tower))), I
 
 
 @pytest.mark.parametrize("nvars,seed", [(3, 191), (4, 192)])
@@ -249,7 +333,7 @@ def test_resolution_of_ideal_strips_the_leading_free_module():
     assert [f.twists for f in res_i.frees] == [
         f.twists for f in res_q.frees[1:]
     ]
-    assert betti_i.beta(0, 2) == betti_q.beta(1, 2) == 3
+    assert beta(betti_i, 0, 2) == beta(betti_q, 1, 2) == 3
     assert betti_i.regularity() == betti_q.regularity() + 1
     with pytest.raises(UsageError):
         minimal_free_resolution(I, of="module")
@@ -274,8 +358,8 @@ def test_regularity_conventions():
 
 def test_betti_table_interface():
     t = BettiTable({(0, 0): 1, (1, 2): 3, (2, 3): 2})
-    assert t.beta(1, 2) == 3
-    assert t.beta(5, 5) == 0
+    assert beta(t, 1, 2) == 3
+    assert beta(t, 5, 5) == 0
     assert t.regularity() == 1
     assert t.projective_dimension() == 2
     grid = t.render()
