@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from . import messages
 from .errors import DimensionError, GeometryError, SelfCheckError, UsageError
 from .fields import FieldElement
-from .groebner import DEFAULT_DEGREE_CEILING, Ideal
+from .groebner import Ideal
 from .hilbert import (
     finite_length_witness,
     quotient_degree,
@@ -128,8 +128,7 @@ def _stabilize(ts, values, window, warnings):
 
 
 def power_table(I: Ideal, t_max: int, route: str = "resolution",
-                window: int = DEFAULT_WINDOW,
-                degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> PowerRegReport:
+                window: int = DEFAULT_WINDOW) -> PowerRegReport:
     """Rows (t, reg I^t, reg S/I^t, e_t, f_t) for t = 1..t_max.
 
     Routes: "resolution" (always available), "hilbert" (finite length only:
@@ -151,7 +150,7 @@ def power_table(I: Ideal, t_max: int, route: str = "resolution",
     if d == 0:
         raise UsageError("generators are constants: the ideal is the unit ideal")
 
-    witness = finite_length_witness(I, degree_ceiling)
+    witness = finite_length_witness(I)
     m_primary = witness is None
     if route in ("hilbert", "both") and not m_primary:
         raise DimensionError(
@@ -163,13 +162,13 @@ def power_table(I: Ideal, t_max: int, route: str = "resolution",
     for t in range(1, t_max + 1):
         It = I.power(t)
         if route == "hilbert":
-            reg_q = top_degree_finite(It, degree_ceiling)
+            reg_q = top_degree_finite(It)
             reg_p = reg_q + 1
         else:
-            reg_q = regularity(It, "quotient", degree_ceiling)
+            reg_q = regularity(It, "quotient")
             reg_p = reg_q + 1
             if route == "both":
-                top = top_degree_finite(It, degree_ceiling)
+                top = top_degree_finite(It)
                 if reg_p != top + 1:
                     raise SelfCheckError(
                         f"route disagreement at t = {t}: resolution gives "
@@ -205,8 +204,7 @@ def power_table(I: Ideal, t_max: int, route: str = "resolution",
 
 
 def epsilon_containment(I_X: Ideal, forms, t_max: int,
-                        window: int = DEFAULT_WINDOW,
-                        degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> EpsilonReport:
+                        window: int = DEFAULT_WINDOW) -> EpsilonReport:
     """Per t, the least eps_t with m^(dt+eps_t) inside (V)^t + I_X.
 
     The forms must share one degree d and the center must be disjoint from
@@ -233,9 +231,9 @@ def epsilon_containment(I_X: Ideal, forms, t_max: int,
     if d < 1:
         raise UsageError("forms of V must have positive degree")
 
-    V = Ideal(ring, tuple(forms))
+    V = Ideal(ring, tuple(forms), I_X.degree_ceiling)
     center = V.plus(I_X)
-    witness = finite_length_witness(center, degree_ceiling)
+    witness = finite_length_witness(center)
     if witness is not None:
         raise GeometryError(
             f"the center meets X: variable {witness} has no pure power in "
@@ -245,7 +243,7 @@ def epsilon_containment(I_X: Ideal, forms, t_max: int,
     rows = []
     for t in range(1, t_max + 1):
         A = center if t == 1 else V.power(t).plus(I_X)
-        top = top_degree_finite(A, degree_ceiling)
+        top = top_degree_finite(A)
         rows.append(EpsilonRow(t, top, top - d * t + 1))
 
     for prev, cur in zip(rows, rows[1:]):
@@ -263,8 +261,7 @@ def epsilon_containment(I_X: Ideal, forms, t_max: int,
 
 
 def bound_report(I_X: Ideal, forms, t_max: int,
-                 window: int = DEFAULT_WINDOW,
-                 degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> BoundReport:
+                 window: int = DEFAULT_WINDOW) -> BoundReport:
     """Compare the computed eps with reg R - 1 and with deg X - codim X.
 
     The forms must be linear.  reg R means the regularity of the defining
@@ -275,13 +272,13 @@ def bound_report(I_X: Ideal, forms, t_max: int,
     for f in forms:
         if isinstance(f, Polynomial) and f.homogeneous_degree() not in (None, 1):
             raise UsageError("bound reports require linear forms")
-    eps_rep = epsilon_containment(I_X, forms, t_max, window, degree_ceiling)
+    eps_rep = epsilon_containment(I_X, forms, t_max, window)
     if eps_rep.d != 1:
         raise UsageError("bound reports require linear forms")
 
-    reg_R = regularity(I_X, "ideal", degree_ceiling)
-    deg_X = quotient_degree(I_X, degree_ceiling)
-    codim_X = I_X.ring.nvars - quotient_dimension(I_X, degree_ceiling)
+    reg_R = regularity(I_X, "ideal")
+    deg_X = quotient_degree(I_X)
+    codim_X = I_X.ring.nvars - quotient_dimension(I_X)
     bound_easy = reg_R - 1
     bound_dc = deg_X - codim_X
 
@@ -311,8 +308,8 @@ def ci_formula_check(d: int, t: int, n_plus_1: int) -> int:
 
 
 def conjecture_sampler(I_X: Ideal, c: int, trials: int, seed: int,
-                       t_max: int = 4, window: int = DEFAULT_WINDOW,
-                       degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> SamplerReport:
+                       t_max: int = 4,
+                       window: int = DEFAULT_WINDOW) -> SamplerReport:
     """Empirical check of eps <= floor(n/c) on random linear systems.
 
     Per trial, draws n + 1 + c random linear forms (n + 1 = Krull dimension
@@ -323,11 +320,13 @@ def conjecture_sampler(I_X: Ideal, c: int, trials: int, seed: int,
         raise UsageError("c must be at least 1")
     if trials < 0:
         raise UsageError("trials must be nonnegative")
+    if t_max < 1:
+        raise UsageError("t_max must be at least 1")
     if window < 1:
         raise UsageError("window must be at least 1")
     ring = I_X.ring
     field = ring.field
-    n = quotient_dimension(I_X, degree_ceiling) - 1
+    n = quotient_dimension(I_X) - 1
     if n < 0:
         raise UsageError("S/I_X has dimension 0; no projection to sample")
     bound = n // c
@@ -350,11 +349,11 @@ def conjecture_sampler(I_X: Ideal, c: int, trials: int, seed: int,
                 f = f + x.scale(FieldElement(field, coeff))
             if not f.is_zero():
                 forms.append(f)
-        V = Ideal(ring, tuple(forms))
-        if finite_length_witness(V.plus(I_X), degree_ceiling) is not None:
+        try:
+            rep = epsilon_containment(I_X, forms, t_max, window)
+        except GeometryError:  # the center meets X
             skipped += 1
             continue
-        rep = epsilon_containment(I_X, forms, t_max, window, degree_ceiling)
         stabilized = rep.status == STATUS_STABLE
         eps = rep.epsilon if stabilized else rep.rows[-1].epsilon_t
         rows.append(SamplerTrial(i, eps, stabilized, eps <= bound))

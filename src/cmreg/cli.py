@@ -139,13 +139,13 @@ def _named(table: dict, name: str, kind: str):
     return table[name]
 
 
-def _session_ideal(session, name: str) -> Ideal:
-    return Ideal(session.ring, _named(session.ideals, name, "ideal"))
+def _session_ideal(session, name: str, ceiling: int) -> Ideal:
+    return Ideal(session.ring, _named(session.ideals, name, "ideal"), ceiling)
 
 
-def _session_projection(session, name: str):
+def _session_projection(session, name: str, ceiling: int):
     ideal_name, forms_name = _named(session.projections, name, "projection")
-    I = Ideal(session.ring, session.ideals[ideal_name])
+    I = Ideal(session.ring, session.ideals[ideal_name], ceiling)
     return I, session.forms[forms_name]
 
 
@@ -158,49 +158,43 @@ def _run(args) -> reports.Report:
     cmd = args.command
 
     if cmd == "gb":
-        I = _session_ideal(session, args.ideal)
-        return reports.gb_report(args.ideal, ring,
-                                 I.groebner_basis(ceiling))
+        I = _session_ideal(session, args.ideal, ceiling)
+        return reports.gb_report(args.ideal, ring, I.groebner_basis())
 
     if cmd == "reg":
-        I = _session_ideal(session, args.ideal)
-        reg_q = regularity(I, "quotient", ceiling)
+        I = _session_ideal(session, args.ideal, ceiling)
+        reg_q = regularity(I, "quotient")
         return reports.reg_report(args.ideal, ring, reg_q + 1, reg_q)
 
     if cmd in ("res", "betti"):
-        I = _session_ideal(session, args.ideal)
-        betti = betti_table(I, args.of, ceiling)
+        I = _session_ideal(session, args.ideal, ceiling)
+        betti = betti_table(I, args.of)
         return reports.res_report(args.ideal, ring, args.of, betti)
 
     if cmd == "powers":
-        I = _session_ideal(session, args.ideal)
-        rep = power_table(I, args.tmax, route=args.route,
-                          window=args.window, degree_ceiling=ceiling)
+        I = _session_ideal(session, args.ideal, ceiling)
+        rep = power_table(I, args.tmax, route=args.route, window=args.window)
         return reports.powers_report(args.ideal, ring, rep)
 
     if cmd == "epsilon":
-        I, forms = _session_projection(session, args.projection)
-        rep = epsilon_containment(I, forms, args.tmax, window=args.window,
-                                  degree_ceiling=ceiling)
+        I, forms = _session_projection(session, args.projection, ceiling)
+        rep = epsilon_containment(I, forms, args.tmax, window=args.window)
         return reports.epsilon_report(args.projection, ring, rep)
 
     if cmd == "bounds":
-        I, forms = _session_projection(session, args.projection)
-        rep = bound_report(I, forms, args.tmax, window=args.window,
-                           degree_ceiling=ceiling)
+        I, forms = _session_projection(session, args.projection, ceiling)
+        rep = bound_report(I, forms, args.tmax, window=args.window)
         return reports.bounds_report(args.projection, ring, rep)
 
     if cmd == "fibers":
-        I, forms = _session_projection(session, args.projection)
+        I, forms = _session_projection(session, args.projection, ceiling)
         _check_search(args.ext_bound, args.budget, "fiber")
         eps_rep = epsilon_containment(I, forms, args.tmax,
-                                      window=args.window,
-                                      degree_ceiling=ceiling)
+                                      window=args.window)
         spec = ProjectionSpec(I, forms)
         rep = max_fiber_regularity(spec, K=args.ext_bound,
                                    epsilon=eps_rep.epsilon,
-                                   budget=args.budget,
-                                   degree_ceiling=ceiling)
+                                   budget=args.budget)
         return reports.fibers_report(args.projection, ring, rep,
                                      extra_warnings=eps_rep.warnings)
 
@@ -212,10 +206,9 @@ def _run(args) -> reports.Report:
         return reports.twovars_report(args.forms, ring, verdict)
 
     if cmd == "sample":
-        I = _session_ideal(session, args.ideal)
+        I = _session_ideal(session, args.ideal, ceiling)
         rep = conjecture_sampler(I, args.c, args.trials, args.seed,
-                                 t_max=args.tmax, window=args.window,
-                                 degree_ceiling=ceiling)
+                                 t_max=args.tmax, window=args.window)
         return reports.sample_report(args.ideal, ring, rep)
 
     raise UsageError(f"unknown command {cmd!r}")

@@ -124,13 +124,12 @@ class Finiteness:
     witness: str | None
 
 
-def check_finite(spec: ProjectionSpec,
-                 degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Finiteness:
+def check_finite(spec: ProjectionSpec) -> Finiteness:
     """Certificate that the projection is finite: I_X + (V) has finite
     length.  When it does not, the witness names a variable with no pure
     power among the lead terms (the center of projection meets X)."""
     J = spec.ideal.plus(Ideal(spec.ring, spec.forms))
-    witness = finite_length_witness(J, degree_ceiling)
+    witness = finite_length_witness(J)
     return Finiteness(witness is None, witness)
 
 
@@ -266,9 +265,9 @@ def _extension_ring(ring: PolyRing, k: int) -> PolyRing:
 
 def _fiber_setup(spec: ProjectionSpec, k: int):
     """(the spec's ring over GF(p^k), that ring under grevlex, where fibers
-    are resolved whatever the spec's order, and the projection forms and
-    generators of I_X lifted into it): the part of a fiber's set-up that
-    depends only on the extension degree k of its point."""
+    are resolved whatever the spec's order, the projection forms and
+    generators of I_X lifted into it, and I_X's degree ceiling): the part of
+    a fiber's set-up fixed by the extension degree k of its point."""
     if not 1 <= k <= MAX_EXTENSION_DEGREE:
         raise UsageError(f"unsupported extension degree {k}")
     home = _extension_ring(spec.ring, k)
@@ -276,10 +275,11 @@ def _fiber_setup(spec: ProjectionSpec, k: int):
     big = (home if home.order == grevlex
            else PolyRing(home.names, home.field, grevlex))
     return (home, big, [lift_polynomial(f, big) for f in spec.forms],
-            [lift_polynomial(g, big) for g in spec.ideal.gens])
+            [lift_polynomial(g, big) for g in spec.ideal.gens],
+            spec.ideal.degree_ceiling)
 
 
-def _fiber_bound(spec: ProjectionSpec, degree_ceiling: int):
+def _fiber_bound(spec: ProjectionSpec):
     """A Hilbert numerator over (1-T)^n whose series is at most the Hilbert
     function of every fiber ideal I_X + (l); () (no bound) unless each fiber
     has a single linear form l, i.e. the projection goes to P^1.
@@ -288,19 +288,18 @@ def _fiber_bound(spec: ProjectionSpec, degree_ceiling: int):
     numerator of I_X the bound is (1-T) N."""
     if spec.s != 1:
         return ()
-    return _zmul((1, -1), hilbert_numerator(spec.ideal, degree_ceiling))
+    return _zmul((1, -1), hilbert_numerator(spec.ideal))
 
 
 class _Fiber:
     """One fiber, resolved as a subscheme of P^n: the saturation of I_X plus
-    the fiber's linear forms, in the grevlex ring of ``_fiber_setup``.
-    ``bound`` is ``_fiber_bound``'s."""
+    the fiber's linear forms, in the grevlex ring of ``_fiber_setup`` and
+    under I_X's degree ceiling.  ``bound`` is ``_fiber_bound``'s."""
 
     __slots__ = ("saturated", "linear_forms", "pivots", "home")
 
-    def __init__(self, setup, point: ClosedPoint, degree_ceiling: int,
-                 bound):
-        home, big, forms, gens = setup
+    def __init__(self, setup, point: ClosedPoint, bound):
+        home, big, forms, gens, ceiling = setup
         field = big.field
         coords = point.coords
 
@@ -315,8 +314,8 @@ class _Fiber:
         pivots = _rref(field, [_linear_coefficients(f) for f in linear])
         if len(pivots) != len(linear):
             raise SelfCheckError("fiber linear forms are dependent")
-        self.saturated = saturate(_bounded(big, gens + linear, bound),
-                                  degree_ceiling)
+        self.saturated = saturate(_bounded(big, gens + linear, bound,
+                                           ceiling))
         self.linear_forms = tuple(linear)
         self.pivots = pivots
         self.home = home
@@ -336,24 +335,22 @@ class _Fiber:
                 gens.append(g)
         if self.saturated.ring != self.home:
             gens = [lift_polynomial(g, self.home) for g in gens]
-        return Ideal(self.home, gens)
+        return Ideal(self.home, gens, self.saturated.degree_ceiling)
 
 
-def fiber_ideal(spec: ProjectionSpec, point: ClosedPoint,
-                degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
+def fiber_ideal(spec: ProjectionSpec, point: ClosedPoint) -> Ideal:
     """Saturated ideal of the fiber over a closed point, as a subscheme of
     P^n; it contains 1 for points outside the image.
 
     The result lives in the spec's ring with coefficients lifted to GF(p^k)
     for the point's extension degree k, generated by the fiber's linear
     forms and the elements of the saturated basis free of their pivot
-    variables."""
-    return _Fiber(_fiber_setup(spec, point.k), point, degree_ceiling,
-                  _fiber_bound(spec, degree_ceiling)).ambient_ideal()
+    variables, under I_X's degree ceiling."""
+    return _Fiber(_fiber_setup(spec, point.k), point,
+                  _fiber_bound(spec)).ambient_ideal()
 
 
-def fiber_regularity(Z: Ideal,
-                     degree_ceiling: int = DEFAULT_DEGREE_CEILING):
+def fiber_regularity(Z: Ideal):
     """(degree, regularity) of a saturated ideal of finitely many points,
     read off its Hilbert numerator N = Q * (1-T)^(n-1).
 
@@ -363,7 +360,7 @@ def fiber_regularity(Z: Ideal,
     h(e) = Q_0 + ... + Q_e first reaches deg Z = Q(1) at e = deg Q, so
     reg Z = deg Q + 1 (Eisenbud, The Geometry of Syzygies, ch. 4).  A
     negative coefficient of Q means Z is not saturated: SelfCheckError."""
-    Q, c = _split(hilbert_numerator(Z, degree_ceiling))
+    Q, c = _split(hilbert_numerator(Z))
     dim = -1 if Q is None else Z.ring.nvars - c
     if dim != 1:
         raise DimensionError(
@@ -379,8 +376,7 @@ def fiber_regularity(Z: Ideal,
 def max_fiber_regularity(spec: ProjectionSpec,
                          K: int = DEFAULT_EXTENSION_BOUND,
                          epsilon: int | None = None,
-                         budget: int = DEFAULT_FIBER_BUDGET,
-                         degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> FiberSearchReport:
+                         budget: int = DEFAULT_FIBER_BUDGET) -> FiberSearchReport:
     """Maximum fiber regularity over the closed points of P^s with residue
     extension degree at most K, with every maximizing point.
 
@@ -392,13 +388,13 @@ def max_fiber_regularity(spec: ProjectionSpec,
     the budget ran out before the first nonempty fiber."""
     _check_search(K, budget, "fiber")
     _require_prime_base(spec.ring, "fiber search")
-    cert = check_finite(spec, degree_ceiling)
+    cert = check_finite(spec)
     if not cert.finite:
         raise GeometryError(
             f"projection is not finite: variable {cert.witness} has no pure "
             "power among the lead terms of I_X + (V)"
         )
-    bound = _fiber_bound(spec, degree_ceiling)
+    bound = _fiber_bound(spec)
     fibers = []
     empty = 0
     count = 0
@@ -412,11 +408,11 @@ def max_fiber_regularity(spec: ProjectionSpec,
         if point.k != k:
             k = point.k
             setup = _fiber_setup(spec, k)
-        fib = _Fiber(setup, point, degree_ceiling, bound)
+        fib = _Fiber(setup, point, bound)
         if fib.is_empty():
             empty += 1
             continue
-        deg, reg = fiber_regularity(fib.saturated, degree_ceiling)
+        deg, reg = fiber_regularity(fib.saturated)
         fibers.append(FiberReport(point, fib.ambient_ideal(), deg, reg))
 
     if not fibers:
@@ -622,18 +618,28 @@ def _curve_scan(form, d, p: int, K: int, s: int):
 
 def _restricted_coefficients(field, form, d, pair):
     """Coefficients, low degree first, of h(c_3) = F(c_1, c_2, c_3) at
-    (c_1, c_2) = pair, for F = {(a, b, c): raw value of field} of degree
-    d."""
-    add, mul = field.add, field.mul
-    c1, c2 = pair
-    p1 = [field.one]
-    p2 = [field.one]
-    for _ in range(d):
-        p1.append(mul(p1[-1], c1))
-        p2.append(mul(p2[-1], c2))
-    coeffs = [field.zero] * (d + 1)
+    (c_1, c_2) = pair, for F = {(a, b, c): nonzero raw value of field} of
+    degree d, with one inline loop per kind of field, as in
+    ``fields._axpy``."""
+    zech = field.zech
+    if zech is None:
+        p = field.p
+        p1, p2 = ([pow(c, i, p) for i in range(d + 1)] for c in pair)
+        coeffs = [0] * (d + 1)
+        for (a, b, c), v in form.items():
+            coeffs[c] += v * p1[a] * p2[b]
+        return [v % p for v in coeffs]
+    W, Z, _ = zech
+    p1, p2 = ([field.pow_(c, i) for i in range(d + 1)] for c in pair)
+    coeffs = [0] * (d + 1)
     for (a, b, c), v in form.items():
-        coeffs[c] = add(coeffs[c], mul(v, mul(p1[a], p2[b])))
+        if p1[a] and p2[b]:
+            t = W[W[v + p1[a]] + p2[b]]
+            old = coeffs[c]
+            if old:
+                z = Z[t - old]
+                t = W[old + z] if z else 0
+            coeffs[c] = t
     return coeffs
 
 
@@ -770,14 +776,13 @@ def twovars_verify(forms, t_max: int, K: int = DEFAULT_EXTENSION_BOUND,
     r from the K-bounded enumeration is a lower bound for the value over
     the closed field, so the inequality is asserted fatally; equality is
     expected exactly when a maximizing subspace is defined within degree
-    K."""
+    K.  ``degree_ceiling`` is that of the ideal the forms generate."""
     if window < 1:
         raise UsageError("window must be at least 1")
     rep = twovars_r(forms, K, budget)
     ring = forms[0].ring
-    I = Ideal(ring, tuple(forms))
-    table = power_table(I, t_max, route="hilbert", window=window,
-                        degree_ceiling=degree_ceiling)
+    I = Ideal(ring, tuple(forms), degree_ceiling)
+    table = power_table(I, t_max, route="hilbert", window=window)
     warnings = list(rep.warnings) + list(table.warnings)
     rows = []
     equality = None

@@ -34,6 +34,10 @@ S-polynomials, syzygy S-pairs, reduction steps and Polynomial arithmetic
 all go through it.  Basis elements are monic, so the reducer itself does
 no coefficient arithmetic.
 
+An Ideal carries the degree ceiling of its basis computation, and an ideal
+built from others takes the ceiling of its first operand, so a
+computation's ceiling is set once, on the ideal it starts from.
+
 Saturation by a variable x_i divides a grevlex basis with x_i last by its
 largest x_i-powers (Bayer-Stillman), and returns the basis unchanged when
 x_i divides none of its leads.  Saturation by the irrelevant maximal
@@ -50,6 +54,7 @@ import functools
 import heapq
 import itertools
 import math
+from operator import le
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
 from .fields import _axpy, _divide
@@ -231,8 +236,10 @@ def _standard_count(lead_exps, powers, e, limit) -> int:
         if i == n - 1:
             if left <= top:
                 m = prefix + (left,)
-                if not any(all(a <= b for a, b in zip(l, m))
-                           for l in lead_exps):
+                for l in lead_exps:
+                    if all(map(le, l, m)):
+                        break
+                else:
                     count += 1
             return count > limit
         return any(passed(prefix + (a,), left - a) for a in range(top + 1))
@@ -363,11 +370,13 @@ def _reduce_basis(G, ring) -> list:
 class Ideal:
     """A homogeneous ideal given by generators.  Construction rejects
     inhomogeneous generators; zero generators are dropped and duplicates
-    (up to scaling) removed."""
+    (up to scaling) removed.  Sums, products, powers, intersections and
+    saturations take the ``degree_ceiling`` of their first operand."""
 
-    __slots__ = ("ring", "gens", "_gb", "_bound", "_power")
+    __slots__ = ("ring", "gens", "degree_ceiling", "_gb", "_bound", "_power")
 
-    def __init__(self, ring: PolyRing, gens=()):
+    def __init__(self, ring: PolyRing, gens=(),
+                 degree_ceiling: int = DEFAULT_DEGREE_CEILING):
         checked = []
         seen = set()
         for g in gens:
@@ -386,6 +395,7 @@ class Ideal:
             checked.append(g)
         self.ring = ring
         self.gens = tuple(checked)
+        self.degree_ceiling = degree_ceiling
         self._gb = None
         self._bound = ()
         self._power = None
@@ -406,13 +416,13 @@ class Ideal:
     def plus(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:
             raise UsageError("ideals live in different rings")
-        return Ideal(self.ring, self.gens + other.gens)
+        return Ideal(self.ring, self.gens + other.gens, self.degree_ceiling)
 
     def times(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:
             raise UsageError("ideals live in different rings")
         prods = [a * b for a in self.gens for b in other.gens]
-        return Ideal(self.ring, prods)
+        return Ideal(self.ring, prods, self.degree_ceiling)
 
     def power(self, t: int) -> "Ideal":
         """I^t, generated by the products of t generators in the order of
@@ -437,32 +447,25 @@ class Ideal:
                      for j in range(i, len(gens))]
             s += 1
         self._power = (s, level)
-        return Ideal(self.ring, [f for _, f in level])
+        return Ideal(self.ring, [f for _, f in level], self.degree_ceiling)
 
-    def groebner_basis(self, degree_ceiling: int = DEFAULT_DEGREE_CEILING):
+    def groebner_basis(self):
         """The reduced Groebner basis, computed on the first call and cached.
-
-        The reduced basis is unique, so one cached basis serves every later
-        call whatever its ceiling: degree_ceiling bounds only the work still
-        to be done, and a cached basis needs none.  Without a cached basis,
-        an S-pair above the ceiling raises DegreeCeilingError.
-        """
+        An S-pair above ``degree_ceiling`` raises DegreeCeilingError."""
         if self._gb is None:
-            elements = _engine(list(self.gens), self.ring, degree_ceiling,
-                               self._bound)
+            elements = _engine(list(self.gens), self.ring,
+                               self.degree_ceiling, self._bound)
             self._gb = GroebnerBasis(self.ring, elements)
         return self._gb
 
-    def contains(self, f: Polynomial, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> bool:
-        return self.groebner_basis(degree_ceiling).contains(f)
+    def contains(self, f: Polynomial) -> bool:
+        return self.groebner_basis().contains(f)
 
-    def equals(self, other: "Ideal", degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> bool:
+    def equals(self, other: "Ideal") -> bool:
         if other.ring != self.ring:
             return False
-        return (
-            self.groebner_basis(degree_ceiling).elements
-            == other.groebner_basis(degree_ceiling).elements
-        )
+        return (self.groebner_basis().elements
+                == other.groebner_basis().elements)
 
     def __repr__(self):
         inside = ", ".join(str(g) for g in self.gens) if self.gens else "0"
@@ -525,18 +528,19 @@ def _project_down(f: Polynomial, ring: PolyRing) -> Polynomial:
                              for k, c in f._terms.items()})
 
 
-def intersect(A: Ideal, B: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
-    """A cap B via a basis of t*A + (1-t)*B with t eliminated."""
+def intersect(A: Ideal, B: Ideal) -> Ideal:
+    """A cap B via a basis of t*A + (1-t)*B with t eliminated, under A's
+    degree ceiling."""
     if A.ring != B.ring:
         raise UsageError("ideals live in different rings")
-    ring = A.ring
+    ring, ceiling = A.ring, A.degree_ceiling
     if A.is_zero_ideal() or B.is_zero_ideal():
-        return Ideal(ring, ())
+        return Ideal(ring, (), ceiling)
     aux = _aux_ring(ring)
     gens = [_shift_up(a, aux, 1) for a in A.gens]
     for b in B.gens:
         gens.append(_shift_up(b, aux, 0) - _shift_up(b, aux, 1))
-    basis = _engine(gens, aux, degree_ceiling)
+    basis = _engine(gens, aux, ceiling)
     kept = []
     for g in basis:
         # a term with t lies above every t-free term, so g is t-free when
@@ -548,23 +552,24 @@ def intersect(A: Ideal, B: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) 
                     "intersection of homogeneous ideals produced an inhomogeneous element"
                 )
             kept.append(h)
-    return Ideal(ring, kept)
+    return Ideal(ring, kept, ceiling)
 
 
-def _bounded(ring: PolyRing, gens, bound) -> Ideal:
+def _bounded(ring: PolyRing, gens, bound, degree_ceiling: int) -> Ideal:
     """The ideal generated by ``gens``, whose basis computation may drop the
     pairs of a degree where the Hilbert numerator ``bound`` is met (see
     ``_engine``): B_e <= HF(S/I)_e must hold for every e."""
-    I = Ideal(ring, gens)
+    I = Ideal(ring, gens, degree_ceiling)
     I._bound = tuple(bound)
     return I
 
 
-def _presented(ring: PolyRing, elements, gb=None) -> Ideal:
-    """The ideal generated by a reduced basis, with that basis cached: the
-    GroebnerBasis ``gb`` when one already holds it."""
-    J = Ideal(ring, elements)
-    J._gb = GroebnerBasis(ring, elements) if gb is None else gb
+def _presented(I: Ideal, elements, gb=None) -> Ideal:
+    """The ideal generated by a reduced basis of an ideal derived from I, in
+    I's ring and with I's ceiling, with that basis cached: the GroebnerBasis
+    ``gb`` when one already holds it."""
+    J = Ideal(I.ring, elements, I.degree_ceiling)
+    J._gb = GroebnerBasis(I.ring, elements) if gb is None else gb
     return J
 
 
@@ -578,7 +583,7 @@ def _divide_out(f: Polynomial, i: int, ring: PolyRing) -> Polynomial:
                              for exps, c in terms})
 
 
-def saturate_variable(I: Ideal, i: int, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
+def saturate_variable(I: Ideal, i: int) -> Ideal:
     """(I : x_i^infinity), presented by its reduced basis with that basis cached.
 
     In grevlex with x_i last, x_i divides a homogeneous f exactly when it
@@ -598,18 +603,18 @@ def saturate_variable(I: Ideal, i: int, degree_ceiling: int = DEFAULT_DEGREE_CEI
         raise UsageError("variable index out of range")
     order = MonomialOrder(GREVLEX, n, [j for j in range(n) if j != i] + [i])
     if order == ring.order:
-        gb = I.groebner_basis(degree_ceiling)
+        gb = I.groebner_basis()
         if not any(m[i] for m in gb.lead_monomials):
-            return _presented(ring, gb.elements, gb)
+            return _presented(I, gb.elements, gb)
         reduced = _reduce_basis([_divide_out(g, i, ring)._terms
                                  for g in gb.elements], ring)
     else:
         aux = PolyRing(ring.names, ring.field, order)
         basis = _engine([lift_polynomial(g, aux) for g in I.gens], aux,
-                        degree_ceiling)
+                        I.degree_ceiling)
         reduced = _engine([_divide_out(g, i, ring) for g in basis], ring,
-                          degree_ceiling)
-    return _presented(ring, reduced)
+                          I.degree_ceiling)
+    return _presented(I, reduced)
 
 
 def _same_hilbert_polynomial(num_a, num_b, n: int) -> bool:
@@ -622,7 +627,7 @@ def _same_hilbert_polynomial(num_a, num_b, n: int) -> bool:
     return Q is None or c >= n
 
 
-def saturate(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
+def saturate(I: Ideal) -> Ideal:
     """Saturation by the maximal ideal m, presented by its reduced basis with
     that basis cached.
 
@@ -638,12 +643,12 @@ def saturate(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> Ideal:
     from .hilbert import hilbert_numerator  # hilbert imports this module
 
     n = I.ring.nvars
-    target = hilbert_numerator(I, degree_ceiling)
+    target = hilbert_numerator(I)
     parts = []
     for i in reversed(range(n)):
-        J = saturate_variable(I, i, degree_ceiling)
-        if _same_hilbert_polynomial(target, hilbert_numerator(J, degree_ceiling), n):
+        J = saturate_variable(I, i)
+        if _same_hilbert_polynomial(target, hilbert_numerator(J), n):
             return J
         parts.append(J)
-    result = functools.reduce(lambda a, b: intersect(a, b, degree_ceiling), parts)
-    return _presented(I.ring, result.groebner_basis(degree_ceiling).elements)
+    result = functools.reduce(intersect, parts)
+    return _presented(I, result.groebner_basis().elements)

@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import le
 
 from .errors import DimensionError, UsageError
-from .groebner import DEFAULT_DEGREE_CEILING, Ideal
+from .groebner import Ideal
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,10 @@ def _minimalize(gens):
     gens = sorted(set(gens), key=lambda g: (sum(g), g))
     out = []
     for g in gens:
-        if not any(all(o[i] <= g[i] for i in range(len(g))) for o in out):
+        for o in out:
+            if all(map(le, o, g)):
+                break
+        else:
             out.append(g)
     return out
 
@@ -115,10 +119,10 @@ def _numerator(gens) -> list:
     return _zadd(_numerator(plus), _zshift(_numerator(quot), 1))
 
 
-def hilbert_numerator(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> tuple:
+def hilbert_numerator(I: Ideal) -> tuple:
     """Coefficients of N(T) with Hilbert series of S/I equal to N/(1-T)^n,
     computed on the first call for a basis and cached on it."""
-    gb = I.groebner_basis(degree_ceiling)
+    gb = I.groebner_basis()
     if gb.numerator is None:
         gens = gb.lead_monomials
         out = _numerator(_minimalize(gens)) if gens else [1]
@@ -126,12 +130,11 @@ def hilbert_numerator(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) ->
     return gb.numerator
 
 
-def hilbert_function(I: Ideal, d_max: int,
-                     degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> HilbertFunction:
+def hilbert_function(I: Ideal, d_max: int) -> HilbertFunction:
     """h(d) = number of standard monomials of degree d, for 0 <= d <= d_max."""
     if d_max < 0:
         raise UsageError("d_max must be nonnegative")
-    num = hilbert_numerator(I, degree_ceiling)
+    num = hilbert_numerator(I)
     coeffs = [num[d] if d < len(num) else 0 for d in range(d_max + 1)]
     for _ in range(I.ring.nvars):
         total = 0
@@ -141,49 +144,45 @@ def hilbert_function(I: Ideal, d_max: int,
     return HilbertFunction(tuple(coeffs), d_max)
 
 
-def quotient_dimension(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> int:
+def quotient_dimension(I: Ideal) -> int:
     """Krull dimension of S/I; -1 for the unit ideal."""
-    Q, c = _split(hilbert_numerator(I, degree_ceiling))
+    Q, c = _split(hilbert_numerator(I))
     if Q is None:
         return -1
     return I.ring.nvars - c
 
 
-def quotient_degree(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> int:
+def quotient_degree(I: Ideal) -> int:
     """Multiplicity of S/I: Q(1) where N = Q * (1-T)^codim; 0 for the unit ideal."""
-    Q, _ = _split(hilbert_numerator(I, degree_ceiling))
+    Q, _ = _split(hilbert_numerator(I))
     if Q is None:
         return 0
     return sum(Q)
 
 
-def finite_length_witness(I: Ideal,
-                          degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> str | None:
+def finite_length_witness(I: Ideal) -> str | None:
     """None when S/I has finite length; otherwise the name of a variable with
     no pure power among the lead terms."""
-    gb = I.groebner_basis(degree_ceiling)
-    ring = I.ring
-    for i in range(ring.nvars):
-        found = False
+    gb = I.groebner_basis()
+    for i, name in enumerate(I.ring.names):
         for m in gb.lead_monomials:
             if all(e == 0 for j, e in enumerate(m) if j != i):
-                found = True
                 break
-        if not found:
-            return ring.names[i]
+        else:
+            return name
     return None
 
 
-def top_degree_finite(I: Ideal, degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> int:
+def top_degree_finite(I: Ideal) -> int:
     """Largest d with h(d) != 0, for finite-length S/I; -1 for the unit ideal."""
-    witness = finite_length_witness(I, degree_ceiling)
+    witness = finite_length_witness(I)
     if witness is not None:
         raise DimensionError(
             f"S/I is not finite length: variable {witness} has no pure power "
             "in the lead-term ideal"
         )
     # finite length: N = Q * (1-T)^n, so the Hilbert series is Q itself
-    Q, _ = _split(hilbert_numerator(I, degree_ceiling))
+    Q, _ = _split(hilbert_numerator(I))
     if Q is None:
         return -1
     return len(Q) - 1

@@ -32,8 +32,7 @@ from dataclasses import dataclass
 
 from .errors import SelfCheckError, UsageError
 from .fields import _axpy, _divide, _rref
-from .groebner import (DEFAULT_DEGREE_CEILING, Ideal, _Basis, _ideal_basis,
-                       _reduce)
+from .groebner import Ideal, _Basis, _ideal_basis, _reduce
 from .hilbert import _strip, hilbert_numerator
 from .orders import word_lcm
 from .polynomials import Polynomial
@@ -247,7 +246,7 @@ class BettiTable:
         return f"BettiTable({self.as_json_map()})"
 
 
-def _schreyer_tower(J: Ideal, degree_ceiling: int):
+def _schreyer_tower(J: Ideal):
     """Non-minimal resolution of S/J, kept packed: (frees, tower).
 
     tower[k] = (columns, order) is the differential F_{k+1} -> F_k: one term
@@ -261,7 +260,7 @@ def _schreyer_tower(J: Ideal, degree_ceiling: int):
     basis; a lost or extra syzygy or a wrong twist raises SelfCheckError.
     """
     ring = J.ring
-    gb = J.groebner_basis(degree_ceiling)
+    gb = J.groebner_basis()
     cols = sorted(gb.elements, key=lambda g: g.lead_monomial(), reverse=True)
     basis = _ideal_basis(ring.order, cols)
     order = SchreyerOrder.trivial(1)
@@ -279,7 +278,7 @@ def _schreyer_tower(J: Ideal, degree_ceiling: int):
         for j in free.twists:
             euler[j] += (-1) ** i
     euler = tuple(_strip(euler) or [0])
-    if euler != hilbert_numerator(J, degree_ceiling):
+    if euler != hilbert_numerator(J):
         raise SelfCheckError(f"Euler characteristic {euler} of the "
                              "resolution differs from the Hilbert numerator")
     return frees, tower
@@ -419,13 +418,12 @@ def _betti_by_ranks(ring, frees, tower) -> BettiTable:
     return BettiTable(entries)
 
 
-def betti_table(J: Ideal, of: str = "quotient",
-                degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> BettiTable:
+def betti_table(J: Ideal, of: str = "quotient") -> BettiTable:
     """Graded Betti numbers of S/J or of J, read off the Schreyer resolution
     by ranks of its constant blocks; no differential is minimized."""
     if of not in ("quotient", "ideal"):
         raise UsageError(f"unknown resolution target {of!r}")
-    frees, tower = _schreyer_tower(J, degree_ceiling)
+    frees, tower = _schreyer_tower(J)
     betti = _betti_by_ranks(J.ring, frees, tower)
     if of == "quotient":
         return betti
@@ -434,8 +432,7 @@ def betti_table(J: Ideal, of: str = "quotient",
                        if i >= 1})
 
 
-def minimal_free_resolution(J: Ideal, of: str = "quotient",
-                            degree_ceiling: int = DEFAULT_DEGREE_CEILING):
+def minimal_free_resolution(J: Ideal, of: str = "quotient"):
     """Minimal graded free resolution of S/J or of J, with its Betti table.
 
     Only callers that need the minimal differentials come here; Betti
@@ -443,7 +440,7 @@ def minimal_free_resolution(J: Ideal, of: str = "quotient",
     """
     if of not in ("quotient", "ideal"):
         raise UsageError(f"unknown resolution target {of!r}")
-    frees, tower = _schreyer_tower(J, degree_ceiling)
+    frees, tower = _schreyer_tower(J)
     frees, diffs = _minimize(J.ring, frees, _differentials(J.ring, tower))
     if of == "quotient":
         res = Resolution(J.ring, frees, diffs)
@@ -453,8 +450,7 @@ def minimal_free_resolution(J: Ideal, of: str = "quotient",
     return res, _betti_from_frees(frees[1:])
 
 
-def regularity(J: Ideal, of: str = "ideal",
-               degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> int:
+def regularity(J: Ideal, of: str = "ideal") -> int:
     """Castelnuovo-Mumford regularity of J or of S/J.
 
     reg J = reg S/J + 1 always.  Conventions: the zero ideal (all of
@@ -464,6 +460,6 @@ def regularity(J: Ideal, of: str = "ideal",
     """
     if of not in ("quotient", "ideal"):
         raise UsageError(f"unknown regularity target {of!r}")
-    betti = betti_table(J, "quotient", degree_ceiling)
+    betti = betti_table(J, "quotient")
     reg_quotient = betti.regularity() if betti.entries else -1
     return reg_quotient + 1 if of == "ideal" else reg_quotient

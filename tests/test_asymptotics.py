@@ -230,11 +230,36 @@ def test_sampler_small_field_warning_and_validation():
         conjecture_sampler(I, c=0, trials=2, seed=5)
     with pytest.raises(UsageError):
         conjecture_sampler(I, c=1, trials=-1, seed=5)
+    for trials in (0, 2):
+        with pytest.raises(UsageError, match="t_max must be at least 1"):
+            conjecture_sampler(I, c=1, trials=trials, seed=5, t_max=0)
     R = I.ring
     x, y, z = R.variables()
     fat_point = Ideal(R, (x, y, z)).power(2)
     with pytest.raises(UsageError):
         conjecture_sampler(fat_point, c=1, trials=1, seed=5)
+
+
+def test_sampler_builds_one_basis_per_draw(monkeypatch):
+    # a draw whose center meets X is skipped by epsilon_containment's
+    # GeometryError; the center's basis is not computed a second time
+    R = ring3(2)
+    x, y, z = R.variables()
+    I = Ideal(R, (x * z - y * y,))
+    calls = []
+    engine = groebner._engine
+
+    def counted(*args):
+        calls.append(1)
+        return engine(*args)
+
+    monkeypatch.setattr(groebner, "_engine", counted)
+    rep = conjecture_sampler(I, c=1, trials=8, seed=0, t_max=3)
+    assert rep.skipped and rep.rows
+    assert len(rep.rows) + rep.skipped == 8
+    # S/I_X's dimension, then per draw the center and, when it has finite
+    # length, (V)^t + I_X for t = 2, 3
+    assert len(calls) == 1 + rep.skipped + 3 * len(rep.rows)
 
 
 def test_each_power_gets_one_groebner_basis(monkeypatch):

@@ -445,6 +445,12 @@ def test_sample_command(conic_file, capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert "empirical, not a proof" in out
+    for trials in ("0", "2"):
+        code, out, err = run(capsys, ["sample", conic_file, "-i", "conic",
+                                      "--tmax", "0", "--trials", trials])
+        assert code == 2, trials
+        assert out == ""
+        assert "t_max must be at least 1" in err
 
 
 def test_reports_are_byte_deterministic(conic_file, capsys):

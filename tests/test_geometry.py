@@ -4,8 +4,10 @@ import random
 import pytest
 
 from cmreg import geometry, hilbert, messages
+from cmreg.asymptotics import epsilon_containment, power_table
 from cmreg.errors import (
     BudgetError,
+    DegreeCeilingError,
     DimensionError,
     GeometryError,
     SelfCheckError,
@@ -29,7 +31,7 @@ from cmreg.geometry import (
     twovars_r,
     twovars_verify,
 )
-from cmreg.groebner import DEFAULT_DEGREE_CEILING, Ideal
+from cmreg.groebner import Ideal
 from cmreg.hilbert import (
     hilbert_function,
     quotient_degree,
@@ -471,11 +473,11 @@ def test_fiber_search_computes_one_numerator_per_basis(monkeypatch):
     per_basis = {}
     read = hilbert.hilbert_numerator
 
-    def counted_read(I, degree_ceiling=DEFAULT_DEGREE_CEILING):
-        gb = I.groebner_basis(degree_ceiling)
+    def counted_read(I):
+        gb = I.groebner_basis()
         bases.append(gb)
         before = top_level
-        out = read(I, degree_ceiling)
+        out = read(I)
         per_basis[id(gb)] = per_basis.get(id(gb), 0) + top_level - before
         return out
 
@@ -816,6 +818,32 @@ def _twovars_cases(R, m, rng):
     return [(kind, _system(R, m, rng, make)) for kind, make in makers]
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (101, 1), (2, 3), (3, 2), (5, 2)])
+def test_restricted_coefficients_match_field_arithmetic(p, k):
+    # the inline loops against the field's own add and mul, at every pair
+    # (c_1, c_2) of a small field, zero coordinates included
+    field = GF(p, k)
+    rng = random.Random(97 * p + k)
+    elems = list(field.elements())
+    for d in (1, 3, 4):
+        form = {}
+        for a in range(d + 1):
+            for b in range(d + 1 - a):
+                if rng.random() < 0.7:
+                    form[(a, b, d - a - b)] = rng.choice(elems[1:])
+        pairs = (itertools.product(elems, repeat=2) if len(elems) <= 16
+                 else [tuple(rng.choice(elems) for _ in range(2))
+                       for _ in range(200)] + [(0, 0), (0, 1), (1, 0)])
+        for c1, c2 in pairs:
+            want = [field.zero] * (d + 1)
+            for (a, b, c), v in form.items():
+                term = field.mul(v, field.mul(field.pow_(c1, a),
+                                              field.pow_(c2, b)))
+                want[c] = field.add(want[c], term)
+            assert _restricted_coefficients(field, form, d, (c1, c2)) \
+                == want, (d, c1, c2)
+
+
 @pytest.mark.parametrize("p,k,seed", [(2, 1, 81), (3, 1, 82), (5, 2, 83),
                                       (101, 1, 84)])
 def test_image_curve_form_vanishes_where_a_hyperplane_has_a_gcd(p, k, seed):
@@ -1027,6 +1055,37 @@ def test_twovars_verify_fixtures():
         assert row.reg_power == 2 * row.t + 1
     assert squares.report is not None
     assert squares.report.dim_V == 2
+
+
+def test_a_root_ceiling_bounds_every_derived_basis():
+    # the ceiling set on the ideal a computation starts from reaches the
+    # powers, sums and fibers built from it
+    R = ring2(101)
+    x, y = R.variables()
+    I = Ideal(R, (x * x + y * y, x * y), degree_ceiling=2)
+    with pytest.raises(DegreeCeilingError, match="ceiling 2"):
+        power_table(I, 2)
+    # I's own basis fits under 5, the basis of I^2 does not
+    hard = Ideal(R, (x**3 - x * y * y, x * x * y + y**3), degree_ceiling=5)
+    hard.groebner_basis()
+    with pytest.raises(DegreeCeilingError, match="degree 7 exceeds the "
+                                                 "degree ceiling 5"):
+        power_table(hard, 2, route="hilbert")
+    R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(11))
+    x0, x1, x2, x3 = R.variables()
+    I_X = Ideal(R, (x0 * x2 - x1 * x1, x0 * x3 - x1 * x2, x1 * x3 - x2 * x2),
+                degree_ceiling=2)
+    forms = (x0 + x1.scale(2) + x2.scale(3) + x3.scale(4),
+             x1 + x2.scale(5) + x3.scale(9))
+    with pytest.raises(DegreeCeilingError, match="ceiling 2"):
+        epsilon_containment(I_X, forms, 3)
+    with pytest.raises(DegreeCeilingError, match="ceiling 2"):
+        max_fiber_regularity(ProjectionSpec(I_X, forms), K=1)
+    R = ring2(101)
+    x, y = R.variables()
+    with pytest.raises(DegreeCeilingError, match="ceiling 2"):
+        twovars_verify((x**4, x * x * y * y + y**4, x * y**3), 3, K=1,
+                       degree_ceiling=2)
 
 
 def _closed_points_by_full_orbit(p, K, s):

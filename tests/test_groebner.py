@@ -12,12 +12,13 @@ from cmreg import geometry, groebner, hilbert, reports
 from cmreg.geometry import (
     ProjectionSpec,
     check_finite,
+    fiber_ideal,
     fiber_regularity,
     max_fiber_regularity,
 )
 from cmreg.groebner import Ideal, intersect, saturate, saturate_variable
 from cmreg.hilbert import finite_length_witness, hilbert_function, top_degree_finite
-from cmreg.orders import EliminationOrder, word_lcm
+from cmreg.orders import LEX, EliminationOrder, MonomialOrder, word_lcm
 from cmreg.polynomials import PolyRing
 from cmreg.resolution import SchreyerOrder, _syzygy_step
 
@@ -359,9 +360,9 @@ def test_saturation_falls_back_to_intersection(monkeypatch):
     x, y, z = R.variables()
     calls = []
 
-    def counted(A, B, degree_ceiling=groebner.DEFAULT_DEGREE_CEILING):
+    def counted(A, B):
         calls.append(1)
-        return intersect(A, B, degree_ceiling)
+        return intersect(A, B)
 
     monkeypatch.setattr(groebner, "intersect", counted)
     J = Ideal(R, (x * y, x * z, y * z))
@@ -418,22 +419,22 @@ def test_saturation_reuses_a_saturated_basis(monkeypatch):
 def test_degree_ceiling_trips():
     R = ring("xy")
     x, y = R.variables()
-    I = Ideal(R, (x * x * x - y * y * x, x * x * y + y * y * y))
+    I = Ideal(R, (x * x * x - y * y * x, x * x * y + y * y * y),
+              degree_ceiling=2)
     with pytest.raises(DegreeCeilingError):
-        I.groebner_basis(degree_ceiling=2)
+        I.groebner_basis()
 
 
-def test_one_cached_basis_serves_every_ceiling():
-    # the reduced basis is unique, so once computed it is returned whatever
-    # the ceiling; only an ideal without a cached basis checks the ceiling
+def test_a_fresh_ideal_checks_its_own_ceiling():
+    # a basis cached on another ideal with the same generators does not
+    # answer for an ideal with a lower ceiling
     R = ring("xy")
     x, y = R.variables()
     I = Ideal(R, (x * x * x - y * y * x, x * x * y + y * y * y))
-    gb = I.groebner_basis()
-    assert I.groebner_basis(degree_ceiling=2) is gb
+    I.groebner_basis()
     with pytest.raises(DegreeCeilingError,
                        match="S-pair of degree 4 exceeds the degree ceiling 2"):
-        Ideal(R, I.gens).groebner_basis(degree_ceiling=2)
+        Ideal(R, I.gens, degree_ceiling=2).groebner_basis()
 
 
 def test_intersection_ceiling_counts_ring_degree():
@@ -441,12 +442,116 @@ def test_intersection_ceiling_counts_ring_degree():
     # t of t*A + (1-t)*B: the S-pair of t*x and t*y - y has degree 2
     R = ring()
     x, y, z = R.variables()
-    assert gens_of(intersect(Ideal(R, (x,)), Ideal(R, (y,)),
-                             degree_ceiling=2)) == {"x*y"}
+    assert gens_of(intersect(Ideal(R, (x,), degree_ceiling=2),
+                             Ideal(R, (y,)))) == {"x*y"}
     # (xy) cap (yz, xz) = (xyz) needs a pair of degree 3
     with pytest.raises(DegreeCeilingError, match="S-pair of degree 3"):
-        intersect(Ideal(R, (x * y,)), Ideal(R, (y * z, x * z)),
-                  degree_ceiling=2)
+        intersect(Ideal(R, (x * y,), degree_ceiling=2),
+                  Ideal(R, (y * z, x * z)))
+
+
+def _hard_pair(R):
+    """Two binary cubics whose basis takes S-pairs of degrees 4 and 5."""
+    x, y = R.variables()[:2]
+    return (x * x * x - y * y * x, x * x * y + y * y * y)
+
+
+def _engine_ceilings(monkeypatch):
+    """(ring, degree ceiling) of every later _engine call, in call order."""
+    seen = []
+    engine = groebner._engine
+
+    def recorded(polys, ring, degree_ceiling, bound=()):
+        seen.append((ring, degree_ceiling))
+        return engine(polys, ring, degree_ceiling, bound)
+
+    monkeypatch.setattr(groebner, "_engine", recorded)
+    return seen
+
+
+def test_sums_products_and_powers_take_the_first_operands_ceiling():
+    R = ring("xy")
+    x, y = R.variables()
+    low = Ideal(R, _hard_pair(R), degree_ceiling=3)
+    other = Ideal(R, (x * y * y,))
+    for J, degree in ((low.plus(other), 4), (low.times(other), 7),
+                      (low.power(2), 7)):
+        assert J.degree_ceiling == 3
+        with pytest.raises(DegreeCeilingError,
+                           match=f"degree {degree} exceeds the degree "
+                                 "ceiling 3"):
+            J.groebner_basis()
+    for J in (other.plus(low), other.times(low)):
+        assert J.degree_ceiling == groebner.DEFAULT_DEGREE_CEILING
+        J.groebner_basis()
+
+
+def test_intersection_takes_the_first_operands_ceiling():
+    R = ring()
+    x, y, z = R.variables()
+    A = Ideal(R, (x * y,), degree_ceiling=2)
+    B = Ideal(R, (y * z, x * z))
+    with pytest.raises(DegreeCeilingError, match="ceiling 2"):
+        intersect(A, B)
+    J = intersect(B, A)
+    assert J.degree_ceiling == groebner.DEFAULT_DEGREE_CEILING
+    assert gens_of(J) == {"x*y*z"}
+    assert intersect(A, Ideal(R, ())).degree_ceiling == 2
+
+
+def test_saturation_by_a_variable_keeps_the_ceiling(monkeypatch):
+    # z is last in the ring's grevlex, so saturating by it divides I's own
+    # basis; saturating by x computes a basis under a second order
+    R = ring()
+    seen = _engine_ceilings(monkeypatch)
+    for i in (2, 0):
+        with pytest.raises(DegreeCeilingError,
+                           match="degree 6 exceeds the degree ceiling 5"):
+            saturate_variable(Ideal(R, _hard_pair(R), degree_ceiling=5), i)
+        seen.clear()
+        J = saturate_variable(Ideal(R, _hard_pair(R), degree_ceiling=6), i)
+        assert J.degree_ceiling == 6
+        assert [c for _, c in seen] == [6] * len(seen) and seen
+        assert any(r.order != R.order for r, _ in seen) == (i == 0)
+
+
+def test_saturation_intersects_under_the_input_ceiling(monkeypatch):
+    # no variable certifies the saturation of (xy, xz, yz)*(x, y, z), so the
+    # per-variable saturations are intersected, whose basis needs a pair of
+    # degree 3 in the auxiliary ring
+    R = ring()
+    x, y, z = R.variables()
+    gens = Ideal(R, (x * y, x * z, y * z)).times(Ideal(R, (x, y, z))).gens
+    seen = _engine_ceilings(monkeypatch)
+    with pytest.raises(DegreeCeilingError, match="degree 3 exceeds the "
+                                                 "degree ceiling 2"):
+        saturate(Ideal(R, gens, degree_ceiling=2))
+    assert isinstance(seen[-1][0].order, EliminationOrder)
+    seen.clear()
+    S = saturate(Ideal(R, gens, degree_ceiling=3))
+    assert S.degree_ceiling == 3
+    assert gens_of(S) == {"x*y", "x*z", "y*z"}
+    assert any(isinstance(r.order, EliminationOrder) for r, _ in seen)
+    assert [c for _, c in seen] == [3] * len(seen)
+
+
+def test_fiber_ideals_take_the_ceiling_of_the_projected_ideal(monkeypatch):
+    # under lex the fibers are saturated in a second ring, under grevlex
+    R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(11),
+                 order=MonomialOrder(LEX, 4))
+    x0, x1, x2, x3 = R.variables()
+    I_X = Ideal(R, (x1 * x1 - x0 * x2, x1 * x2 - x0 * x3, x2 * x2 - x1 * x3),
+                degree_ceiling=9)
+    spec = ProjectionSpec(I_X, (x0 + x1.scale(2) + x2.scale(3)
+                                + x3.scale(4), x1 + x2.scale(5)
+                                + x3.scale(9)))
+    seen = _engine_ceilings(monkeypatch)
+    rep = max_fiber_regularity(spec, K=1)
+    assert any(r.order != R.order for r, _ in seen)
+    assert [c for _, c in seen] == [9] * len(seen)
+    for f in rep.fibers:
+        assert f.ideal.degree_ceiling == 9
+        assert fiber_ideal(spec, f.point).degree_ceiling == 9
 
 
 @pytest.mark.parametrize("p,seed", [(2, 71), (32003, 72)])
@@ -745,11 +850,11 @@ def test_degree_ceiling_counts_only_the_pairs_before_the_stop():
     # on the heap reduce to zero and are never taken, so ceiling 3 suffices
     R = ring("xy")
     x, y = R.variables()
-    I = Ideal(R, (x * x + y * y, x * y))
-    assert [str(g) for g in I.groebner_basis(degree_ceiling=3)] == [
+    I = Ideal(R, (x * x + y * y, x * y), degree_ceiling=3)
+    assert [str(g) for g in I.groebner_basis()] == [
         "y^3", "x^2 + y^2", "x*y"]
     with pytest.raises(DegreeCeilingError, match="S-pair of degree 3"):
-        Ideal(R, I.gens).groebner_basis(degree_ceiling=2)
+        Ideal(R, I.gens, degree_ceiling=2).groebner_basis()
 
 
 # --- the Hilbert-function bound of a fiber ideal ---
@@ -778,8 +883,8 @@ def _fiber_ideals(monkeypatch, spec, K):
     seen = []
     real = geometry.saturate
 
-    def recorded(I, degree_ceiling=groebner.DEFAULT_DEGREE_CEILING):
-        J = real(I, degree_ceiling)
+    def recorded(I):
+        J = real(I)
         seen.append((I, J))
         return J
 
@@ -862,7 +967,7 @@ def test_bound_met_degrees_form_no_pairs(monkeypatch, p, K, seed):
     bounded = unbounded = 0
     for I, _ in _fiber_ideals(monkeypatch, spec, K):
         assert I._bound  # one linear form: the search passes a bound
-        J = groebner._bounded(I.ring, I.gens, I._bound)
+        J = groebner._bounded(I.ring, I.gens, I._bound, I.degree_ceiling)
         formed = _formed_pairs(monkeypatch, J)
         _assert_unmet(formed, I.ring.nvars, bound)
         U = Ideal(I.ring, I.gens)
@@ -884,7 +989,8 @@ def test_pairs_are_formed_only_until_the_bound_is_met(monkeypatch):
     R = ring()
     x, y, z = R.variables()
     quads = (x * x + y * z, x * y + (y * z).scale(2), x * z + (y * z).scale(3))
-    J = groebner._bounded(R, quads, (1, 0, -3, 2))
+    J = groebner._bounded(R, quads, (1, 0, -3, 2),
+                          groebner.DEFAULT_DEGREE_CEILING)
     formed = _formed_pairs(monkeypatch, J)
     _assert_unmet(formed, 3, lambda e: 1 if e == 0 else 3)
     assert [e for e, _ in formed] == [3]
@@ -933,7 +1039,7 @@ def test_a_strict_fiber_bound_gives_the_same_bases_and_report(monkeypatch):
                 == I.groebner_basis().elements)
     assert strict == len(fibers) == 12
     with_bound = _fiber_report_bytes(spec)
-    monkeypatch.setattr(geometry, "_fiber_bound", lambda spec, ceiling: ())
+    monkeypatch.setattr(geometry, "_fiber_bound", lambda spec: ())
     assert _fiber_report_bytes(spec) == with_bound
 
 
@@ -945,5 +1051,6 @@ def test_a_bound_above_the_lead_count_raises():
     gens = (x * x - y * z, x * y)
     with pytest.raises(SelfCheckError,
                        match="below the Hilbert function bound 10"):
-        groebner._bounded(R, gens, (1,)).groebner_basis()
+        groebner._bounded(R, gens, (1,),
+                          groebner.DEFAULT_DEGREE_CEILING).groebner_basis()
     assert len(Ideal(R, gens).groebner_basis()) == 3

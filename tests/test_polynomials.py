@@ -142,9 +142,9 @@ def test_exponents_stop_at_the_16_bit_limit():
     with pytest.raises(ExponentOverflowError, match="exponent 65536"):
         Ideal(R, (x, top)).power(2)
     # the S-pair of x*y and x^65535 + y^65535 multiplies the latter by y
-    I = Ideal(R, (x * y, top + y ** 65535))
+    I = Ideal(R, (x * y, top + y ** 65535), degree_ceiling=1 << 17)
     with pytest.raises(ExponentOverflowError, match="exponent 65536"):
-        I.groebner_basis(degree_ceiling=1 << 17)
+        I.groebner_basis()
     # the packed key that orders the terms holds 16-bit exponents only, so
     # poly, monomial and coefficient check the exponents they are given
     for bad in ((EXPONENT_LIMIT, 0), (-1, 2), (1, 0, 0)):

@@ -207,7 +207,7 @@ def test_euler_check_catches_a_dropped_sigma_or_a_shifted_twist(
     # a sigma dropped at the last level leaves no S-pair to notice, so only
     # that check can see it
     I = _euler_cases()[case]
-    _, tower = _schreyer_tower(I, 64)
+    _, tower = _schreyer_tower(I)
     levels = len(tower) - 1  # _syzygy_step calls with a nonempty result
     assert levels >= 1
     for level in range(1, levels + 1):
@@ -239,7 +239,7 @@ def test_betti_by_ranks_matches_the_minimized_complex():
                         gens.append(R.poly(terms))
                 ideals.append(Ideal(R, gens))
             for I in ideals:
-                frees, tower = _schreyer_tower(I, 40)
+                frees, tower = _schreyer_tower(I)
                 minimal, _ = _minimize(R, frees, _differentials(R, tower))
                 assert (_betti_by_ranks(R, frees, tower)
                         == _betti_from_frees(minimal)), (p, I)
@@ -264,13 +264,13 @@ def test_schreyer_tower_is_a_complex():
     x, y, z = R.variables()
     I = Ideal(R, (x * x - y * z, x * y + z * z, y * y * y - x * z * z))
     gb = I.groebner_basis()
-    frees, tower = _schreyer_tower(I, 64)
+    frees, tower = _schreyer_tower(I)
     assert is_complex(Resolution(R, frees, _differentials(R, tower)))
     assert frees[2].rank >= len(gb) - 1
     rng = random.Random(47)
     for _ in range(10):
         I = random_ideal(R, rng)
-        frees, tower = _schreyer_tower(I, 64)
+        frees, tower = _schreyer_tower(I)
         assert is_complex(Resolution(R, frees, _differentials(R, tower))), I
 
 
@@ -285,7 +285,7 @@ def test_schreyer_rank_is_the_position(nvars, seed):
     levels = 0
     for _ in range(6):
         I = random_ideal(R, rng, max_gens=4)
-        frees, tower = _schreyer_tower(I, 64)
+        frees, tower = _schreyer_tower(I)
         paths = [()]
         for columns, order in tower:
             assert order.top == len(order.weights) - 1 == len(paths) - 1
