@@ -27,7 +27,10 @@ themselves; the Schreyer syzygy tower in ``resolution`` spreads its
 elements over the positions of a free module.  The reducer takes terms
 largest first from a heap and divides each by the first lead at its rank
 whose exponent word divides it; quotient collection (syzygies) is an
-optional argument.  A Polynomial's own terms are such a dict, so the
+optional argument.  A basis only grows, so it remembers that lead per term
+key (``_Basis.seen``): a key met again, in the same reduction or a later
+one against the same basis, is looked up once and tested only against the
+leads appended since.  A Polynomial's own terms are such a dict, so the
 engine and the tower take and give them as they are; the field kernel
 ``fields._axpy`` is the one place a monomial multiplies a term dict, so
 S-polynomials, syzygy S-pairs, reduction steps and Polynomial arithmetic
@@ -45,7 +48,8 @@ ideal returns the first per-variable saturation whose quotient has the same
 Hilbert polynomial as S/I, which certifies it; when no variable does, it
 intersects the per-variable saturations.  Intersections add one auxiliary
 variable ``t``, compute a basis of t*A + (1-t)*B under an elimination order,
-and keep the t-free elements.
+and keep the t-free elements, which are the reduced basis of A cap B when
+the ring's order is grevlex in declaration order.
 """
 
 from __future__ import annotations
@@ -76,9 +80,15 @@ class _Basis:
     its monomial and the element's ``_reach``.  ``table[rank]`` lists
     ``(word, i)`` for the leads at that rank, in index order; the reducer
     divides a term by the first of them that divides it.
+
+    ``seen`` memoizes that search per term key: ``i >= 0`` is the index of
+    the first dividing lead, ``~n`` says that none of the first n leads in
+    the key's table row divides it.  Leads are only appended, so a recorded
+    divisor stays the first one and a ``~n`` entry needs only the leads
+    after the n-th; no entry is ever invalidated.
     """
 
-    __slots__ = ("order", "bits", "terms", "leads", "table")
+    __slots__ = ("order", "bits", "terms", "leads", "table", "seen")
 
     def __init__(self, order, bits: int = 0):
         self.order = order
@@ -86,6 +96,7 @@ class _Basis:
         self.terms = []
         self.leads = []
         self.table = {}
+        self.seen = {}
 
     def append(self, terms: dict) -> None:
         bits = self.bits
@@ -118,19 +129,22 @@ def _reduce(start: dict, basis: _Basis, field, quotients=None):
     Sparse polynomial division using a heap, JSC 46, 2011): a key is pushed
     when its term becomes new to the work dict, and a popped key no longer
     there is skipped.  Each term is divided by the first lead at its own
-    rank whose word divides its word; leads are monic, so the quotient's
-    coefficient is the term's, and all coefficient arithmetic is in
-    ``_axpy``.  Every product lies below the term it cancels, so terms come
-    out in strictly descending order and the remainder's first key is its
-    lead.  A ``quotients`` dict gains q at (i, pack(u)) for each
-    q * u * basis.terms[i] subtracted, so that start = remainder +
-    sum q * u * basis.terms[i]; no (i, pack(u)) comes twice.
+    rank whose word divides its word, looked up in ``basis.seen`` and
+    searched for only among the leads appended since the key was last
+    seen; leads are monic, so the quotient's coefficient is the term's,
+    and all coefficient arithmetic is in ``_axpy``.  Every product lies
+    below the term it cancels, so terms come out in strictly descending
+    order and the remainder's first key is its lead.  A ``quotients`` dict
+    gains q at (i, pack(u)) for each q * u * basis.terms[i] subtracted, so
+    that start = remainder + sum q * u * basis.terms[i]; no (i, pack(u))
+    comes twice.
     """
     order, bits = basis.order, basis.bits
     guards, mask = order.guards, order.mask
     negated = order.negated
     low = (1 << bits) - 1
     table, leads, terms = basis.table, basis.leads, basis.terms
+    seen = basis.seen
     pop = heapq.heappop
     work = dict(start)
     heap = [-k for k in work]
@@ -141,21 +155,29 @@ def _reduce(start: dict, basis: _Basis, field, quotients=None):
         c = work.get(k)
         if c is None:
             continue  # cancelled since it was pushed
-        img = k >> bits
-        word = (-img if negated else img) & mask
-        for lw, idx in table.get(k & low, ()):
-            if ((word | guards) - lw) & guards == guards:
-                break
-        else:
-            del work[k]
-            out[k] = c
-            continue
-        lkey, lw, reach = leads[idx]
-        order.check(word - lw + reach)
-        du = img - (lkey >> bits)
+        idx = seen.get(k, -1)
+        if idx < 0:
+            row = table.get(k & low, ())
+            img = k >> bits
+            word = (-img if negated else img) & mask
+            for lw, idx in row[~idx:]:
+                if ((word | guards) - lw) & guards == guards:
+                    break
+            else:
+                seen[k] = ~len(row)
+                del work[k]
+                out[k] = c
+                continue
+            # u times the element overflows where word_u + reach does, and
+            # only a key that passed is remembered
+            over = word - lw + leads[idx][2]
+            if over & guards:
+                order.check(over)
+            seen[k] = idx
+        shift = k - leads[idx][0]  # pack(u) << bits: the ranks cancel
         if quotients is not None:
-            quotients[(idx, du)] = c
-        _axpy(work, field, c, du << bits, terms[idx], heap)
+            quotients[(idx, shift >> bits)] = c
+        _axpy(work, field, c, shift, terms[idx], heap)
     return out
 
 
@@ -163,8 +185,10 @@ def _spoly(order, field, f: dict, lf, g: dict, lg) -> dict:
     """S-polynomial of two monic term dicts of an ideal basis with leads
     lf, lg = (key, word, reach)."""
     lcm = word_lcm(lf[1], lg[1], order.guards)
-    order.check(lcm - lf[1] + lf[2])
-    order.check(lcm - lg[1] + lg[2])
+    wf, wg = lcm - lf[1] + lf[2], lcm - lg[1] + lg[2]
+    if (wf | wg) & order.guards:
+        order.check(wf)
+        order.check(wg)
     key = order.pack(order.exponents(lcm))
     work = {}
     _axpy(work, field, field.neg(field.one), key - lf[0], f)
@@ -530,7 +554,10 @@ def _project_down(f: Polynomial, ring: PolyRing) -> Polynomial:
 
 def intersect(A: Ideal, B: Ideal) -> Ideal:
     """A cap B via a basis of t*A + (1-t)*B with t eliminated, under A's
-    degree ceiling."""
+    degree ceiling.  The kept t-free elements are a reduced basis of A cap B
+    in the restriction of the elimination order, grevlex in declaration
+    order; when that is the ring's order they are presented with that basis
+    cached."""
     if A.ring != B.ring:
         raise UsageError("ideals live in different rings")
     ring, ceiling = A.ring, A.degree_ceiling
@@ -552,6 +579,8 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
                     "intersection of homogeneous ideals produced an inhomogeneous element"
                 )
             kept.append(h)
+    if ring.order == MonomialOrder(GREVLEX, ring.nvars):
+        return _presented(A, kept)
     return Ideal(ring, kept, ceiling)
 
 
@@ -638,7 +667,7 @@ def saturate(I: Ideal) -> Ideal:
     zero or has a nonzero Hilbert polynomial.  The variables are tried last
     first, since in a grevlex ring the last one reuses I's cached basis.
     Only when no variable certifies are the per-variable saturations
-    intersected.
+    intersected, and the result keeps the intersection's basis.
     """
     from .hilbert import hilbert_numerator  # hilbert imports this module
 

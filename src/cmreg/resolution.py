@@ -98,6 +98,13 @@ def _syzygy_step(ring, basis: _Basis, order: SchreyerOrder, twists):
     """One tower level: syzygies of a module GB, pruned, sorted, with the
     induced order and twists for the next level.
 
+    For each lead i the candidate pairs (i, j), j > i at i's position, are
+    taken in the order of (word of u, j), u = lcm / m_i; a pair is kept
+    unless the u of a kept pair divides its u.  Int order on exponent words
+    extends divisibility, so what is kept is, for each divisibility-minimal
+    u, its pair with the smallest j: the choice a (degree, u, j) order
+    makes.  The exponents of u are unpacked for the kept pairs only.
+
     Returns (sigmas, next_order, next_twists): sigmas is the basis of the
     next level, whose term dicts are keyed by next_order's terms over the
     basis-index positions.
@@ -111,38 +118,31 @@ def _syzygy_step(ring, basis: _Basis, order: SchreyerOrder, twists):
         groups.setdefault(order.split(k)[0], []).append(i)
     # the leads at one position share its weight, so their image words
     # give the same lcm quotients as their monomials
-    exps = [mono.exponents(lead[1]) for lead in leads]
-
     kept = []
-    for p, members in sorted(groups.items()):
-        for i in members:
-            ei, wi = exps[i], leads[i][1]
-            cands = []
-            for j in members:
-                if j <= i:
-                    continue
-                u = tuple(max(a, b) - a for a, b in zip(ei, exps[j]))
-                cands.append((sum(u), u, j,
-                              word_lcm(wi, leads[j][1], guards) - wi))
-            cands.sort(key=lambda t: t[:3])
+    for members in groups.values():
+        for at, i in enumerate(members):
+            wi = leads[i][1]
             chosen = []
-            for _, u, j, wu in cands:
-                if not any(((wu | guards) - wk) & guards == guards
-                           for wk, _, _ in chosen):
-                    chosen.append((wu, u, j))
-            kept.extend((i, j, u, wu) for wu, u, j in chosen)
+            for wu, j in sorted((word_lcm(wi, leads[j][1], guards) - wi, j)
+                                for j in members[at + 1:]):
+                wug = wu | guards
+                if not any((wug - wk) & guards == guards for wk in chosen):
+                    chosen.append(wu)
+                    kept.append((i, j, wu))
 
     next_order = order.induced([lead[0] for lead in leads])
     bits, nbits = order.bits, next_order.bits
     minus = field.neg(field.one)
     sigmas = []
-    for i, j, u, wu in kept:
+    for i, j, wu in kept:
         # the leads are monic: the S-pair is u * e_i - v * e_j
         ki, wi, ri = leads[i]
         kj, wj, rj = leads[j]
         wv = wi + wu - wj  # the word of v = lcm / m_j
-        mono.check(wu + ri)
-        mono.check(wv + rj)
+        if (wu + ri | wv + rj) & guards:
+            mono.check(wu + ri)
+            mono.check(wv + rj)
+        u = mono.exponents(wu)
         ku = mono.pack(u)
         kv = (ki >> bits) + ku - (kj >> bits)
         work = {}

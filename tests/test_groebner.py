@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from cmreg.errors import DegreeCeilingError, SelfCheckError, UsageError
+from cmreg.errors import (DegreeCeilingError, ExponentOverflowError,
+                          SelfCheckError, UsageError)
 from cmreg.fields import GF, FieldElement
 from cmreg import geometry, groebner, hilbert, reports
 from cmreg.geometry import (
@@ -18,8 +19,9 @@ from cmreg.geometry import (
 )
 from cmreg.groebner import Ideal, intersect, saturate, saturate_variable
 from cmreg.hilbert import finite_length_witness, hilbert_function, top_degree_finite
-from cmreg.orders import LEX, EliminationOrder, MonomialOrder, word_lcm
-from cmreg.polynomials import PolyRing
+from cmreg.orders import (GREVLEX, LEX, EliminationOrder, MonomialOrder,
+                          word_lcm)
+from cmreg.polynomials import PolyRing, lift_polynomial
 from cmreg.resolution import SchreyerOrder, _syzygy_step
 
 from oracle import (degree_monomials, divides, gf_rank, hilbert_by_rank,
@@ -373,6 +375,58 @@ def test_saturation_falls_back_to_intersection(monkeypatch):
     calls.clear()
     assert gens_of(saturate(Ideal(R, (x * x, x * y, x * z)))) == {"x"}
     assert not calls
+
+
+@pytest.mark.parametrize("p,k,seed", [(7, 1, 111), (32003, 1, 112),
+                                      (5, 2, 113)])
+def test_an_intersection_presents_its_kept_basis(p, k, seed):
+    # under grevlex in declaration order the elimination order restricts to
+    # the ring's order, so the t-free elements intersect keeps are the
+    # reduced basis of A cap B, cached: the engine run on them returns them.
+    # Under lex or a permuted grevlex nothing is cached.
+    rng = random.Random(seed)
+    field = GF(p, k)
+    R = PolyRing(("x", "y", "z"), field=field)
+    others = [PolyRing(R.names, field=field, order=order) for order in
+              (MonomialOrder(LEX, 3), MonomialOrder(GREVLEX, 3, (2, 0, 1)))]
+    for _ in range(6):
+        A, B = (Ideal(R, [_random_form(R, rng.randint(1, 3), rng, 0.5)
+                          for _ in range(rng.randint(1, 3))])
+                for _ in range(2))
+        if A.is_zero_ideal() or B.is_zero_ideal():
+            continue
+        J = intersect(A, B)
+        assert J._gb is not None and J._gb.elements == J.gens
+        assert tuple(groebner._engine(list(J.gens), R, 64)) == J.gens
+        for S in others:
+            lifted = [Ideal(S, [lift_polynomial(g, S) for g in I.gens])
+                      for I in (A, B)]
+            assert intersect(*lifted)._gb is None
+
+
+def test_the_saturation_fallback_computes_no_basis_again(monkeypatch):
+    # every engine call of the fallback on (xy, xz, yz)*(x, y, z) after the
+    # per-variable saturations is an intersection's, and the result's
+    # basis is the last intersection's, cached
+    R = ring()
+    x, y, z = R.variables()
+    I = Ideal(R, (x * y, x * z, y * z)).times(Ideal(R, (x, y, z)))
+    intersections = []
+
+    def counted(A, B):
+        intersections.append(intersect(A, B))
+        return intersections[-1]
+
+    monkeypatch.setattr(groebner, "intersect", counted)
+    seen = _engine_ceilings(monkeypatch)
+    S = saturate(I)
+    S.groebner_basis()
+    first = next(n for n, (r, _) in enumerate(seen)
+                 if isinstance(r.order, EliminationOrder))
+    assert len(seen) - first == len(intersections) == 2
+    assert all(isinstance(r.order, EliminationOrder) for r, _ in seen[first:])
+    assert S.gens == intersections[-1].gens
+    assert gens_of(S) == {"x*y", "x*z", "y*z"}
 
 
 def test_saturation_reuses_a_saturated_basis(monkeypatch):
@@ -743,6 +797,127 @@ def test_reduce_matches_field_element_arithmetic(p, k, seed):
             elementwise(start)
         reduced += len(quotients)
     assert reduced
+
+
+def _copy(basis, count=None):
+    """A fresh _Basis, with an empty memo, of the first ``count`` elements
+    of ``basis``."""
+    fresh = groebner._Basis(basis.order, basis.bits)
+    for terms in basis.terms[:count]:
+        fresh.append(terms)
+    return fresh
+
+
+def _reduced(start, basis, field):
+    """(remainder items in order, quotients) of one reduction."""
+    quotients = {}
+    rem = groebner._reduce(start, basis, field, quotients=quotients)
+    return list(rem.items()), quotients
+
+
+def _memo_levels(R, rng):
+    """(basis, positions, term) from seeded ideals: the ideal's generators
+    with bits = 0 and the second level of its Schreyer tower, whose
+    bits > 0; ``term(pos, exps)`` gives a term key at that level."""
+    levels = []
+    while len(levels) < 4:
+        gens = [f for f in (_random_form(R, rng.randint(1, 3), rng, 0.6)
+                            for _ in range(rng.randint(2, 4)))
+                if not f.is_zero()]
+        if len(gens) < 2:
+            continue
+        order = SchreyerOrder.trivial(1)
+        levels.append((groebner._ideal_basis(R.order, gens), [0],
+                       _codec(R, order)[1]))
+        cols = sorted(Ideal(R, gens).groebner_basis().elements,
+                      key=lambda g: g.lead_monomial(), reverse=True)
+        basis, order, _ = _syzygy_step(
+            R, groebner._ideal_basis(R.order, cols), order,
+            [g.homogeneous_degree() for g in cols])
+        if basis.bits > 0:
+            levels.append((basis, range(len(order.weights)),
+                           _codec(R, order)[1]))
+    return levels
+
+
+@pytest.mark.parametrize("p,k,seed", [(32003, 1, 91), (7, 2, 92)])
+def test_a_reused_basis_reduces_as_a_fresh_one(p, k, seed):
+    # the engine reduces against one growing _Basis and the tower against
+    # one per level: with the divisor memo filled by earlier reductions,
+    # and leads appended between them, every remainder (in key order) and
+    # every quotient equals a reduction against a fresh copy
+    rng = random.Random(seed)
+    R = PolyRing(("x", "y", "z"), field=GF(p, k))
+    field = R.field
+    hits = [0, 0]  # memo entries naming a divisor, at bits = 0 and > 0
+    for full, positions, term in _memo_levels(R, rng):
+        half = max(1, len(full) // 2)
+        shared = _copy(full, half)
+        for n in range(half, len(full) + 1):
+            for _ in range(3):
+                start = _random_terms(R, rng, positions, (2, 3, 4), 10, term)
+                assert (_reduced(start, shared, field)
+                        == _reduced(start, _copy(shared), field))
+            if n < len(full):
+                shared.append(full.terms[n])
+        hits[full.bits > 0] += sum(i >= 0 for i in shared.seen.values())
+    assert all(hits), hits
+
+
+@pytest.mark.parametrize("p,k", [(32003, 1), (7, 2)])
+def test_a_standard_term_is_reduced_once_a_lead_divides_it(p, k):
+    R = PolyRing(("x", "y", "z"), field=GF(p, k))
+    x, y, z = R.variables()
+    field = R.field
+    basis = groebner._ideal_basis(R.order, [x * x + y * z, y * y * y])
+    t = (x * y * z).scale(3)._terms
+    (key,) = t
+    assert groebner._reduce(t, basis, field) == t
+    assert basis.seen[key] == ~2  # neither lead divides x*y*z
+    basis.append((y * z + z * z)._terms)
+    quotients = {}
+    rem = groebner._reduce(t, basis, field, quotients=quotients)
+    assert basis.seen[key] == 2
+    assert list(quotients) == [(2, R.order.pack((1, 0, 0)))]
+    assert rem == (x * z * z).scale(-3)._terms
+
+
+@pytest.mark.parametrize("p,k", [(32003, 1), (7, 2)])
+def test_a_negative_memo_entry_is_extended_not_rescanned(p, k):
+    # after x*y*z is found standard against two leads, those leads' words
+    # are replaced by the word of 1, which divides every monomial: a rescan
+    # would divide by one of them, an extended search sees only the third
+    R = PolyRing(("x", "y", "z"), field=GF(p, k))
+    x, y, z = R.variables()
+    field = R.field
+    basis = groebner._ideal_basis(R.order, [x * x, y * y + x * z])
+    t = (x * y * z)._terms
+    (key,) = t
+    groebner._reduce(t, basis, field)
+    assert basis.seen[key] == ~2
+    basis.table[0][:2] = [(0, i) for _, i in basis.table[0][:2]]
+    basis.append((z * z)._terms)
+    assert groebner._reduce(t, basis, field) == t
+    assert basis.seen[key] == ~3
+    basis.append((y * z)._terms)
+    assert groebner._reduce(t, basis, field) == {}
+    assert basis.seen[key] == 3
+    # a recorded divisor is read back, not searched for again
+    basis.table[0][:] = []
+    assert groebner._reduce(t, basis, field) == {}
+
+
+def test_a_step_that_overflows_is_not_remembered():
+    # the key whose quotient times the tail overflows gets no memo entry,
+    # so the same basis raises again
+    R = ring("xy")
+    x, y = R.variables()
+    basis = groebner._ideal_basis(R.order, [x - y])
+    t = (x * y ** 65535)._terms
+    for _ in range(2):
+        with pytest.raises(ExponentOverflowError, match="exponent 65536"):
+            groebner._reduce(t, basis, R.field)
+    assert not basis.seen
 
 
 def _m_primary_ideals(p, k, nvars, seed, count=4):

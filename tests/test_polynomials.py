@@ -156,6 +156,22 @@ def test_exponents_stop_at_the_16_bit_limit():
             top.coefficient(bad)
 
 
+def test_a_reduction_step_stops_at_the_16_bit_limit():
+    # x*y^65535 fits, but dividing it by x - y multiplies the tail y by
+    # y^65535: the engine's reduction of its second input, and a normal
+    # form, raise from the reducer, before any S-pair is formed
+    R = PolyRing(("x", "y"), field=GF(7))
+    x, y = R.variables()
+    f = x * y ** 65535
+    I = Ideal(R, (x - y, f), degree_ceiling=1 << 17)
+    for run in (I.groebner_basis, lambda: Ideal(R, (x - y,)).contains(f)):
+        with pytest.raises(ExponentOverflowError,
+                           match="exponent 65536") as caught:
+            run()
+        names = [entry.name for entry in caught.traceback]
+        assert "_reduce" in names and "_spoly" not in names
+
+
 def _cross_order_rings(rng):
     """GF(7)[x,y,z,w] under grevlex, lex, grlex and each of them under a
     random precedence."""

@@ -7,7 +7,7 @@ from cmreg.asymptotics import power_table
 from cmreg.errors import SelfCheckError, UsageError
 from cmreg.fields import GF
 from cmreg.fixtures import projective_plane_ideal
-from cmreg.groebner import Ideal, _Basis
+from cmreg.groebner import Ideal, _Basis, _ideal_basis
 from cmreg.hilbert import hilbert_function
 from cmreg.polynomials import PolyRing
 from cmreg.resolution import (
@@ -20,6 +20,7 @@ from cmreg.resolution import (
     _differentials,
     _minimize,
     _schreyer_tower,
+    _syzygy_step,
     betti_table,
     minimal_free_resolution,
     regularity,
@@ -302,6 +303,77 @@ def test_schreyer_rank_is_the_position(nvars, seed):
                     assert t & mask == order.top - pos
             levels += len(tower) > 1
     assert levels
+
+
+def _reference_pairs(R, basis, order):
+    """The pairs (i, j) a (degree, u, j) order keeps at one level, and how
+    many candidates repeat a kept u: for each i, the j > i at i's position
+    give u = lcm(m_i, m_j) / m_i on exponent tuples, taken by
+    (sum(u), u, j), and a pair is kept unless the u of a kept pair
+    divides its u."""
+    exps = [R.order.exponents(w) for _, w, _ in basis.leads]
+    pos = [order.split(k)[0] for k, _, _ in basis.leads]
+    kept, ties = set(), 0
+    for i, ei in enumerate(exps):
+        cands = []
+        for j in range(i + 1, len(exps)):
+            if pos[j] == pos[i]:
+                u = tuple(max(a, b) - a for a, b in zip(ei, exps[j]))
+                cands.append((sum(u), u, j))
+        chosen = []
+        for _, u, j in sorted(cands):
+            ties += u in chosen
+            if not any(all(a <= b for a, b in zip(c, u)) for c in chosen):
+                chosen.append(u)
+                kept.add((i, j))
+    return kept, ties
+
+
+def _syzygy_pairs(basis, order, nxt, nxt_order):
+    """(i, j) of each syzygy u * e_i - v * e_j + ... in ``nxt``, the level
+    after ``basis``: its lead sits at i, and -v * e_j is its one other term
+    at a lead of i's position whose image, u * m_i = v * m_j, equals the
+    lead's (the reduction's terms lie below that image there)."""
+    pos = [order.split(k)[0] for k, _, _ in basis.leads]
+    bits = nxt_order.bits
+    pairs = set()
+    for sig in nxt.terms:
+        lead = max(sig)
+        i = nxt_order.split(lead)[0]
+        (j,) = [nxt_order.split(t)[0] for t in sig if t != lead
+                and t >> bits == lead >> bits
+                and pos[nxt_order.split(t)[0]] == pos[i]]
+        pairs.add((i, j))
+    return pairs
+
+
+@pytest.mark.parametrize("nvars,seed", [(3, 201), (4, 202)])
+def test_syzygy_pairs_match_a_degree_ordered_selection(nvars, seed):
+    # the tower takes its pairs in the int order of the words of u; at every
+    # level of random towers, and of monomial ideals whose pairs tie on
+    # their lcm, it keeps the pairs a (degree, u, j) order keeps
+    rng = random.Random(seed)
+    R = ring(("x", "y", "z", "w")[:nvars])
+    x, y, z = R.variables()[:3]
+    m = Ideal(R, R.variables())
+    ideals = [Ideal(R, (x * y, x * z, y * z)), m.power(2), m.power(3)]
+    ideals += [random_ideal(R, rng, max_gens=4) for _ in range(8)]
+    levels = ties = 0
+    for I in ideals:
+        cols = sorted(I.groebner_basis().elements,
+                      key=lambda g: g.lead_monomial(), reverse=True)
+        basis = _ideal_basis(R.order, cols)
+        order = SchreyerOrder.trivial(1)
+        twists = [g.homogeneous_degree() for g in cols]
+        while basis.terms:
+            expected, tied = _reference_pairs(R, basis, order)
+            nxt, order_next, twists = _syzygy_step(R, basis, order, twists)
+            assert _syzygy_pairs(basis, order, nxt,
+                                 order_next) == expected
+            basis, order = nxt, order_next
+            levels += 1
+            ties += tied
+    assert levels and ties
 
 
 def test_rank_path_builds_no_polynomial_differential(monkeypatch):
