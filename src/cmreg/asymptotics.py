@@ -112,6 +112,37 @@ class SamplerReport:
     warnings: tuple
 
 
+def _check_table(t_max: int, window: int):
+    """UsageError unless t_max and the stabilization window are at least 1:
+    the argument checks of every table, made before any work."""
+    if t_max < 1:
+        raise UsageError("t_max must be at least 1")
+    if window < 1:
+        raise UsageError("window must be at least 1")
+
+
+def _forms_degree(ring, forms) -> int:
+    """The degree d >= 1 shared by a nonempty list of nonzero homogeneous
+    forms of ``ring``; UsageError otherwise."""
+    degs = set()
+    for f in forms:
+        if not isinstance(f, Polynomial) or f.ring != ring:
+            raise UsageError("forms live in a different ring")
+        if f.is_zero():
+            raise UsageError("zero form in V")
+        hd = f.homogeneous_degree()
+        if hd is None:
+            raise UsageError(f"form {f} is not homogeneous")
+        degs.add(hd)
+    if len(degs) != 1:
+        raise UsageError("forms of V must be nonempty and share a single "
+                         "degree")
+    d = degs.pop()
+    if d < 1:
+        raise UsageError("forms of V must have positive degree")
+    return d
+
+
 def _stabilize(ts, values, window, warnings):
     """(epsilon, stable_from_t, status) for a trace expected to stabilize."""
     if len(values) >= window and len(set(values[-window:])) == 1:
@@ -136,12 +167,9 @@ def power_table(I: Ideal, t_max: int, route: str = "resolution",
     Monotonicity of e_t and f_t is asserted fatally when S/I has finite
     length and suppressed, with a warning, otherwise.
     """
-    if t_max < 1:
-        raise UsageError("t_max must be at least 1")
+    _check_table(t_max, window)
     if route not in ("resolution", "hilbert", "both"):
         raise UsageError(f"unknown route {route!r}")
-    if window < 1:
-        raise UsageError("window must be at least 1")
     if I.is_zero_ideal():
         raise UsageError("power table of the zero ideal is degenerate")
     d = I.single_degree()
@@ -210,26 +238,9 @@ def epsilon_containment(I_X: Ideal, forms, t_max: int,
     The forms must share one degree d and the center must be disjoint from
     the scheme of I_X, i.e. I_X + (V) must have finite length.
     """
-    if t_max < 1:
-        raise UsageError("t_max must be at least 1")
-    if window < 1:
-        raise UsageError("window must be at least 1")
+    _check_table(t_max, window)
     ring = I_X.ring
-    degs = set()
-    for f in forms:
-        if not isinstance(f, Polynomial) or f.ring != ring:
-            raise UsageError("forms live in a different ring")
-        if f.is_zero():
-            raise UsageError("zero form in V")
-        hd = f.homogeneous_degree()
-        if hd is None:
-            raise UsageError(f"form {f} is not homogeneous")
-        degs.add(hd)
-    if len(degs) != 1:
-        raise UsageError("forms of V must share a single degree")
-    d = degs.pop()
-    if d < 1:
-        raise UsageError("forms of V must have positive degree")
+    d = _forms_degree(ring, forms)
 
     V = Ideal(ring, tuple(forms), I_X.degree_ceiling)
     center = V.plus(I_X)
@@ -273,8 +284,6 @@ def bound_report(I_X: Ideal, forms, t_max: int,
         if isinstance(f, Polynomial) and f.homogeneous_degree() not in (None, 1):
             raise UsageError("bound reports require linear forms")
     eps_rep = epsilon_containment(I_X, forms, t_max, window)
-    if eps_rep.d != 1:
-        raise UsageError("bound reports require linear forms")
 
     reg_R = regularity(I_X, "ideal")
     deg_X = quotient_degree(I_X)
@@ -320,10 +329,7 @@ def conjecture_sampler(I_X: Ideal, c: int, trials: int, seed: int,
         raise UsageError("c must be at least 1")
     if trials < 0:
         raise UsageError("trials must be nonnegative")
-    if t_max < 1:
-        raise UsageError("t_max must be at least 1")
-    if window < 1:
-        raise UsageError("window must be at least 1")
+    _check_table(t_max, window)
     ring = I_X.ring
     field = ring.field
     n = quotient_dimension(I_X) - 1

@@ -188,10 +188,10 @@ def _run(args) -> reports.Report:
 
     if cmd == "fibers":
         I, forms = _session_projection(session, args.projection, ceiling)
-        _check_search(args.ext_bound, args.budget, "fiber")
+        spec = ProjectionSpec(I, forms)
+        _check_search(args.ext_bound, args.budget, "fiber", ring)
         eps_rep = epsilon_containment(I, forms, args.tmax,
                                       window=args.window)
-        spec = ProjectionSpec(I, forms)
         rep = max_fiber_regularity(spec, K=args.ext_bound,
                                    epsilon=eps_rep.epsilon,
                                    budget=args.budget)
@@ -218,23 +218,15 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         report = _run(args)
-    except ResourceError as exc:
+    except (UsageError, HypothesisError, ResourceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         partial = getattr(exc, "partial", None)
-        if partial is not None:
-            if hasattr(partial, "max_regularity"):
-                print(f"partial lower bound: max fiber regularity >= "
-                      f"{partial.max_regularity}", file=sys.stderr)
-            elif hasattr(partial, "r"):
-                print(f"partial lower bound: r >= {partial.r}",
-                      file=sys.stderr)
-        return 3
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if hasattr(partial, "max_regularity"):
+            print(f"partial lower bound: max fiber regularity >= "
+                  f"{partial.max_regularity}", file=sys.stderr)
+        elif hasattr(partial, "r"):
+            print(f"partial lower bound: r >= {partial.r}", file=sys.stderr)
+        return exc.exit_code
     sys.stdout.write(report.to_json() if args.json else report.to_text())
     return 0
 

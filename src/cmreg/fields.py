@@ -45,7 +45,7 @@ def is_prime(n: int) -> bool:
 # Univariate polynomial helpers over GF(p).  Coefficient lists are
 # low-degree-first; all inputs are assumed already reduced mod p.
 
-def _norm(a):
+def _strip(a):
     while a and a[-1] == 0:
         a.pop()
     return a
@@ -59,7 +59,7 @@ def _pmul(a, b, p):
         if ai:
             for j, bj in enumerate(b):
                 out[i + j] = (out[i + j] + ai * bj) % p
-    return _norm(out)
+    return _strip(out)
 
 
 def _pmod(a, f, p):
@@ -73,7 +73,7 @@ def _pmod(a, f, p):
             for i, fi in enumerate(f):
                 a[shift + i] = (a[shift + i] - c * fi) % p
         a.pop()
-    return _norm(a)
+    return _strip(a)
 
 
 def _ppowmod(a, e, f, p):
@@ -434,7 +434,7 @@ def _is_irreducible(f, p):
         xq = _ppowmod(xq, p, f, p)
         diff = list(xq) + [0] * (2 - len(xq))
         diff[1] = (diff[1] - 1) % p
-        diff = _norm(diff)
+        diff = _strip(diff)
         if not diff:
             return False
         if len(_unieuclid(F, f, diff)) != 1:
@@ -523,7 +523,7 @@ def _unieuclid(field, a, b):
     raw values, low degree first; [] when both are zero.  Each divisor is
     made monic once, and each division step runs inline, mod p on GF(p) and
     through the Zech tables on GF(p^k)."""
-    a, b = _norm(list(a)), _norm(list(b))
+    a, b = _strip(list(a)), _strip(list(b))
     if not b:
         a, b = b, a
     zech = field.zech
@@ -540,7 +540,7 @@ def _unieuclid(field, a, b):
                 shift = len(a) - db
                 for i in range(db):
                     a[shift + i] = (a[shift + i] + m * b[i]) % p
-                _norm(a)
+                _strip(a)
         else:
             W, Z, minus = zech
             s = field.order + 1 - b[-1]
@@ -557,7 +557,7 @@ def _unieuclid(field, a, b):
                             a[shift + i] = W[old + z] if z else 0
                         else:
                             a[shift + i] = t
-                _norm(a)
+                _strip(a)
         a, b = b, a
     return a
 
@@ -585,11 +585,6 @@ def _rref(field, rows):
     return pivots
 
 
-def _rank(field, rows) -> int:
-    """The rank of a matrix given by dense rows of raw values."""
-    return len(_rref(field, [_sparse(r) for r in rows]))
-
-
 _CACHE: dict = {}
 
 
@@ -599,6 +594,9 @@ def GF(p: int = DEFAULT_PRIME, k: int = 1, min_poly=None):
     key = (p, k, tuple(min_poly) if min_poly is not None else None)
     if key in _CACHE:
         return _CACHE[key]
+    if not 1 <= k <= MAX_EXTENSION_DEGREE:
+        raise UsageError(f"extension degree {k} outside the supported range "
+                         f"1..{MAX_EXTENSION_DEGREE}")
     if k == 1:
         if min_poly is not None:
             raise UsageError("minimal polynomial only applies to extensions")

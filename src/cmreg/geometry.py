@@ -49,7 +49,13 @@ import itertools
 from dataclasses import dataclass
 
 from . import messages
-from .asymptotics import STATUS_STABLE, power_table
+from .asymptotics import (
+    DEFAULT_WINDOW,
+    STATUS_STABLE,
+    _check_table,
+    _forms_degree,
+    power_table,
+)
 from .errors import (
     BudgetError,
     DimensionError,
@@ -64,7 +70,6 @@ from .fields import (
     PrimeField,
     _axpy,
     _pmul,
-    _rank,
     _rref,
     _sparse,
     _unieuclid,
@@ -79,19 +84,15 @@ DEFAULT_FIBER_BUDGET = 20000
 
 
 def _linear_coefficients(f: Polynomial) -> dict:
-    """{variable index: raw coefficient} of a linear form; UsageError when
-    not linear."""
-    if f.is_zero() or f.homogeneous_degree() != 1:
-        raise UsageError(f"form {f} is not linear")
+    """{variable index: raw coefficient} of a linear form."""
     return {exps.index(1): c for exps, c in f.sorted_terms()}
 
 
-def _require_prime_base(ring: PolyRing, what: str):
-    if not isinstance(ring.field, PrimeField):
-        raise UsageError(
-            f"{what} enumerates closed points over the prime field; the ring "
-            f"is defined over {ring.field}"
-        )
+def _check_independent(field, forms):
+    """UsageError unless the forms are linearly independent, by the rank of
+    their term dicts as rows."""
+    if len(_rref(field, [dict(f._terms) for f in forms])) != len(forms):
+        raise UsageError("forms are linearly dependent")
 
 
 class ProjectionSpec:
@@ -103,15 +104,9 @@ class ProjectionSpec:
     def __init__(self, ideal: Ideal, forms):
         ring = ideal.ring
         forms = tuple(forms)
-        if not forms:
-            raise UsageError("a projection needs at least one linear form")
-        rows = []
-        for f in forms:
-            if not isinstance(f, Polynomial) or f.ring != ring:
-                raise UsageError("projection forms live in a different ring")
-            rows.append(_linear_coefficients(f))
-        if len(_rref(ring.field, rows)) != len(forms):
-            raise UsageError("projection forms are linearly dependent")
+        if _forms_degree(ring, forms) != 1:
+            raise UsageError("projection forms must be linear")
+        _check_independent(ring.field, forms)
         self.ideal = ideal
         self.forms = forms
         self.ring = ring
@@ -160,13 +155,19 @@ def _check_extension_bound(K: int):
         )
 
 
-def _check_search(K: int, budget: int, what: str):
-    """UsageError unless the ``what`` budget is at least 1 and K is a
-    supported extension bound: the argument checks of a point search, made
-    before any work."""
+def _check_search(K: int, budget: int, what: str, ring=None):
+    """UsageError unless the ``what`` budget is at least 1, K is a supported
+    extension bound and, when a ring is given, its field is prime (points
+    are enumerated over the prime field): the argument checks of a point
+    search, made before any work."""
     if budget < 1:
         raise UsageError(f"{what} budget must be at least 1")
     _check_extension_bound(K)
+    if ring is not None and not isinstance(ring.field, PrimeField):
+        raise UsageError(
+            f"{what} search enumerates closed points over the prime field; "
+            f"the ring is defined over {ring.field}"
+        )
 
 
 def _point_blocks(p: int, K: int, s: int):
@@ -268,8 +269,6 @@ def _fiber_setup(spec: ProjectionSpec, k: int):
     are resolved whatever the spec's order, the projection forms and
     generators of I_X lifted into it, and I_X's degree ceiling): the part of
     a fiber's set-up fixed by the extension degree k of its point."""
-    if not 1 <= k <= MAX_EXTENSION_DEGREE:
-        raise UsageError(f"unsupported extension degree {k}")
     home = _extension_ring(spec.ring, k)
     grevlex = MonomialOrder(GREVLEX, home.nvars)
     big = (home if home.order == grevlex
@@ -386,8 +385,7 @@ def max_fiber_regularity(spec: ProjectionSpec,
     failure.  Exhausting the point budget raises BudgetError carrying the
     partial report, whose max is then only a lower bound, or no report when
     the budget ran out before the first nonempty fiber."""
-    _check_search(K, budget, "fiber")
-    _require_prime_base(spec.ring, "fiber search")
+    _check_search(K, budget, "fiber", spec.ring)
     cert = check_finite(spec)
     if not cert.finite:
         raise GeometryError(
@@ -668,33 +666,22 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     and counts each block in one step.  Enumeration order, the point a
     budget stops at, the ceiling exit and the reports are those of the full
     scan."""
-    _check_search(K, budget, "subspace")
     forms = tuple(forms)
-    if len(forms) < 2:
+    m = len(forms)
+    if m < 2:
         raise UsageError("V must have dimension at least 2")
     ring = forms[0].ring
     if ring.nvars != 2:
         raise UsageError("the two-variable invariant needs a 2-variable ring")
-    degs = set()
-    for f in forms:
-        if not isinstance(f, Polynomial) or f.ring != ring:
-            raise UsageError("forms live in a different ring")
-        if f.is_zero() or f.homogeneous_degree() is None:
-            raise UsageError("forms must be nonzero and homogeneous")
-        degs.add(f.homogeneous_degree())
-    if len(degs) != 1:
-        raise UsageError("forms must share a single degree")
-    d = degs.pop()
-
-    base_rows = [_coefficient_row(f, d) for f in forms]
-    if _rank(ring.field, base_rows) != len(forms):
-        raise UsageError("forms are linearly dependent: not a basis")
+    # with m = 2 nothing is enumerated, so any base field will do
+    _check_search(K, budget, "subspace", ring if m > 2 else None)
+    d = _forms_degree(ring, forms)
+    _check_independent(ring.field, forms)
 
     g = binary_gcd(forms)
     if g.degree() != 0:
         raise UsageError(f"gcd of V is not 1: common factor {g}")
 
-    m = len(forms)
     if m == 2:
         return TwoVarsReport(d, 2, d, (forms[0],), forms[0].monic(), K, ())
 
@@ -702,12 +689,12 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     # a common factor span only d - g + 1 dimensions, so g <= d - m + 2 and
     # hitting that ceiling certifies the max over the closed field too
     ceiling = max(0, d - m + 2)
-    _require_prime_base(ring, "subspace search")
     best = -1
     witness = None
     witness_gcd = None
     k = 0
-    curve = _image_curve_form(ring.field, base_rows[:3], d)
+    curve = _image_curve_form(
+        ring.field, [_coefficient_row(f, d) for f in forms[:3]], d)
     for pos, point_field, coords in _curve_scan(curve, d, ring.field.p, K,
                                                  m - 1):
         if pos >= budget:
@@ -768,7 +755,8 @@ class TwoVarsVerdict:
 
 
 def twovars_verify(forms, t_max: int, K: int = DEFAULT_EXTENSION_BOUND,
-                   window: int = 3, budget: int = DEFAULT_FIBER_BUDGET,
+                   window: int = DEFAULT_WINDOW,
+                   budget: int = DEFAULT_FIBER_BUDGET,
                    degree_ceiling: int = DEFAULT_DEGREE_CEILING) -> TwoVarsVerdict:
     """Check dt + r - 1 <= reg I^t on the stabilized rows of the power
     table, reporting where equality holds.
@@ -777,8 +765,7 @@ def twovars_verify(forms, t_max: int, K: int = DEFAULT_EXTENSION_BOUND,
     the closed field, so the inequality is asserted fatally; equality is
     expected exactly when a maximizing subspace is defined within degree
     K.  ``degree_ceiling`` is that of the ideal the forms generate."""
-    if window < 1:
-        raise UsageError("window must be at least 1")
+    _check_table(t_max, window)
     rep = twovars_r(forms, K, budget)
     ring = forms[0].ring
     I = Ideal(ring, tuple(forms), degree_ceiling)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from operator import le
 
 from .errors import DimensionError, UsageError
+from .fields import _strip
 from .groebner import Ideal
 
 
@@ -58,12 +59,6 @@ def _zmul(a, b):
                 if bj:
                     out[i + j] += ai * bj
     return out
-
-
-def _strip(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _split(num):

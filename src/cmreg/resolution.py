@@ -31,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SelfCheckError, UsageError
-from .fields import _axpy, _divide, _rref
+from .fields import _axpy, _divide, _rref, _strip
 from .groebner import Ideal, _Basis, _ideal_basis, _reduce
-from .hilbert import _strip, hilbert_numerator
+from .hilbert import hilbert_numerator
 from .orders import word_lcm
 from .polynomials import Polynomial
 
@@ -418,11 +418,16 @@ def _betti_by_ranks(ring, frees, tower) -> BettiTable:
     return BettiTable(entries)
 
 
+def _check_of(of: str):
+    """UsageError unless ``of`` names a target: the quotient S/J or J."""
+    if of not in ("quotient", "ideal"):
+        raise UsageError(f"unknown resolution target {of!r}")
+
+
 def betti_table(J: Ideal, of: str = "quotient") -> BettiTable:
     """Graded Betti numbers of S/J or of J, read off the Schreyer resolution
     by ranks of its constant blocks; no differential is minimized."""
-    if of not in ("quotient", "ideal"):
-        raise UsageError(f"unknown resolution target {of!r}")
+    _check_of(of)
     frees, tower = _schreyer_tower(J)
     betti = _betti_by_ranks(J.ring, frees, tower)
     if of == "quotient":
@@ -438,8 +443,7 @@ def minimal_free_resolution(J: Ideal, of: str = "quotient"):
     Only callers that need the minimal differentials come here; Betti
     numbers alone are cheaper from ``betti_table``.
     """
-    if of not in ("quotient", "ideal"):
-        raise UsageError(f"unknown resolution target {of!r}")
+    _check_of(of)
     frees, tower = _schreyer_tower(J)
     frees, diffs = _minimize(J.ring, frees, _differentials(J.ring, tower))
     if of == "quotient":
@@ -458,8 +462,7 @@ def regularity(J: Ideal, of: str = "ideal") -> int:
     unit ideal has regularity 0 as an ideal (it is S) and -1 as a quotient
     (top-degree convention for the zero module).
     """
-    if of not in ("quotient", "ideal"):
-        raise UsageError(f"unknown regularity target {of!r}")
+    _check_of(of)
     betti = betti_table(J, "quotient")
     reg_quotient = betti.regularity() if betti.entries else -1
     return reg_quotient + 1 if of == "ideal" else reg_quotient

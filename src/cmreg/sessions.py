@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParseError, UsageError
-from .fields import GF, MAX_EXTENSION_DEGREE, is_prime
-from .orders import GRLEX, GREVLEX, LEX, MonomialOrder
+from .fields import GF, is_prime
+from .orders import GREVLEX, ORDER_KINDS, MonomialOrder
 from .polynomials import PolyRing, Polynomial
 
 SESSION_EXTENSION = ".reg"
@@ -183,9 +183,6 @@ class SessionFile:
     projections: dict  # name -> (ideal_name, forms_name)
 
 
-_ORDERS = (GREVLEX, LEX, GRLEX)
-
-
 def _parse_ring_line(stream: _TokenStream, line_no: int) -> PolyRing:
     settings = {}
     while stream.peek().kind != "end":
@@ -206,10 +203,10 @@ def _parse_ring_line(stream: _TokenStream, line_no: int) -> PolyRing:
             settings["vars"] = names
         elif key.text == "order":
             val = stream.expect("name")
-            if val.text not in _ORDERS:
+            if val.text not in ORDER_KINDS:
                 raise ParseError(
                     f"unknown order {val.text!r}", val.line, val.col,
-                    expected=_ORDERS,
+                    expected=ORDER_KINDS,
                 )
             settings["order"] = val.text
         else:
@@ -225,19 +222,12 @@ def _parse_ring_line(stream: _TokenStream, line_no: int) -> PolyRing:
     p = settings["p"]
     if not is_prime(p):
         raise ParseError(f"characteristic {p} is not prime", line_no)
-    k = settings.get("ext", 1)
-    if not 1 <= k <= MAX_EXTENSION_DEGREE:
-        raise ParseError(
-            f"extension degree {k} outside the supported range "
-            f"1..{MAX_EXTENSION_DEGREE}",
-            line_no,
-        )
     names = settings["vars"]
     if len(set(names)) != len(names):
         raise ParseError("duplicate variable names", line_no)
     order = MonomialOrder(settings.get("order", GREVLEX), len(names))
     try:
-        field = GF(p, k)
+        field = GF(p, settings.get("ext", 1))
     except UsageError as exc:
         raise ParseError(str(exc), line_no) from exc
     return PolyRing(tuple(names), field, order)

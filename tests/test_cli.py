@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cmreg import __version__, cli, geometry
+from cmreg import __version__, cli, geometry, groebner
 from cmreg.cli import main
 from cmreg.fields import MAX_EXTENSION_DEGREE
 
@@ -354,7 +354,9 @@ ideal quads = x^2 + 3*y*z - 7*z^2, x*y - 11*y^2 + 5*x*z, \
 ring p=5 vars=x0,x1,x2,x3 order=grevlex
 ideal tc = x0*x2 - x1^2, x0*x3 - x1*x2, x1*x3 - x2^2
 forms V = x0 + 2*x3, x1 + x2 + 3*x3
+forms W = x0, x1 + x2, x3
 projection P = tc : V
+projection Q = tc : W
 """,
 }
 
@@ -373,6 +375,9 @@ GB_FIBERS_GOLDEN = {
     ("fibers", "tc5.reg", "-s", "P", "--ext-bound", "2"): (
         "d0a7b59f58ac663ef004deae595995b0200a3ca6e8ba3c028263ab77fcb075fa",
         "d81af20eca83593d9824860ae1a95c8b9c2755deb8eb1a7524dcdea51070b436"),
+    ("fibers", "tc5.reg", "-s", "Q", "--ext-bound", "1"): (
+        "609201a4ac41c9a85055dabb9422a4dda37f6b3f15acd5510ebe08d6f6b8bb55",
+        "b9f795414c322afc4df310d6aeab130f8cb0c61d26b07a9d619bfc3576dbb979"),
 }
 
 
@@ -388,6 +393,25 @@ def test_gb_and_fibers_report_golden_bytes(tmp_path, capsys):
         code, out, err = run(capsys, argv)
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == text_digest, argv
+
+
+def test_fibers_to_the_plane_count_points_outside_the_image(tmp_path,
+                                                            capsys):
+    # the twisted cubic projected to P^2 from the point (0:1:-1:0) off the
+    # curve: 7 of the 31 points of P^2(GF(5)) have a fiber, one of them
+    # (1:4:1) of degree 2, the node of the image
+    path = tmp_path / "tc5.reg"
+    path.write_text(GOLDEN_SESSIONS["tc5.reg"])
+    argv = ["fibers", str(path), "-s", "Q", "--ext-bound", "1"]
+    summary = run_json(capsys, argv)["result"]["summary"]
+    assert summary["empty_fibers"] == 24
+    assert summary["fiber_count"] == 7
+    assert summary["max_regularity"] == 2
+    assert summary["argmax"] == ["(1:4:1)"]
+    assert summary["epsilon"] == 1
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert "points outside the image: 24" in out.splitlines()
 
 
 # argv -> (exit code, sha256 of the --json bytes, sha256 of the text
@@ -538,6 +562,108 @@ def test_usage_errors_exit_2(conic_file, binary_file, tmp_path, capsys):
             assert code == 2, (argv, window)
             assert "window must be at least 1" in err
             assert out == ""
+
+
+USAGE_SESSIONS = {
+    "plane.reg": """\
+ring p=7 vars=x,y,z
+ideal conic = x*z - y^2
+ideal mixed = x, y^2
+forms axes = x, z
+forms squares = x^2, z^2
+forms twice = x, 2*x
+forms uneven = x, z^2
+projection down = conic : axes
+projection curved = conic : squares
+projection doubled = conic : twice
+projection lopsided = conic : uneven
+""",
+    "binary.reg": BINARY_SESSION + """\
+forms dependent = x^2, x*y, x^2 + x*y
+forms uneven = x^2, x*y, y^3
+forms shared = x^2, x*y
+""",
+    "ext.reg": """\
+ring p=5 ext=2 vars=x,y,z
+ideal conic = x*z - y^2
+forms axes = x, z
+projection down = conic : axes
+""",
+    "extbinary.reg": """\
+ring p=5 ext=2 vars=x,y
+forms cuspish = x^3, x^2*y, y^3
+""",
+}
+
+# every usage error a command can raise from its flags or its session:
+# (command, session, arguments, a fragment of the message)
+USAGE_CASES = (
+    [(cmd, "plane.reg", ["-i", "conic", "--degree-ceiling", "0"],
+      "degree ceiling must be positive")
+     for cmd in ("gb", "reg", "res", "powers", "sample")]
+    + [(cmd, "plane.reg", ["-s", "down", "--degree-ceiling", "0"],
+        "degree ceiling must be positive")
+       for cmd in ("epsilon", "bounds", "fibers")]
+    + [("twovars", "binary.reg", ["-f", "cuspish", "--degree-ceiling", "0"],
+        "degree ceiling must be positive")]
+    + [(cmd, session, args + [flag, value], f"{what} must be at least 1")
+       for cmd, session, args in (
+           ("powers", "plane.reg", ["-i", "conic"]),
+           ("epsilon", "plane.reg", ["-s", "down"]),
+           ("bounds", "plane.reg", ["-s", "down"]),
+           ("fibers", "plane.reg", ["-s", "down"]),
+           ("sample", "plane.reg", ["-i", "conic"]),
+           # a scan that would exhaust its budget (exit 3) first
+           ("twovars", "binary.reg", ["-f", "cuspish", "--budget", "1"]))
+       for flag, what in (("--tmax", "t_max"), ("--window", "window"))
+       for value in ("0", "-1")]
+    + [(cmd, session, args + [flag, value], message)
+       for cmd, session, args in (
+           ("fibers", "plane.reg", ["-s", "down"]),
+           ("twovars", "binary.reg", ["-f", "cuspish"]))
+       for flag, value, message in (
+           ("--ext-bound", "0", "extension bound K must be at least 1"),
+           ("--ext-bound", str(MAX_EXTENSION_DEGREE + 1),
+            f"extension bound K = {MAX_EXTENSION_DEGREE + 1} exceeds"),
+           ("--budget", "0", "budget must be at least 1"))]
+    + [("sample", "plane.reg", ["-i", "conic", "-c", "0"],
+        "c must be at least 1"),
+       ("sample", "plane.reg", ["-i", "conic", "--trials", "-1"],
+        "trials must be nonnegative"),
+       ("powers", "plane.reg", ["-i", "mixed"], "mixed degrees"),
+       # forms that are not linear, are dependent or have mixed degrees
+       ("bounds", "plane.reg", ["-s", "curved"], "linear"),
+       ("fibers", "plane.reg", ["-s", "curved"], "linear"),
+       ("fibers", "plane.reg", ["-s", "doubled"], "linearly dependent"),
+       ("epsilon", "plane.reg", ["-s", "lopsided"], "single degree"),
+       ("bounds", "plane.reg", ["-s", "lopsided"], "linear"),
+       ("fibers", "plane.reg", ["-s", "lopsided"], "single degree"),
+       ("twovars", "binary.reg", ["-f", "dependent"], "linearly dependent"),
+       ("twovars", "binary.reg", ["-f", "uneven"], "single degree"),
+       ("twovars", "binary.reg", ["-f", "shared"], "gcd of V is not 1"),
+       # points are enumerated over the prime field only
+       ("fibers", "ext.reg", ["-s", "down"], "over the prime field"),
+       ("twovars", "extbinary.reg", ["-f", "cuspish"],
+        "over the prime field")]
+)
+
+
+def test_every_usage_error_exits_2_before_any_work(tmp_path, monkeypatch,
+                                                    capsys):
+    # no basis is computed and no point is scanned before a usage error
+    def refused(*args, **kwargs):
+        raise AssertionError("work done before the argument checks")
+
+    monkeypatch.setattr(groebner, "_engine", refused)
+    monkeypatch.setattr(geometry, "_point_blocks", refused)
+    for name, text in USAGE_SESSIONS.items():
+        (tmp_path / name).write_text(text)
+    for cmd, session, args, message in USAGE_CASES:
+        argv = [cmd, str(tmp_path / session)] + args
+        code, out, err = run(capsys, argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert message in err, (argv, err)
 
 
 def test_argparse_failures_exit_2(conic_file, capsys):

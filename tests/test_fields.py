@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from cmreg import fields
 from cmreg.errors import UsageError
 from cmreg.fields import (
     GF,
@@ -35,6 +36,17 @@ def test_constructor_caches_and_validates():
         GF(7, MAX_EXTENSION_DEGREE + 1)
     with pytest.raises(UsageError):
         GF(7, 1, min_poly=(1, 1))
+
+
+def test_extension_degree_is_checked_before_the_polynomial_search(
+        monkeypatch):
+    def refused(p, k):
+        raise AssertionError("searched before the degree check")
+
+    monkeypatch.setattr(fields, "find_irreducible", refused)
+    for k in (-1, 0, MAX_EXTENSION_DEGREE + 1):
+        with pytest.raises(UsageError, match="extension degree"):
+            GF(7, k)
 
 
 def test_prime_field_arithmetic_matches_int_mod_p():

@@ -13,7 +13,14 @@ from cmreg.errors import (
     SelfCheckError,
     UsageError,
 )
-from cmreg.fields import GF, ExtensionField, FieldElement, PrimeField, _rank
+from cmreg.fields import (
+    GF,
+    ExtensionField,
+    FieldElement,
+    PrimeField,
+    _rref,
+    _sparse,
+)
 from cmreg.geometry import (
     _closed_point_coords,
     _coefficient_row,
@@ -676,6 +683,11 @@ def _random_binary_form(R, d, rng):
                     for i, c in enumerate(coeffs)})
         if f:
             return f
+
+
+def _rank(field, rows) -> int:
+    """The rank of a matrix given by dense rows of raw values."""
+    return len(_rref(field, [_sparse(r) for r in rows]))
 
 
 def _random_normalized_point(field, n, rng):

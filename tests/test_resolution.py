@@ -428,6 +428,18 @@ def test_regularity_conventions():
         regularity(Ideal(R, (x,)), of="both")
 
 
+def test_unknown_targets_are_rejected_before_any_work(monkeypatch):
+    def refused(*args):
+        raise AssertionError("work done before the target check")
+
+    monkeypatch.setattr(resolution, "_schreyer_tower", refused)
+    R = ring()
+    I = Ideal(R, R.variables())
+    for call in (betti_table, minimal_free_resolution, regularity):
+        with pytest.raises(UsageError, match="unknown resolution target"):
+            call(I, of="module")
+
+
 def test_betti_table_interface():
     t = BettiTable({(0, 0): 1, (1, 2): 3, (2, 3): 2})
     assert beta(t, 1, 2) == 3
