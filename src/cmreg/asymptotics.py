@@ -243,7 +243,7 @@ def epsilon_containment(I_X: Ideal, forms, t_max: int,
     d = _forms_degree(ring, forms)
 
     V = Ideal(ring, tuple(forms), I_X.degree_ceiling)
-    center = V.plus(I_X)
+    center = I_X.plus(V)  # kept by I_X, so check_finite reuses its basis
     witness = finite_length_witness(center)
     if witness is not None:
         raise GeometryError(

@@ -15,9 +15,15 @@ is presented by the forms as built followed by that second part.
 When a fiber has one linear form l (a projection to P^1, s = 1),
 HS(S/(I_X + l)) = (1-T) HS(S/I_X) + T HS(0 :_{S/I_X} l) is bounded below by
 (1-T) HS(S/I_X), the numerator (1-T) N of I_X over (1-T)^n.  That bound is
-computed once per search and bounds every fiber's basis computation, which
-drops the S-pairs of a degree where the bound is met (see
-``groebner._engine``).  With two or more forms there is no such bound.
+computed once per search and bounds every fiber's basis computation: when
+the leads of the installed generators meet it, they are the basis and no
+S-pair is built, and otherwise the S-pairs of a degree where it is met are
+dropped (see ``groebner._engine``).  With two or more forms there is no
+such bound.
+
+The fiber's own form h = l_{i0} vanishes nowhere on the fiber (the center
+misses X), so it is a nonzerodivisor exactly when the fiber ideal is
+saturated; ``groebner.saturate`` tests it right after the last variable.
 
 Closed points over GF(p) are Galois orbits of points with coordinates in
 GF(p^k); enumeration walks k = 1..K, keeps the points whose Frobenius orbit
@@ -74,7 +80,13 @@ from .fields import (
     _sparse,
     _unieuclid,
 )
-from .groebner import DEFAULT_DEGREE_CEILING, Ideal, _bounded, saturate
+from .groebner import (
+    DEFAULT_DEGREE_CEILING,
+    Ideal,
+    _bounded,
+    _unchecked,
+    saturate,
+)
 from .hilbert import _split, _zmul, finite_length_witness, hilbert_numerator
 from .orders import GREVLEX, MonomialOrder
 from .polynomials import PolyRing, Polynomial, lift_polynomial
@@ -122,7 +134,9 @@ class Finiteness:
 def check_finite(spec: ProjectionSpec) -> Finiteness:
     """Certificate that the projection is finite: I_X + (V) has finite
     length.  When it does not, the witness names a variable with no pure
-    power among the lead terms (the center of projection meets X)."""
+    power among the lead terms (the center of projection meets X).  The
+    center is spec.ideal.plus(V), so after ``epsilon_containment`` on the
+    same ideal and forms its basis is already computed."""
     J = spec.ideal.plus(Ideal(spec.ring, spec.forms))
     witness = finite_length_witness(J)
     return Finiteness(witness is None, witness)
@@ -314,7 +328,7 @@ class _Fiber:
         if len(pivots) != len(linear):
             raise SelfCheckError("fiber linear forms are dependent")
         self.saturated = saturate(_bounded(big, gens + linear, bound,
-                                           ceiling))
+                                           ceiling), _form=base)
         self.linear_forms = tuple(linear)
         self.pivots = pivots
         self.home = home
@@ -334,7 +348,7 @@ class _Fiber:
                 gens.append(g)
         if self.saturated.ring != self.home:
             gens = [lift_polynomial(g, self.home) for g in gens]
-        return Ideal(self.home, gens, self.saturated.degree_ceiling)
+        return _unchecked(self.home, gens, self.saturated.degree_ceiling)
 
 
 def fiber_ideal(spec: ProjectionSpec, point: ClosedPoint) -> Ideal:

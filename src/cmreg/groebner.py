@@ -7,15 +7,20 @@ ties broken by the lcm's order key, with Gebauer-Moeller pair pruning.  The
 one internal input outside the standard grading, t*A + (1-t)*B of an
 intersection, is graded because the elimination order gives t weight 0.
 Public constructors enforce the homogeneous-only policy.  Under the standard
-degree one test, driven by a lower bound B_e <= HF(S/I)_e on the Hilbert
-function, decides at each pair's degree e whether the pair needs forming:
-once the current lead ideal has only B_e standard monomials in degree e it
-agrees with in(I) there, so every pair of degree e reduces to zero and is
-dropped.  The default bound is 0, where the test stops the loop at the
-first degree e whose every monomial lies in the lead ideal, since every pair
-left has degree >= e; for an m-primary ideal no pair above the top degree of
-S/I plus one is formed.  A private constructor carries a sharper bound to
-the engine (the fiber search's, in ``geometry``).
+degree a lower bound B_e <= HF(S/I)_e on the Hilbert function drives two
+tests.  Before any pair is built, the engine compares the Hilbert numerator
+of its installed inputs' leads with the bound's: when they agree the leads
+are in(I), and the inputs, reduced, are the basis, with that numerator
+cached.  Otherwise, at each pair's degree e, once the current lead ideal has
+only B_e standard monomials in degree e it agrees with in(I) there, so every
+pair of degree e reduces to zero and is dropped.  The default bound is 0,
+where the second test stops the loop at the first degree e whose every
+monomial lies in the lead ideal, since every pair left has degree >= e; for
+an m-primary ideal no pair above the top degree of S/I plus one is formed.
+A private constructor carries a sharper bound to the engine (the fiber
+search's, in ``geometry``, and saturation's test of a form).  The private
+constructors take generators the library built as they are, without the
+public constructor's checks.
 
 All reduction to normal form runs through one loop, ``_reduce``, over term
 dicts keyed by one int per term: the packed key of the term's monomial
@@ -45,8 +50,10 @@ Saturation by a variable x_i divides a grevlex basis with x_i last by its
 largest x_i-powers (Bayer-Stillman), and returns the basis unchanged when
 x_i divides none of its leads.  Saturation by the irrelevant maximal
 ideal returns the first per-variable saturation whose quotient has the same
-Hilbert polynomial as S/I, which certifies it; when no variable does, it
-intersects the per-variable saturations.  Intersections add one auxiliary
+Hilbert polynomial as S/I, which certifies it.  Given a form that is a
+nonzerodivisor on S/I, checked by the bound HS(S/(I + h)) = (1 - T^deg h)
+HS(S/I), it returns I as it is after the last variable fails; when no
+variable certifies, it intersects the per-variable saturations.  Intersections add one auxiliary
 variable ``t``, compute a basis of t*A + (1-t)*B under an elimination order,
 and keep the t-free elements, which are the reduced basis of A cap B when
 the ring's order is grevlex in declaration order.
@@ -61,7 +68,7 @@ import math
 from operator import le
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
-from .fields import _axpy, _divide
+from .fields import _axpy, _divide, _strip
 from .orders import GREVLEX, EliminationOrder, MonomialOrder, word_lcm
 from .polynomials import PolyRing, Polynomial, _reach, lift_polynomial
 
@@ -278,24 +285,30 @@ def _series_coefficient(num, n, e) -> int:
                for j, c in enumerate(num[:e + 1]))
 
 
-def _engine(polys, ring, degree_ceiling, bound=()) -> list:
+def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
     """Reduced Groebner basis of input that is homogeneous in the grading of
     ``ring.order``; S-pairs are taken by degree, and one above
     ``degree_ceiling`` raises.
 
     ``bound`` is a Hilbert numerator N_B over (1-T)^n whose series
     coefficients B_e are at most HF(S/I)_e; the default N_B = 0 bounds
-    nothing.  Under the standard degree (a plain ``MonomialOrder``), at a
-    popped pair of degree e the standard monomials of the current leads L in
-    degree e are counted until the count passes B_e (Traverso, Hilbert
-    functions and the Buchberger algorithm, JSC 22, 1996).  L lies in in(I),
-    so HF(S/L)_e >= HF(S/I)_e >= B_e:
+    nothing.  The inputs are installed first, each reduced by those before
+    it.  Their leads L lie in in(I), so HF(S/L) >= HF(S/I) >= B termwise
+    (Traverso, Hilbert functions and the Buchberger algorithm, JSC 22,
+    1996).  Under the standard degree (a plain ``MonomialOrder``):
 
-    - a count equal to B_e means L_e = in(I)_e, so every pair of degree e
-      reduces to zero and is dropped without being formed; when B_e = 0,
-      L holds every monomial of degree e and so of every degree above, and
-      the loop stops, since pairs come off the heap in nondecreasing degree;
-    - a count below B_e proves the bound wrong: SelfCheckError.
+    - when the Hilbert numerator of L is N_B, HF(S/L) = HF(S/I), so L is
+      in(I) and the installed inputs are a Groebner basis: they are reduced
+      and returned with N_B as their cached numerator, and no pair is built
+      (under a bound, the inputs' pairs wait for this test);
+    - otherwise pairs are built, and at a popped pair of degree e the
+      standard monomials of the current leads L in degree e are counted
+      until the count passes B_e.  A count equal to B_e means L_e = in(I)_e,
+      so every pair of degree e reduces to zero and is dropped without being
+      formed; when B_e = 0, L holds every monomial of degree e and so of
+      every degree above, and the loop stops, since pairs come off the heap
+      in nondecreasing degree.  A count below B_e proves the bound wrong:
+      SelfCheckError.
 
     With B_e = 0 the count cannot reach 0 before every variable has a pure
     power among the leads (S/I then has finite length), so it waits for
@@ -304,37 +317,61 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> list:
     taken, so dropped pairs and pairs after the stop never trip it."""
     inputs = [f for f in polys if f]
     if all(len(f) == 1 for f in inputs):
-        return _reduce_basis([f.monic()._terms for f in inputs], ring)
+        return GroebnerBasis(ring, _reduce_basis(
+            [f.monic()._terms for f in inputs], ring))
 
     order = ring.order
     field = ring.field
+    # the count needs finitely many monomials per degree
+    standard = type(order) is MonomialOrder
     G = _Basis(order)
     pairs: dict = {}
     heap: list = []
-
-    # the count needs finitely many monomials per degree
-    standard = type(order) is MonomialOrder
     n = ring.nvars
     lead_exps = []  # exponent vectors of the leads of G
     powers = {}  # variable -> exponent of its pure-power lead
     tested = None  # (degree, len(G)) of the last count
     met = False  # whether that count met the bound
 
-    def install(terms):
+    def reduced(terms):
+        """The monic remainder of terms against G, or None for zero."""
         red = _reduce(terms, G, field)
-        if red:
-            lead = next(iter(red))
-            _update(order, G, pairs, heap, _divide(field, red, red[lead]))
-            # no lead divides a new lead, so a later pure power of x_i is
-            # always a lower one
-            exps = order.unpack(lead)
-            lead_exps.append(exps)
-            support = [i for i, a in enumerate(exps) if a]
-            if len(support) == 1:
-                powers[support[0]] = exps[support[0]]
+        return _divide(field, red, red[next(iter(red))]) if red else None
 
+    def install(f):
+        _update(order, G, pairs, heap, f)
+        # no lead divides a new lead, so a later pure power of x_i is
+        # always a lower one
+        exps = order.unpack(next(iter(f)))
+        lead_exps.append(exps)
+        support = [i for i, a in enumerate(exps) if a]
+        if len(support) == 1:
+            powers[support[0]] = exps[support[0]]
+
+    # under a bound, the pairs wait until the certificate is checked
+    certify = standard and bound
     for terms in sorted((f._terms for f in inputs), key=max):
-        install(terms)
+        f = reduced(terms)
+        if f is not None:
+            if certify:
+                G.append(f)
+            else:
+                install(f)
+    if certify:
+        from .hilbert import _monomial_numerator  # hilbert imports this module
+
+        numerator = _monomial_numerator([order.unpack(key)
+                                         for key, _, _ in G.leads])
+        if numerator == tuple(_strip(list(bound))):
+            return GroebnerBasis(ring, _reduce_basis(G.terms, ring),
+                                 numerator)
+        # the same elements, installed again with their pairs; G's memo of
+        # dividing leads holds for the copy once it has every lead, which
+        # come in the same order
+        installed, G = G, _Basis(order)
+        for f in installed.terms:
+            install(f)
+        G.seen = installed.seen
 
     while heap:
         degree, _, i, j = heapq.heappop(heap)
@@ -362,10 +399,11 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> list:
             )
         s = _spoly(order, field, G.terms[i], G.leads[i], G.terms[j],
                    G.leads[j])
-        if s:
-            install(s)
+        f = reduced(s) if s else None
+        if f is not None:
+            install(f)
 
-    return _reduce_basis(G.terms, ring)
+    return GroebnerBasis(ring, _reduce_basis(G.terms, ring))
 
 
 def _reduce_basis(G, ring) -> list:
@@ -397,7 +435,8 @@ class Ideal:
     (up to scaling) removed.  Sums, products, powers, intersections and
     saturations take the ``degree_ceiling`` of their first operand."""
 
-    __slots__ = ("ring", "gens", "degree_ceiling", "_gb", "_bound", "_power")
+    __slots__ = ("ring", "gens", "degree_ceiling", "_gb", "_bound", "_power",
+                 "_sum")
 
     def __init__(self, ring: PolyRing, gens=(),
                  degree_ceiling: int = DEFAULT_DEGREE_CEILING):
@@ -423,6 +462,7 @@ class Ideal:
         self._gb = None
         self._bound = ()
         self._power = None
+        self._sum = None
 
     def is_zero_ideal(self) -> bool:
         return not self.gens
@@ -438,9 +478,15 @@ class Ideal:
         return None
 
     def plus(self, other: "Ideal") -> "Ideal":
+        """I + other, generated by I's generators and then other's.  The
+        last sum asked for is kept, so asking again with the same generators
+        of other returns the same ideal, its basis computed once."""
         if other.ring != self.ring:
             raise UsageError("ideals live in different rings")
-        return Ideal(self.ring, self.gens + other.gens, self.degree_ceiling)
+        if self._sum is None or self._sum[0] != other.gens:
+            self._sum = (other.gens, Ideal(self.ring, self.gens + other.gens,
+                                           self.degree_ceiling))
+        return self._sum[1]
 
     def times(self, other: "Ideal") -> "Ideal":
         if other.ring != self.ring:
@@ -477,9 +523,8 @@ class Ideal:
         """The reduced Groebner basis, computed on the first call and cached.
         An S-pair above ``degree_ceiling`` raises DegreeCeilingError."""
         if self._gb is None:
-            elements = _engine(list(self.gens), self.ring,
+            self._gb = _engine(list(self.gens), self.ring,
                                self.degree_ceiling, self._bound)
-            self._gb = GroebnerBasis(self.ring, elements)
         return self._gb
 
     def contains(self, f: Polynomial) -> bool:
@@ -500,16 +545,17 @@ class GroebnerBasis:
     """The reduced basis of an ideal under its ring's order: monic elements,
     pairwise irreducible, sorted by descending lead monomial.
 
-    ``numerator`` is the Hilbert numerator of the lead-term ideal, filled by
+    ``numerator`` is the Hilbert numerator of the lead-term ideal, given by
+    the engine's Hilbert certificate or filled by
     ``hilbert.hilbert_numerator`` on first use."""
 
     __slots__ = ("ring", "elements", "lead_monomials", "numerator")
 
-    def __init__(self, ring: PolyRing, elements):
+    def __init__(self, ring: PolyRing, elements, numerator=None):
         self.ring = ring
         self.elements = tuple(elements)
         self.lead_monomials = tuple(g.lead_monomial() for g in self.elements)
-        self.numerator = None
+        self.numerator = numerator
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         if f.ring != self.ring:
@@ -584,11 +630,21 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
     return Ideal(ring, kept, ceiling)
 
 
+def _unchecked(ring: PolyRing, gens, degree_ceiling: int) -> Ideal:
+    """The ideal generated by ``gens``, nonzero homogeneous polynomials of
+    ``ring``, taken as they are: without the constructor's checks of each
+    generator and its removal of proportional duplicates."""
+    I = Ideal(ring, (), degree_ceiling)
+    I.gens = tuple(gens)
+    return I
+
+
 def _bounded(ring: PolyRing, gens, bound, degree_ceiling: int) -> Ideal:
-    """The ideal generated by ``gens``, whose basis computation may drop the
-    pairs of a degree where the Hilbert numerator ``bound`` is met (see
-    ``_engine``): B_e <= HF(S/I)_e must hold for every e."""
-    I = Ideal(ring, gens, degree_ceiling)
+    """The ideal generated by ``gens``, as for ``_unchecked``, whose basis
+    computation may skip its pairs, or the pairs of a degree, where the
+    Hilbert numerator ``bound`` is met (see ``_engine``): B_e <= HF(S/I)_e
+    must hold for every e."""
+    I = _unchecked(ring, gens, degree_ceiling)
     I._bound = tuple(bound)
     return I
 
@@ -597,7 +653,7 @@ def _presented(I: Ideal, elements, gb=None) -> Ideal:
     """The ideal generated by a reduced basis of an ideal derived from I, in
     I's ring and with I's ceiling, with that basis cached: the GroebnerBasis
     ``gb`` when one already holds it."""
-    J = Ideal(I.ring, elements, I.degree_ceiling)
+    J = _unchecked(I.ring, elements, I.degree_ceiling)
     J._gb = GroebnerBasis(I.ring, elements) if gb is None else gb
     return J
 
@@ -635,15 +691,15 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
         gb = I.groebner_basis()
         if not any(m[i] for m in gb.lead_monomials):
             return _presented(I, gb.elements, gb)
-        reduced = _reduce_basis([_divide_out(g, i, ring)._terms
-                                 for g in gb.elements], ring)
+        gb = GroebnerBasis(ring, _reduce_basis(
+            [_divide_out(g, i, ring)._terms for g in gb.elements], ring))
     else:
         aux = PolyRing(ring.names, ring.field, order)
         basis = _engine([lift_polynomial(g, aux) for g in I.gens], aux,
                         I.degree_ceiling)
-        reduced = _engine([_divide_out(g, i, ring) for g in basis], ring,
-                          I.degree_ceiling)
-    return _presented(I, reduced)
+        gb = _engine([_divide_out(g, i, ring) for g in basis], ring,
+                     I.degree_ceiling)
+    return _presented(I, gb.elements, gb)
 
 
 def _same_hilbert_polynomial(num_a, num_b, n: int) -> bool:
@@ -656,7 +712,7 @@ def _same_hilbert_polynomial(num_a, num_b, n: int) -> bool:
     return Q is None or c >= n
 
 
-def saturate(I: Ideal) -> Ideal:
+def saturate(I: Ideal, _form=None) -> Ideal:
     """Saturation by the maximal ideal m, presented by its reduced basis with
     that basis cached.
 
@@ -664,12 +720,23 @@ def saturate(I: Ideal) -> Ideal:
     exactly when S/J and S/I have the same Hilbert polynomial, i.e. when
     (1-T)^n divides the difference of their Hilbert numerators: J/I^sat sits
     inside S/I^sat, which has no nonzero submodule of finite length, so it is
-    zero or has a nonzero Hilbert polynomial.  The variables are tried last
-    first, since in a grevlex ring the last one reuses I's cached basis.
-    Only when no variable certifies are the per-variable saturations
-    intersected, and the result keeps the intersection's basis.
+    zero or has a nonzero Hilbert polynomial.  The last variable is tried
+    first, since in a grevlex ring it reuses I's cached basis.
+
+    When it fails and a form h of positive degree is given (``_form``), I
+    is returned as it is if h is a nonzerodivisor on S/I: m is associated
+    to any I that is not saturated, and h lies in m.  HS(S/(I + h)) is
+    (1 - T^deg h) HS(S/I) + T^deg h HS(0 :_{S/I} h), so h is a
+    nonzerodivisor exactly when the first term is all of it; I + h gets its
+    basis under that bound, which the engine's Hilbert certificate usually
+    meets without a pair.  A form that vanishes nowhere on the scheme of I
+    lies in none of its relevant associated primes, so it passes exactly
+    when I is saturated; any other h only makes the test fail more often.
+    After that the other variables are tried, and when none certifies,
+    the per-variable saturations are intersected, and the result keeps
+    the intersection's basis.
     """
-    from .hilbert import hilbert_numerator  # hilbert imports this module
+    from .hilbert import _zmul, hilbert_numerator  # hilbert imports this
 
     n = I.ring.nvars
     target = hilbert_numerator(I)
@@ -678,6 +745,13 @@ def saturate(I: Ideal) -> Ideal:
         J = saturate_variable(I, i)
         if _same_hilbert_polynomial(target, hilbert_numerator(J), n):
             return J
+        if _form is not None and not parts:
+            gb = I.groebner_basis()
+            bound = _zmul([1] + [0] * (_form.degree() - 1) + [-1], target)
+            K = _bounded(I.ring, gb.elements + (_form,), bound,
+                         I.degree_ceiling)
+            if hilbert_numerator(K) == tuple(_strip(bound)):
+                return _presented(I, gb.elements, gb)
         parts.append(J)
     result = functools.reduce(intersect, parts)
     return _presented(I, result.groebner_basis().elements)

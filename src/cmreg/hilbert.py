@@ -114,14 +114,20 @@ def _numerator(gens) -> list:
     return _zadd(_numerator(plus), _zshift(_numerator(quot), 1))
 
 
+def _monomial_numerator(gens) -> tuple:
+    """N(T), without trailing zeros, for the monomial ideal spanned by a
+    list of exponent tuples; (1,) for the empty list."""
+    out = _numerator(_minimalize(gens)) if gens else [1]
+    return tuple(_strip(out) or [0])
+
+
 def hilbert_numerator(I: Ideal) -> tuple:
     """Coefficients of N(T) with Hilbert series of S/I equal to N/(1-T)^n,
-    computed on the first call for a basis and cached on it."""
+    computed on the first call for a basis and cached on it (the engine
+    caches the numerator its Hilbert certificate computed)."""
     gb = I.groebner_basis()
     if gb.numerator is None:
-        gens = gb.lead_monomials
-        out = _numerator(_minimalize(gens)) if gens else [1]
-        gb.numerator = tuple(_strip(list(out)) or [0])
+        gb.numerator = _monomial_numerator(gb.lead_monomials)
     return gb.numerator
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from cmreg import __version__, cli, geometry, groebner
+from cmreg import __version__, cli, geometry, groebner, sessions
 from cmreg.cli import main
 from cmreg.fields import MAX_EXTENSION_DEGREE
 
@@ -202,6 +202,27 @@ def test_fibers_command(conic_file, capsys):
         assert fib["regularity"] == 2
         assert fib["k"] == 1
         assert isinstance(fib["ideal"], list)
+
+
+def test_fibers_computes_the_center_basis_once(conic_file, monkeypatch,
+                                              capsys):
+    # epsilon_containment and check_finite both ask the conic for its sum
+    # with the axes, which the conic keeps: one basis of the center per job
+    session = sessions.parse_session(CONIC_SESSION)
+    center = sorted(str(f.monic()) for f in (list(session.ideals["conic"])
+                                             + list(session.forms["axes"])))
+    inputs = []
+    engine = groebner._engine
+
+    def recorded(polys, *args):
+        inputs.append(sorted(str(f.monic()) for f in polys))
+        return engine(polys, *args)
+
+    monkeypatch.setattr(groebner, "_engine", recorded)
+    code, _, err = run(capsys, ["fibers", conic_file, "-s", "down",
+                                "--ext-bound", "1"])
+    assert code == 0, err
+    assert inputs.count(center) == 1
 
 
 def test_fibers_budget_exhaustion(conic_file, capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cmreg import geometry, hilbert, messages
+from cmreg import geometry, groebner, hilbert, messages
 from cmreg.asymptotics import epsilon_containment, power_table
 from cmreg.errors import (
     BudgetError,
@@ -462,7 +462,9 @@ def test_budgets_below_one_are_usage_errors():
 def test_fiber_search_computes_one_numerator_per_basis(monkeypatch):
     # saturate's certificate, fiber_regularity and the Hilbert function all
     # read the numerator cached on a basis: the recursion runs at most once
-    # per GroebnerBasis, though the numerator is read more often
+    # per GroebnerBasis, though the numerator is read more often.  The
+    # engine's Hilbert certificate computes the numerator of the installed
+    # leads, which is counted against the basis it certifies
     depth = 0
     top_level = 0
     numerator = hilbert._numerator
@@ -488,8 +490,20 @@ def test_fiber_search_computes_one_numerator_per_basis(monkeypatch):
         per_basis[id(gb)] = per_basis.get(id(gb), 0) + top_level - before
         return out
 
+    engine = groebner._engine
+
+    def counted_engine(*args):
+        before = top_level
+        gb = engine(*args)
+        bases.append(gb)
+        if top_level > before:
+            assert gb.numerator is not None  # every certificate here holds
+            per_basis[id(gb)] = per_basis.get(id(gb), 0) + top_level - before
+        return gb
+
     monkeypatch.setattr(hilbert, "_numerator", counted_numerator)
     monkeypatch.setattr(hilbert, "hilbert_numerator", counted_read)
+    monkeypatch.setattr(groebner, "_engine", counted_engine)
     monkeypatch.setattr(geometry, "hilbert_numerator", counted_read,
                         raising=False)
     R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(5))

@@ -89,14 +89,15 @@ def test_engine_reduces_duplicate_inputs_away():
     R = ring()
     x, y, z = R.variables()
     f, g = x * x - y * z, x * y + z * z
-    basis = groebner._engine([f, g], R, 64)
+    basis = groebner._engine([f, g], R, 64).elements
     assert len(basis) == 3  # the S-pair adds y^2*z + x*z^2
-    assert groebner._engine([f, f.scale(3), g], R, 64) == basis
-    assert groebner._engine([g, f.scale(3), R.zero(), f, g], R, 64) == basis
+    assert groebner._engine([f, f.scale(3), g], R, 64).elements == basis
+    assert groebner._engine([g, f.scale(3), R.zero(), f, g], R,
+                            64).elements == basis
     # the all-monomial shortcut makes its input monic
-    monomials = groebner._engine([x * y, y * z], R, 64)
+    monomials = groebner._engine([x * y, y * z], R, 64).elements
     assert groebner._engine([(x * y).scale(3), y * z, x * y], R,
-                            64) == monomials
+                            64).elements == monomials
     assert [str(m) for m in monomials] == ["x*y", "y*z"]
 
 
@@ -1058,8 +1059,8 @@ def _fiber_ideals(monkeypatch, spec, K):
     seen = []
     real = geometry.saturate
 
-    def recorded(I):
-        J = real(I)
+    def recorded(I, *args, **kwargs):
+        J = real(I, *args, **kwargs)
         seen.append((I, J))
         return J
 
@@ -1229,3 +1230,166 @@ def test_a_bound_above_the_lead_count_raises():
         groebner._bounded(R, gens, (1,),
                           groebner.DEFAULT_DEGREE_CEILING).groebner_basis()
     assert len(Ideal(R, gens).groebner_basis()) == 3
+
+
+# --- the Hilbert certificate, the fiber's form and presented bases ---
+
+CERTIFICATE_CASES = [(5, 2, 141), (7, 1, 142)]
+
+
+def _bound_numerator(I_X, top=8):
+    """(1-T) HS(S/I_X) as a numerator over (1-T)^n, from the coefficients
+    of ``_bound_by_rank``: their series times (1-T)^n, which vanishes from
+    degree ``top`` on through the n degrees computed past it."""
+    b = _bound_by_rank(I_X)
+    num = [b(e) for e in range(top + I_X.ring.nvars)]
+    for _ in range(I_X.ring.nvars):
+        num = num[:1] + [a - c for c, a in zip(num, num[1:])]
+    assert not any(num[top:]), num
+    while not num[-1]:
+        num.pop()
+    return tuple(num)
+
+
+def _refused(*args, **kwargs):
+    raise AssertionError("a pair was built")
+
+
+def _engine_orders(monkeypatch):
+    """The order of every later _engine call's ring, in call order."""
+    seen = _engine_ceilings(monkeypatch)
+    return lambda: [r.order for r, _ in seen]
+
+
+def _counted(monkeypatch, name):
+    """A list that gains one entry per later call of groebner.<name>."""
+    calls = []
+    real = getattr(groebner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("p,K,seed", CERTIFICATE_CASES)
+def test_a_met_certificate_installs_no_pair(monkeypatch, p, K, seed):
+    # under the bound (1-T) HS(S/I_X), counted by ranks, the leads of every
+    # fiber's installed generators meet it here: the engine returns the
+    # reduced inputs with the bound as their numerator and never calls
+    # _update, and the basis is the one the unbounded engine computes
+    spec = _twisted_cubic_projection(p, seed)
+    bound = _bound_numerator(spec.ideal)
+    assert bound == tuple(geometry._fiber_bound(spec))
+    fibers = _fiber_ideals(monkeypatch, spec, K)
+    assert len(fibers) == (16 if p == 5 else 8)
+    for I, _ in fibers:
+        J = groebner._bounded(I.ring, I.gens, bound, I.degree_ceiling)
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "_update", _refused)
+            gb = J.groebner_basis()
+        assert gb.numerator == bound
+        assert gb.elements == Ideal(I.ring, I.gens).groebner_basis().elements
+        assert hilbert.hilbert_numerator(Ideal(I.ring, I.gens)) == bound
+
+
+def test_an_unmet_certificate_takes_the_pair_loop(monkeypatch):
+    # I_X = twisted cubic cap (x1, x2, x3)^2 has an embedded point at
+    # (1:0:0:0), where l = x1 vanishes, so l is a zero divisor on S/I_X and
+    # (1-T) HS(S/I_X) lies below HS(S/(I_X + l)): the certificate fails and
+    # the pair loop gives the unbounded engine's basis, numerator not cached
+    R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(7))
+    x0, x1, x2, x3 = R.variables()
+    tc = Ideal(R, (x1 * x1 - x0 * x2, x1 * x2 - x0 * x3, x2 * x2 - x1 * x3))
+    I_X = intersect(tc, Ideal(R, (x1, x2, x3)).power(2))
+    assert saturate(I_X).equals(I_X) and not I_X.equals(tc)
+    bound = _bound_numerator(I_X)
+    J = groebner._bounded(R, I_X.gens + (x1,), bound,
+                          groebner.DEFAULT_DEGREE_CEILING)
+    updates = _counted(monkeypatch, "_update")
+    gb = J.groebner_basis()
+    assert updates and gb.numerator is None
+    assert gb.elements == Ideal(R, J.gens).groebner_basis().elements
+    assert hilbert.hilbert_numerator(J) != bound
+    _check_basis(J, 6)
+
+
+def _coordinate_point_fiber(monkeypatch, spec, K):
+    """(I_X + (l), the keyword arguments the fiber search saturates it
+    with) of the one fiber whose basis has a lead divisible by x3, the
+    fiber through (1:0:0:0), where x3 vanishes."""
+    recorded = []
+    real = geometry.saturate
+
+    def record(I, *args, **kwargs):
+        recorded.append((I, kwargs))
+        return real(I, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "saturate", record)
+        max_fiber_regularity(spec, K=K)
+    hard = [(I, kwargs) for I, kwargs in recorded
+            if any(m[3] for m in I.groebner_basis().lead_monomials)]
+    assert len(hard) == 1
+    I = hard[0][0]
+    # every generator vanishes at (1:0:0:0): no pure power of x0 occurs
+    assert all(g.coefficient((g.degree(), 0, 0, 0)).is_zero() for g in I.gens)
+    return hard[0]
+
+
+@pytest.mark.parametrize("p,K,seed", CERTIFICATE_CASES)
+def test_the_fiber_through_a_coordinate_point_takes_its_form(monkeypatch, p,
+                                                            K, seed):
+    # the fiber's own form certifies the fiber through (1:0:0:0) without
+    # another order or an intersection, and gives the saturation the
+    # variable route gives
+    spec = _twisted_cubic_projection(p, seed)
+    I, kwargs = _coordinate_point_fiber(monkeypatch, spec, K)
+    assert "_form" in kwargs
+    reference = saturate(I).gens  # no form: the variables, then intersect
+    intersections = _counted(monkeypatch, "intersect")
+    orders = _engine_orders(monkeypatch)
+    J = saturate(I, **kwargs)
+    assert not intersections
+    assert orders() and all(o == I.ring.order for o in orders())
+    assert J.gens == reference
+    assert J.groebner_basis() is I.groebner_basis()
+
+
+@pytest.mark.parametrize("p,K,seed", CERTIFICATE_CASES)
+def test_a_form_on_an_unsaturated_ideal_falls_back_to_the_variables(
+        monkeypatch, p, K, seed):
+    # J*m is not saturated, so no form is a nonzerodivisor on its quotient:
+    # for the fiber through (1:0:0:0) times m the last variable fails, the
+    # form's test fails, and other variables (under other orders) give the
+    # saturation J.  (xy, xz, yz)*m goes on to intersect, with x + y + z,
+    # which misses its three points, as the form
+    spec = _twisted_cubic_projection(p, seed)
+    I, kwargs = _coordinate_point_fiber(monkeypatch, spec, K)
+    M = I.times(Ideal(I.ring, I.ring.variables()))
+    orders = _engine_orders(monkeypatch)
+    assert saturate(M, **kwargs).gens == I.groebner_basis().elements
+    assert any(o != I.ring.order for o in orders())
+    R = ring()
+    x, y, z = R.variables()
+    I = Ideal(R, (x * y, x * z, y * z)).times(Ideal(R, (x, y, z)))
+    intersections = _counted(monkeypatch, "intersect")
+    assert gens_of(saturate(I, _form=x + y + z)) == {"x*y", "x*z", "y*z"}
+    assert intersections
+
+
+@pytest.mark.parametrize("p,K,seed", CERTIFICATE_CASES)
+def test_presented_fiber_bases_need_no_checks(monkeypatch, p, K, seed):
+    # the bases presented without Ideal's checks are those the checks
+    # would keep: nonzero, homogeneous, no two proportional
+    spec = _twisted_cubic_projection(p, seed)
+    for I, J in _fiber_ideals(monkeypatch, spec, K):
+        for ideal in (I, J):
+            assert Ideal(ideal.ring, ideal.gens).gens == ideal.gens
+        P = groebner._presented(I, J.gens)
+        assert P.gens == Ideal(I.ring, J.gens).gens == J.gens
+    for fiber in max_fiber_regularity(spec, K=K).fibers:
+        Z = fiber.ideal
+        assert Ideal(Z.ring, Z.gens).gens == Z.gens
