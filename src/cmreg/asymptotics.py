@@ -10,7 +10,13 @@ the stabilization window and explicit warnings.
 epsilon_containment computes, per t, the least eps with m^(dt+eps) contained
 in (V)^t + I_X; bound_report compares the stabilized eps against reg R - 1
 and deg - codim; conjecture_sampler draws random linear systems and tabulates
-eps against floor(n/c).
+eps against floor(n/c).  Row t = 1 is read from a basis of the center
+I_X + (V).  When the center's Hilbert series is (1 - T^d)^s times that of
+S/I_X, with s the number of forms, S/I_X is a free module over a
+polynomial ring in s variables acting through the forms, so V is a
+regular sequence on it and the top degree grows by exactly d per power: the rows t >= 2 are then
+read off row 1 and eps_t = eps_1 for every t (see epsilon_containment for
+the proof).  Otherwise each row takes a basis of (V)^t + I_X.
 """
 
 from __future__ import annotations
@@ -20,10 +26,12 @@ from dataclasses import dataclass
 
 from . import messages
 from .errors import DimensionError, GeometryError, SelfCheckError, UsageError
-from .fields import FieldElement
+from .fields import FieldElement, _strip
 from .groebner import Ideal
 from .hilbert import (
+    _zmul,
     finite_length_witness,
+    hilbert_numerator,
     quotient_degree,
     quotient_dimension,
     top_degree_finite,
@@ -231,12 +239,58 @@ def power_table(I: Ideal, t_max: int, route: str = "resolution",
                           window, tuple(warnings))
 
 
+def _free_over_forms(I_X: Ideal, V: Ideal, center: Ideal, d: int) -> bool:
+    """Whether HS(S/(I_X + V)) = (1 - T^d)^s HS(S/I_X) != 0, with s the
+    number of generators of V, all of degree d; see epsilon_containment."""
+    expected = list(hilbert_numerator(I_X))
+    for _ in V.gens:
+        expected = _zmul(expected, [1] + [0] * (d - 1) + [-1])
+    expected = _strip(expected)
+    return bool(expected) and hilbert_numerator(center) == tuple(expected)
+
+
 def epsilon_containment(I_X: Ideal, forms, t_max: int,
                         window: int = DEFAULT_WINDOW) -> EpsilonReport:
     """Per t, the least eps_t with m^(dt+eps_t) inside (V)^t + I_X.
 
     The forms must share one degree d and the center must be disjoint from
-    the scheme of I_X, i.e. I_X + (V) must have finite length.
+    the scheme of I_X, i.e. I_X + (V) must have finite length.  eps_t is
+    top_t - dt + 1, where top_t is the top nonzero degree of the
+    finite-length S/((V)^t + I_X).  Row 1 comes from the center's basis.
+
+    The rows t >= 2 need no basis when the center passes a Hilbert-series
+    certificate.  Let M = S/I_X, let f_1..f_s be the generators of (V),
+    all of degree d, and let A = F[y_1..y_s] act on M by y_i -> f_i, with
+    each y_i of degree d.  The certificate is
+
+        HS(M/VM) = (1 - T^d)^s HS(M)  and  M != 0.
+
+    When it holds, M is a free A-module.  Proof: M/VM = M/(y)M has finite
+    length, so by the graded Nakayama lemma M is a finitely generated
+    graded A-module, minimally generated by b_0 elements, one for each
+    F-basis vector of M/VM.  A minimal graded free resolution F. of M over
+    A is finite (Hilbert's syzygy theorem); with B_i(T) the generating
+    degrees of F_i, (1 - T^d)^s HS(M) = sum_i (-1)^i B_i(T) and
+    HS(M/VM) = B_0(T).  At T = 1 the certificate gives
+    b_0 = sum_i (-1)^i rank F_i = rank_A M.  So the surjection
+    A^{b_0} -> M becomes an isomorphism over the fraction field of A, its
+    kernel is a torsion-free module of rank 0, and the kernel is 0.  Then
+    M is the direct sum of the A(-a_j), the a_j being the degrees of a
+    homogeneous F-basis of M/VM, and (V)^t M = (y)^t M, so
+
+        S/((V)^t + I_X) = M/(y)^t M = sum_j (A/(y)^t)(-a_j),
+
+    whose top degree is max_j a_j + d(t - 1).  Hence top_t = top_1 +
+    d(t - 1) and eps_t = eps_1 for every t, and the rows t >= 2 are read
+    off row 1.  Freeness over A makes f_1..f_s a regular sequence on M.
+    Conversely, a regular sequence makes every
+    0 -> M_{i-1}(-d) -> M_{i-1} -> M_i -> 0, with M_i = M/(f_1..f_i)M,
+    exact, which multiplies the series by (1 - T^d) per form: the
+    certificate holds exactly when V is a regular sequence on M.  That is
+    the case when S/I_X is Cohen-Macaulay and s = dim S/I_X, as for the
+    twisted cubic and two linear forms whose center misses it.  When the certificate fails,
+    for instance when S/I_X is not Cohen-Macaulay or s > dim S/I_X, each
+    row t >= 2 takes a basis of (V)^t + I_X.
     """
     _check_table(t_max, window)
     ring = I_X.ring
@@ -251,10 +305,15 @@ def epsilon_containment(I_X: Ideal, forms, t_max: int,
             "the lead-term ideal of I_X + (V)"
         )
 
+    free = _free_over_forms(I_X, V, center, d)
     rows = []
     for t in range(1, t_max + 1):
-        A = center if t == 1 else V.power(t).plus(I_X)
-        top = top_degree_finite(A)
+        if t == 1:
+            top = top_degree_finite(center)
+        elif free:
+            top = rows[0].top_degree + d * (t - 1)
+        else:
+            top = top_degree_finite(V.power(t).plus(I_X))
         rows.append(EpsilonRow(t, top, top - d * t + 1))
 
     for prev, cur in zip(rows, rows[1:]):

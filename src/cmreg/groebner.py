@@ -318,7 +318,7 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
     inputs = [f for f in polys if f]
     if all(len(f) == 1 for f in inputs):
         return GroebnerBasis(ring, _reduce_basis(
-            [f.monic()._terms for f in inputs], ring))
+            _ideal_basis(ring.order, inputs), ring))
 
     order = ring.order
     field = ring.field
@@ -363,8 +363,7 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
         numerator = _monomial_numerator([order.unpack(key)
                                          for key, _, _ in G.leads])
         if numerator == tuple(_strip(list(bound))):
-            return GroebnerBasis(ring, _reduce_basis(G.terms, ring),
-                                 numerator)
+            return GroebnerBasis(ring, _reduce_basis(G, ring), numerator)
         # the same elements, installed again with their pairs; G's memo of
         # dividing leads holds for the copy once it has every lead, which
         # come in the same order
@@ -403,30 +402,33 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
         if f is not None:
             install(f)
 
-    return GroebnerBasis(ring, _reduce_basis(G.terms, ring))
+    return GroebnerBasis(ring, _reduce_basis(G, ring))
 
 
-def _reduce_basis(G, ring) -> list:
-    """Minimalize lead terms, then tail-reduce each element: the reduced basis
-    of a list of nonzero monic term dicts, as Polynomials."""
-    order = ring.order
-    guards = order.guards
-    minimal = _Basis(order)
-    for g in sorted(G, key=max):
-        w = order.word(max(g))
-        if not any(((w | guards) - lw) & guards == guards
-                   for _, lw, _ in minimal.leads):
-            minimal.append(g)
+def _reduce_basis(G: _Basis, ring) -> list:
+    """The reduced basis, as Polynomials, of the ideal of which the ideal
+    basis G is a Groebner basis: the elements whose lead no other lead
+    divides, each with its tail reduced.  The remainder of a full reduction
+    against a Groebner basis is the unique normal form, so each tail is
+    reduced against all of G, with the leads and the memo of dividing leads
+    G already holds, and comes out as against the minimal elements alone."""
+    guards = ring.order.guards
+    minimal = []
+    for i in sorted(range(len(G)), key=lambda i: G.leads[i][0]):
+        w = G.leads[i][1]
+        if not any(((w | guards) - G.leads[j][1]) & guards == guards
+                   for j in minimal):
+            minimal.append(i)
     reduced = []
-    for g, (key, _, _) in zip(minimal.terms, minimal.leads):
+    for i in reversed(minimal):
+        key = G.leads[i][0]
         # the tail and every term its reduction produces lie below the
-        # lead, so g's own lead divides none of them
-        tail = dict(g)
+        # lead, so the element's own lead divides none of them
+        tail = dict(G.terms[i])
         del tail[key]
-        red = _reduce(tail, minimal, ring.field)
-        reduced.append((key, Polynomial(ring, {key: 1, **red})))
-    reduced.sort(key=lambda t: t[0], reverse=True)
-    return [g for _, g in reduced]
+        red = _reduce(tail, G, ring.field)
+        reduced.append(Polynomial(ring, {key: 1, **red}))
+    return reduced
 
 
 class Ideal:
@@ -691,8 +693,8 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
         gb = I.groebner_basis()
         if not any(m[i] for m in gb.lead_monomials):
             return _presented(I, gb.elements, gb)
-        gb = GroebnerBasis(ring, _reduce_basis(
-            [_divide_out(g, i, ring)._terms for g in gb.elements], ring))
+        gb = GroebnerBasis(ring, _reduce_basis(_ideal_basis(
+            ring.order, [_divide_out(g, i, ring) for g in gb.elements]), ring))
     else:
         aux = PolyRing(ring.names, ring.field, order)
         basis = _engine([lift_polynomial(g, aux) for g in I.gens], aux,

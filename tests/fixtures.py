@@ -1,20 +1,22 @@
-"""Shipped fixture ideals used by tests and the documentation examples."""
+"""Fixture ideals for the tests: the projective-plane triangulation."""
 
 from __future__ import annotations
 
 import json
-from importlib import resources
+from pathlib import Path
 
-from .fields import GF, DEFAULT_PRIME
-from .groebner import Ideal
-from .orders import GREVLEX, MonomialOrder
-from .polynomials import PolyRing
+from cmreg.fields import GF, DEFAULT_PRIME
+from cmreg.groebner import Ideal
+from cmreg.orders import GREVLEX, MonomialOrder
+from cmreg.polynomials import PolyRing
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def projective_plane_complex() -> dict:
-    """The 6-vertex triangulation of the real projective plane, as shipped."""
-    path = resources.files("cmreg.data") / "rp2_triangulation.json"
-    return json.loads(path.read_text())
+    """The 6-vertex triangulation of the real projective plane."""
+    path = DATA / "rp2_triangulation.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def projective_plane_ideal(p: int = DEFAULT_PRIME) -> Ideal:

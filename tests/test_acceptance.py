@@ -18,7 +18,6 @@ from cmreg.asymptotics import (
     power_table,
 )
 from cmreg.fields import GF
-from cmreg.fixtures import projective_plane_ideal
 from cmreg.geometry import ProjectionSpec, binary_gcd, max_fiber_regularity, twovars_verify
 from cmreg.groebner import Ideal
 from cmreg.hilbert import finite_length_witness, hilbert_function, top_degree_finite
@@ -27,6 +26,7 @@ from cmreg.resolution import minimal_free_resolution, regularity
 from cmreg.sessions import parse_polynomial
 from cmreg import reports
 
+from fixtures import projective_plane_ideal
 from oracle import degree_monomials, free_module_hilbert, gf_rank, hilbert_by_rank, poly_to_dense
 from test_resolution import has_constant_entry, is_complex
 

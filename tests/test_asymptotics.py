@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from cmreg import messages
@@ -12,9 +15,11 @@ from cmreg.asymptotics import (
 )
 from cmreg.errors import DimensionError, GeometryError, UsageError
 from cmreg.fields import GF
-from cmreg import groebner
+from cmreg import asymptotics, groebner
 from cmreg.groebner import Ideal
+from cmreg.hilbert import finite_length_witness, top_degree_finite
 from cmreg.polynomials import PolyRing
+from cmreg.sessions import parse_polynomial
 
 
 def ring2(p=7):
@@ -240,6 +245,148 @@ def test_sampler_small_field_warning_and_validation():
         conjecture_sampler(fat_point, c=1, trials=1, seed=5)
 
 
+def _record_certificates(monkeypatch):
+    """The outcomes of every regular-sequence certificate checked."""
+    outcomes = []
+    free = asymptotics._free_over_forms
+
+    def recorded(*args):
+        outcomes.append(free(*args))
+        return outcomes[-1]
+
+    monkeypatch.setattr(asymptotics, "_free_over_forms", recorded)
+    return outcomes
+
+
+def _random_forms(R, d, count, rng):
+    monomials = [m for m in itertools.product(range(d + 1), repeat=R.nvars)
+                 if sum(m) == d]
+    p = R.field.p
+    return [R.poly({m: rng.randrange(p) for m in monomials})
+            for _ in range(count)]
+
+
+def _finite_projection(I, d, seed):
+    """Two random forms of degree d whose center misses the scheme of I."""
+    rng = random.Random(seed)
+    while True:
+        forms = _random_forms(I.ring, d, 2, rng)
+        if any(f.is_zero() for f in forms):
+            continue
+        center = Ideal(I.ring, I.gens + tuple(forms))
+        if finite_length_witness(center) is None:
+            return forms
+
+
+def _basis_tops(I, forms, t_max):
+    """top_t of S/((V)^t + I_X) from a basis of each, on fresh ideals."""
+    R = I.ring
+    return [top_degree_finite(Ideal(R, forms).power(t).plus(Ideal(R, I.gens)))
+            for t in range(1, t_max + 1)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 32003])
+@pytest.mark.parametrize("d", [1, 2])
+def test_certified_rows_agree_with_the_basis_route(p, d, monkeypatch):
+    # the twisted cubic is arithmetically Cohen-Macaulay of dimension 2, so
+    # two forms whose center misses it are a regular sequence on S/I_X
+    _, I = twisted_cubic(p)
+    forms = _finite_projection(I, d, seed=100 * p + d)
+    certified = _record_certificates(monkeypatch)
+    rep = epsilon_containment(I, forms, 3)
+    assert certified == [True]
+    assert [r.top_degree for r in rep.rows] == _basis_tops(I, forms, 3)
+    assert len({r.epsilon_t for r in rep.rows}) == 1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_certified_center_builds_no_basis_of_a_higher_power(d,
+                                                            monkeypatch):
+    _, I = twisted_cubic(32003)
+    forms = _finite_projection(I, d, seed=d)
+    R = I.ring
+    powers = [sorted(str(f.monic()) for f in
+                     Ideal(R, forms).power(t).gens + I.gens)
+              for t in (2, 3)]
+    inputs = []
+    engine = groebner._engine
+
+    def recorded(polys, *args):
+        inputs.append(sorted(str(f.monic()) for f in polys))
+        return engine(polys, *args)
+
+    monkeypatch.setattr(groebner, "_engine", recorded)
+    rep = epsilon_containment(I, forms, 3)
+    assert inputs and not any(gens in inputs for gens in powers)
+    assert [r.top_degree for r in rep.rows] == _basis_tops(I, forms, 3)
+
+
+def _ring4(p):
+    return PolyRing(("x", "y", "z", "w"), field=GF(p))
+
+
+@pytest.mark.parametrize("p, gens, forms", [
+    # the rational quartic curve: not Cohen-Macaulay, two forms = dim S/I_X
+    (32003, ("y*z - x*w", "z^3 - y*w^2", "x*z^2 - y^2*w", "y^3 - x^2*z"),
+     ("x + 2*y + 3*z", "y + 5*w")),
+    # two skew lines: not Cohen-Macaulay (depth 1, dimension 2)
+    (7, ("x*z", "x*w", "y*z", "y*w"), ("x + 2*y + 3*z", "y + 5*w + z")),
+])
+def test_a_non_cohen_macaulay_x_takes_the_basis_route(p, gens, forms,
+                                                      monkeypatch):
+    R = _ring4(p)
+    I = Ideal(R, [parse_polynomial(g, R) for g in gens])
+    V = [parse_polynomial(f, R) for f in forms]
+    certified = _record_certificates(monkeypatch)
+    rep = epsilon_containment(I, V, 4)
+    assert certified == [False]
+    assert [r.top_degree for r in rep.rows] == _basis_tops(I, V, 4)
+
+
+def test_more_forms_than_the_dimension_take_the_basis_route(monkeypatch):
+    # a 0-dimensional X (Krull dimension 1) with two linear forms; its rows
+    # are not top_1 + (t - 1)
+    R = _ring4(5)
+    I = Ideal(R, [parse_polynomial(g, R) for g in
+                  ("x*z - y^2", "y*w - z^2", "x*w - y*z", "x^2*y", "x^3")])
+    _, y, _, w = R.variables()
+    certified = _record_certificates(monkeypatch)
+    rep = epsilon_containment(I, (y, w), 4)
+    assert certified == [False]
+    assert [(r.top_degree, r.epsilon_t) for r in rep.rows] == [
+        (2, 2), (2, 1), (3, 1), (4, 1)]
+    assert [r.top_degree for r in rep.rows] == _basis_tops(I, (y, w), 4)
+
+
+def test_the_unit_ideal_is_not_certified(monkeypatch):
+    # S/I_X = 0: every row has top degree -1, which no closed form from
+    # row 1 gives
+    R = ring3()
+    x, _, z = R.variables()
+    certified = _record_certificates(monkeypatch)
+    rep = epsilon_containment(Ideal(R, (R.one(),)), (x, z), 3)
+    assert certified == [False]
+    assert [r.top_degree for r in rep.rows] == [-1, -1, -1]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_forms_on_the_whole_space_follow_the_complete_intersection_formula(
+        d, monkeypatch):
+    # I_X = 0 and n + 1 forms of degree d with a finite-length center: a
+    # regular sequence on S
+    R = ring3(32003)
+    rng = random.Random(d)
+    while True:
+        forms = _random_forms(R, d, 3, rng)
+        if finite_length_witness(Ideal(R, forms)) is None:
+            break
+    certified = _record_certificates(monkeypatch)
+    rep = epsilon_containment(Ideal(R, ()), forms, 4)
+    assert certified == [True]
+    for row in rep.rows:
+        assert row.top_degree == ci_formula_check(d, row.t, 3)
+
+
 def test_sampler_builds_one_basis_per_draw(monkeypatch):
     # a draw whose center meets X is skipped by epsilon_containment's
     # GeometryError; the center's basis is not computed a second time
@@ -254,12 +401,18 @@ def test_sampler_builds_one_basis_per_draw(monkeypatch):
         return engine(*args)
 
     monkeypatch.setattr(groebner, "_engine", counted)
+    certified = _record_certificates(monkeypatch)
     rep = conjecture_sampler(I, c=1, trials=8, seed=0, t_max=3)
     assert rep.skipped and rep.rows
     assert len(rep.rows) + rep.skipped == 8
+    # over GF(2) some draws repeat a form, leaving two forms on the conic,
+    # which are a regular sequence on it
+    assert len(certified) == len(rep.rows)
+    assert True in certified and False in certified
     # S/I_X's dimension, then per draw the center and, when it has finite
-    # length, (V)^t + I_X for t = 2, 3
-    assert len(calls) == 1 + rep.skipped + 3 * len(rep.rows)
+    # length and the certificate fails, (V)^t + I_X for t = 2, 3
+    assert len(calls) == 1 + rep.skipped + sum(1 if c else 3
+                                                for c in certified)
 
 
 def test_each_power_gets_one_groebner_basis(monkeypatch):

@@ -225,6 +225,40 @@ def test_fibers_computes_the_center_basis_once(conic_file, monkeypatch,
     assert inputs.count(center) == 1
 
 
+CUBIC_SESSION = """\
+ring p=7 vars=x0,x1,x2,x3 order=grevlex
+ideal X = x1^2 - x0*x2, x1*x2 - x0*x3, x2^2 - x1*x3
+forms V = x0 + 2*x1, x2 + 3*x3
+projection P = X : V
+"""
+
+
+def test_a_certified_fibers_job_builds_no_basis_of_a_higher_power(
+        tmp_path, monkeypatch, capsys):
+    # two linear forms whose center misses the twisted cubic are a regular
+    # sequence on its coordinate ring: the rows t >= 2 follow from row 1
+    path = tmp_path / "cubic.reg"
+    path.write_text(CUBIC_SESSION)
+    session = sessions.parse_session(CUBIC_SESSION)
+    I_X = groebner.Ideal(session.ring, session.ideals["X"])
+    V = groebner.Ideal(session.ring, session.forms["V"])
+    powers = [sorted(str(f.monic()) for f in V.power(t).gens + I_X.gens)
+              for t in (2, 3)]
+    inputs = []
+    engine = groebner._engine
+
+    def recorded(polys, *args):
+        inputs.append(sorted(str(f.monic()) for f in polys))
+        return engine(polys, *args)
+
+    monkeypatch.setattr(groebner, "_engine", recorded)
+    code, out, err = run(capsys, ["fibers", str(path), "-s", "P",
+                                  "--ext-bound", "1", "--tmax", "3"])
+    assert code == 0, err
+    assert "equals epsilon + 1: true" in out
+    assert inputs and not any(gens in inputs for gens in powers)
+
+
 def test_fibers_budget_exhaustion(conic_file, capsys):
     code, out, err = run(
         capsys,

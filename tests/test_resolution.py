@@ -6,7 +6,6 @@ from cmreg import resolution
 from cmreg.asymptotics import power_table
 from cmreg.errors import SelfCheckError, UsageError
 from cmreg.fields import GF
-from cmreg.fixtures import projective_plane_ideal
 from cmreg.groebner import Ideal, _Basis, _ideal_basis
 from cmreg.hilbert import hilbert_function
 from cmreg.polynomials import PolyRing
@@ -26,6 +25,7 @@ from cmreg.resolution import (
     regularity,
 )
 
+from fixtures import projective_plane_ideal
 from oracle import degree_monomials, free_module_hilbert
 
 P = 7
