@@ -9,7 +9,7 @@ intersection, is graded because the elimination order gives t weight 0.
 Public constructors enforce the homogeneous-only policy.  Under the standard
 degree a lower bound B_e <= HF(S/I)_e on the Hilbert function drives two
 tests.  Before any pair is built, the engine compares the Hilbert numerator
-of its installed inputs' leads with the bound's: when they agree the leads
+of its reduced inputs' leads with the bound's: when they agree the leads
 are in(I), and the inputs, reduced, are the basis, with that numerator
 cached.  Otherwise, at each pair's degree e, once the current lead ideal has
 only B_e standard monomials in degree e it agrees with in(I) there, so every
@@ -203,18 +203,18 @@ def _spoly(order, field, f: dict, lf, g: dict, lg) -> dict:
     return work
 
 
-def _update(order, G: _Basis, pairs, heap, f):
-    """Install the monic term dict f as a new element of the ideal basis G,
-    pruning pairs Gebauer-Moeller style.  ``pairs`` maps each live pair
-    (i, j) to the word of its lcm; ``heap`` holds (degree, packed lcm key,
-    i, j) of every pair pushed, deleted ones included."""
-    t = len(G)
+def _update(order, G: _Basis, pairs, heap, t):
+    """Make the pairs of element t of the ideal basis G with the elements
+    before it, pruning pairs Gebauer-Moeller style; G is not changed.
+    ``pairs`` maps each live pair (i, j) to the word of its lcm; ``heap``
+    holds (degree, packed lcm key, i, j) of every pair pushed, deleted ones
+    included."""
     guards = order.guards
-    wf = order.word(max(f))
-    words = [lead[1] for lead in G.leads]
+    wf = G.leads[t][1]
+    words = [lead[1] for lead in G.leads[:t]]
     lcms = [word_lcm(w, wf, guards) for w in words]
 
-    # drop old pairs made redundant by f (chain criterion)
+    # drop old pairs made redundant by element t (chain criterion)
     for (i, j), lij in list(pairs.items()):
         if (((lij | guards) - wf) & guards == guards
                 and lcms[i] != lij and lcms[j] != lij):
@@ -247,8 +247,6 @@ def _update(order, G: _Basis, pairs, heap, f):
         pairs[(i, t)] = lcm
         exps = order.exponents(lcm)
         heapq.heappush(heap, (order.degree(exps), order.pack(exps), i, t))
-
-    G.append(f)
 
 
 def _standard_count(lead_exps, powers, e, limit) -> int:
@@ -292,23 +290,24 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
 
     ``bound`` is a Hilbert numerator N_B over (1-T)^n whose series
     coefficients B_e are at most HF(S/I)_e; the default N_B = 0 bounds
-    nothing.  The inputs are installed first, each reduced by those before
-    it.  Their leads L lie in in(I), so HF(S/L) >= HF(S/I) >= B termwise
-    (Traverso, Hilbert functions and the Buchberger algorithm, JSC 22,
-    1996).  Under the standard degree (a plain ``MonomialOrder``):
+    nothing.  The inputs are appended to the basis first, each reduced by
+    those before it, and no pair is made yet.  Their leads L lie in in(I),
+    so HF(S/L) >= HF(S/I) >= B termwise (Traverso, Hilbert functions and
+    the Buchberger algorithm, JSC 22, 1996).  Under the standard degree (a
+    plain ``MonomialOrder``):
 
-    - when the Hilbert numerator of L is N_B, HF(S/L) = HF(S/I), so L is
-      in(I) and the installed inputs are a Groebner basis: they are reduced
-      and returned with N_B as their cached numerator, and no pair is built
-      (under a bound, the inputs' pairs wait for this test);
-    - otherwise pairs are built, and at a popped pair of degree e the
-      standard monomials of the current leads L in degree e are counted
-      until the count passes B_e.  A count equal to B_e means L_e = in(I)_e,
-      so every pair of degree e reduces to zero and is dropped without being
-      formed; when B_e = 0, L holds every monomial of degree e and so of
-      every degree above, and the loop stops, since pairs come off the heap
-      in nondecreasing degree.  A count below B_e proves the bound wrong:
-      SelfCheckError.
+    - when a bound is given and the Hilbert numerator of L is N_B,
+      HF(S/L) = HF(S/I), so L is in(I) and the inputs are a Groebner basis:
+      they are reduced and returned with N_B as their cached numerator, and
+      no pair is built;
+    - otherwise the pairs of each element are made in turn (``_update``),
+      and at a popped pair of degree e the standard monomials of the
+      current leads L in degree e are counted until the count passes B_e.
+      A count equal to B_e means L_e = in(I)_e, so every pair of degree e
+      reduces to zero and is dropped without being formed; when B_e = 0, L
+      holds every monomial of degree e and so of every degree above, and
+      the loop stops, since pairs come off the heap in nondecreasing
+      degree.  A count below B_e proves the bound wrong: SelfCheckError.
 
     With B_e = 0 the count cannot reach 0 before every variable has a pure
     power among the leads (S/I then has finite length), so it waits for
@@ -338,39 +337,30 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
         red = _reduce(terms, G, field)
         return _divide(field, red, red[next(iter(red))]) if red else None
 
-    def install(f):
-        _update(order, G, pairs, heap, f)
+    def install(t):
+        """Make the pairs of G's element t and record its lead."""
+        _update(order, G, pairs, heap, t)
         # no lead divides a new lead, so a later pure power of x_i is
         # always a lower one
-        exps = order.unpack(next(iter(f)))
+        exps = order.unpack(G.leads[t][0])
         lead_exps.append(exps)
         support = [i for i, a in enumerate(exps) if a]
         if len(support) == 1:
             powers[support[0]] = exps[support[0]]
 
-    # under a bound, the pairs wait until the certificate is checked
-    certify = standard and bound
     for terms in sorted((f._terms for f in inputs), key=max):
         f = reduced(terms)
         if f is not None:
-            if certify:
-                G.append(f)
-            else:
-                install(f)
-    if certify:
+            G.append(f)
+    if standard and bound:
         from .hilbert import _monomial_numerator  # hilbert imports this module
 
         numerator = _monomial_numerator([order.unpack(key)
                                          for key, _, _ in G.leads])
         if numerator == tuple(_strip(list(bound))):
             return GroebnerBasis(ring, _reduce_basis(G, ring), numerator)
-        # the same elements, installed again with their pairs; G's memo of
-        # dividing leads holds for the copy once it has every lead, which
-        # come in the same order
-        installed, G = G, _Basis(order)
-        for f in installed.terms:
-            install(f)
-        G.seen = installed.seen
+    for t in range(len(G)):
+        install(t)
 
     while heap:
         degree, _, i, j = heapq.heappop(heap)
@@ -400,7 +390,8 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
                    G.leads[j])
         f = reduced(s) if s else None
         if f is not None:
-            install(f)
+            G.append(f)
+            install(len(G) - 1)
 
     return GroebnerBasis(ring, _reduce_basis(G, ring))
 

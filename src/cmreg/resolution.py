@@ -19,11 +19,11 @@ Betti numbers, and with them regularity, come from ranks: tensored with the
 field, the non-minimal complex splits by internal degree, so each beta_{i,j}
 is a twist count minus the ranks of two blocks of constant entries, the
 terms whose monomial key is 0 (Erocal-Motsak-Schreyer-Steenpass, "Refined
-algorithms to compute syzygies", JSC 74, 2016).  Only
-``minimal_free_resolution`` converts the differentials to Polynomials
-(``_differentials``) and minimizes the complex: cancelling a unit at
-(r, c) of D_k applies a Schur update to D_k only, while D_{k+1} just loses
-row c and D_{k-1} just loses column r.
+algorithms to compute syzygies", JSC 74, 2016).  ``minimal_free_resolution``
+minimizes on the same term dicts (``_minimize``): cancelling a unit at
+(r, c) of D_k subtracts multiples of column c from the other columns of D_k
+with ``_axpy``, while D_{k+1} just loses row c and D_{k-1} just loses
+column r.  Only the surviving entries become Polynomials, once, at the end.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import SelfCheckError, UsageError
-from .fields import _axpy, _divide, _rref, _strip
+from .fields import _axpy, _rref, _strip
 from .groebner import Ideal, _Basis, _ideal_basis, _reduce
 from .hilbert import hilbert_numerator
 from .orders import word_lcm
@@ -284,95 +284,74 @@ def _schreyer_tower(J: Ideal):
     return frees, tower
 
 
-def _differentials(ring, tower):
-    """The tower's differentials as {(row, col): Polynomial} maps."""
-    diffs = []
-    for columns, order in tower:
-        D = {}
-        for col, terms in enumerate(columns):
-            per_row = {}
-            for t, c in terms.items():
-                row, k = order.split(t)
-                per_row.setdefault(row, {})[k] = c
-            for row, entry in per_row.items():
-                D[(row, col)] = Polynomial(ring, entry)
-        diffs.append(D)
-    return diffs
+def _minimize(ring, frees, tower):
+    """Cancel unit entries of the packed tower level by level; returns the
+    minimal complex's (frees, differentials), the differentials as
+    {(row, col): Polynomial} maps.
 
-
-def _minimize(ring, frees, diffs):
-    """Cancel constant entries level by level; returns (frees, diffs) minimal."""
+    At level k the pivot is the smallest (row r, column c) whose entry has
+    a term of monomial key 0; a graded entry with a constant term is that
+    constant, the unit.  Every other column j loses (a_rj / unit) times
+    column c, one ``_axpy`` per term of a_rj, which clears row r; then
+    column c goes, level k+1 loses its terms at position c and level k-1
+    loses column r.  Positions keep their tower numbering until the
+    surviving ones are renumbered at the end.
+    """
     field = ring.field
-    ids = [list(range(f.rank)) for f in frees]
-    twists = [dict(enumerate(f.twists)) for f in frees]
-    mats = [dict(D) for D in diffs]
-
-    for k in range(len(mats)):
+    levels = [({c: dict(terms) for c, terms in enumerate(columns)}, order)
+              for columns, order in tower]
+    gone = [set() for _ in frees]
+    for k, (columns, order) in enumerate(levels):
+        bits = order.bits
         while True:
-            pivot = None
-            for rc in sorted(mats[k]):
-                if mats[k][rc].degree() == 0:
-                    pivot = rc
-                    break
-            if pivot is None:
+            units = []
+            for c, terms in columns.items():
+                for t, v in terms.items():
+                    r, key = order.split(t)
+                    if key == 0:
+                        units.append((r, c, v))
+            if not units:
                 break
-            r, c = pivot
-            unit = mats[k][pivot].lead_coefficient()
-            col_c = {}
-            row_r = {}
-            dead = []
-            for (s, j), p in mats[k].items():
-                if j == c:
-                    dead.append((s, j))
-                    if s != r:
-                        col_c[s] = p
-                elif s == r:
-                    dead.append((s, j))
-                    row_r[j] = p
-            for key in dead:
-                del mats[k][key]
-            for s, ps in col_c.items():
-                scaled = Polynomial(ring, _divide(field, ps._terms, unit))
-                for j, pj in row_r.items():
-                    delta = scaled * pj
-                    old = mats[k].get((s, j))
-                    new = -delta if old is None else old - delta
-                    if new.is_zero():
-                        mats[k].pop((s, j), None)
-                    else:
-                        mats[k][(s, j)] = new
-            ids[k].remove(r)
-            ids[k + 1].remove(c)
-            del twists[k][r]
-            del twists[k + 1][c]
-            if k + 1 < len(mats):
-                for key in [key for key in mats[k + 1] if key[0] == c]:
-                    del mats[k + 1][key]
-            if k >= 1:
-                for key in [key for key in mats[k - 1] if key[1] == r]:
-                    del mats[k - 1][key]
+            r, c, unit = min(units)
+            pivot = columns.pop(c)
+            for terms in columns.values():
+                for pos, key, v in [(*order.split(t), v)
+                                    for t, v in terms.items()]:
+                    if pos == r:
+                        _axpy(terms, field, field.div(v, unit), key << bits,
+                              pivot)
+            gone[k].add(r)
+            gone[k + 1].add(c)
+            if k + 1 < len(levels):
+                above, above_order = levels[k + 1]
+                for terms in above.values():
+                    for t in [t for t in terms
+                              if above_order.split(t)[0] == c]:
+                        del terms[t]
+            if k:
+                del levels[k - 1][0][r]
 
-    # rebuild positional indexing, truncating once ranks vanish
-    cut = len(ids)
-    for lvl, lst in enumerate(ids):
-        if not lst:
-            cut = lvl
-            break
-    for lvl in range(cut, len(ids)):
-        if ids[lvl] and lvl > cut:
-            raise SelfCheckError("minimized complex has a gap")
-    ids = ids[:cut]
-    out_frees = []
+    ids = [[i for i in range(f.rank) if i not in g]
+           for f, g in zip(frees, gone)]
+    # truncate once ranks vanish
+    cut = next((lvl for lvl, lst in enumerate(ids) if not lst), len(ids))
+    if any(ids[cut + 1:]):
+        raise SelfCheckError("minimized complex has a gap")
+    out_frees = [FreeModule(tuple(frees[lvl].twists[i] for i in lst))
+                 for lvl, lst in enumerate(ids[:cut])]
     out_diffs = []
-    for lvl, lst in enumerate(ids):
-        out_frees.append(FreeModule(tuple(twists[lvl][i] for i in lst)))
-        if lvl:
-            rowpos = {i: a for a, i in enumerate(ids[lvl - 1])}
-            colpos = {i: a for a, i in enumerate(lst)}
-            D = {}
-            for (r, c), p in mats[lvl - 1].items():
-                D[(rowpos[r], colpos[c])] = p
-            out_diffs.append(D)
+    for lvl in range(1, cut):
+        columns, order = levels[lvl - 1]
+        rowpos = {i: a for a, i in enumerate(ids[lvl - 1])}
+        D = {}
+        for a, c in enumerate(ids[lvl]):
+            entries = {}
+            for t, v in columns[c].items():
+                r, key = order.split(t)
+                entries.setdefault(rowpos[r], {})[key] = v
+            for r, entry in entries.items():
+                D[(r, a)] = Polynomial(ring, entry)
+        out_diffs.append(D)
     return out_frees, out_diffs
 
 
@@ -445,7 +424,7 @@ def minimal_free_resolution(J: Ideal, of: str = "quotient"):
     """
     _check_of(of)
     frees, tower = _schreyer_tower(J)
-    frees, diffs = _minimize(J.ring, frees, _differentials(J.ring, tower))
+    frees, diffs = _minimize(J.ring, frees, tower)
     if of == "quotient":
         res = Resolution(J.ring, frees, diffs)
         return res, _betti_from_frees(frees)

@@ -9,10 +9,12 @@ import itertools
 from math import comb
 
 
-def gf_rank(p, rows):
-    """Rank of a dense matrix over GF(p) by Gaussian elimination."""
+def gf_echelon(p, rows):
+    """Reduced row echelon form of a dense matrix over GF(p): the nonzero
+    rows, each with a 1 at its pivot, and their pivot columns."""
     mat = [[v % p for v in row] for row in rows]
     rank = 0
+    pivots = []
     ncols = len(mat[0]) if mat else 0
     for col in range(ncols):
         pivot = None
@@ -30,7 +32,13 @@ def gf_rank(p, rows):
                 f = mat[r][col]
                 mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
         rank += 1
-    return rank
+        pivots.append(col)
+    return mat[:rank], pivots
+
+
+def gf_rank(p, rows):
+    """Rank of a dense matrix over GF(p) by Gaussian elimination."""
+    return len(gf_echelon(p, rows)[1])
 
 
 def degree_monomials(nvars, d):
@@ -161,3 +169,71 @@ def free_module_hilbert(nvars, twists, d):
         if e >= 0:
             total += comb(e + nvars - 1, nvars - 1)
     return total
+
+
+def koszul_betti(p, nvars, gens, j_max):
+    """Graded Betti numbers {(i, j): beta_{i,j}} of S/I over GF(p) for
+    j <= j_max, I generated by ``gens`` (lists of (exps, coeff)), as the
+    homology of the Koszul complex of the variables on S/I:
+    beta_{i,j} = dim H_i(K(x) tensor S/I)_j, where the degree-j part of
+    K_i is wedge^i GF(p)^n tensor (S/I)_{j-i} and
+    d(e_A tensor f) = sum_s (-1)^s e_{A - a_s} tensor x_{a_s} f.
+
+    (S/I)_d is spanned by the monomials of degree d off the pivot columns
+    of the echelon form of I_d, and a pivot monomial is minus its row on
+    them; beta_{i,j} = dim K_{i,j} - rank d_{i,j} - rank d_{i+1,j}."""
+    quotients = []  # per degree: (standard monomials, normal form of each)
+    for d in range(j_max + 1):
+        basis = degree_monomials(nvars, d)
+        if quotients and not quotients[-1][0]:
+            quotients.append(([], {}))  # I_{d-1} = S_{d-1}, so I_d = S_d
+            continue
+        index = {m: i for i, m in enumerate(basis)}
+        rows = []
+        for gen in gens:
+            e = d - sum(gen[0][0])
+            for mult in degree_monomials(nvars, e) if e >= 0 else ():
+                row = [0] * len(basis)
+                for exps, c in gen:
+                    row[index[tuple(a + b for a, b in zip(exps, mult))]] = c
+                rows.append(row)
+        echelon, pivots = gf_echelon(p, rows)
+        pivot_set = set(pivots)
+        standard = [m for i, m in enumerate(basis) if i not in pivot_set]
+        normal = {m: {m: 1} for m in standard}
+        for row, col in zip(echelon, pivots):
+            normal[basis[col]] = {m: -row[index[m]] % p for m in standard
+                                  if row[index[m]]}
+        quotients.append((standard, normal))
+
+    def dim(i, j):
+        return comb(nvars, i) * len(quotients[j - i][0])
+
+    def rank(i, j):
+        """The rank of d_i in degree j, from K_{i,j} to K_{i-1,j}."""
+        if i == 0 or i > nvars or j - i < 0 or not dim(i, j):
+            return 0
+        source = quotients[j - i][0]
+        target = quotients[j - i + 1][0]
+        faces = list(itertools.combinations(range(nvars), i - 1))
+        column = {(B, m): a for a, (B, m) in
+                  enumerate(itertools.product(faces, target))}
+        rows = []
+        for A in itertools.combinations(range(nvars), i):
+            for m in source:
+                row = [0] * len(column)
+                for s, v in enumerate(A):
+                    shifted = tuple(e + (k == v) for k, e in enumerate(m))
+                    face = A[:s] + A[s + 1:]
+                    for mono, c in quotients[j - i + 1][1][shifted].items():
+                        row[column[(face, mono)]] += (-1) ** s * c
+                rows.append(row)
+        return gf_rank(p, rows)
+
+    betti = {}
+    for j in range(j_max + 1):
+        for i in range(min(nvars, j) + 1):
+            b = dim(i, j) - rank(i, j) - rank(i + 1, j)
+            if b:
+                betti[(i, j)] = b
+    return betti

@@ -616,7 +616,8 @@ def test_engine_installs_only_graded_elements(monkeypatch, p, seed):
     installed = {"plain": 0, "permuted": 0, "elimination": 0}
     update = groebner._update
 
-    def checked(order, G, pairs, heap, f):
+    def checked(order, G, pairs, heap, t):
+        f = G.terms[t]
         assert len({order.degree(order.unpack(k)) for k in f}) == 1
         if isinstance(order, EliminationOrder):
             installed["elimination"] += 1
@@ -624,7 +625,7 @@ def test_engine_installs_only_graded_elements(monkeypatch, p, seed):
             installed["permuted"] += 1
         else:
             installed["plain"] += 1
-        return update(order, G, pairs, heap, f)
+        return update(order, G, pairs, heap, t)
 
     monkeypatch.setattr(groebner, "_update", checked)
     rng = random.Random(seed)
