@@ -26,10 +26,10 @@ from dataclasses import dataclass
 
 from . import messages
 from .errors import DimensionError, GeometryError, SelfCheckError, UsageError
-from .fields import FieldElement, _strip
+from .fields import FieldElement
 from .groebner import Ideal
 from .hilbert import (
-    _zmul,
+    _free_over_forms,
     finite_length_witness,
     hilbert_numerator,
     quotient_degree,
@@ -239,16 +239,6 @@ def power_table(I: Ideal, t_max: int, route: str = "resolution",
                           window, tuple(warnings))
 
 
-def _free_over_forms(I_X: Ideal, V: Ideal, center: Ideal, d: int) -> bool:
-    """Whether HS(S/(I_X + V)) = (1 - T^d)^s HS(S/I_X) != 0, with s the
-    number of generators of V, all of degree d; see epsilon_containment."""
-    expected = list(hilbert_numerator(I_X))
-    for _ in V.gens:
-        expected = _zmul(expected, [1] + [0] * (d - 1) + [-1])
-    expected = _strip(expected)
-    return bool(expected) and hilbert_numerator(center) == tuple(expected)
-
-
 def epsilon_containment(I_X: Ideal, forms, t_max: int,
                         window: int = DEFAULT_WINDOW) -> EpsilonReport:
     """Per t, the least eps_t with m^(dt+eps_t) inside (V)^t + I_X.
@@ -305,7 +295,8 @@ def epsilon_containment(I_X: Ideal, forms, t_max: int,
             "the lead-term ideal of I_X + (V)"
         )
 
-    free = _free_over_forms(I_X, V, center, d)
+    free = _free_over_forms(hilbert_numerator(I_X),
+                            hilbert_numerator(center), d, len(V.gens))
     rows = []
     for t in range(1, t_max + 1):
         if t == 1:

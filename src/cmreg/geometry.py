@@ -21,9 +21,17 @@ S-pair is built, and otherwise the S-pairs of a degree where it is met are
 dropped (see ``groebner._engine``).  With two or more forms there is no
 such bound.
 
-The fiber's own form h = l_{i0} vanishes nowhere on the fiber (the center
-misses X), so it is a nonzerodivisor exactly when the fiber ideal is
-saturated; ``groebner.saturate`` tests it right after the last variable.
+Each fiber ideal I is certified saturated by the center's Hilbert
+numerator, read once per search.  With h = l_{i0}, I + (h) is the center
+I_X + (V), and HS(S/(I + h)) = (1-T) HS(S/I) + T HS(0 :_{S/I} h), so h is
+a nonzerodivisor on S/I exactly when the center's numerator is (1-T) times
+I's (``hilbert._free_over_forms``).  h vanishes nowhere on the fiber, as
+the center misses X, so it lies in no relevant associated prime of I,
+while m, which contains h, is associated to any I that is not saturated:
+for a nonempty fiber the test holds exactly when I is saturated.  Hilbert
+series depend neither on the order nor on extending the field, so the
+center's numerator over GF(p) serves every GF(p^k).  A fiber that fails,
+empty or not saturated, takes ``groebner.saturate``.
 
 Closed points over GF(p) are Galois orbits of points with coordinates in
 GF(p^k); enumeration walks k = 1..K, keeps the points whose Frobenius orbit
@@ -84,10 +92,17 @@ from .groebner import (
     DEFAULT_DEGREE_CEILING,
     Ideal,
     _bounded,
+    _presented,
     _unchecked,
     saturate,
 )
-from .hilbert import _split, _zmul, finite_length_witness, hilbert_numerator
+from .hilbert import (
+    _free_over_forms,
+    _split,
+    _zmul,
+    finite_length_witness,
+    hilbert_numerator,
+)
 from .orders import GREVLEX, MonomialOrder
 from .polynomials import PolyRing, Polynomial, lift_polynomial
 
@@ -304,31 +319,40 @@ def _fiber_bound(spec: ProjectionSpec):
     return _zmul((1, -1), hilbert_numerator(spec.ideal))
 
 
+def _center_numerator(spec: ProjectionSpec):
+    """The Hilbert numerator of the center I_X + (V), whose basis
+    ``check_finite`` computes."""
+    return hilbert_numerator(spec.ideal.plus(Ideal(spec.ring, spec.forms)))
+
+
 class _Fiber:
     """One fiber, resolved as a subscheme of P^n: the saturation of I_X plus
     the fiber's linear forms, in the grevlex ring of ``_fiber_setup`` and
-    under I_X's degree ceiling.  ``bound`` is ``_fiber_bound``'s."""
+    under I_X's degree ceiling.  ``bound`` and ``center`` are those of
+    ``_fiber_bound`` and ``_center_numerator``; a fiber ideal the center
+    certifies saturated is presented by its own basis."""
 
     __slots__ = ("saturated", "linear_forms", "pivots", "home")
 
-    def __init__(self, setup, point: ClosedPoint, bound):
+    def __init__(self, setup, point: ClosedPoint, bound, center):
         home, big, forms, gens, ceiling = setup
         field = big.field
         coords = point.coords
 
         i0 = next(i for i, c in enumerate(coords) if not c.is_zero())
-        base = forms[i0]
-        linear = []
-        for j, (c, f) in enumerate(zip(coords, forms)):
-            if j != i0:
-                linear.append(f - base.scale(c))
+        linear = [f - forms[i0].scale(c)
+                  for j, (c, f) in enumerate(zip(coords, forms)) if j != i0]
 
         # the pivot variables are the leads of the reduced linear forms
         pivots = _rref(field, [_linear_coefficients(f) for f in linear])
         if len(pivots) != len(linear):
             raise SelfCheckError("fiber linear forms are dependent")
-        self.saturated = saturate(_bounded(big, gens + linear, bound,
-                                           ceiling), _form=base)
+        I = _bounded(big, gens + linear, bound, ceiling)
+        if _free_over_forms(hilbert_numerator(I), center, 1, 1):
+            gb = I.groebner_basis()
+            self.saturated = _presented(I, gb.elements, gb)
+        else:
+            self.saturated = saturate(I)
         self.linear_forms = tuple(linear)
         self.pivots = pivots
         self.home = home
@@ -359,8 +383,8 @@ def fiber_ideal(spec: ProjectionSpec, point: ClosedPoint) -> Ideal:
     for the point's extension degree k, generated by the fiber's linear
     forms and the elements of the saturated basis free of their pivot
     variables, under I_X's degree ceiling."""
-    return _Fiber(_fiber_setup(spec, point.k), point,
-                  _fiber_bound(spec)).ambient_ideal()
+    return _Fiber(_fiber_setup(spec, point.k), point, _fiber_bound(spec),
+                  _center_numerator(spec)).ambient_ideal()
 
 
 def fiber_regularity(Z: Ideal):
@@ -407,6 +431,7 @@ def max_fiber_regularity(spec: ProjectionSpec,
             "power among the lead terms of I_X + (V)"
         )
     bound = _fiber_bound(spec)
+    center = _center_numerator(spec)
     fibers = []
     empty = 0
     count = 0
@@ -420,7 +445,7 @@ def max_fiber_regularity(spec: ProjectionSpec,
         if point.k != k:
             k = point.k
             setup = _fiber_setup(spec, k)
-        fib = _Fiber(setup, point, bound)
+        fib = _Fiber(setup, point, bound, center)
         if fib.is_empty():
             empty += 1
             continue

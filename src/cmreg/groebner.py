@@ -18,9 +18,8 @@ where the second test stops the loop at the first degree e whose every
 monomial lies in the lead ideal, since every pair left has degree >= e; for
 an m-primary ideal no pair above the top degree of S/I plus one is formed.
 A private constructor carries a sharper bound to the engine (the fiber
-search's, in ``geometry``, and saturation's test of a form).  The private
-constructors take generators the library built as they are, without the
-public constructor's checks.
+search's, in ``geometry``).  The private constructors take generators the
+library built as they are, without the public constructor's checks.
 
 All reduction to normal form runs through one loop, ``_reduce``, over term
 dicts keyed by one int per term: the packed key of the term's monomial
@@ -50,13 +49,11 @@ Saturation by a variable x_i divides a grevlex basis with x_i last by its
 largest x_i-powers (Bayer-Stillman), and returns the basis unchanged when
 x_i divides none of its leads.  Saturation by the irrelevant maximal
 ideal returns the first per-variable saturation whose quotient has the same
-Hilbert polynomial as S/I, which certifies it.  Given a form that is a
-nonzerodivisor on S/I, checked by the bound HS(S/(I + h)) = (1 - T^deg h)
-HS(S/I), it returns I as it is after the last variable fails; when no
-variable certifies, it intersects the per-variable saturations.  Intersections add one auxiliary
-variable ``t``, compute a basis of t*A + (1-t)*B under an elimination order,
-and keep the t-free elements, which are the reduced basis of A cap B when
-the ring's order is grevlex in declaration order.
+Hilbert polynomial as S/I, which certifies it; when no variable
+certifies, it intersects the per-variable saturations.  Intersections add
+one auxiliary variable ``t``, compute a basis of t*A + (1-t)*B under an
+elimination order, and keep the t-free elements, which are the reduced
+basis of A cap B when the ring's order is grevlex in declaration order.
 """
 
 from __future__ import annotations
@@ -69,6 +66,7 @@ from operator import le
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
 from .fields import _axpy, _divide, _strip
+from .hilbert import _monomial_numerator, _split, hilbert_numerator
 from .orders import GREVLEX, EliminationOrder, MonomialOrder, word_lcm
 from .polynomials import PolyRing, Polynomial, _reach, lift_polynomial
 
@@ -353,8 +351,6 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
         if f is not None:
             G.append(f)
     if standard and bound:
-        from .hilbert import _monomial_numerator  # hilbert imports this module
-
         numerator = _monomial_numerator([order.unpack(key)
                                          for key, _, _ in G.leads])
         if numerator == tuple(_strip(list(bound))):
@@ -695,17 +691,7 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
     return _presented(I, gb.elements, gb)
 
 
-def _same_hilbert_polynomial(num_a, num_b, n: int) -> bool:
-    """Whether two Hilbert numerators over n variables give the same Hilbert
-    polynomial, i.e. whether (1-T)^n divides their difference."""
-    from .hilbert import _split  # hilbert imports this module
-
-    Q, c = _split([a - b for a, b in
-                   itertools.zip_longest(num_a, num_b, fillvalue=0)])
-    return Q is None or c >= n
-
-
-def saturate(I: Ideal, _form=None) -> Ideal:
+def saturate(I: Ideal) -> Ideal:
     """Saturation by the maximal ideal m, presented by its reduced basis with
     that basis cached.
 
@@ -714,37 +700,19 @@ def saturate(I: Ideal, _form=None) -> Ideal:
     (1-T)^n divides the difference of their Hilbert numerators: J/I^sat sits
     inside S/I^sat, which has no nonzero submodule of finite length, so it is
     zero or has a nonzero Hilbert polynomial.  The last variable is tried
-    first, since in a grevlex ring it reuses I's cached basis.
-
-    When it fails and a form h of positive degree is given (``_form``), I
-    is returned as it is if h is a nonzerodivisor on S/I: m is associated
-    to any I that is not saturated, and h lies in m.  HS(S/(I + h)) is
-    (1 - T^deg h) HS(S/I) + T^deg h HS(0 :_{S/I} h), so h is a
-    nonzerodivisor exactly when the first term is all of it; I + h gets its
-    basis under that bound, which the engine's Hilbert certificate usually
-    meets without a pair.  A form that vanishes nowhere on the scheme of I
-    lies in none of its relevant associated primes, so it passes exactly
-    when I is saturated; any other h only makes the test fail more often.
-    After that the other variables are tried, and when none certifies,
-    the per-variable saturations are intersected, and the result keeps
-    the intersection's basis.
+    first, since in a grevlex ring it reuses I's cached basis.  When no
+    variable certifies, the per-variable saturations are intersected, and
+    the result keeps the intersection's basis.
     """
-    from .hilbert import _zmul, hilbert_numerator  # hilbert imports this
-
     n = I.ring.nvars
     target = hilbert_numerator(I)
     parts = []
     for i in reversed(range(n)):
         J = saturate_variable(I, i)
-        if _same_hilbert_polynomial(target, hilbert_numerator(J), n):
+        Q, c = _split([a - b for a, b in itertools.zip_longest(
+            target, hilbert_numerator(J), fillvalue=0)])
+        if Q is None or c >= n:  # the same Hilbert polynomial
             return J
-        if _form is not None and not parts:
-            gb = I.groebner_basis()
-            bound = _zmul([1] + [0] * (_form.degree() - 1) + [-1], target)
-            K = _bounded(I.ring, gb.elements + (_form,), bound,
-                         I.degree_ceiling)
-            if hilbert_numerator(K) == tuple(_strip(bound)):
-                return _presented(I, gb.elements, gb)
         parts.append(J)
     result = functools.reduce(intersect, parts)
     return _presented(I, result.groebner_basis().elements)

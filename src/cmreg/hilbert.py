@@ -15,10 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import le
+from typing import TYPE_CHECKING
 
 from .errors import DimensionError, UsageError
 from .fields import _strip
-from .groebner import Ideal
+
+if TYPE_CHECKING:
+    from .groebner import Ideal
 
 
 @dataclass(frozen=True)
@@ -119,6 +122,17 @@ def _monomial_numerator(gens) -> tuple:
     list of exponent tuples; (1,) for the empty list."""
     out = _numerator(_minimalize(gens)) if gens else [1]
     return tuple(_strip(out) or [0])
+
+
+def _free_over_forms(N_J, N_plus, d: int, s: int) -> bool:
+    """Whether N_plus = (1 - T^d)^s N_J != 0 for the Hilbert numerators of
+    S/J and S/(J + s forms of degree d): whether the forms are a regular
+    sequence on a nonzero S/J (see ``asymptotics.epsilon_containment``)."""
+    expected = list(N_J)
+    for _ in range(s):
+        expected = _zmul(expected, [1] + [0] * (d - 1) + [-1])
+    expected = _strip(expected)
+    return bool(expected) and N_plus == tuple(expected)
 
 
 def hilbert_numerator(I: Ideal) -> tuple:

@@ -290,43 +290,41 @@ def _minimize(ring, frees, tower):
     {(row, col): Polynomial} maps.
 
     At level k the pivot is the smallest (row r, column c) whose entry has
-    a term of monomial key 0; a graded entry with a constant term is that
-    constant, the unit.  Every other column j loses (a_rj / unit) times
-    column c, one ``_axpy`` per term of a_rj, which clears row r; then
-    column c goes, level k+1 loses its terms at position c and level k-1
-    loses column r.  Positions keep their tower numbering until the
-    surviving ones are renumbered at the end.
+    a term of monomial key 0, the term ``order.term(r, 0)``; a graded entry
+    with a constant term is that constant, the unit.  Every other column j
+    loses (a_rj / unit) times column c, one ``_axpy`` per term t of a_rj,
+    whose low bits are top - r, with shift t - ``order.term(r, 0)``; that
+    clears row r.  Then column c goes, level k+1 loses its terms at
+    position c and level k-1 loses column r.  Positions keep their tower
+    numbering until the surviving ones are renumbered at the end.
     """
     field = ring.field
     levels = [({c: dict(terms) for c, terms in enumerate(columns)}, order)
               for columns, order in tower]
     gone = [set() for _ in frees]
     for k, (columns, order) in enumerate(levels):
-        bits = order.bits
+        mask = (1 << order.bits) - 1
+        units = {order.term(r, 0): r for r in range(order.top + 1)}
         while True:
-            units = []
-            for c, terms in columns.items():
-                for t, v in terms.items():
-                    r, key = order.split(t)
-                    if key == 0:
-                        units.append((r, c, v))
-            if not units:
+            found = [(units[t], c, v) for c, terms in columns.items()
+                     for t, v in terms.items() if t in units]
+            if not found:
                 break
-            r, c, unit = min(units)
+            r, c, unit = min(found)
             pivot = columns.pop(c)
+            low, one = order.top - r, order.term(r, 0)
             for terms in columns.values():
-                for pos, key, v in [(*order.split(t), v)
-                                    for t, v in terms.items()]:
-                    if pos == r:
-                        _axpy(terms, field, field.div(v, unit), key << bits,
-                              pivot)
+                for t, v in [(t, v) for t, v in terms.items()
+                             if t & mask == low]:
+                    _axpy(terms, field, field.div(v, unit), t - one, pivot)
             gone[k].add(r)
             gone[k + 1].add(c)
             if k + 1 < len(levels):
                 above, above_order = levels[k + 1]
+                row, bits = above_order.top - c, above_order.bits
                 for terms in above.values():
                     for t in [t for t in terms
-                              if above_order.split(t)[0] == c]:
+                              if t & ((1 << bits) - 1) == row]:
                         del terms[t]
             if k:
                 del levels[k - 1][0][r]

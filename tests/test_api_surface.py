@@ -4,7 +4,8 @@ An Ideal carries the ceiling of its own basis computation, and every ideal
 built from it takes it along, so no public function needs one of its own.
 ``twovars_verify`` is the one exception: it builds its root ideal from bare
 forms.  This walks the exported callables and the public methods of the
-exported classes, so a pass-through parameter cannot come back.  The
+exported classes, so a pass-through parameter cannot come back, nor can a
+private parameter that only one caller inside the package sets.  The
 package also ships no data files: test fixtures live under tests/.
 """
 
@@ -16,31 +17,39 @@ from pathlib import Path
 import cmreg
 
 
-def _accepts_ceiling(fn) -> bool:
+def _parameters(fn):
     try:
-        params = inspect.signature(fn).parameters
+        return inspect.signature(fn).parameters
     except ValueError:  # an exception class with Exception's own __init__
-        return False
-    return "degree_ceiling" in params
+        return {}
 
 
-def test_only_ideal_and_twovars_verify_take_a_degree_ceiling():
-    takers = set()
+def _public_callables():
+    """(name, callable) of every exported callable and of every public
+    method of an exported class."""
     for name in cmreg.__all__:
         obj = getattr(cmreg, name)
         if not callable(obj):
             continue
-        if _accepts_ceiling(obj):
-            takers.add(name)
+        yield name, obj
         if inspect.isclass(obj):
             for attr, member in vars(obj).items():
-                if attr.startswith("_") or not callable(member):
-                    continue
-                if _accepts_ceiling(member):
-                    takers.add(f"{name}.{attr}")
+                if not attr.startswith("_") and callable(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_only_ideal_and_twovars_verify_take_a_degree_ceiling():
+    takers = {name for name, fn in _public_callables()
+              if "degree_ceiling" in _parameters(fn)}
     # Ideal's own methods (groebner_basis, contains, equals, ...) are
     # walked with the class
     assert takers == {"Ideal", "twovars_verify"}
+
+
+def test_no_public_callable_takes_a_private_parameter():
+    private = {f"{name}({param})" for name, fn in _public_callables()
+               for param in _parameters(fn) if param.startswith("_")}
+    assert not private
 
 
 def test_the_package_ships_no_data_files():

@@ -460,11 +460,11 @@ def test_budgets_below_one_are_usage_errors():
 
 
 def test_fiber_search_computes_one_numerator_per_basis(monkeypatch):
-    # saturate's certificate, fiber_regularity and the Hilbert function all
-    # read the numerator cached on a basis: the recursion runs at most once
-    # per GroebnerBasis, though the numerator is read more often.  The
-    # engine's Hilbert certificate computes the numerator of the installed
-    # leads, which is counted against the basis it certifies
+    # the fiber certificate, saturate, fiber_regularity and the Hilbert
+    # function all read the numerator cached on a basis: the recursion runs
+    # at most once per GroebnerBasis, though the numerator is read more
+    # often.  The engine's Hilbert certificate computes the numerator of
+    # the installed leads, which is counted against the basis it certifies
     depth = 0
     top_level = 0
     numerator = hilbert._numerator
@@ -506,6 +506,7 @@ def test_fiber_search_computes_one_numerator_per_basis(monkeypatch):
     monkeypatch.setattr(groebner, "_engine", counted_engine)
     monkeypatch.setattr(geometry, "hilbert_numerator", counted_read,
                         raising=False)
+    monkeypatch.setattr(groebner, "hilbert_numerator", counted_read)
     R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(5))
     x0, x1, x2, x3 = R.variables()
     I = Ideal(R, (x0 * x2 - x1 * x1, x0 * x3 - x1 * x2, x1 * x3 - x2 * x2))
@@ -515,6 +516,67 @@ def test_fiber_search_computes_one_numerator_per_basis(monkeypatch):
     assert top_level == sum(per_basis.values())
     assert max(per_basis.values()) <= 1, max(per_basis.values())
     assert len(bases) > len(per_basis)
+
+
+def _certified_search(monkeypatch, spec, K):
+    """max_fiber_regularity's report, with the outcome of each fiber's
+    saturation certificate in order, each failed one followed by
+    "saturate" when the fiber search calls it."""
+    events = []
+    free, real = geometry._free_over_forms, geometry.saturate
+
+    def certified(*args):
+        events.append(free(*args))
+        return events[-1]
+
+    def saturated(I):
+        events.append("saturate")
+        return real(I)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_free_over_forms", certified)
+        m.setattr(geometry, "saturate", saturated)
+        rep = max_fiber_regularity(spec, K=K)
+    return rep, events
+
+
+def _fibers(rep):
+    return [(str(f.point), f.degree, f.regularity, f.ideal.gens)
+            for f in rep.fibers]
+
+
+@pytest.mark.parametrize("forms,K,nonempty,empty,uncertified", [
+    pytest.param(lambda x0, x1, x2, x3: (x0 + x1.scale(2) + x3.scale(3),
+                                         x1 + x2 + x3.scale(4)),
+                 2, 16, 0, 0, id="P1"),
+    pytest.param(lambda x0, x1, x2, x3: (x0, x1, x3), 1, 6, 25, 30, id="P2"),
+])
+def test_an_unsaturated_ideal_gives_the_same_fibers_by_saturate(
+        monkeypatch, forms, K, nonempty, empty, uncertified):
+    # the twisted cubic X and X*m have the same fibers, point by point,
+    # but every fiber of X*m fails the certificate and is saturated by
+    # saturate, which runs on no certified fiber.  Over P^1 every fiber of
+    # X is certified.  Over P^2 the empty fibers fail, and so does each
+    # line through one simple point of X, which cuts it out with an
+    # irrelevant component: only the double fiber over the cusp (0:0:1)
+    # of the image is certified
+    R = PolyRing(("x0", "x1", "x2", "x3"), field=GF(5))
+    x0, x1, x2, x3 = R.variables()
+    X = Ideal(R, (x1 * x1 - x0 * x2, x1 * x2 - x0 * x3, x2 * x2 - x1 * x3))
+    V = forms(x0, x1, x2, x3)
+    rep, events = _certified_search(monkeypatch, ProjectionSpec(X, V), K)
+    times, times_events = _certified_search(
+        monkeypatch, ProjectionSpec(X.times(Ideal(R, R.variables())), V), K)
+    assert _fibers(times) == _fibers(rep)
+    assert (len(rep.fibers), rep.empty_fibers) == (nonempty, empty)
+    assert times.empty_fibers == empty
+    for seen, failed in ((events, uncertified),
+                         (times_events, nonempty + empty)):
+        outcomes = [e for e in seen if e != "saturate"]
+        assert seen == [e for ok in outcomes
+                        for e in ((ok,) if ok else (ok, "saturate"))]
+        assert len(outcomes) == nonempty + empty
+        assert outcomes.count(False) == failed
 
 
 def _regularity_by_doubling(Z):

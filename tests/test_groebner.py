@@ -1056,17 +1056,23 @@ def _twisted_cubic_projection(p, seed):
 
 def _fiber_ideals(monkeypatch, spec, K):
     """(I_X + (l), its saturation) in P^n for every fiber that
-    max_fiber_regularity resolves over points with k <= K."""
-    seen = []
-    real = geometry.saturate
+    max_fiber_regularity resolves over points with k <= K, as ``_Fiber``
+    builds and saturates them."""
+    ideals, seen = [], []
+    bounded, fiber = geometry._bounded, geometry._Fiber
 
-    def recorded(I, *args, **kwargs):
-        J = real(I, *args, **kwargs)
-        seen.append((I, J))
-        return J
+    def built(*args):
+        ideals.append(bounded(*args))
+        return ideals[-1]
+
+    def resolved(*args):
+        fib = fiber(*args)
+        seen.append((ideals[-1], fib.saturated))
+        return fib
 
     with monkeypatch.context() as m:
-        m.setattr(geometry, "saturate", recorded)
+        m.setattr(geometry, "_bounded", built)
+        m.setattr(geometry, "_Fiber", resolved)
         max_fiber_regularity(spec, K=K)
     return seen
 
@@ -1318,20 +1324,9 @@ def test_an_unmet_certificate_takes_the_pair_loop(monkeypatch):
 
 
 def _coordinate_point_fiber(monkeypatch, spec, K):
-    """(I_X + (l), the keyword arguments the fiber search saturates it
-    with) of the one fiber whose basis has a lead divisible by x3, the
-    fiber through (1:0:0:0), where x3 vanishes."""
-    recorded = []
-    real = geometry.saturate
-
-    def record(I, *args, **kwargs):
-        recorded.append((I, kwargs))
-        return real(I, *args, **kwargs)
-
-    with monkeypatch.context() as m:
-        m.setattr(geometry, "saturate", record)
-        max_fiber_regularity(spec, K=K)
-    hard = [(I, kwargs) for I, kwargs in recorded
+    """(I_X + (l), its saturation) of the one fiber whose basis has a lead
+    divisible by x3, the fiber through (1:0:0:0), where x3 vanishes."""
+    hard = [(I, J) for I, J in _fiber_ideals(monkeypatch, spec, K)
             if any(m[3] for m in I.groebner_basis().lead_monomials)]
     assert len(hard) == 1
     I = hard[0][0]
@@ -1341,43 +1336,47 @@ def _coordinate_point_fiber(monkeypatch, spec, K):
 
 
 @pytest.mark.parametrize("p,K,seed", CERTIFICATE_CASES)
-def test_the_fiber_through_a_coordinate_point_takes_its_form(monkeypatch, p,
-                                                            K, seed):
-    # the fiber's own form certifies the fiber through (1:0:0:0) without
-    # another order or an intersection, and gives the saturation the
-    # variable route gives
+def test_the_fiber_through_a_coordinate_point_is_certified(monkeypatch, p, K,
+                                                           seed):
+    # x3 divides a lead of the fiber through (1:0:0:0), so the last
+    # variable does not certify it, but the center's numerator does: the
+    # search runs no saturate, no intersection and no other order, and the
+    # fiber keeps its own basis, the saturation the variable route gives
     spec = _twisted_cubic_projection(p, seed)
-    I, kwargs = _coordinate_point_fiber(monkeypatch, spec, K)
-    assert "_form" in kwargs
-    reference = saturate(I).gens  # no form: the variables, then intersect
+    saturations = []
+    real = geometry.saturate
+
+    def recorded(I):
+        saturations.append(I)
+        return real(I)
+
+    monkeypatch.setattr(geometry, "saturate", recorded)
     intersections = _counted(monkeypatch, "intersect")
     orders = _engine_orders(monkeypatch)
-    J = saturate(I, **kwargs)
-    assert not intersections
-    assert orders() and all(o == I.ring.order for o in orders())
-    assert J.gens == reference
+    I, J = _coordinate_point_fiber(monkeypatch, spec, K)
+    searched = orders()
+    assert not saturations and not intersections
+    assert searched and all(o == I.ring.order for o in searched)
     assert J.groebner_basis() is I.groebner_basis()
+    assert J.gens == saturate(I).gens  # the variables, then intersect
 
 
 @pytest.mark.parametrize("p,K,seed", CERTIFICATE_CASES)
-def test_a_form_on_an_unsaturated_ideal_falls_back_to_the_variables(
-        monkeypatch, p, K, seed):
-    # J*m is not saturated, so no form is a nonzerodivisor on its quotient:
-    # for the fiber through (1:0:0:0) times m the last variable fails, the
-    # form's test fails, and other variables (under other orders) give the
-    # saturation J.  (xy, xz, yz)*m goes on to intersect, with x + y + z,
-    # which misses its three points, as the form
+def test_an_unsaturated_ideal_takes_the_variables(monkeypatch, p, K, seed):
+    # J*m is not saturated: for the fiber through (1:0:0:0) times m the
+    # last variable fails, and other variables (under other orders) give
+    # the saturation J.  (xy, xz, yz)*m goes on to intersect
     spec = _twisted_cubic_projection(p, seed)
-    I, kwargs = _coordinate_point_fiber(monkeypatch, spec, K)
+    I, _ = _coordinate_point_fiber(monkeypatch, spec, K)
     M = I.times(Ideal(I.ring, I.ring.variables()))
     orders = _engine_orders(monkeypatch)
-    assert saturate(M, **kwargs).gens == I.groebner_basis().elements
+    assert saturate(M).gens == I.groebner_basis().elements
     assert any(o != I.ring.order for o in orders())
     R = ring()
     x, y, z = R.variables()
     I = Ideal(R, (x * y, x * z, y * z)).times(Ideal(R, (x, y, z)))
     intersections = _counted(monkeypatch, "intersect")
-    assert gens_of(saturate(I, _form=x + y + z)) == {"x*y", "x*z", "y*z"}
+    assert gens_of(saturate(I)) == {"x*y", "x*z", "y*z"}
     assert intersections
 
 
