@@ -10,8 +10,9 @@ one inline loop per kind of field; the reducer, the Schreyer tower,
 Polynomial arithmetic and ``_rref`` are built on them.  Raw values are
 converted only at the edges: ``coerce`` (integer constants, power-basis
 tuples in g, the class of x modulo ``min_poly``, and FieldElements),
-``vector``, ``format_coeff``, ``elements()`` (in power-basis tuple order)
-and ``FieldElement``, which wraps a raw value for API boundaries and tests.
+``vector``, ``format_coeff`` (kept in the field's table ``texts``, filled
+on first use), ``elements()`` (in power-basis tuple order) and
+``FieldElement``, which wraps a raw value for API boundaries and tests.
 """
 
 from __future__ import annotations
@@ -87,6 +88,20 @@ def _ppowmod(a, e, f, p):
     return result
 
 
+class _Texts(dict):
+    """A table filled on first use: a missing key gets ``make(key)``."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
+        return text
+
+
 class FieldElement:
     """A value in a fixed finite field."""
 
@@ -156,9 +171,10 @@ class FieldElement:
 
 
 class PrimeField:
-    """GF(p) with raw values in range(p)."""
+    """GF(p) with raw values in range(p); ``texts`` is the table
+    {raw value: ``format_coeff`` text}."""
 
-    __slots__ = ("p", "order")
+    __slots__ = ("p", "order", "texts")
     k, zero, one, min_poly, zech = 1, 0, 1, None, None
 
     def __init__(self, p):
@@ -166,6 +182,7 @@ class PrimeField:
             raise UsageError(f"characteristic {p} is not prime")
         self.p = p
         self.order = p
+        self.texts = _Texts(str)
 
     def coerce(self, v):
         if isinstance(v, FieldElement):
@@ -247,10 +264,11 @@ class ExtensionField:
     a + b is W[a + Z[b - a]], or 0 where Z[b - a], the raw 1 + h^(b - a),
     is 0; m is the raw -1.  ``_elements`` lists the raw values in
     power-basis tuple order, and ``_ranks[a]`` is the position of a there.
+    ``texts`` is the table {raw value: ``format_coeff`` text}.
     """
 
     __slots__ = ("p", "k", "order", "min_poly", "zech", "_elements",
-                 "_ranks")
+                 "_ranks", "texts")
     zero, one = 0, 1
 
     def __init__(self, p, k, min_poly):
@@ -281,6 +299,7 @@ class ExtensionField:
                 for r in self._ranks[1:]]
         self.zech = ([(s - 2) % q1 + 1 for s in range(2 * q)], zech,
                      1 if p == 2 else q1 // 2 + 1)
+        self.texts = _Texts(self.format_coeff)
 
     def coerce(self, v):
         if isinstance(v, FieldElement):

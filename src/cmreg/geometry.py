@@ -169,8 +169,8 @@ class ClosedPoint:
     coords: tuple
 
     def __str__(self):
-        field = self.coords[0].field
-        return "(" + ":".join(field.format_coeff(c.raw) for c in self.coords) + ")"
+        texts = self.coords[0].field.texts
+        return "(" + ":".join(texts[c.raw] for c in self.coords) + ")"
 
 
 def _check_extension_bound(K: int):
@@ -365,9 +365,9 @@ class _Fiber:
         """The linear forms as built, then the saturated basis elements led
         by no pivot variable (the others are the reduced linear forms), in
         the spec's ring."""
+        gb = self.saturated.groebner_basis()
         gens = list(self.linear_forms)
-        for g in self.saturated.gens:
-            lead = g.lead_monomial()
+        for g, lead in zip(gb.elements, gb.lead_monomials):
             if not any(lead[i] for i in self.pivots):
                 gens.append(g)
         if self.saturated.ring != self.home:

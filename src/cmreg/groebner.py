@@ -48,9 +48,10 @@ computation's ceiling is set once, on the ideal it starts from.
 Saturation by a variable x_i divides a grevlex basis with x_i last by its
 largest x_i-powers (Bayer-Stillman), and returns the basis unchanged when
 x_i divides none of its leads.  Saturation by the irrelevant maximal
-ideal returns the first per-variable saturation whose quotient has the same
-Hilbert polynomial as S/I, which certifies it; when no variable
-certifies, it intersects the per-variable saturations.  Intersections add
+ideal is the unit ideal when S/I has finite length; otherwise it returns
+the first per-variable saturation whose quotient has the same Hilbert
+polynomial as S/I, which certifies it, and when no variable certifies, it
+intersects the per-variable saturations.  Intersections add
 one auxiliary variable ``t``, compute a basis of t*A + (1-t)*B under an
 elimination order, and keep the t-free elements, which are the reduced
 basis of A cap B when the ring's order is grevlex in declaration order.
@@ -699,13 +700,19 @@ def saturate(I: Ideal) -> Ideal:
     exactly when S/J and S/I have the same Hilbert polynomial, i.e. when
     (1-T)^n divides the difference of their Hilbert numerators: J/I^sat sits
     inside S/I^sat, which has no nonzero submodule of finite length, so it is
-    zero or has a nonzero Hilbert polynomial.  The last variable is tried
-    first, since in a grevlex ring it reuses I's cached basis.  When no
-    variable certifies, the per-variable saturations are intersected, and
-    the result keeps the intersection's basis.
+    zero or has a nonzero Hilbert polynomial.  When S/I has finite length
+    (its numerator shows Krull dimension 0, or I = S), I^sat = S, presented
+    by the basis (1) at once.  Otherwise the last variable is tried first,
+    since in a grevlex ring it reuses I's cached basis.  When no variable
+    certifies, the per-variable saturations are intersected, and the result
+    keeps the intersection's basis.
     """
     n = I.ring.nvars
     target = hilbert_numerator(I)
+    Q, c = _split(target)
+    if Q is None or c >= n:
+        gb = GroebnerBasis(I.ring, [I.ring.one()], (0,))
+        return _presented(I, gb.elements, gb)
     parts = []
     for i in reversed(range(n)):
         J = saturate_variable(I, i)

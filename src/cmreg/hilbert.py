@@ -2,12 +2,15 @@
 
 The Hilbert series of S/I equals N(T) / (1-T)^n where N is the numerator of
 the monomial ideal LT(I).  N is computed by a pivot recursion: splitting off
-the most shared variable x gives N(J) = N(J + (x)) + T * N(J : x), with
-pairwise-coprime generator sets as the closed-form base case.  N is
-computed once per Groebner basis and cached on it (GroebnerBasis.numerator),
-so every Hilbert invariant of an ideal (Hilbert function values, Krull
-dimension, degree, top nonzero degree, the saturation certificate and
-fiber regularity) reads the same value.
+the most shared variable x gives N(J) = N(J + (x)) + T * N(J : x) (Bigatti,
+JPAA 119, 1997).  Closed forms come before it (``_numerator``): a linear
+generator is a factor 1 - T, a variable no generator uses drops out, one
+variable gives 1 - T^a, two variables are read off the staircase, and
+pairwise coprime generators give a product.  N is computed once per
+Groebner basis and cached on it (GroebnerBasis.numerator), so every Hilbert
+invariant of an ideal (Hilbert function values, Krull dimension, degree,
+top nonzero degree, the saturation certificate and fiber regularity) reads
+the same value.
 """
 
 from __future__ import annotations
@@ -41,18 +44,6 @@ class HilbertFunction:
 
 
 # --- integer polynomial helpers (coefficient lists, index = degree) ---
-
-def _zadd(a, b):
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-        for i in range(n)
-    ]
-
-
-def _zshift(a, k):
-    return [0] * k + list(a)
-
 
 def _zmul(a, b):
     out = [0] * (len(a) + len(b) - 1)
@@ -90,31 +81,66 @@ def _minimalize(gens):
 
 
 def _numerator(gens) -> list:
-    """Numerator of the Hilbert series of S/(monomial ideal), exact in Z[T]."""
+    """Numerator over (1-T)^n of the Hilbert series of S/J, exact in Z[T],
+    for the minimal generators ``gens`` of a monomial ideal J.  Closed forms
+    come first:
+
+    - no generator gives 1, and the generator 1 gives 0;
+    - a linear generator x_i divides no other minimal generator, so it is
+      a factor 1 - T and x_i is dropped;
+    - a variable no generator uses is dropped: N over (1-T)^n does not see
+      it;
+    - two variables left are read off the staircase: with generators
+      x^(a_i) y^(b_i), a_1 < a_2 < ... and so b_1 > b_2 > ..., N is
+      1 - sum_i T^(a_i + b_i) + sum_i T^(a_(i+1) + b_i);
+    - pairwise coprime generators, such as the one generator x^a of one
+      variable, give the product of the 1 - T^deg g.
+
+    Otherwise, in three or more variables, splitting off the most shared
+    variable x gives N(J) = N(J + (x)) + T * N(J : x)."""
     if not gens:
         return [1]
-    if any(sum(g) == 0 for g in gens):
-        return [0]
-    nvars = len(gens[0])
-    counts = [0] * nvars
+    linear = 0
+    rest = []
+    used = set()
     for g in gens:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
-    if max(counts) <= 1:
-        # pairwise coprime: complete intersection of monomials
+        d = sum(g)
+        if d == 0:
+            return [0]
+        if d == 1:
+            linear += 1
+        else:
+            rest.append(g)
+            used.update(i for i, e in enumerate(g) if e)
+    if len(used) < len(gens[0]):
+        keep = sorted(used)
+        rest = [tuple(g[i] for i in keep) for g in rest]
+    counts = [sum(1 for g in rest if g[i]) for i in range(len(used))]
+    if len(used) == 2:
+        rest.sort()
+        out = [0] * (rest[-1][0] + rest[0][1] + 1)
+        out[0] = 1
+        for i, (a, b) in enumerate(rest):
+            out[a + b] -= 1
+            if i:
+                out[a + rest[i - 1][1]] += 1
+    elif all(c == 1 for c in counts):
         out = [1]
-        for g in gens:
+        for g in rest:
             out = _zmul(out, [1] + [0] * (sum(g) - 1) + [-1])
-        return out
-    pivot = counts.index(max(counts))
-    unit = tuple(1 if i == pivot else 0 for i in range(nvars))
-    plus = _minimalize([g for g in gens if g[pivot] == 0] + [unit])
-    quot = _minimalize([
-        tuple(e - 1 if i == pivot and e > 0 else e for i, e in enumerate(g))
-        for g in gens
-    ])
-    return _zadd(_numerator(plus), _zshift(_numerator(quot), 1))
+    else:
+        pivot = counts.index(max(counts))
+        unit = tuple(int(i == pivot) for i in range(len(used)))
+        plus = _minimalize([g for g in rest if g[pivot] == 0] + [unit])
+        quot = _minimalize([
+            g[:pivot] + (g[pivot] - 1,) + g[pivot + 1:] if g[pivot] else g
+            for g in rest
+        ])
+        out = [a + b for a, b in itertools.zip_longest(
+            _numerator(plus), [0] + _numerator(quot), fillvalue=0)]
+    for _ in range(linear):
+        out = [a - b for a, b in zip(out + [0], [0] + out)]
+    return out
 
 
 def _monomial_numerator(gens) -> tuple:

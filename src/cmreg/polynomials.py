@@ -22,15 +22,18 @@ the orders differ.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import UsageError
-from .fields import FieldElement, GF, DEFAULT_PRIME, _axpy, _divide
+from .fields import FieldElement, GF, DEFAULT_PRIME, _Texts, _axpy, _divide
 from .orders import EXPONENT_LIMIT, GREVLEX, MonomialOrder, word_lcm
 
 
 class PolyRing:
-    """A polynomial ring: variable names, coefficient field, monomial order."""
+    """A polynomial ring: variable names, coefficient field, monomial order;
+    ``texts`` is the table {packed key: monomial text}."""
 
-    __slots__ = ("names", "field", "order", "nvars")
+    __slots__ = ("names", "field", "order", "nvars", "texts")
 
     def __init__(self, names, field=None, order=None):
         names = tuple(names)
@@ -44,6 +47,8 @@ class PolyRing:
         self.order = order if order is not None else MonomialOrder(GREVLEX, self.nvars)
         if self.order.nvars != self.nvars:
             raise UsageError("order arity does not match the ring")
+        self.texts = _Texts(functools.partial(
+            _monomial_text, names, self.order.unpack))
 
     def monomial(self, exps) -> tuple:
         """The exponent tuple ``exps``, checked against the ring."""
@@ -245,29 +250,33 @@ class Polynomial:
         return hash((self.ring, self.structure_key()))
 
     def __str__(self):
+        """The terms in descending order, joined by " + ", each read from
+        two tables filled on first use: the ring's ``texts`` {packed key:
+        monomial text} and the field's ``texts`` {raw value: coefficient
+        text}.  A coefficient 1 is left out before a monomial."""
         if not self._terms:
             return "0"
-        field = self.ring.field
-        names = self.ring.names
+        terms = self._terms
+        monomials, coeffs = self.ring.texts, self.ring.field.texts
         parts = []
-        for exps, c in self.sorted_terms():
-            factors = []
-            for name, e in zip(names, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            cs = field.format_coeff(c)
-            if not factors:
-                parts.append(cs)
-            elif c == field.one:
-                parts.append("*".join(factors))
+        for k in sorted(terms, reverse=True):
+            c = terms[k]
+            if not k:
+                parts.append(coeffs[c])
+            elif c == 1:
+                parts.append(monomials[k])
             else:
-                parts.append("*".join([cs] + factors))
+                parts.append(coeffs[c] + "*" + monomials[k])
         return " + ".join(parts)
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def _monomial_text(names, unpack, key: int) -> str:
+    """The text of the monomial of packed key ``key``, such as x*y^2."""
+    return "*".join(name if e == 1 else f"{name}^{e}"
+                    for name, e in zip(names, unpack(key)) if e)
 
 
 # --- term dicts ---

@@ -117,6 +117,22 @@ def gf_format(a):
     return "(" + " + ".join(parts) + ")"
 
 
+def poly_text(names, terms):
+    """The text of a polynomial from its terms, (exponent tuple, power-basis
+    tuple of the coefficient) in descending order: "0" for no term, else
+    the terms joined by " + ", each its coefficient (``gf_format``) and its
+    variables' powers joined by "*", the coefficient left out when it is 1
+    and some variable is present."""
+    parts = []
+    for exps, coeff in terms:
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(names, exps) if e]
+        text = gf_format(coeff)
+        parts.append("*".join(factors if factors and text == "1"
+                              else [text] + factors))
+    return " + ".join(parts) or "0"
+
+
 def hilbert_by_rank(p, nvars, gens, d, min_poly=None):
     """h_{S/I}(d) for I generated by ``gens`` (lists of (exps, coeff)),
     via the rank of the degree-d coefficient matrix of I.

@@ -469,6 +469,39 @@ def test_fibers_to_the_plane_count_points_outside_the_image(tmp_path,
     assert "points outside the image: 24" in out.splitlines()
 
 
+def test_empty_fibers_take_no_variable_saturation(tmp_path, capsys,
+                                                 monkeypatch):
+    # an empty fiber's ideal has finite length, so saturate returns the unit
+    # ideal from its numerator; the report bytes stay the golden ones
+    calls = []  # [is the result the unit ideal, saturate_variable calls]
+    saturate, by_variable = groebner.saturate, groebner.saturate_variable
+
+    def counted_saturate(I):
+        calls.append([False, 0])
+        J = saturate(I)
+        calls[-1][0] = J.gens[0].degree() == 0
+        return J
+
+    def counted_variable(I, i):
+        calls[-1][1] += 1
+        return by_variable(I, i)
+
+    monkeypatch.setattr(geometry, "saturate", counted_saturate)
+    monkeypatch.setattr(groebner, "saturate_variable", counted_variable)
+    path = tmp_path / "tc5.reg"
+    path.write_text(GOLDEN_SESSIONS["tc5.reg"])
+    argv = ["fibers", str(path), "-s", "Q", "--ext-bound", "1"]
+    digest, text_digest = GB_FIBERS_GOLDEN[
+        ("fibers", "tc5.reg", "-s", "Q", "--ext-bound", "1")]
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert [n for unit, n in calls if unit] == [0] * 24
+    code, out, err = run(capsys, argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == text_digest
+
+
 # argv -> (exit code, sha256 of the --json bytes, sha256 of the text
 # report).  Captured from the tower that converted every syzygy into
 # Polynomial differentials.  quads is m-primary in 3 variables; tc has no

@@ -48,7 +48,7 @@ from cmreg.orders import GREVLEX, GRLEX, LEX, MonomialOrder
 from cmreg.polynomials import PolyRing, lift_polynomial
 from cmreg.sessions import parse_session
 
-from oracle import degree_monomials, hilbert_by_rank, poly_to_dense
+from oracle import degree_monomials, gf_format, hilbert_by_rank, poly_to_dense
 
 
 def _power_basis(field, coords):
@@ -134,6 +134,22 @@ def test_closed_points_are_normalized_orbit_representatives():
         assert len(orbit) == pt.k
         assert tuple(raws) == min(orbit,
                                   key=lambda c: _power_basis(field, c))
+
+
+def test_closed_point_text_matches_the_power_basis_reference():
+    # GF(5^3) coordinates print through the field's table of coefficient
+    # texts; the reference formats each power-basis tuple on its own
+    points = list(enumerate_closed_points(5, 3, 1))
+    assert {pt.k for pt in points} == {1, 2, 3}
+    for pt in points + points[::-1]:
+        field = pt.coords[0].field
+        coords = [field.vector(c.raw) if field.k > 1 else (c.raw,)
+                  for c in pt.coords]
+        assert str(pt) == "(" + ":".join(map(gf_format, coords)) + ")"
+    field = GF(5, 3)
+    g = field.element((0, 1, 0))
+    assert str(ClosedPoint(3, (field.element(1), g * g * g))) == \
+        "(1:" + gf_format(field.vector((g * g * g).raw)) + ")"
 
 
 def test_closed_point_enumeration_validation():

@@ -266,6 +266,22 @@ def test_saturation_fixtures():
         saturate_variable(I, 3)
 
 
+def test_a_finite_length_quotient_saturates_to_the_unit_ideal(monkeypatch):
+    # S/I of finite length (m-primary I, or I = S) has I^sat = S, read off
+    # I's numerator with no per-variable saturation
+    def refused(I, i):
+        raise AssertionError("saturate_variable called")
+
+    monkeypatch.setattr(groebner, "saturate_variable", refused)
+    R = ring()
+    x, y, z = R.variables()
+    for gens in [(x * x, y * y * y, z * z, x * y * z),
+                 (x, y * y, y * z, z * z), (R.one(),)]:
+        S = saturate(Ideal(R, gens))
+        assert gens_of(S) == {"1"}
+        assert S.groebner_basis().numerator == (0,)
+
+
 def test_saturation_membership_certificate():
     # f is in sat(I) iff x_i^N f lands in I for every variable and some N
     R = ring()

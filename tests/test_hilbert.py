@@ -7,6 +7,7 @@ from cmreg.errors import DimensionError, UsageError
 from cmreg.fields import GF
 from cmreg.groebner import Ideal
 from cmreg.hilbert import (
+    _monomial_numerator,
     finite_length_witness,
     hilbert_function,
     hilbert_numerator,
@@ -16,7 +17,7 @@ from cmreg.hilbert import (
 )
 from cmreg.polynomials import PolyRing
 
-from oracle import degree_monomials, hilbert_by_rank, poly_to_dense
+from oracle import degree_monomials, divides, hilbert_by_rank, poly_to_dense
 
 P = 7
 
@@ -136,3 +137,52 @@ def test_numerator_value_at_one_vs_alternating_sum():
     dense = [poly_to_dense(g) for g in I.gens]
     oracle_length = sum(hilbert_by_rank(P, 3, dense, d) for d in range(top + 1))
     assert length == oracle_length
+
+
+def _numerator_cases():
+    """Exponent-tuple generator lists in 1-5 variables: fixed shapes for
+    each closed form of the numerator, then frozen-seed random ideals."""
+    cases = [
+        [], [(0, 0, 0)], [(3,)], [(2, 0, 0, 0), (0, 0, 1, 0)],
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [(1, 0, 0, 0, 0), (0, 2, 1, 0, 0)],
+        [(0, 1, 0, 0), (0, 0, 0, 1), (2, 0, 1, 0), (1, 0, 2, 0)],
+        [(3, 0), (2, 1), (0, 4)], [(0, 3, 0), (1, 2, 0), (3, 0, 0), (2, 1, 0)],
+        [(1, 1, 0, 0, 0), (1, 1, 0, 0, 0), (2, 1, 0, 0, 0), (0, 0, 1, 1, 0)],
+        [(2, 0, 0), (0, 2, 0), (0, 0, 2)], [(1, 1, 0), (0, 1, 1), (1, 0, 1)],
+        [(0, 0), (1, 1)],
+    ]
+    rng = random.Random(20250)
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        top = 3 if n <= 3 else 2
+        gens = [tuple(rng.randrange(top + 1) for _ in range(n))
+                for _ in range(rng.randrange(1, 6))]
+        gens = [g for g in gens if any(g)]
+        if rng.random() < 0.3:
+            i = rng.randrange(n)
+            gens.append(tuple(int(j == i) for j in range(n)))
+        if gens and rng.random() < 0.3:
+            g = rng.choice(gens)
+            gens += [g, tuple(e + 1 for e in g)]  # non-minimal duplicates
+        cases.append(gens or [(0,) * n])
+    return cases
+
+
+@pytest.mark.parametrize("gens", _numerator_cases())
+def test_numerator_counts_standard_monomials(gens):
+    # N / (1-T)^n has, in degree d, as many coefficients as there are
+    # monomials of degree d divisible by no generator.  deg N is at most the
+    # degree of the lcm of the generators (the Taylor resolution), so
+    # comparing through that degree, or through the top generator degree
+    # plus n when that is larger, determines N
+    n = len(gens[0]) if gens else 3
+    N = _monomial_numerator(gens)
+    lcm_degree = sum(max(g[i] for g in gens) for i in range(n)) if gens else 0
+    assert len(N) - 1 <= lcm_degree
+    top = max((sum(g) for g in gens), default=0)
+    for d in range(max(top + n, lcm_degree) + 1):
+        series = sum(c * comb(d - j + n - 1, n - 1)
+                     for j, c in enumerate(N[:d + 1]))
+        standard = sum(1 for m in degree_monomials(n, d)
+                       if not any(divides(g, m) for g in gens))
+        assert series == standard, (gens, N, d)

@@ -3,11 +3,13 @@ import random
 import pytest
 
 from cmreg.errors import ExponentOverflowError, ResourceError, UsageError
-from cmreg.fields import GF
+from cmreg.fields import GF, FieldElement
 from cmreg.orders import (EXPONENT_LIMIT, GREVLEX, GRLEX, LEX,
                           EliminationOrder, MonomialOrder)
 from cmreg.groebner import Ideal, _aux_ring, _project_down, _shift_up
 from cmreg.polynomials import PolyRing, lift_polynomial
+
+from oracle import poly_text
 
 
 def ring3(p=7, order=None):
@@ -114,6 +116,60 @@ def test_string_rendering():
     assert str(x * x + y.scale(3)) == "x^2 + 3*y"
     assert str(x * y * z) == "x*y*z"
     assert str(R.one() + R.one()) == "2"
+
+
+def reference_text(f):
+    """f's text from its sorted terms alone, by the oracle's renderer."""
+    field = f.ring.field
+    return poly_text(f.ring.names, [
+        (exps, field.vector(c) if field.k > 1 else (c,))
+        for exps, c in f.sorted_terms()])
+
+
+@pytest.mark.parametrize("p, k", [(7, 1), (32003, 1), (5, 3), (2, 4)])
+def test_rendering_matches_an_independent_renderer(p, k):
+    F = GF(p, k)
+    R = PolyRing(("x", "y", "z"), field=F)
+    x, y, z = R.variables()
+    g = F.coerce((0, 1) + (0,) * (k - 2)) if k > 1 else 3
+    special = {
+        "one": F.one, "minus one": F.neg(F.one), "g": g,
+        "g^k": F.pow_(g, k),  # reduced modulo min_poly when k > 1
+    }
+    polys = [R.zero(), R.one(), x, x * y * z]
+    for c in special.values():
+        polys.append(R.constant(FieldElement(F, c)))
+        polys.append(R.poly({(2, 0, 1): FieldElement(F, c), (0, 1, 0): 1,
+                             (0, 0, 0): FieldElement(F, c)}))
+    rng = random.Random(p * k)
+    elements = list(F.elements())[1:]
+    for _ in range(20):
+        polys.append(R.poly({
+            tuple(rng.randrange(3) for _ in range(3)):
+                FieldElement(F, rng.choice(elements))
+            for _ in range(rng.randrange(1, 6))}))
+    for f in polys + polys[::-1]:  # the second pass reads filled tables
+        assert str(f) == reference_text(f)
+    if k > 1:
+        assert str(x.scale(FieldElement(F, g))) == "(g)*x"
+    else:
+        assert str(x.scale(-1) + R.one()) == f"{p - 1}*x + 1"
+
+
+def test_each_ring_renders_by_its_own_table():
+    # lex with the precedence reversed packs x as lex packs z, so a table
+    # shared between the rings would print one ring's monomials for the
+    # other's keys
+    rings = [ring3(), ring3(order=MonomialOrder(LEX, 3)),
+             ring3(order=MonomialOrder(LEX, 3, (2, 1, 0)))]
+    terms = {(1, 0, 0): 1, (0, 0, 1): 2, (0, 2, 1): 3, (2, 0, 0): 4,
+             (0, 0, 0): 5, (1, 1, 1): 6}
+    polys = [R.poly(terms) for R in rings]
+    texts = [str(f) for f in polys]
+    assert len(set(texts)) == 3
+    for f in polys[::-1] + polys:
+        assert str(f) == reference_text(f)
+    assert texts[2] == "3*y^2*z + 6*x*y*z + 2*z + 4*x^2 + x + 5"
 
 
 def test_structure_key_identifies_terms_within_a_ring():
