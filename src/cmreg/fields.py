@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import heapq
 import random
+import sys
+from array import array
 from operator import mul
 
 from .errors import UsageError
@@ -222,15 +224,27 @@ class PrimeField:
     def zero_scan(self, d):
         """A function from the coefficients of a polynomial of degree at
         most d (raw values, low degree first) to its zeros, in elements()
-        order; every element is a zero of the zero polynomial.  The table
-        of the powers a^0..a^d of every element a is built here, once, so
-        each evaluation is one sum of raw int products."""
+        order; every element is a zero of the zero polynomial.
+
+        Packed multipoint evaluation: column i, built once, is one int
+        holding a^i mod p for a = 0..p-1 in slots of w bytes, w the least of
+        1, 2, 4, 8 with (d+1)(p-1)^2 < 2^(8w) (8 serves p <= MAX_ORDER for
+        d < 2^32).  A call sums c_i * column i; slot a of the sum is
+        sum c_i a^i over the integers, at most (d+1)(p-1)^2, so no slot
+        carries into the next, and the zeros are the slots = 0 mod p."""
         p = self.p
-        table = [[pow(a, i, p) for i in range(d + 1)] for a in range(p)]
+        bound = (d + 1) * (p - 1) ** 2
+        code = next(t for t in "BHIQ" if bound >> 8 * array(t).itemsize == 0)
+        size = p * array(code).itemsize
+        order = sys.byteorder
+        columns = [int.from_bytes(array(code, [pow(a, i, p)
+                                               for a in range(p)]), order)
+                   for i in range(d + 1)]
 
         def zeros(coeffs):
-            return [a for a, row in enumerate(table)
-                    if not sum(map(mul, coeffs, row)) % p]
+            slots = array(code, sum(map(mul, coeffs, columns))
+                          .to_bytes(size, order))
+            return [a for a, v in enumerate(slots) if not v % p]
 
         return zeros
 

@@ -80,6 +80,7 @@ from .errors import (
 from .fields import (
     GF,
     MAX_EXTENSION_DEGREE,
+    MAX_ORDER,
     FieldElement,
     PrimeField,
     _axpy,
@@ -112,7 +113,8 @@ DEFAULT_FIBER_BUDGET = 20000
 
 def _linear_coefficients(f: Polynomial) -> dict:
     """{variable index: raw coefficient} of a linear form."""
-    return {exps.index(1): c for exps, c in f.sorted_terms()}
+    unpack = f.ring.order.unpack
+    return {unpack(key).index(1): c for key, c in f._terms.items()}
 
 
 def _check_independent(field, forms):
@@ -704,7 +706,8 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     curve with one zero pass of F per block of points sharing (c_1, c_2),
     and counts each block in one step.  Enumeration order, the point a
     budget stops at, the ceiling exit and the reports are those of the full
-    scan."""
+    scan.  A zero pass evaluates at every element, so prime fields are
+    capped at MAX_ORDER elements, as extension fields are."""
     forms = tuple(forms)
     m = len(forms)
     if m < 2:
@@ -714,6 +717,9 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
         raise UsageError("the two-variable invariant needs a 2-variable ring")
     # with m = 2 nothing is enumerated, so any base field will do
     _check_search(K, budget, "subspace", ring if m > 2 else None)
+    if m > 2 and ring.field.order > MAX_ORDER:
+        raise UsageError(f"subspace search over {ring.field}: prime fields "
+                         f"are limited to {MAX_ORDER} elements")
     d = _forms_degree(ring, forms)
     _check_independent(ring.field, forms)
 

@@ -5,7 +5,7 @@ import pytest
 
 from cmreg import __version__, cli, geometry, groebner, sessions
 from cmreg.cli import main
-from cmreg.fields import MAX_EXTENSION_DEGREE
+from cmreg.fields import MAX_EXTENSION_DEGREE, PrimeField
 
 CONIC_SESSION = """\
 ring p=7 vars=x,y,z order=grevlex
@@ -652,6 +652,13 @@ def test_usage_errors_exit_2(conic_file, binary_file, tmp_path, capsys):
             assert out == ""
 
 
+# the least prime above the 65,536-element cap of a twovars scan
+BIG_BINARY_SESSION = """\
+ring p=65537 vars=x,y
+forms pair = x^2, y^2
+forms cuspish = x^3, x^2*y, y^3
+"""
+
 USAGE_SESSIONS = {
     "plane.reg": """\
 ring p=7 vars=x,y,z
@@ -681,6 +688,7 @@ projection down = conic : axes
 ring p=5 ext=2 vars=x,y
 forms cuspish = x^3, x^2*y, y^3
 """,
+    "bigbinary.reg": BIG_BINARY_SESSION,
 }
 
 # every usage error a command can raise from its flags or its session:
@@ -732,7 +740,10 @@ USAGE_CASES = (
        # points are enumerated over the prime field only
        ("fibers", "ext.reg", ["-s", "down"], "over the prime field"),
        ("twovars", "extbinary.reg", ["-f", "cuspish"],
-        "over the prime field")]
+        "over the prime field"),
+       # a twovars scan takes prime fields of at most 65,536 elements
+       ("twovars", "bigbinary.reg", ["-f", "cuspish"],
+        "limited to 65536 elements")]
 )
 
 
@@ -752,6 +763,29 @@ def test_every_usage_error_exits_2_before_any_work(tmp_path, monkeypatch,
         assert code == 2, argv
         assert out == "", argv
         assert message in err, (argv, err)
+
+
+def test_twovars_scans_prime_fields_up_to_the_order_cap(tmp_path,
+                                                        monkeypatch, capsys):
+    # GF(65537) with three forms exits 2 before any zero pass; two forms
+    # scan nothing and still give r = d; GF(65521), the largest prime
+    # under the cap, is scanned until its budget of one point runs out
+    def refused(*args, **kwargs):
+        raise AssertionError("zero pass over a field above the cap")
+
+    big = tmp_path / "big.reg"
+    big.write_text(BIG_BINARY_SESSION)
+    with monkeypatch.context() as patch:
+        patch.setattr(PrimeField, "zero_scan", refused)
+        assert run(capsys, ["twovars", str(big), "-f", "cuspish"])[0] == 2
+        doc = run_json(capsys, ["twovars", str(big), "-f", "pair"])
+        assert (doc["result"]["d"], doc["result"]["r"]) == (2, 2)
+    largest = tmp_path / "largest.reg"
+    largest.write_text(BIG_BINARY_SESSION.replace("65537", "65521"))
+    code, out, err = run(capsys, ["twovars", str(largest), "-f", "cuspish",
+                                  "--budget", "1"])
+    assert code == 3
+    assert "subspace budget 1 exhausted" in err
 
 
 def test_argparse_failures_exit_2(conic_file, capsys):

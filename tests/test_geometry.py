@@ -162,35 +162,60 @@ def test_closed_point_enumeration_validation():
 # --- projections and fibers ---
 
 
-def _evaluate(field, coeffs, a):
-    """coeffs (low degree first) at a, in FieldElement arithmetic."""
-    x = FieldElement(field, a)
-    return sum((FieldElement(field, c) * x**i for i, c in enumerate(coeffs)),
-               field.element(0))
+def _value(field, coeffs, a):
+    """coeffs (low degree first) at a, by Horner's rule in the field's raw
+    arithmetic."""
+    v = field.zero
+    for c in reversed(coeffs):
+        v = field.add(field.mul(v, a), c)
+    return v
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (101, 1), (5, 2), (2, 3)])
+def _zeros_by_evaluation(field, coeffs):
+    """The elements where coeffs vanishes, in elements() order."""
+    return [a for a in field.elements()
+            if _value(field, coeffs, a) == field.zero]
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (101, 1), (5, 2), (2, 3),
+                                 (1009, 1), (32003, 1)])
 def test_zero_scan_matches_evaluation_at_every_element(p, k):
+    # d = 4, 5, 6 take every slot width of the prime-field kernel, the least
+    # w of 1, 2, 4, 8 bytes with (d+1)(p-1)^2 < 2^(8w): 1 for p = 3, 2 for
+    # (101, 4) and (101, 5), 4 for (101, 6) and p = 1009, 8 for p = 32003
     field = GF(p, k)
     elems = list(field.elements())
-    d = min(4, field.order)
-    zeros = field.zero_scan(d)
-    rng = random.Random(p * 10 + k)
-    # h = 0: every element; a nonzero constant: none
-    assert zeros([field.zero] * (d + 1)) == elems
-    assert zeros([field.one]) == zeros([field.one] + [field.zero] * d) == []
-    # d distinct zeros: the product of the (c - a), in elements() order
-    roots = rng.sample(elems, d)
-    h = [field.one]
-    for a in roots:
-        h = [field.sub(lo, field.mul(a, hi))
-             for lo, hi in zip([field.zero] + h, h + [field.zero])]
-    assert zeros(h) == [a for a in elems if a in roots]
-    # random polynomials of degree at most d, against evaluation
-    for _ in range(20):
-        h = [field.random(rng) for _ in range(rng.randint(1, d + 1))]
-        assert zeros(h) == [a for a in elems
-                            if _evaluate(field, h, a).is_zero()], h
+    for d in sorted({min(4, field.order), 4, 5, 6}):
+        zeros = field.zero_scan(d)
+        rng = random.Random(p * 10 + k + 100 * d)
+        # h = 0: every element; a nonzero constant: none
+        assert zeros([field.zero] * (d + 1)) == elems
+        assert zeros([field.one]) == zeros([field.one] + [field.zero] * d) \
+            == []
+        # distinct zeros: the product of the (c - a), in elements() order
+        roots = rng.sample(elems, min(d, len(elems)))
+        h = [field.one]
+        for a in roots:
+            h = [field.sub(lo, field.mul(a, hi))
+                 for lo, hi in zip([field.zero] + h, h + [field.zero])]
+        assert zeros(h) == [a for a in elems if a in roots]
+        # against evaluation: the largest raw coefficient everywhere, also
+        # in a list shorter than d + 1; a zero at the largest slot sum (the
+        # top coefficient on x..x^d, and the constant term that vanishes at
+        # the element whose powers have the largest raw sum); random
+        # polynomials of degree at most d
+        top = field.order - 1
+        cases = [[top] * (d + 1), [top] * d]
+        a = max(elems, key=lambda a: sum(field.pow_(a, i)
+                                         for i in range(1, d + 1)))
+        h = [field.zero] + [top] * d
+        h[0] = field.neg(_value(field, h, a))
+        assert a in zeros(h)
+        cases.append(h)
+        cases += [[field.random(rng) for _ in range(rng.randint(1, d + 1))]
+                  for _ in range(20 if field.order < 2000 else 2)]
+        for h in cases:
+            assert zeros(h) == _zeros_by_evaluation(field, h), (d, h)
 
 
 def test_projection_spec_validation():
