@@ -54,15 +54,19 @@ def _strip(a):
     return a
 
 
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
+def _zmul(a, b):
+    """The product of two integer coefficient lists, exact in Z[T]."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _strip(out)
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _pmul(a, b, p):
+    return _strip([c % p for c in _zmul(a, b)])
 
 
 def _pmod(a, f, p):

@@ -88,6 +88,7 @@ from .fields import (
     _rref,
     _sparse,
     _unieuclid,
+    _zmul,
 )
 from .groebner import (
     DEFAULT_DEGREE_CEILING,
@@ -100,7 +101,6 @@ from .groebner import (
 from .hilbert import (
     _free_over_forms,
     _split,
-    _zmul,
     finite_length_witness,
     hilbert_numerator,
 )

@@ -8,18 +8,21 @@ one internal input outside the standard grading, t*A + (1-t)*B of an
 intersection, is graded because the elimination order gives t weight 0.
 Public constructors enforce the homogeneous-only policy.  Under the standard
 degree a lower bound B_e <= HF(S/I)_e on the Hilbert function drives two
-tests.  Before any pair is built, the engine compares the Hilbert numerator
-of its reduced inputs' leads with the bound's: when they agree the leads
-are in(I), and the inputs, reduced, are the basis, with that numerator
-cached.  Otherwise, at each pair's degree e, once the current lead ideal has
-only B_e standard monomials in degree e it agrees with in(I) there, so every
-pair of degree e reduces to zero and is dropped.  The default bound is 0,
-where the second test stops the loop at the first degree e whose every
-monomial lies in the lead ideal, since every pair left has degree >= e; for
-an m-primary ideal no pair above the top degree of S/I plus one is formed.
-A private constructor carries a sharper bound to the engine (the fiber
-search's, in ``geometry``).  The private constructors take generators the
-library built as they are, without the public constructor's checks.
+tests, both read off one value: the Hilbert numerator of the current leads
+(``hilbert._monomial_numerator``), whose series coefficient in degree e
+counts the standard monomials of degree e.  Before any pair is built, the
+engine compares the numerator of its reduced inputs' leads with the
+bound's: when they agree the leads are in(I), and the inputs, reduced, are
+the basis.  Otherwise, at each pair's degree e, once the current lead ideal
+has only B_e standard monomials in degree e it agrees with in(I) there, so
+every pair of degree e reduces to zero and is dropped.  The default bound
+is 0, where the second test stops the loop at the first degree e whose
+every monomial lies in the lead ideal, since every pair left has degree
+>= e; for an m-primary ideal no pair above the top degree of S/I plus one
+is formed.  A basis that either test ends leaves with the numerator it read
+cached.  A private constructor carries a sharper bound to the engine (the
+fiber search's, in ``geometry``).  The private constructors take generators
+the library built as they are, without the public constructor's checks.
 
 All reduction to normal form runs through one loop, ``_reduce``, over term
 dicts keyed by one int per term: the packed key of the term's monomial
@@ -62,12 +65,15 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-import math
-from operator import le
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
 from .fields import _axpy, _divide, _strip
-from .hilbert import _monomial_numerator, _split, hilbert_numerator
+from .hilbert import (
+    _monomial_numerator,
+    _series_coefficient,
+    _split,
+    hilbert_numerator,
+)
 from .orders import GREVLEX, EliminationOrder, MonomialOrder, word_lcm
 from .polynomials import PolyRing, Polynomial, _reach, lift_polynomial
 
@@ -248,40 +254,6 @@ def _update(order, G: _Basis, pairs, heap, t):
         heapq.heappush(heap, (order.degree(exps), order.pack(exps), i, t))
 
 
-def _standard_count(lead_exps, powers, e, limit) -> int:
-    """The number of monomials of degree e that no exponent tuple in
-    ``lead_exps`` divides, counted only until it passes ``limit``.
-    ``powers[i]`` is the exponent of x_i's pure power among them, where there
-    is one; a monomial with a larger x_i-exponent is not standard, so only
-    the others are enumerated."""
-    n = len(lead_exps[0])
-    count = 0
-
-    def passed(prefix, left):
-        nonlocal count
-        i = len(prefix)
-        top = left if i not in powers else min(left, powers[i] - 1)
-        if i == n - 1:
-            if left <= top:
-                m = prefix + (left,)
-                for l in lead_exps:
-                    if all(map(le, l, m)):
-                        break
-                else:
-                    count += 1
-            return count > limit
-        return any(passed(prefix + (a,), left - a) for a in range(top + 1))
-
-    passed((), e)
-    return count
-
-
-def _series_coefficient(num, n, e) -> int:
-    """The coefficient of T^e in num(T) / (1-T)^n."""
-    return sum(c * math.comb(e - j + n - 1, n - 1)
-               for j, c in enumerate(num[:e + 1]))
-
-
 def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
     """Reduced Groebner basis of input that is homogeneous in the grading of
     ``ring.order``; S-pairs are taken by degree, and one above
@@ -289,75 +261,77 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
 
     ``bound`` is a Hilbert numerator N_B over (1-T)^n whose series
     coefficients B_e are at most HF(S/I)_e; the default N_B = 0 bounds
-    nothing.  The inputs are appended to the basis first, each reduced by
+    nothing.  The inputs are appended to the basis G first, each reduced by
     those before it, and no pair is made yet.  Their leads L lie in in(I),
     so HF(S/L) >= HF(S/I) >= B termwise (Traverso, Hilbert functions and
     the Buchberger algorithm, JSC 22, 1996).  Under the standard degree (a
-    plain ``MonomialOrder``):
+    plain ``MonomialOrder``) every test reads the Hilbert numerator N_L of
+    the current leads, computed at most once for each size of G, and
+    HF(S/L)_e is its series coefficient:
 
-    - when a bound is given and the Hilbert numerator of L is N_B,
-      HF(S/L) = HF(S/I), so L is in(I) and the inputs are a Groebner basis:
-      they are reduced and returned with N_B as their cached numerator, and
-      no pair is built;
+    - when a bound is given and N_L = N_B, HF(S/L) = HF(S/I), so L is in(I)
+      and the inputs are a Groebner basis: they are reduced and returned
+      with N_L as their cached numerator, and no pair is built;
     - otherwise the pairs of each element are made in turn (``_update``),
-      and at a popped pair of degree e the standard monomials of the
-      current leads L in degree e are counted until the count passes B_e.
-      A count equal to B_e means L_e = in(I)_e, so every pair of degree e
-      reduces to zero and is dropped without being formed; when B_e = 0, L
-      holds every monomial of degree e and so of every degree above, and
-      the loop stops, since pairs come off the heap in nondecreasing
-      degree.  A count below B_e proves the bound wrong: SelfCheckError.
+      and at a popped pair of degree e HF(S/L)_e is compared with B_e.
+      Equality means L_e = in(I)_e, so every pair of degree e reduces to
+      zero and is dropped without being formed; when B_e = 0, L holds every
+      monomial of degree e and so of every degree above, and the loop
+      stops, since pairs come off the heap in nondecreasing degree: G is
+      then a Groebner basis, returned with N_L cached.  HF(S/L)_e below B_e
+      proves the bound wrong: SelfCheckError.
 
-    With B_e = 0 the count cannot reach 0 before every variable has a pure
-    power among the leads (S/I then has finite length), so it waits for
-    that; a negative B_e is never met and never counted.  The test runs
+    With B_e = 0, HF(S/L)_e cannot be 0 before every variable has a pure
+    power among the leads (S/I then has finite length), so the test waits
+    for that; a negative B_e is never met and never tested.  The test runs
     again only when e or G has changed; the ceiling counts only the pairs
     taken, so dropped pairs and pairs after the stop never trip it."""
     inputs = [f for f in polys if f]
     if all(len(f) == 1 for f in inputs):
-        return GroebnerBasis(ring, _reduce_basis(
-            _ideal_basis(ring.order, inputs), ring))
+        return _reduce_basis(_ideal_basis(ring.order, inputs), ring)
 
     order = ring.order
     field = ring.field
-    # the count needs finitely many monomials per degree
+    # HF(S/L) is a series coefficient only under the standard degree
     standard = type(order) is MonomialOrder
     G = _Basis(order)
     pairs: dict = {}
     heap: list = []
     n = ring.nvars
-    lead_exps = []  # exponent vectors of the leads of G
-    powers = {}  # variable -> exponent of its pure-power lead
-    tested = None  # (degree, len(G)) of the last count
-    met = False  # whether that count met the bound
+    lead_exps = []  # exponent tuples of the leads of G
+    powers = set()  # the variables with a pure power among them
+    tested = None  # (degree, len(G)) of the last test
+    met = False  # whether that test met the bound
 
     def reduced(terms):
         """The monic remainder of terms against G, or None for zero."""
         red = _reduce(terms, G, field)
         return _divide(field, red, red[next(iter(red))]) if red else None
 
-    def install(t):
-        """Make the pairs of G's element t and record its lead."""
-        _update(order, G, pairs, heap, t)
-        # no lead divides a new lead, so a later pure power of x_i is
-        # always a lower one
-        exps = order.unpack(G.leads[t][0])
+    def append(f):
+        """Append f to G and record its lead."""
+        exps = order.unpack(max(f))
+        G.append(f)
         lead_exps.append(exps)
         support = [i for i, a in enumerate(exps) if a]
         if len(support) == 1:
-            powers[support[0]] = exps[support[0]]
+            powers.add(support[0])
+
+    @functools.lru_cache(maxsize=1)
+    def lead_numerator(size):
+        """N_L for G of ``size`` elements, the current G."""
+        return _monomial_numerator(lead_exps)
 
     for terms in sorted((f._terms for f in inputs), key=max):
         f = reduced(terms)
         if f is not None:
-            G.append(f)
+            append(f)
     if standard and bound:
-        numerator = _monomial_numerator([order.unpack(key)
-                                         for key, _, _ in G.leads])
+        numerator = lead_numerator(len(G))
         if numerator == tuple(_strip(list(bound))):
-            return GroebnerBasis(ring, _reduce_basis(G, ring), numerator)
+            return _reduce_basis(G, ring, lead_exps, numerator)
     for t in range(len(G)):
-        install(t)
+        _update(order, G, pairs, heap, t)
 
     while heap:
         degree, _, i, j = heapq.heappop(heap)
@@ -368,13 +342,14 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
             met = False
             b = _series_coefficient(bound, n, degree)
             if b > 0 or (b == 0 and len(powers) == n):
-                count = _standard_count(lead_exps, powers, degree, b)
+                numerator = lead_numerator(len(G))
+                count = _series_coefficient(numerator, n, degree)
                 if count < b:
                     raise SelfCheckError(
                         f"{count} standard monomials of degree {degree} "
                         f"fall below the Hilbert function bound {b}")
-                if count == 0:
-                    break  # every pair left reduces to zero
+                if count == 0:  # every pair left reduces to zero
+                    return _reduce_basis(G, ring, lead_exps, numerator)
                 met = count == b
         if met:
             continue  # L agrees with in(I) in this degree
@@ -387,20 +362,24 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
                    G.leads[j])
         f = reduced(s) if s else None
         if f is not None:
-            G.append(f)
-            install(len(G) - 1)
+            append(f)
+            _update(order, G, pairs, heap, len(G) - 1)
 
-    return GroebnerBasis(ring, _reduce_basis(G, ring))
+    return _reduce_basis(G, ring, lead_exps)
 
 
-def _reduce_basis(G: _Basis, ring) -> list:
-    """The reduced basis, as Polynomials, of the ideal of which the ideal
-    basis G is a Groebner basis: the elements whose lead no other lead
-    divides, each with its tail reduced.  The remainder of a full reduction
-    against a Groebner basis is the unique normal form, so each tail is
-    reduced against all of G, with the leads and the memo of dividing leads
-    G already holds, and comes out as against the minimal elements alone."""
-    guards = ring.order.guards
+def _reduce_basis(G: _Basis, ring, lead_exps=None,
+                  numerator=None) -> "GroebnerBasis":
+    """The reduced basis of the ideal of which the ideal basis G is a
+    Groebner basis, with ``numerator`` cached: the elements whose lead no
+    other lead divides, each with its tail reduced.  The remainder of a full
+    reduction against a Groebner basis is the unique normal form, so each
+    tail is reduced against all of G, with the leads and the memo of
+    dividing leads G already holds, and comes out as against the minimal
+    elements alone.  ``lead_exps[i]``, when given, is the exponent tuple of
+    the lead of G's element i; otherwise the kept leads are unpacked."""
+    order = ring.order
+    guards = order.guards
     minimal = []
     for i in sorted(range(len(G)), key=lambda i: G.leads[i][0]):
         w = G.leads[i][1]
@@ -408,6 +387,7 @@ def _reduce_basis(G: _Basis, ring) -> list:
                    for j in minimal):
             minimal.append(i)
     reduced = []
+    leads = []
     for i in reversed(minimal):
         key = G.leads[i][0]
         # the tail and every term its reduction produces lie below the
@@ -416,7 +396,13 @@ def _reduce_basis(G: _Basis, ring) -> list:
         del tail[key]
         red = _reduce(tail, G, ring.field)
         reduced.append(Polynomial(ring, {key: 1, **red}))
-    return reduced
+        leads.append(order.unpack(key) if lead_exps is None
+                     else lead_exps[i])
+    # built around the constructor, which would unpack each lead again
+    gb = GroebnerBasis.__new__(GroebnerBasis)
+    gb.ring, gb.elements, gb.lead_monomials = ring, tuple(reduced), tuple(leads)
+    gb.numerator = numerator
+    return gb
 
 
 class Ideal:
@@ -536,8 +522,8 @@ class GroebnerBasis:
     pairwise irreducible, sorted by descending lead monomial.
 
     ``numerator`` is the Hilbert numerator of the lead-term ideal, given by
-    the engine's Hilbert certificate or filled by
-    ``hilbert.hilbert_numerator`` on first use."""
+    the engine when one of its Hilbert tests ended the computation, or
+    filled by ``hilbert.hilbert_numerator`` on first use."""
 
     __slots__ = ("ring", "elements", "lead_monomials", "numerator")
 
@@ -681,8 +667,8 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
         gb = I.groebner_basis()
         if not any(m[i] for m in gb.lead_monomials):
             return _presented(I, gb.elements, gb)
-        gb = GroebnerBasis(ring, _reduce_basis(_ideal_basis(
-            ring.order, [_divide_out(g, i, ring) for g in gb.elements]), ring))
+        gb = _reduce_basis(_ideal_basis(
+            ring.order, [_divide_out(g, i, ring) for g in gb.elements]), ring)
     else:
         aux = PolyRing(ring.names, ring.field, order)
         basis = _engine([lift_polynomial(g, aux) for g in I.gens], aux,

@@ -10,18 +10,20 @@ pairwise coprime generators give a product.  N is computed once per
 Groebner basis and cached on it (GroebnerBasis.numerator), so every Hilbert
 invariant of an ideal (Hilbert function values, Krull dimension, degree,
 top nonzero degree, the saturation certificate and fiber regularity) reads
-the same value.
+the same value, and so do the Buchberger engine's Hilbert tests on its
+current leads.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import le
 from typing import TYPE_CHECKING
 
 from .errors import DimensionError, UsageError
-from .fields import _strip
+from .fields import _strip, _zmul
 
 if TYPE_CHECKING:
     from .groebner import Ideal
@@ -45,14 +47,10 @@ class HilbertFunction:
 
 # --- integer polynomial helpers (coefficient lists, index = degree) ---
 
-def _zmul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
+def _series_coefficient(num, n, e) -> int:
+    """The coefficient of T^e in num(T) / (1-T)^n, for n >= 1."""
+    return sum(c * math.comb(e - j + n - 1, n - 1)
+               for j, c in enumerate(num[:e + 1]))
 
 
 def _split(num):
@@ -163,8 +161,8 @@ def _free_over_forms(N_J, N_plus, d: int, s: int) -> bool:
 
 def hilbert_numerator(I: Ideal) -> tuple:
     """Coefficients of N(T) with Hilbert series of S/I equal to N/(1-T)^n,
-    computed on the first call for a basis and cached on it (the engine
-    caches the numerator its Hilbert certificate computed)."""
+    computed on the first call for a basis and cached on it (a basis that
+    one of the engine's Hilbert tests ended comes with it cached)."""
     gb = I.groebner_basis()
     if gb.numerator is None:
         gb.numerator = _monomial_numerator(gb.lead_monomials)
@@ -175,14 +173,9 @@ def hilbert_function(I: Ideal, d_max: int) -> HilbertFunction:
     """h(d) = number of standard monomials of degree d, for 0 <= d <= d_max."""
     if d_max < 0:
         raise UsageError("d_max must be nonnegative")
-    num = hilbert_numerator(I)
-    coeffs = [num[d] if d < len(num) else 0 for d in range(d_max + 1)]
-    for _ in range(I.ring.nvars):
-        total = 0
-        for d in range(d_max + 1):
-            total += coeffs[d]
-            coeffs[d] = total
-    return HilbertFunction(tuple(coeffs), d_max)
+    num, n = hilbert_numerator(I), I.ring.nvars
+    return HilbertFunction(tuple(_series_coefficient(num, n, d)
+                                 for d in range(d_max + 1)), d_max)
 
 
 def quotient_dimension(I: Ideal) -> int:

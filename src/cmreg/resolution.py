@@ -261,7 +261,8 @@ def _schreyer_tower(J: Ideal):
     """
     ring = J.ring
     gb = J.groebner_basis()
-    cols = sorted(gb.elements, key=lambda g: g.lead_monomial(), reverse=True)
+    cols = [gb.elements[i] for i in sorted(
+        range(len(gb)), key=gb.lead_monomials.__getitem__, reverse=True)]
     basis = _ideal_basis(ring.order, cols)
     order = SchreyerOrder.trivial(1)
     twists = [g.homogeneous_degree() for g in cols]

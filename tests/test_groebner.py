@@ -982,12 +982,22 @@ def test_engine_stops_at_the_artinian_degree(monkeypatch, p, k, nvars, seed):
         # the same pairs without the stop: the loop runs until the heap is
         # empty and reaches the same reduced basis
         with monkeypatch.context() as m:
-            m.setattr(groebner, "_standard_count",
-                      lambda lead_exps, powers, e, limit: limit + 1)
+            # a lead ideal with no monomial in any degree never meets B = 0
+            m.setattr(groebner, "_monomial_numerator", lambda gens: (1,))
             del degrees[:]
             assert Ideal(R, gens).groebner_basis().elements == basis
             unstopped += len(degrees)
     assert stopped < unstopped
+
+
+@pytest.mark.parametrize("p,k,nvars,seed", ARTINIAN_CASES)
+def test_stopped_basis_leaves_with_its_lead_numerator(p, k, nvars, seed):
+    # the stop reads the numerator of the leads it stopped on, which is
+    # the numerator of the returned basis's leads
+    R, cases = _m_primary_ideals(p, k, nvars, seed)
+    for gens in cases:
+        gb = Ideal(R, gens).groebner_basis()
+        assert gb.numerator == hilbert._monomial_numerator(gb.lead_monomials)
 
 
 def _check_basis(I, through):
