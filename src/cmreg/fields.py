@@ -6,13 +6,15 @@ primitive element in elements() order, where a product adds logs and a sum
 reads a Zech logarithm log(1 + h^n) (Huber, IEEE Trans. Inf. Theory 36,
 1990) from tables built once per field, which GF caches.  The kernels
 ``_axpy`` and ``_divide`` read the field's arithmetic once per call and run
-one inline loop per kind of field; the reducer, the Schreyer tower,
-Polynomial arithmetic and ``_rref`` are built on them.  Raw values are
-converted only at the edges: ``coerce`` (integer constants, power-basis
-tuples in g, the class of x modulo ``min_poly``, and FieldElements),
-``vector``, ``format_coeff`` (kept in the field's table ``texts``, filled
-on first use), ``elements()`` (in power-basis tuple order) and
-``FieldElement``, which wraps a raw value for API boundaries and tests.
+one inline loop per kind of field; the reducer, the Schreyer tower and
+Polynomial arithmetic are built on them.  Gaussian elimination, ``_rref``,
+runs on rows packed into ints over GF(p) with p <= MAX_ORDER and on those
+kernels over every other field.  Raw values are converted only at the
+edges: ``coerce`` (integer constants, power-basis tuples in g, the class of
+x modulo ``min_poly``, and FieldElements), ``vector``, ``format_coeff``
+(kept in the field's table ``texts``, filled on first use), ``elements()``
+(in power-basis tuple order) and ``FieldElement``, which wraps a raw value
+for API boundaries and tests.
 """
 
 from __future__ import annotations
@@ -603,10 +605,56 @@ def _unieuclid(field, a, b):
 
 def _rref(field, rows):
     """Reduced row echelon form, in place, of rows given as dicts {column:
-    nonzero raw value}; returns the pivot column list, rows[i] being the
-    row of pivots[i]."""
+    nonzero raw value}, columns taken in ascending order; returns the pivot
+    column list, rows[i] being the row of pivots[i], and the rows after the
+    rank end empty.
+
+    Over GF(p) with p <= MAX_ORDER each row is one int of 8-byte slots,
+    slot j holding the j-th smallest column, and each elimination step is
+    one big-int multiply-add: a row whose slot holds v != 0 mod p gains
+    (p - v) times the pivot row, which is normalized mod p once, as it
+    becomes the pivot.  A slot starts below p and gains at most (p-1)^2 per
+    pivot, so over C columns it stays below p - 1 + C(p-1)^2 < 2^64 for
+    C < 2^32 and no slot carries into the next; a pivot is sought as a slot
+    nonzero mod p, and each row is read mod p once at the end.  Every other
+    field runs one loop over the dict rows, through ``_axpy``."""
     pivots = []
-    for col in sorted(set().union(*rows)):
+    columns = sorted(set().union(*rows))
+    if field.zech is None and field.p <= MAX_ORDER:
+        p = field.p
+        order = sys.byteorder
+        size = 8 * len(columns)
+        mask = (1 << 64) - 1
+        packed = [int.from_bytes(array("Q", [row.get(c, 0) for c in columns]),
+                                 order) for row in rows]
+        for j, col in enumerate(columns):
+            rank = len(pivots)
+            if rank == len(packed):
+                break  # every row holds a pivot
+            shift = 64 * j
+            hit = next((r for r in range(rank, len(packed))
+                        if (packed[r] >> shift & mask) % p), None)
+            if hit is None:
+                continue
+            slots = array("Q", packed[hit].to_bytes(size, order))
+            inv = pow(slots[j] % p, p - 2, p)
+            row = int.from_bytes(array("Q", [v * inv % p for v in slots]),
+                                 order)
+            packed[hit] = packed[rank]
+            packed[rank] = row
+            for r, other in enumerate(packed):
+                v = (other >> shift & mask) % p
+                if v and r != rank:
+                    packed[r] = other + (p - v) * row
+            pivots.append(col)
+        rank = len(pivots)
+        for r in range(rank):
+            slots = array("Q", packed[r].to_bytes(size, order))
+            residues = [v % p for v in slots]
+            rows[r] = {c: v for c, v in zip(columns, residues) if v}
+        rows[rank:] = [{} for _ in rows[rank:]]
+        return pivots
+    for col in columns:
         rank = len(pivots)
         hit = next((r for r in range(rank, len(rows)) if col in rows[r]),
                    None)

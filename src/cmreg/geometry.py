@@ -53,14 +53,17 @@ of phi = (f_1:...:f_m): P^1 -> P^(m-1), and r is phi's largest fiber
 length over the enumerated points.  A dual point off the image curve has
 gcd degree 0: the scan runs the gcd kernel only where a degree-d form F
 with F(f_1, f_2, f_3) = 0 vanishes at (c_1, c_2, c_3) (the image-curve
-filter).  F is built once, before the scan, and its zeros are found once
-per block of dual points sharing (c_1, c_2) (_curve_scan).
+filter).  F is built once, before the scan, folded with each c_1 once
+(_line_coefficients), and its zeros are found once per block of dual
+points sharing (c_1, c_2) (_curve_scan).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from . import messages
 from .asymptotics import (
@@ -111,10 +114,18 @@ DEFAULT_EXTENSION_BOUND = 2
 DEFAULT_FIBER_BUDGET = 20000
 
 
+@functools.lru_cache(maxsize=16)
+def _variable_keys(order) -> dict:
+    """{packed key of x_i: i} for the variables of ``order``."""
+    n = order.nvars
+    return {order.pack(tuple(int(j == i) for j in range(n))): i
+            for i in range(n)}
+
+
 def _linear_coefficients(f: Polynomial) -> dict:
     """{variable index: raw coefficient} of a linear form."""
-    unpack = f.ring.order.unpack
-    return {unpack(key).index(1): c for key, c in f._terms.items()}
+    index = _variable_keys(f.ring.order)
+    return {index[key]: c for key, c in f._terms.items()}
 
 
 def _check_independent(field, forms):
@@ -622,7 +633,8 @@ def _curve_scan(form, d, p: int, K: int, s: int):
     Each block of _point_blocks ends with (position of its last point,
     field, None), so a budget is checked at every block.
 
-    The zeros of h are found once per (c_1, c_2).  A block whose prefix
+    F is folded with c_1 once per c_1, and the zeros of h are found once
+    per (c_1, c_2).  A block whose prefix
     fixes c_3 is on the curve or off it as a whole; in any other block
     each zero z of h is a run of len(elements)^(width - 1) points."""
     count = 0
@@ -633,12 +645,15 @@ def _curve_scan(form, d, p: int, K: int, s: int):
             zero_scan = field.zero_scan(d)
             index = {a: i for i, a in enumerate(elems)}
             lifted = {e: field.coerce(v) for e, v in form.items()}
-            pair = None
+            pair = c1 = None
         if count == 0:
             yield 0, field, prefix + (elems[0],) * width
         if prefix[:2] != pair:
             pair = prefix[:2]
-            zeros = zero_scan(_restricted_coefficients(field, lifted, d, pair))
+            if pair[0] != c1:
+                c1 = pair[0]
+                restricted = _line_coefficients(field, lifted, d, c1)
+            zeros = zero_scan(restricted(pair[1]))
             zero_set = set(zeros)
         if len(prefix) > 2:
             runs = [(0, prefix, width)] if prefix[2] in zero_set else []
@@ -658,28 +673,58 @@ def _curve_scan(form, d, p: int, K: int, s: int):
 def _restricted_coefficients(field, form, d, pair):
     """Coefficients, low degree first, of h(c_3) = F(c_1, c_2, c_3) at
     (c_1, c_2) = pair, for F = {(a, b, c): nonzero raw value of field} of
-    degree d, with one inline loop per kind of field, as in
+    degree d."""
+    return _line_coefficients(field, form, d, pair[0])(pair[1])
+
+
+def _line_coefficients(field, form, d, c1):
+    """A function from c_2 to the coefficients, low degree first, of
+    h(c_3) = F(c_1, c_2, c_3), for F as in ``_restricted_coefficients``.
+    c_1 is folded into F once, F(c_1, y, z) = sum_c g_c(y) z^c, so each call
+    evaluates only the g_c at c_2; one inline loop per kind of field, as in
     ``fields._axpy``."""
     zech = field.zech
     if zech is None:
         p = field.p
-        p1, p2 = ([pow(c, i, p) for i in range(d + 1)] for c in pair)
-        coeffs = [0] * (d + 1)
+        g = [[0] * (d + 1 - c) for c in range(d + 1)]
         for (a, b, c), v in form.items():
-            coeffs[c] += v * p1[a] * p2[b]
-        return [v % p for v in coeffs]
+            g[c][b] += v * pow(c1, a, p)
+        g = [[v % p for v in row] for row in g]
+
+        def at(c2):
+            powers = [1]
+            for _ in range(d):
+                powers.append(powers[-1] * c2 % p)
+            return [sum(map(mul, row, powers)) % p for row in g]
+
+        return at
     W, Z, _ = zech
-    p1, p2 = ([field.pow_(c, i) for i in range(d + 1)] for c in pair)
-    coeffs = [0] * (d + 1)
+    g = {}
     for (a, b, c), v in form.items():
-        if p1[a] and p2[b]:
-            t = W[W[v + p1[a]] + p2[b]]
-            old = coeffs[c]
+        u = field.pow_(c1, a)
+        if u:
+            t = W[v + u]
+            old = g.get((b, c))
             if old:
                 z = Z[t - old]
                 t = W[old + z] if z else 0
-            coeffs[c] = t
-    return coeffs
+            g[b, c] = t
+    terms = [(b, c, v) for (b, c), v in g.items() if v]
+
+    def at(c2):
+        powers = [field.pow_(c2, i) for i in range(d + 1)]
+        coeffs = [0] * (d + 1)
+        for b, c, v in terms:
+            if powers[b]:
+                t = W[v + powers[b]]
+                old = coeffs[c]
+                if old:
+                    z = Z[t - old]
+                    t = W[old + z] if z else 0
+                coeffs[c] = t
+        return coeffs
+
+    return at
 
 
 def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,

@@ -10,7 +10,9 @@ Public constructors enforce the homogeneous-only policy.  Under the standard
 degree a lower bound B_e <= HF(S/I)_e on the Hilbert function drives two
 tests, both read off one value: the Hilbert numerator of the current leads
 (``hilbert._monomial_numerator``), whose series coefficient in degree e
-counts the standard monomials of degree e.  Before any pair is built, the
+counts the standard monomials of degree e.  The inputs of the least degree
+are installed as one reduced echelon form (``fields._rref``), and each
+other input is reduced by those before it.  Before any pair is built, the
 engine compares the numerator of its reduced inputs' leads with the
 bound's: when they agree the leads are in(I), and the inputs, reduced, are
 the basis.  Otherwise, at each pair's degree e, once the current lead ideal
@@ -67,7 +69,7 @@ import heapq
 import itertools
 
 from .errors import DegreeCeilingError, SelfCheckError, UsageError
-from .fields import _axpy, _divide, _strip
+from .fields import _axpy, _divide, _rref, _strip
 from .hilbert import (
     _monomial_numerator,
     _series_coefficient,
@@ -225,25 +227,22 @@ def _update(order, G: _Basis, pairs, heap, t):
                 and lcms[i] != lij and lcms[j] != lij):
             del pairs[(i, j)]
 
-    # candidate pairs (i, t): prune those whose lcm is a proper multiple
-    survivors = []
-    for i in range(t):
-        li = lcms[i]
-        lig = li | guards
-        redundant = False
-        for j in range(t):
-            if j == i:
-                continue
-            lj = lcms[j]
-            if lj != li and (lig - lj) & guards == guards:
-                redundant = True
+    # candidate pairs (i, t): prune those whose lcm is a proper multiple of
+    # another.  A proper divisor is a smaller word, so the minimal lcms are
+    # the words, taken in ascending order, that no minimal word before divides
+    minimal = set()
+    for w in sorted(set(lcms)):
+        wg = w | guards
+        for m in minimal:
+            if (wg - m) & guards == guards:
                 break
-        if not redundant:
-            survivors.append(i)
+        else:
+            minimal.add(w)
 
     groups = {}
-    for i in survivors:
-        groups.setdefault(lcms[i], []).append(i)
+    for i, li in enumerate(lcms):
+        if li in minimal:
+            groups.setdefault(li, []).append(i)
     for lcm, members in groups.items():
         # coprime leads: their lcm is their product
         if any(lcm == words[i] + wf for i in members):
@@ -261,8 +260,14 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
 
     ``bound`` is a Hilbert numerator N_B over (1-T)^n whose series
     coefficients B_e are at most HF(S/I)_e; the default N_B = 0 bounds
-    nothing.  The inputs are appended to the basis G first, each reduced by
-    those before it, and no pair is made yet.  Their leads L lie in in(I),
+    nothing.  The inputs, taken in ascending order of lead key, are
+    appended to the basis G first, and no pair is made yet.  The first
+    inputs, those of the least degree, are one matrix over its monomials
+    (the linear-algebra view of reduction that F4 takes; Faugere, JPAA 139,
+    1999): its reduced echelon form, by one ``fields._rref`` with columns in
+    descending key order, is appended in descending order of lead key.  A
+    lone input of that degree, and every input of a higher degree, is
+    reduced by those before it.  Their leads L lie in in(I),
     so HF(S/L) >= HF(S/I) >= B termwise (Traverso, Hilbert functions and
     the Buchberger algorithm, JSC 22, 1996).  Under the standard degree (a
     plain ``MonomialOrder``) every test reads the Hilbert numerator N_L of
@@ -322,7 +327,22 @@ def _engine(polys, ring, degree_ceiling, bound=()) -> "GroebnerBasis":
         """N_L for G of ``size`` elements, the current G."""
         return _monomial_numerator(lead_exps)
 
-    for terms in sorted((f._terms for f in inputs), key=max):
+    inputs = sorted((f._terms for f in inputs), key=max)
+    degree = (order.total_degree if standard
+              else lambda key: order.degree(order.unpack(key)))
+    low = degree(max(inputs[0]))
+    size = 1
+    while size < len(inputs) and degree(max(inputs[size])) == low:
+        size += 1
+    if size > 1:
+        # nothing in G can reduce the first inputs of one degree: their
+        # reduced echelon form, columns by descending key, is appended in
+        # descending order of lead key
+        rows = [{-k: c for k, c in terms.items()} for terms in inputs[:size]]
+        for row in rows[:len(_rref(field, rows))]:
+            append({-k: c for k, c in row.items()})
+        inputs = inputs[size:]
+    for terms in inputs:
         f = reduced(terms)
         if f is not None:
             append(f)

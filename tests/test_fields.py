@@ -13,7 +13,7 @@ from cmreg.fields import (
     is_prime,
 )
 
-from oracle import gf_format, gf_mul
+from oracle import gf_echelon, gf_format, gf_mul
 
 
 def test_is_prime_small_values():
@@ -194,3 +194,129 @@ def test_extension_fields_are_capped_at_65536_elements():
     for p, k in [(257, 2), (41, 3), (17, 4), (7, 6), (5, 7)]:
         with pytest.raises(UsageError, match="limited to 65536"):
             GF(p, k)
+
+
+def _echelon_cases(p, rng):
+    """Seeded sparse and dense matrices over GF(p), as (columns, dense
+    rows): the column labels are arbitrary ints, in ascending order."""
+    cases = []
+    for density in (0.15, 0.5, 1.0):
+        for _ in range(12):
+            n, m = rng.randint(1, 9), rng.randint(1, 12)
+            columns = sorted(rng.sample(range(-10**12, 10**12), m))
+            rows = [[rng.randrange(1, p) if rng.random() < density else 0
+                     for _ in range(m)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.5:
+                # a dependent row: the rank falls below the row count
+                c = rng.randrange(1, p)
+                rows.append([(a + c * b) % p for a, b in zip(rows[0], rows[1])])
+            cases.append((columns, rows))
+    return cases
+
+
+def _counted_axpy(monkeypatch):
+    """The number of _axpy calls, which only the dict loop of _rref makes."""
+    calls = []
+    axpy = fields._axpy
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return axpy(*args, **kwargs)
+
+    monkeypatch.setattr(fields, "_axpy", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 32003, 65521, 65537])
+def test_rref_matches_the_oracle_echelon(monkeypatch, p):
+    # the pivots and the nonzero rows of _rref against dense Gaussian
+    # elimination in the oracle, with the rows after the rank left empty;
+    # GF(p) with p <= 65536 runs the packed kernel and no _axpy, GF(65537)
+    # the dict loop
+    calls = _counted_axpy(monkeypatch)
+    rng = random.Random(p)
+    for columns, dense in _echelon_cases(p, rng):
+        rows = [{c: v for c, v in zip(columns, row) if v} for row in dense]
+        pivots = fields._rref(GF(p), rows)
+        want, want_pivots = gf_echelon(p, dense)
+        assert pivots == [columns[j] for j in want_pivots]
+        assert rows[:len(pivots)] == [
+            {c: v for c, v in zip(columns, row) if v} for row in want]
+        assert rows[len(pivots):] == [{}] * (len(rows) - len(pivots))
+    assert bool(calls) == (p > fields.MAX_ORDER)
+
+
+def test_rref_slots_grow_past_32_bits_without_carrying():
+    # dense GF(65521) matrices with every entry near p - 1: every row takes
+    # a step of about p^2 ~ 2^32 at every pivot, so a slot grows far past
+    # 2^32 and would carry into the next in 4-byte slots
+    p = 65521
+    rng = random.Random(65521)
+    for n in (6, 12, 20):
+        dense = [[rng.randrange(p - 9, p) for _ in range(n + 2)]
+                 for _ in range(n)]
+        rows = [dict(enumerate(row)) for row in dense]
+        pivots = fields._rref(GF(p), rows)
+        want, want_pivots = gf_echelon(p, dense)
+        assert pivots == want_pivots and len(pivots) == n
+        assert rows == [dict((j, v) for j, v in enumerate(row) if v)
+                        for row in want]
+
+
+def _gfq_echelon(F, rows):
+    """Reduced row echelon form over GF(p^k) on power-basis tuples, by
+    schoolbook arithmetic in the oracle: (nonzero rows, pivot columns)."""
+    p, f = F.p, F.min_poly
+    zero = (0,) * F.k
+    one = (1,) + (0,) * (F.k - 1)
+    elements = list(itertools.product(range(p), repeat=F.k))
+
+    def sub(a, b):
+        return tuple((x - y) % p for x, y in zip(a, b))
+
+    def inv(a):
+        return next(b for b in elements if gf_mul(a, b, f, p) == one)
+
+    mat = [list(row) for row in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
+        hit = next((r for r in range(rank, len(mat)) if mat[r][col] != zero),
+                   None)
+        if hit is None:
+            continue
+        mat[rank], mat[hit] = mat[hit], mat[rank]
+        s = inv(mat[rank][col])
+        mat[rank] = [gf_mul(s, a, f, p) for a in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != zero:
+                c = mat[r][col]
+                mat[r] = [sub(a, gf_mul(c, b, f, p))
+                          for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return mat[:len(pivots)], pivots
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (5, 2)])
+def test_rref_over_an_extension_field_runs_the_dict_loop(monkeypatch, p, k):
+    # GF(p^k) takes the dict loop, through _axpy, and agrees with
+    # schoolbook elimination on power-basis tuples
+    calls = _counted_axpy(monkeypatch)
+    F = GF(p, k)
+    rng = random.Random(31 * p + k)
+    tuples = list(itertools.product(range(p), repeat=k))
+    for density in (0.3, 1.0):
+        for _ in range(10):
+            n, m = rng.randint(1, 6), rng.randint(1, 8)
+            dense = [[rng.choice(tuples[1:]) if rng.random() < density
+                      else tuples[0] for _ in range(m)] for _ in range(n)]
+            rows = [{j: F.coerce(t) for j, t in enumerate(row) if any(t)}
+                    for row in dense]
+            pivots = fields._rref(F, rows)
+            want, want_pivots = _gfq_echelon(F, dense)
+            assert pivots == want_pivots
+            assert [{j: F.vector(v) for j, v in row.items()}
+                    for row in rows[:len(pivots)]] == [
+                {j: t for j, t in enumerate(row) if any(t)} for row in want]
+            assert not any(rows[len(pivots):])
+    assert calls

@@ -22,6 +22,7 @@ from cmreg.hilbert import finite_length_witness, hilbert_function, top_degree_fi
 from cmreg.orders import (GREVLEX, LEX, EliminationOrder, MonomialOrder,
                           word_lcm)
 from cmreg.polynomials import PolyRing, lift_polynomial
+from cmreg.sessions import parse_polynomial
 from cmreg.resolution import SchreyerOrder, _syzygy_step
 
 from oracle import (degree_monomials, divides, gf_rank, hilbert_by_rank,
@@ -1419,3 +1420,118 @@ def test_presented_fiber_bases_need_no_checks(monkeypatch, p, K, seed):
     for fiber in max_fiber_regularity(spec, K=K).fibers:
         Z = fiber.ideal
         assert Ideal(Z.ring, Z.gens).gens == Z.gens
+
+
+def _installs(monkeypatch, gens, R):
+    """(_rref calls, _reduce calls) the engine makes while installing
+    ``gens``, counted up to its first _update, and the lead keys of G then."""
+    rrefs = _counted(monkeypatch, "_rref")
+    reduces = _counted(monkeypatch, "_reduce")
+    seen = []
+    update = groebner._update
+
+    def first(order, G, *rest):
+        if not seen:
+            seen.append((len(rrefs), len(reduces), [l[0] for l in G.leads]))
+        return update(order, G, *rest)
+
+    monkeypatch.setattr(groebner, "_update", first)
+    basis = groebner._engine(gens, R, 64)
+    monkeypatch.undo()
+    assert basis.elements == groebner._engine(gens, R, 64).elements
+    return seen[0]
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_least_degree_inputs_are_installed_by_one_rref(monkeypatch, seed):
+    # the inputs of the least degree are one echelon form: one _rref and
+    # no _reduce install them, with distinct leads in descending order and
+    # each lead in no other installed element; every input of a higher
+    # degree is reduced by _reduce, and a one-row block also stays on it
+    rng = random.Random(seed)
+    R = ring(p=32003)
+    x, y, z = R.variables()
+    quads = [_random_form(R, 2, rng, 0.8) for _ in range(4)]
+    quads.append(quads[0] + quads[1].scale(5))  # dependent: rank 4
+    rrefs, reduces, leads = _installs(monkeypatch, quads, R)
+    assert (rrefs, reduces) == (1, 0)
+    assert len(leads) == 4 and leads == sorted(leads, reverse=True)
+    cubics = [_random_form(R, 3, rng, 0.6) for _ in range(2)]
+    assert _installs(monkeypatch, cubics + quads, R)[:2] == (1, 2)
+    linear = [x + y.scale(3) + z.scale(7)]
+    assert _installs(monkeypatch, quads + linear, R)[:2] == (0, 6)
+
+
+def _gf_form(R, terms):
+    """The sum of monomial * coefficient over ``terms``, pairs of a
+    power-basis tuple and a monomial's text."""
+    F = R.field
+    f = R.zero()
+    for vector, mono in terms:
+        f = f + parse_polynomial(mono, R).scale(FieldElement(F, F.coerce(vector)))
+    return f
+
+
+def test_dict_loop_fields_give_the_reduced_bases_they_gave_before():
+    # GF(65537) and GF(5^2) install their least-degree inputs through the
+    # dict loop of _rref; the reduced bases are those recorded from the
+    # engine that reduced each input by the ones before it
+    R = ring(p=65537)
+    gens = [parse_polynomial(g, R) for g in (
+        "42931*y^2 + 37304*x*z + 5614*y*z + 50054*z^2",
+        "58365*x*y + 19942*y*z + 55855*z^2",
+        "56447*x*y + 20361*x*z")]
+    gens.append(gens[0] + gens[1])
+    assert [str(g) for g in groebner._engine(gens, R, 64)] == [
+        "y*z^2", "z^3", "x*y + 12772*y*z + 20123*z^2",
+        "y^2 + 33894*y*z + 45917*z^2", "x*z + 37191*y*z + 15550*z^2"]
+    R = PolyRing(("x", "y", "z"), field=GF(5, 2))
+    gens = [_gf_form(R, terms) for terms in (
+        [((1, 0), "x^2"), ((0, 2), "x*y"), ((3, 4), "y^2"),
+         ((3, 3), "x*z"), ((3, 2), "y*z"), ((0, 3), "z^2")],
+        [((0, 3), "x^2"), ((3, 3), "x*y"), ((1, 3), "y^2"),
+         ((3, 4), "x*z")],
+        [((3, 4), "x^2"), ((1, 3), "x*y"), ((1, 0), "y^2"),
+         ((1, 0), "x*z")])]
+    gens.append(gens[0] + gens[1])
+    assert [str(g) for g in groebner._engine(gens, R, 64)] == [
+        "z^4", "x*z^2 + (2 + 3*g)*z^3", "y*z^2 + (1 + 2*g)*z^3",
+        "x^2 + (3 + 3*g)*x*z + 3*y*z + (1 + g)*z^2",
+        "x*y + 3*x*z + (1 + 3*g)*y*z + 3*z^2",
+        "y^2 + (2 + g)*x*z + (1 + 4*g)*y*z + (g)*z^2"]
+
+
+def _brute_update(leads, pairs, t):
+    """Gebauer-Moeller on exponent tuples, every lcm tested against every
+    other: ``pairs`` maps (i, j) to the lcm of leads i and j."""
+    lcms = [tuple(map(max, lead, leads[t])) for lead in leads[:t]]
+    for (i, j), lij in list(pairs.items()):
+        if divides(leads[t], lij) and lcms[i] != lij and lcms[j] != lij:
+            del pairs[(i, j)]
+    groups = {}
+    for i, li in enumerate(lcms):
+        if not any(lj != li and divides(lj, li) for lj in lcms):
+            groups.setdefault(li, []).append(i)
+    for lcm, members in groups.items():
+        if not any(all(min(a, b) == 0 for a, b in zip(leads[i], leads[t]))
+                   for i in members):
+            pairs[(min(members), t)] = lcm
+
+
+@pytest.mark.parametrize("nvars,seed", [(2, 51), (3, 52), (4, 53)])
+def test_update_keeps_the_pairs_of_a_brute_force_m_criterion(nvars, seed):
+    # _update keeps the candidates whose lcm is minimal among the sorted
+    # distinct lcms; the pairs it keeps, after each element, are those of
+    # the brute-force criterion, with repeated lcms and coprime leads drawn
+    rng = random.Random(seed)
+    order = MonomialOrder(GREVLEX, nvars)
+    for _ in range(20):
+        G = groebner._Basis(order)
+        leads, pairs, heap, want = [], {}, [], {}
+        for t in range(rng.randint(2, 14)):
+            lead = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(nvars))
+            G.append({order.pack(lead): 1})
+            leads.append(lead)
+            groebner._update(order, G, pairs, heap, t)
+            _brute_update(leads, want, t)
+            assert {ij: order.exponents(w) for ij, w in pairs.items()} == want
