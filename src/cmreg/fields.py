@@ -9,7 +9,10 @@ reads a Zech logarithm log(1 + h^n) (Huber, IEEE Trans. Inf. Theory 36,
 one inline loop per kind of field; the reducer, the Schreyer tower and
 Polynomial arithmetic are built on them.  Gaussian elimination, ``_rref``,
 runs on rows packed into ints over GF(p) with p <= MAX_ORDER and on those
-kernels over every other field.  Raw values are converted only at the
+kernels over every other field.  Multipoint evaluation lives here too:
+``values(d)`` gives a polynomial of degree at most d at every element and
+``zero_scan(d)`` its zeros, from packed int columns over GF(p) and from
+tables of power logs over GF(p^k).  Raw values are converted only at the
 edges: ``coerce`` (integer constants, power-basis tuples in g, the class of
 x modulo ``min_poly``, and FieldElements), ``vector``, ``format_coeff``
 (kept in the field's table ``texts``, filled on first use), ``elements()``
@@ -227,17 +230,18 @@ class PrimeField:
     def frobenius(self, a):
         return a
 
-    def zero_scan(self, d):
+    def _slots(self, d):
         """A function from the coefficients of a polynomial of degree at
-        most d (raw values, low degree first) to its zeros, in elements()
-        order; every element is a zero of the zero polynomial.
+        most d (raw values, low degree first) to an array whose slot a is
+        its value at a, not yet reduced mod p, for a = 0..p-1: the column
+        builder of ``values`` and ``zero_scan``.
 
         Packed multipoint evaluation: column i, built once, is one int
         holding a^i mod p for a = 0..p-1 in slots of w bytes, w the least of
         1, 2, 4, 8 with (d+1)(p-1)^2 < 2^(8w) (8 serves p <= MAX_ORDER for
         d < 2^32).  A call sums c_i * column i; slot a of the sum is
         sum c_i a^i over the integers, at most (d+1)(p-1)^2, so no slot
-        carries into the next, and the zeros are the slots = 0 mod p."""
+        carries into the next."""
         p = self.p
         bound = (d + 1) * (p - 1) ** 2
         code = next(t for t in "BHIQ" if bound >> 8 * array(t).itemsize == 0)
@@ -246,13 +250,26 @@ class PrimeField:
         columns = [int.from_bytes(array(code, [pow(a, i, p)
                                                for a in range(p)]), order)
                    for i in range(d + 1)]
+        return lambda coeffs: array(code, sum(map(mul, coeffs, columns))
+                                    .to_bytes(size, order))
 
-        def zeros(coeffs):
-            slots = array(code, sum(map(mul, coeffs, columns))
-                          .to_bytes(size, order))
-            return [a for a, v in enumerate(slots) if not v % p]
+    def values(self, d):
+        """A function from the coefficients of a polynomial of degree at
+        most d (raw values, low degree first) to its values at the elements,
+        in elements() order: the slots of ``_slots`` mod p."""
+        p = self.p
+        slots = self._slots(d)
+        return lambda coeffs: [v % p for v in slots(coeffs)]
 
-        return zeros
+    def zero_scan(self, d):
+        """A function from the coefficients of a polynomial of degree at
+        most d (raw values, low degree first) to its zeros, in elements()
+        order, every element for the zero polynomial: the slots of
+        ``_slots`` that are 0 mod p."""
+        p = self.p
+        slots = self._slots(d)
+        return lambda coeffs: [a for a, v in enumerate(slots(coeffs))
+                               if not v % p]
 
     def random(self, rng):
         return rng.randrange(self.p)
@@ -377,21 +394,21 @@ class ExtensionField:
     def frobenius(self, a):
         return self.pow_(a, self.p)
 
-    def zero_scan(self, d):
+    def values(self, d):
         """A function from the coefficients of a polynomial of degree at
-        most d (raw values, low degree first) to its zeros, in elements()
-        order.  Each element's powers a^0..a^d are tabulated once, as
-        multiples of its log, so each evaluation is a sum of table products
-        through the Zech table."""
+        most d (raw values, low degree first) to its values at the elements,
+        in elements() order.  Each element's powers a^0..a^d are tabulated
+        once, as multiples of its log, so each value is a sum of table
+        products through the Zech table."""
         W, Z, _ = self.zech
         q1 = self.order - 1
         # the zero element: only the constant term counts
-        table = [(a, [(a - 1) * i % q1 + 1 for i in range(d + 1)] if a else [1])
+        table = [[(a - 1) * i % q1 + 1 for i in range(d + 1)] if a else [1]
                  for a in self._elements]
 
-        def zeros(coeffs):
+        def at(coeffs):
             out = []
-            for a, row in table:
+            for row in table:
                 v = 0
                 for c, r in zip(coeffs, row):
                     if c:
@@ -401,11 +418,19 @@ class ExtensionField:
                             v = W[v + z] if z else 0
                         else:
                             v = t
-                if not v:
-                    out.append(a)
+                out.append(v)
             return out
 
-        return zeros
+        return at
+
+    def zero_scan(self, d):
+        """A function from the coefficients of a polynomial of degree at
+        most d (raw values, low degree first) to its zeros, in elements()
+        order: the elements where ``values`` is 0."""
+        values = self.values(d)
+        elements = self._elements
+        return lambda coeffs: [a for a, v in zip(elements, values(coeffs))
+                               if not v]
 
     def random(self, rng):
         return self.coerce(tuple(rng.randrange(self.p) for _ in range(self.k)))

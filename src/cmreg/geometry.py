@@ -53,17 +53,17 @@ of phi = (f_1:...:f_m): P^1 -> P^(m-1), and r is phi's largest fiber
 length over the enumerated points.  A dual point off the image curve has
 gcd degree 0: the scan runs the gcd kernel only where a degree-d form F
 with F(f_1, f_2, f_3) = 0 vanishes at (c_1, c_2, c_3) (the image-curve
-filter).  F is built once, before the scan, folded with each c_1 once
-(_line_coefficients), and its zeros are found once per block of dual
-points sharing (c_1, c_2) (_curve_scan).
+filter).  F is built once, before the scan; with F(c_1, y, z) =
+sum_c g_c(y) z^c, each g_c is evaluated at every y once per c_1 by the
+field's ``values`` (_line_values), and the zeros in z are found by its
+``zero_scan`` once per block of dual points sharing (c_1, c_2)
+(_curve_scan).  Evaluation stays in ``fields``.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
-from operator import mul
 
 from . import messages
 from .asymptotics import (
@@ -112,20 +112,6 @@ from .polynomials import PolyRing, Polynomial, lift_polynomial
 
 DEFAULT_EXTENSION_BOUND = 2
 DEFAULT_FIBER_BUDGET = 20000
-
-
-@functools.lru_cache(maxsize=16)
-def _variable_keys(order) -> dict:
-    """{packed key of x_i: i} for the variables of ``order``."""
-    n = order.nvars
-    return {order.pack(tuple(int(j == i) for j in range(n))): i
-            for i in range(n)}
-
-
-def _linear_coefficients(f: Polynomial) -> dict:
-    """{variable index: raw coefficient} of a linear form."""
-    index = _variable_keys(f.ring.order)
-    return {index[key]: c for key, c in f._terms.items()}
 
 
 def _check_independent(field, forms):
@@ -356,18 +342,20 @@ class _Fiber:
         linear = [f - forms[i0].scale(c)
                   for j, (c, f) in enumerate(zip(coords, forms)) if j != i0]
 
-        # the pivot variables are the leads of the reduced linear forms
-        pivots = _rref(field, [_linear_coefficients(f) for f in linear])
+        # the pivot variables are the leads of the reduced linear forms:
+        # on negated keys, columns ascend from the largest variable, as
+        # the engine installs its inputs
+        pivots = _rref(field, [{-k: c for k, c in f._terms.items()}
+                               for f in linear])
         if len(pivots) != len(linear):
             raise SelfCheckError("fiber linear forms are dependent")
         I = _bounded(big, gens + linear, bound, ceiling)
         if _free_over_forms(hilbert_numerator(I), center, 1, 1):
-            gb = I.groebner_basis()
-            self.saturated = _presented(I, gb.elements, gb)
+            self.saturated = _presented(I, I.groebner_basis())
         else:
             self.saturated = saturate(I)
         self.linear_forms = tuple(linear)
-        self.pivots = pivots
+        self.pivots = {big.order.unpack(-k) for k in pivots}
         self.home = home
 
     def is_empty(self) -> bool:
@@ -375,13 +363,14 @@ class _Fiber:
         return bool(gb.elements) and gb.elements[0].degree() == 0
 
     def ambient_ideal(self) -> Ideal:
-        """The linear forms as built, then the saturated basis elements led
-        by no pivot variable (the others are the reduced linear forms), in
-        the spec's ring."""
+        """The linear forms as built, then the saturated basis elements not
+        led by a pivot variable (those are the reduced linear forms), in the
+        spec's ring.  No other lead involves a pivot variable: each lies in
+        the lead ideal, and no lead of a reduced basis divides another."""
         gb = self.saturated.groebner_basis()
         gens = list(self.linear_forms)
         for g, lead in zip(gb.elements, gb.lead_monomials):
-            if not any(lead[i] for i in self.pivots):
+            if lead not in self.pivots:
                 gens.append(g)
         if self.saturated.ring != self.home:
             gens = [lift_polynomial(g, self.home) for g in gens]
@@ -633,18 +622,20 @@ def _curve_scan(form, d, p: int, K: int, s: int):
     Each block of _point_blocks ends with (position of its last point,
     field, None), so a budget is checked at every block.
 
-    F is folded with c_1 once per c_1, and the zeros of h are found once
-    per (c_1, c_2).  A block whose prefix
-    fixes c_3 is on the curve or off it as a whole; in any other block
-    each zero z of h is a run of len(elements)^(width - 1) points."""
+    Per extension degree and c_1, the table of _line_values holds each
+    coefficient g_c(y) of h at every y, so the coefficients of h at c_2 are
+    one column of it, and the zeros of h are found once per (c_1, c_2).  A
+    block whose prefix fixes c_3 is on the curve or off it as a whole; in
+    any other block each zero z of h is a run of len(elements)^(width - 1)
+    points."""
     count = 0
     k = 0
     for field, elems, prefix, width in _point_blocks(p, K, s):
         if field.k != k:
             k = field.k
+            values = field.values(d)
             zero_scan = field.zero_scan(d)
             index = {a: i for i, a in enumerate(elems)}
-            lifted = {e: field.coerce(v) for e, v in form.items()}
             pair = c1 = None
         if count == 0:
             yield 0, field, prefix + (elems[0],) * width
@@ -652,8 +643,9 @@ def _curve_scan(form, d, p: int, K: int, s: int):
             pair = prefix[:2]
             if pair[0] != c1:
                 c1 = pair[0]
-                restricted = _line_coefficients(field, lifted, d, c1)
-            zeros = zero_scan(restricted(pair[1]))
+                table = _line_values(field, form, d, c1, values)
+            column = index[pair[1]]
+            zeros = zero_scan([row[column] for row in table])
             zero_set = set(zeros)
         if len(prefix) > 2:
             runs = [(0, prefix, width)] if prefix[2] in zero_set else []
@@ -670,61 +662,17 @@ def _curve_scan(form, d, p: int, K: int, s: int):
         yield count - 1, field, None
 
 
-def _restricted_coefficients(field, form, d, pair):
-    """Coefficients, low degree first, of h(c_3) = F(c_1, c_2, c_3) at
-    (c_1, c_2) = pair, for F = {(a, b, c): nonzero raw value of field} of
-    degree d."""
-    return _line_coefficients(field, form, d, pair[0])(pair[1])
-
-
-def _line_coefficients(field, form, d, c1):
-    """A function from c_2 to the coefficients, low degree first, of
-    h(c_3) = F(c_1, c_2, c_3), for F as in ``_restricted_coefficients``.
-    c_1 is folded into F once, F(c_1, y, z) = sum_c g_c(y) z^c, so each call
-    evaluates only the g_c at c_2; one inline loop per kind of field, as in
-    ``fields._axpy``."""
-    zech = field.zech
-    if zech is None:
-        p = field.p
-        g = [[0] * (d + 1 - c) for c in range(d + 1)]
-        for (a, b, c), v in form.items():
-            g[c][b] += v * pow(c1, a, p)
-        g = [[v % p for v in row] for row in g]
-
-        def at(c2):
-            powers = [1]
-            for _ in range(d):
-                powers.append(powers[-1] * c2 % p)
-            return [sum(map(mul, row, powers)) % p for row in g]
-
-        return at
-    W, Z, _ = zech
-    g = {}
+def _line_values(field, form, d, c1, values):
+    """[g_c(y) at every y in elements() order, for c = 0..d], where
+    F(c_1, y, z) = sum_c g_c(y) z^c, for F = {(a, b, c): residue} of degree
+    d over GF(p), c_1 raw 0 or 1 (a normalized point's first coordinate),
+    and ``values`` = field.values(d).  c_1^a is 1, or 0 unless a = 0, so
+    each g_c is summed over the residues and lifted once."""
+    g = [[0] * (d + 1) for _ in range(d + 1)]
     for (a, b, c), v in form.items():
-        u = field.pow_(c1, a)
-        if u:
-            t = W[v + u]
-            old = g.get((b, c))
-            if old:
-                z = Z[t - old]
-                t = W[old + z] if z else 0
-            g[b, c] = t
-    terms = [(b, c, v) for (b, c), v in g.items() if v]
-
-    def at(c2):
-        powers = [field.pow_(c2, i) for i in range(d + 1)]
-        coeffs = [0] * (d + 1)
-        for b, c, v in terms:
-            if powers[b]:
-                t = W[v + powers[b]]
-                old = coeffs[c]
-                if old:
-                    z = Z[t - old]
-                    t = W[old + z] if z else 0
-                coeffs[c] = t
-        return coeffs
-
-    return at
+        if c1 or not a:
+            g[c][b] += v
+    return [values([field.coerce(v) for v in row]) for row in g]
 
 
 def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,

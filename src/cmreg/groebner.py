@@ -622,7 +622,7 @@ def intersect(A: Ideal, B: Ideal) -> Ideal:
                 )
             kept.append(h)
     if ring.order == MonomialOrder(GREVLEX, ring.nvars):
-        return _presented(A, kept)
+        return _presented(A, GroebnerBasis(ring, kept))
     return Ideal(ring, kept, ceiling)
 
 
@@ -645,12 +645,11 @@ def _bounded(ring: PolyRing, gens, bound, degree_ceiling: int) -> Ideal:
     return I
 
 
-def _presented(I: Ideal, elements, gb=None) -> Ideal:
-    """The ideal generated by a reduced basis of an ideal derived from I, in
-    I's ring and with I's ceiling, with that basis cached: the GroebnerBasis
-    ``gb`` when one already holds it."""
-    J = _unchecked(I.ring, elements, I.degree_ceiling)
-    J._gb = GroebnerBasis(I.ring, elements) if gb is None else gb
+def _presented(I: Ideal, gb: GroebnerBasis) -> Ideal:
+    """The ideal generated by ``gb``, the reduced basis of an ideal derived
+    from I, in I's ring and with I's ceiling, with ``gb`` cached."""
+    J = _unchecked(I.ring, gb.elements, I.degree_ceiling)
+    J._gb = gb
     return J
 
 
@@ -686,7 +685,7 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
     if order == ring.order:
         gb = I.groebner_basis()
         if not any(m[i] for m in gb.lead_monomials):
-            return _presented(I, gb.elements, gb)
+            return _presented(I, gb)
         gb = _reduce_basis(_ideal_basis(
             ring.order, [_divide_out(g, i, ring) for g in gb.elements]), ring)
     else:
@@ -695,7 +694,7 @@ def saturate_variable(I: Ideal, i: int) -> Ideal:
                         I.degree_ceiling)
         gb = _engine([_divide_out(g, i, ring) for g in basis], ring,
                      I.degree_ceiling)
-    return _presented(I, gb.elements, gb)
+    return _presented(I, gb)
 
 
 def saturate(I: Ideal) -> Ideal:
@@ -717,8 +716,7 @@ def saturate(I: Ideal) -> Ideal:
     target = hilbert_numerator(I)
     Q, c = _split(target)
     if Q is None or c >= n:
-        gb = GroebnerBasis(I.ring, [I.ring.one()], (0,))
-        return _presented(I, gb.elements, gb)
+        return _presented(I, GroebnerBasis(I.ring, [I.ring.one()], (0,)))
     parts = []
     for i in reversed(range(n)):
         J = saturate_variable(I, i)
@@ -728,4 +726,4 @@ def saturate(I: Ideal) -> Ideal:
             return J
         parts.append(J)
     result = functools.reduce(intersect, parts)
-    return _presented(I, result.groebner_basis().elements)
+    return _presented(I, result.groebner_basis())

@@ -8,8 +8,11 @@ product is the sum of the keys, so the field kernel ``fields._axpy``, the
 one product of a monomial and a term dict, adds a key to every key.  Sums,
 differences, negation, scaling and products all run through it, and
 ``monic`` through ``fields._divide``; ``groebner`` and ``resolution``
-reduce these dicts as they are.  Only ``orders``, this module, ``groebner``
-and ``resolution`` read keys.
+reduce these dicts as they are.  Only ``orders``, this module, ``groebner``,
+``resolution`` and ``geometry`` read keys; ``geometry`` row-reduces term
+dicts by key (``_check_independent`` and the fiber pivots, on negated
+keys as the engine installs its inputs) and packs the gcd in
+``_binary_gcd``.
 
 At the API a monomial is its exponent tuple: ``PolyRing.monomial``,
 ``poly``, ``coefficient``, ``lead_monomial`` and ``sorted_terms`` take or

@@ -6,9 +6,11 @@ built from it takes it along, so no public function needs one of its own.
 forms.  This walks the exported callables and the public methods of the
 exported classes, so a pass-through parameter cannot come back, nor can a
 private parameter that only one caller inside the package sets.  The
-package also ships no data files: test fixtures live under tests/.
+package also ships no data files: test fixtures live under tests/, and no
+private module-level helper lives on without a caller in the package.
 """
 
+import ast
 import inspect
 import subprocess
 import sys
@@ -63,3 +65,23 @@ def test_the_package_ships_no_data_files():
     assert out.stdout.strip() == "False"
     assert not any(name.startswith("projective_plane")
                    for name in cmreg.__all__)
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # a module-level _name function or class must be read somewhere in
+    # src/cmreg, as a name or an attribute; a definition or an import is
+    # not a use, so a helper only tests call cannot stay
+    trees = [ast.parse(path.read_text())
+             for path in Path(cmreg.__file__).resolve().parent.glob("*.py")]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")}
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    uncalled = defined - used
+    assert not uncalled, sorted(uncalled)

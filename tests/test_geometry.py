@@ -26,7 +26,7 @@ from cmreg.geometry import (
     _coefficient_row,
     _hyperplane_gcd_degree,
     _image_curve_form,
-    _restricted_coefficients,
+    _line_values,
     ClosedPoint,
     ProjectionSpec,
     binary_gcd,
@@ -182,11 +182,13 @@ def _zeros_by_evaluation(field, coeffs):
 def test_zero_scan_matches_evaluation_at_every_element(p, k):
     # d = 4, 5, 6 take every slot width of the prime-field kernel, the least
     # w of 1, 2, 4, 8 bytes with (d+1)(p-1)^2 < 2^(8w): 1 for p = 3, 2 for
-    # (101, 4) and (101, 5), 4 for (101, 6) and p = 1009, 8 for p = 32003
+    # (101, 4) and (101, 5), 4 for (101, 6) and p = 1009, 8 for p = 32003;
+    # values, on the same columns, gives Horner's value at every element
     field = GF(p, k)
     elems = list(field.elements())
     for d in sorted({min(4, field.order), 4, 5, 6}):
         zeros = field.zero_scan(d)
+        values = field.values(d)
         rng = random.Random(p * 10 + k + 100 * d)
         # h = 0: every element; a nonzero constant: none
         assert zeros([field.zero] * (d + 1)) == elems
@@ -216,6 +218,7 @@ def test_zero_scan_matches_evaluation_at_every_element(p, k):
                   for _ in range(20 if field.order < 2000 else 2)]
         for h in cases:
             assert zeros(h) == _zeros_by_evaluation(field, h), (d, h)
+            assert values(h) == [_value(field, h, a) for a in elems], (d, h)
 
 
 def test_projection_spec_validation():
@@ -949,8 +952,10 @@ def _twovars_cases(R, m, rng):
 
 @pytest.mark.parametrize("p,k", [(2, 1), (101, 1), (2, 3), (3, 2), (5, 2)])
 def test_restricted_coefficients_match_field_arithmetic(p, k):
-    # the inline loops against the field's own add and mul, at every pair
-    # (c_1, c_2) of a small field, zero coordinates included
+    # the coefficients of h(c_3) = F(c_1, c_2, c_3), read off _line_values
+    # as one column, against the field's own add and mul, for F over GF(p),
+    # each first coordinate c_1 of a normalized point (raw 0 and 1) and
+    # every c_2, zero included
     field = GF(p, k)
     rng = random.Random(97 * p + k)
     elems = list(field.elements())
@@ -959,18 +964,17 @@ def test_restricted_coefficients_match_field_arithmetic(p, k):
         for a in range(d + 1):
             for b in range(d + 1 - a):
                 if rng.random() < 0.7:
-                    form[(a, b, d - a - b)] = rng.choice(elems[1:])
-        pairs = (itertools.product(elems, repeat=2) if len(elems) <= 16
-                 else [tuple(rng.choice(elems) for _ in range(2))
-                       for _ in range(200)] + [(0, 0), (0, 1), (1, 0)])
-        for c1, c2 in pairs:
-            want = [field.zero] * (d + 1)
-            for (a, b, c), v in form.items():
-                term = field.mul(v, field.mul(field.pow_(c1, a),
-                                              field.pow_(c2, b)))
-                want[c] = field.add(want[c], term)
-            assert _restricted_coefficients(field, form, d, (c1, c2)) \
-                == want, (d, c1, c2)
+                    form[(a, b, d - a - b)] = rng.randrange(1, p)
+        lifted = {e: field.coerce(v) for e, v in form.items()}
+        for c1 in (field.zero, field.one):
+            table = _line_values(field, form, d, c1, field.values(d))
+            for column, c2 in enumerate(elems):
+                want = [field.zero] * (d + 1)
+                for (a, b, c), v in lifted.items():
+                    term = field.mul(v, field.mul(field.pow_(c1, a),
+                                                  field.pow_(c2, b)))
+                    want[c] = field.add(want[c], term)
+                assert [row[column] for row in table] == want, (d, c1, c2)
 
 
 @pytest.mark.parametrize("p,k,seed", [(2, 1, 81), (3, 1, 82), (5, 2, 83),
@@ -998,7 +1002,9 @@ def test_image_curve_form_vanishes_where_a_hyperplane_has_a_gcd(p, k, seed):
                                  * forms[2]**c).scale(v)
             assert form and total.is_zero(), (kind, forms)
             zeros = field.zero_scan(d)
-            lifted_form = {e: field.coerce(v) for e, v in form.items()}
+            tables = {c1: _line_values(field, form, d, c1, field.values(d))
+                      for c1 in (field.zero, field.one)}
+            index = {a: i for i, a in enumerate(field.elements())}
             lifted = [lift_polynomial(f, big) for f in forms]
             if field.order ** (m - 1) <= 800:
                 points = list(_normalized_points(field, m - 1))
@@ -1019,8 +1025,7 @@ def test_image_curve_form_vanishes_where_a_hyperplane_has_a_gcd(p, k, seed):
                 basis = [lifted[j] - lifted[i0].scale(FieldElement(field, c))
                          for j, c in enumerate(coords) if j != i0]
                 if binary_gcd(basis).degree() > 0:
-                    h = _restricted_coefficients(field, lifted_form, d,
-                                                 coords[:2])
+                    h = [row[index[coords[1]]] for row in tables[coords[0]]]
                     assert coords[2] in zeros(h), (kind, forms, coords)
                     positive[kind, m] = positive.get((kind, m), 0) + 1
     kinds = {"random", "common factor", "non-birational"}

@@ -1415,7 +1415,7 @@ def test_presented_fiber_bases_need_no_checks(monkeypatch, p, K, seed):
     for I, J in _fiber_ideals(monkeypatch, spec, K):
         for ideal in (I, J):
             assert Ideal(ideal.ring, ideal.gens).gens == ideal.gens
-        P = groebner._presented(I, J.gens)
+        P = groebner._presented(I, groebner.GroebnerBasis(I.ring, J.gens))
         assert P.gens == Ideal(I.ring, J.gens).gens == J.gens
     for fiber in max_fiber_regularity(spec, K=K).fibers:
         Z = fiber.ideal
