@@ -8,11 +8,14 @@ reads a Zech logarithm log(1 + h^n) (Huber, IEEE Trans. Inf. Theory 36,
 ``_axpy`` and ``_divide`` read the field's arithmetic once per call and run
 one inline loop per kind of field; the reducer, the Schreyer tower and
 Polynomial arithmetic are built on them.  Gaussian elimination, ``_rref``,
-runs on rows packed into ints over GF(p) with p <= MAX_ORDER and on those
-kernels over every other field.  Multipoint evaluation lives here too:
+runs on rows packed into ints over GF(p) with p <= MAX_ORDER from
+PACKED_ROWS rows up, and on those kernels on fewer rows and over every
+other field.  Multipoint evaluation lives here too:
 ``values(d)`` gives a polynomial of degree at most d at every element and
 ``zero_scan(d)`` its zeros, from packed int columns over GF(p) and from
-tables of power logs over GF(p^k).  Raw values are converted only at the
+tables of power logs over GF(p^k), built by ``_slots(d)``, which both take
+in place of d to share one build.  ``_pmul`` multiplies residue lists by
+one big-int product.  Raw values are converted only at the
 edges: ``coerce`` (integer constants, power-basis tuples in g, the class of
 x modulo ``min_poly``, and FieldElements), ``vector``, ``format_coeff``
 (kept in the field's table ``texts``, filled on first use), ``elements()``
@@ -71,7 +74,32 @@ def _zmul(a, b):
 
 
 def _pmul(a, b, p):
-    return _strip([c % p for c in _zmul(a, b)])
+    """The product of two lists of residues mod p, as residues with the top
+    zeros stripped, by one big-int product (Kronecker substitution): each
+    list is packed into an int with one slot per coefficient, and the
+    slots of the product hold the coefficients over the integers, each at
+    most min(len(a), len(b)) (p - 1)^2, so none carries into the next.
+    Slots are 1, 2, 4 or 8 bytes, read through array, or as many bytes as
+    that bound needs."""
+    n = len(a) + len(b) - 1
+    if n <= 0:
+        return []
+    bound = min(len(a), len(b)) * (p - 1) ** 2
+    code = next((t for t in "BHIQ" if bound >> 8 * array(t).itemsize == 0),
+                None)
+    if code is None:
+        w = (bound.bit_length() + 7) // 8
+        x = (int.from_bytes(b"".join(c.to_bytes(w, "little") for c in a),
+                            "little")
+             * int.from_bytes(b"".join(c.to_bytes(w, "little") for c in b),
+                              "little")).to_bytes(n * w, "little")
+        return _strip([int.from_bytes(x[i:i + w], "little") % p
+                       for i in range(0, n * w, w)])
+    order = sys.byteorder
+    x = (int.from_bytes(array(code, a), order)
+         * int.from_bytes(array(code, b), order))
+    return _strip([v % p for v in array(
+        code, x.to_bytes(n * array(code).itemsize, order))])
 
 
 def _pmod(a, f, p):
@@ -233,8 +261,9 @@ class PrimeField:
     def _slots(self, d):
         """A function from the coefficients of a polynomial of degree at
         most d (raw values, low degree first) to an array whose slot a is
-        its value at a, not yet reduced mod p, for a = 0..p-1: the column
-        builder of ``values`` and ``zero_scan``.
+        its value at a, not yet reduced mod p, for a = 0..p-1: the columns
+        of ``values`` and ``zero_scan``, which take it in place of d so
+        that one build serves both.
 
         Packed multipoint evaluation: column i, built once, is one int
         holding a^i mod p for a = 0..p-1 in slots of w bytes, w the least of
@@ -256,18 +285,20 @@ class PrimeField:
     def values(self, d):
         """A function from the coefficients of a polynomial of degree at
         most d (raw values, low degree first) to its values at the elements,
-        in elements() order: the slots of ``_slots`` mod p."""
+        in elements() order: the slots of ``_slots(d)`` mod p.  d is the
+        degree bound, or ``_slots(d)`` already built."""
         p = self.p
-        slots = self._slots(d)
+        slots = self._slots(d) if isinstance(d, int) else d
         return lambda coeffs: [v % p for v in slots(coeffs)]
 
     def zero_scan(self, d):
         """A function from the coefficients of a polynomial of degree at
         most d (raw values, low degree first) to its zeros, in elements()
         order, every element for the zero polynomial: the slots of
-        ``_slots`` that are 0 mod p."""
+        ``_slots(d)`` that are 0 mod p.  d is the degree bound, or
+        ``_slots(d)`` already built."""
         p = self.p
-        slots = self._slots(d)
+        slots = self._slots(d) if isinstance(d, int) else d
         return lambda coeffs: [a for a, v in enumerate(slots(coeffs))
                                if not v % p]
 
@@ -394,12 +425,14 @@ class ExtensionField:
     def frobenius(self, a):
         return self.pow_(a, self.p)
 
-    def values(self, d):
+    def _slots(self, d):
         """A function from the coefficients of a polynomial of degree at
         most d (raw values, low degree first) to its values at the elements,
-        in elements() order.  Each element's powers a^0..a^d are tabulated
-        once, as multiples of its log, so each value is a sum of table
-        products through the Zech table."""
+        in elements() order: the table of ``values`` and ``zero_scan``,
+        which take it in place of d so that one build serves both.  Each
+        element's powers a^0..a^d are tabulated once, as multiples of its
+        log, so each value is a sum of table products through the Zech
+        table."""
         W, Z, _ = self.zech
         q1 = self.order - 1
         # the zero element: only the constant term counts
@@ -423,10 +456,18 @@ class ExtensionField:
 
         return at
 
+    def values(self, d):
+        """A function from the coefficients of a polynomial of degree at
+        most d (raw values, low degree first) to its values at the elements,
+        in elements() order: ``_slots(d)``.  d is the degree bound, or
+        ``_slots(d)`` already built."""
+        return self._slots(d) if isinstance(d, int) else d
+
     def zero_scan(self, d):
         """A function from the coefficients of a polynomial of degree at
         most d (raw values, low degree first) to its zeros, in elements()
-        order: the elements where ``values`` is 0."""
+        order: the elements where ``values`` is 0.  d is the degree bound,
+        or ``_slots(d)`` already built."""
         values = self.values(d)
         elements = self._elements
         return lambda coeffs: [a for a, v in zip(elements, values(coeffs))
@@ -628,57 +669,26 @@ def _unieuclid(field, a, b):
 
 # --- Gaussian elimination on rows of raw values ---
 
+# the least row count at which _rref runs its packed kernel over GF(p): on
+# one to four rows the dict loop is faster, in replays of the _rref calls
+# of every perfbench workload
+PACKED_ROWS = 5
+
+
 def _rref(field, rows):
     """Reduced row echelon form, in place, of rows given as dicts {column:
     nonzero raw value}, columns taken in ascending order; returns the pivot
     column list, rows[i] being the row of pivots[i], and the rows after the
     rank end empty.
 
-    Over GF(p) with p <= MAX_ORDER each row is one int of 8-byte slots,
-    slot j holding the j-th smallest column, and each elimination step is
-    one big-int multiply-add: a row whose slot holds v != 0 mod p gains
-    (p - v) times the pivot row, which is normalized mod p once, as it
-    becomes the pivot.  A slot starts below p and gains at most (p-1)^2 per
-    pivot, so over C columns it stays below p - 1 + C(p-1)^2 < 2^64 for
-    C < 2^32 and no slot carries into the next; a pivot is sought as a slot
-    nonzero mod p, and each row is read mod p once at the end.  Every other
-    field runs one loop over the dict rows, through ``_axpy``."""
-    pivots = []
+    Over GF(p) with p <= MAX_ORDER, on PACKED_ROWS rows or more, this is
+    _rref_packed.  Every other matrix runs one loop over the dict rows,
+    through ``_axpy``."""
     columns = sorted(set().union(*rows))
-    if field.zech is None and field.p <= MAX_ORDER:
-        p = field.p
-        order = sys.byteorder
-        size = 8 * len(columns)
-        mask = (1 << 64) - 1
-        packed = [int.from_bytes(array("Q", [row.get(c, 0) for c in columns]),
-                                 order) for row in rows]
-        for j, col in enumerate(columns):
-            rank = len(pivots)
-            if rank == len(packed):
-                break  # every row holds a pivot
-            shift = 64 * j
-            hit = next((r for r in range(rank, len(packed))
-                        if (packed[r] >> shift & mask) % p), None)
-            if hit is None:
-                continue
-            slots = array("Q", packed[hit].to_bytes(size, order))
-            inv = pow(slots[j] % p, p - 2, p)
-            row = int.from_bytes(array("Q", [v * inv % p for v in slots]),
-                                 order)
-            packed[hit] = packed[rank]
-            packed[rank] = row
-            for r, other in enumerate(packed):
-                v = (other >> shift & mask) % p
-                if v and r != rank:
-                    packed[r] = other + (p - v) * row
-            pivots.append(col)
-        rank = len(pivots)
-        for r in range(rank):
-            slots = array("Q", packed[r].to_bytes(size, order))
-            residues = [v % p for v in slots]
-            rows[r] = {c: v for c, v in zip(columns, residues) if v}
-        rows[rank:] = [{} for _ in rows[rank:]]
-        return pivots
+    if (field.zech is None and field.p <= MAX_ORDER
+            and len(rows) >= PACKED_ROWS):
+        return _rref_packed(field.p, rows, columns)
+    pivots = []
     for col in columns:
         rank = len(pivots)
         hit = next((r for r in range(rank, len(rows)) if col in rows[r]),
@@ -692,6 +702,50 @@ def _rref(field, rows):
             if other is not row and col in other:
                 _axpy(other, field, other[col], 0, row)
         pivots.append(col)
+    return pivots
+
+
+def _rref_packed(p, rows, columns):
+    """_rref over GF(p), p <= MAX_ORDER, on the given ascending columns:
+    each row is one int of 8-byte slots, slot j holding the j-th column,
+    and each elimination step is one big-int multiply-add: a row whose slot
+    holds v != 0 mod p gains (p - v) times the pivot row, which is
+    normalized mod p once, as it becomes the pivot.  A slot starts below p
+    and gains at most (p-1)^2 per pivot, so over C columns it stays below
+    p - 1 + C(p-1)^2 < 2^64 for C < 2^32 and no slot carries into the next;
+    a pivot is sought as a slot nonzero mod p, and each row is read mod p
+    once at the end."""
+    pivots = []
+    order = sys.byteorder
+    size = 8 * len(columns)
+    mask = (1 << 64) - 1
+    packed = [int.from_bytes(array("Q", [row.get(c, 0) for c in columns]),
+                             order) for row in rows]
+    for j, col in enumerate(columns):
+        rank = len(pivots)
+        if rank == len(packed):
+            break  # every row holds a pivot
+        shift = 64 * j
+        hit = next((r for r in range(rank, len(packed))
+                    if (packed[r] >> shift & mask) % p), None)
+        if hit is None:
+            continue
+        slots = array("Q", packed[hit].to_bytes(size, order))
+        inv = pow(slots[j] % p, p - 2, p)
+        row = int.from_bytes(array("Q", [v * inv % p for v in slots]), order)
+        packed[hit] = packed[rank]
+        packed[rank] = row
+        for r, other in enumerate(packed):
+            v = (other >> shift & mask) % p
+            if v and r != rank:
+                packed[r] = other + (p - v) * row
+        pivots.append(col)
+    rank = len(pivots)
+    for r in range(rank):
+        slots = array("Q", packed[r].to_bytes(size, order))
+        residues = [v % p for v in slots]
+        rows[r] = {c: v for c, v in zip(columns, residues) if v}
+    rows[rank:] = [{} for _ in rows[rank:]]
     return pivots
 
 

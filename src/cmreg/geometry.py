@@ -57,7 +57,12 @@ filter).  F is built once, before the scan; with F(c_1, y, z) =
 sum_c g_c(y) z^c, each g_c is evaluated at every y once per c_1 by the
 field's ``values`` (_line_values), and the zeros in z are found by its
 ``zero_scan`` once per block of dual points sharing (c_1, c_2)
-(_curve_scan).  Evaluation stays in ``fields``.
+(_curve_scan), both on one ``_slots`` build per extension degree.  When F
+is the only such form up to scalars, (f_1:f_2:f_3) is birational onto its
+image, and past the first witness the kernel runs only where c_3 is a
+multiple root of F(c_1, c_2, z), the points where the image can be singular
+(the singular-point filter, see twovars_r).  Evaluation stays in
+``fields``.
 """
 
 from __future__ import annotations
@@ -581,14 +586,16 @@ def _hyperplane_gcd_degree(field, rows, coords):
 
 
 def _image_curve_form(field, rows, d):
-    """{(a, b, c): raw coefficient} of a nonzero degree-d form F with
-    F(f_1, f_2, f_3) = 0, for the coefficient rows of three independent
-    degree-d binary forms over a prime field.
+    """({(a, b, c): raw coefficient} of a nonzero degree-d form F with
+    F(f_1, f_2, f_3) = 0, the dimension of the space of such forms), for
+    the coefficient rows of three independent degree-d binary forms over a
+    prime field.
 
     F is a kernel vector of the evaluation map S_d(P^2) -> S_{d^2}(P^1),
-    c_1^a c_2^b c_3^c -> f_1^a f_2^b f_3^c.  The kernel is nonzero: the
-    image of (f_1:f_2:f_3) is a plane curve of degree at most d, and its
-    equation times any form of the complementary degree lies in it."""
+    c_1^a c_2^b c_3^c -> f_1^a f_2^b f_3^c, and the dimension is that of
+    the kernel.  The kernel is nonzero: the image of (f_1:f_2:f_3) is a
+    plane curve C of degree at most d, and with G its equation the kernel
+    is G S_{d - deg C}."""
     p = field.p
     powers = []
     for row in rows:
@@ -611,55 +618,93 @@ def _image_curve_form(field, rows, d):
     for r, col in enumerate(pivots):
         if free in matrix[r]:
             form[monos[col]] = p - matrix[r][free]
-    return form
+    return form, len(monos) - len(pivots)
 
 
-def _curve_scan(form, d, p: int, K: int, s: int):
-    """(position, field, coords) of the dual points of P^s, s >= 2, where
-    the twovars scan runs the gcd kernel, in enumeration order: the first
-    point, then each point whose c_3 is a zero of h(c_3) = F(c_1, c_2, c_3)
-    for the image-curve form F.  Positions count closed points from 0.
-    Each block of _point_blocks ends with (position of its last point,
-    field, None), so a budget is checked at every block.
+def _curve_scan(form, birational, d, p: int, K: int, s: int):
+    """(position, field, coords, smooth) of the dual points of P^s, s >= 2,
+    where the twovars scan may run the gcd kernel, in enumeration order:
+    the first point, then each point whose c_3 is a zero of
+    h(c_3) = F(c_1, c_2, c_3) for the image-curve form F.  Positions count
+    closed points from 0.  Each block of _point_blocks ends with (position
+    of its last point, field, None, False), so a budget is checked at
+    every block.
 
-    Per extension degree and c_1, the table of _line_values holds each
-    coefficient g_c(y) of h at every y, so the coefficients of h at c_2 are
-    one column of it, and the zeros of h are found once per (c_1, c_2).  A
-    block whose prefix fixes c_3 is on the curve or off it as a whole; in
-    any other block each zero z of h is a run of len(elements)^(width - 1)
-    points."""
+    ``smooth`` marks a point whose hyperplane has gcd degree at most 1:
+    when ``birational`` (the kernel of _image_curve_form is
+    one-dimensional, so phi_3 is birational onto the curve F = 0),
+    (c_1, c_2) != (0, 0) and c_3 is a simple root of h, h'(c_3) != 0 for
+    h' = dF/dz(c_1, c_2, z).  A simple root is a smooth point of the curve,
+    as I(P, C . L) >= m_P(C) (Fulton, Algebraic Curves, section 3.3), where
+    the normalization phi_3 has a fiber of length 1; the full proof is in
+    twovars_r.
+
+    Per extension degree the field's ``_slots(d)`` is built once and shared
+    by ``values`` and ``zero_scan``.  Per extension degree and c_1, _lines
+    gives the coefficients of h and h' at each c_2 a normalized point can
+    have, and the zeros of h are found once per (c_1, c_2); h' is evaluated
+    only where h has a zero.  A block whose prefix fixes c_3 is on the
+    curve or off it as a whole; in any other block each zero z of h is a
+    run of len(elements)^(width - 1) points."""
+    dform = {}
+    if birational:
+        for (a, b, c), v in form.items():
+            if c * v % p:
+                dform[a, b, c - 1] = c * v % p
     count = 0
     k = 0
     for field, elems, prefix, width in _point_blocks(p, K, s):
         if field.k != k:
             k = field.k
-            values = field.values(d)
-            zero_scan = field.zero_scan(d)
+            slots = field._slots(d)
+            values = field.values(slots)
+            zero_scan = field.zero_scan(slots)
             index = {a: i for i, a in enumerate(elems)}
             pair = c1 = None
         if count == 0:
-            yield 0, field, prefix + (elems[0],) * width
+            yield 0, field, prefix + (elems[0],) * width, False
         if prefix[:2] != pair:
             pair = prefix[:2]
             if pair[0] != c1:
                 c1 = pair[0]
-                table = _line_values(field, form, d, c1, values)
+                lines = _lines(field, form, d, c1, values, index)
+                if birational:
+                    dlines = _lines(field, dform, d - 1, c1, values, index)
             column = index[pair[1]]
-            zeros = zero_scan([row[column] for row in table])
+            zeros = zero_scan(lines[column])
             zero_set = set(zeros)
+            smooth = ()
+            if birational and zeros and any(pair):
+                slopes = values(dlines[column])
+                smooth = {z for z in zeros if slopes[index[z]]}
         if len(prefix) > 2:
-            runs = [(0, prefix, width)] if prefix[2] in zero_set else []
+            runs = ([(0, prefix, width, prefix[2] in smooth)]
+                    if prefix[2] in zero_set else [])
         else:
             size = len(elems) ** (width - 1)
-            runs = [(index[z] * size, prefix + (z,), width - 1)
+            runs = [(index[z] * size, prefix + (z,), width - 1, z in smooth)
                     for z in zeros]
-        for offset, head, w in runs:
+        for offset, head, w, flag in runs:
             for i, tail in enumerate(itertools.product(elems, repeat=w),
                                      count + offset):
                 if i:
-                    yield i, field, head + tail
+                    yield i, field, head + tail, flag
         count += len(elems) ** width
-        yield count - 1, field, None
+        yield count - 1, field, None, False
+
+
+def _lines(field, form, e, c1, values, index):
+    """{position of c_2 in elements(): the coefficients of F(c_1, c_2, z),
+    low degree first} for F = {(a, b, c): residue} of degree e over GF(p),
+    c_1 raw 0 or 1: every c_2 when c_1 = 1, the columns of _line_values,
+    and c_2 = 0 and 1 when c_1 = 0, the only ones a normalized point
+    reads.  There F(0, c_2, z) = sum_c F_(0, e-c, c) c_2^(e-c) z^c, so the
+    coefficients are read off F."""
+    if c1:
+        return list(zip(*_line_values(field, form, e, c1, values)))
+    at_one = [field.coerce(form.get((0, e - c, c), 0)) for c in range(e + 1)]
+    at_zero = [field.zero] * e + at_one[e:]
+    return {index[field.zero]: at_zero, index[field.one]: at_one}
 
 
 def _line_values(field, form, d, c1, values):
@@ -697,10 +742,32 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     gcd degree is 0, so it can matter only before the first witness, and
     the first point is always scanned.  _curve_scan finds the points on the
     curve with one zero pass of F per block of points sharing (c_1, c_2),
-    and counts each block in one step.  Enumeration order, the point a
-    budget stops at, the ceiling exit and the reports are those of the full
-    scan.  A zero pass evaluates at every element, so prime fields are
-    capped at MAX_ORDER elements, as extension fields are."""
+    and counts each block in one step.
+
+    Singular-point filter: once best >= 1, and when the degree-d forms
+    vanishing on the image are one-dimensional, the kernel also skips every
+    point (c_1:c_2:c_3:...) with (c_1, c_2) != (0, 0) whose c_3 is a simple
+    root of h(z) = F(c_1, c_2, z), h(c_3) = 0 != h'(c_3).  Such a point's
+    gcd degree is at most 1, so it cannot beat best:
+    - the forms vanishing on the image curve C of phi_3 = (f_1:f_2:f_3) are
+      G S_{d - deg C}, G the equation of C, so a one-dimensional kernel
+      means deg C = d.  As deg phi_3 deg C = d - deg gcd(f_1, f_2, f_3),
+      phi_3 is then a birational morphism onto C, and V(F) = C;
+    - h is F on the line L = {(c_1:c_2:z)}, and a simple root of h is a
+      point P with I(P, C . L) = 1 >= m_P(C) (Fulton, Algebraic Curves,
+      section 3.3), so P is a smooth point of C;
+    - phi_3 is the normalization of C, an isomorphism over the smooth
+      points, so its fiber over P has length 1;
+    - for m >= 4, i0 <= 2 as (c_1, c_2) != (0, 0), and the hyperplane at c
+      holds f_j - c_j f_i0 for j <= 3, so the fiber of phi over c lies in
+      the fiber of phi_3 over (c_1:c_2:c_3).
+    The first point, every point on the curve while best < 1 and every
+    point with c_1 = c_2 = 0 still run the kernel.
+
+    Enumeration order, the point a budget stops at, the ceiling exit and
+    the reports are those of the full scan.  A zero pass evaluates at every
+    element, so prime fields are capped at MAX_ORDER elements, as extension
+    fields are."""
     forms = tuple(forms)
     m = len(forms)
     if m < 2:
@@ -731,10 +798,10 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
     witness = None
     witness_gcd = None
     k = 0
-    curve = _image_curve_form(
+    curve, nullity = _image_curve_form(
         ring.field, [_coefficient_row(f, d) for f in forms[:3]], d)
-    for pos, point_field, coords in _curve_scan(curve, d, ring.field.p, K,
-                                                 m - 1):
+    scan = _curve_scan(curve, nullity == 1, d, ring.field.p, K, m - 1)
+    for pos, point_field, coords, smooth in scan:
         if pos >= budget:
             report = TwoVarsReport(d, m, best, witness, witness_gcd, K,
                                    (messages.partial_lower_bound(),))
@@ -742,7 +809,7 @@ def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,
                 f"subspace budget {budget} exhausted after {budget} points",
                 partial=report,
             )
-        if coords is None:
+        if coords is None or smooth and best >= 1:
             continue
         if point_field.k != k:
             k = point_field.k

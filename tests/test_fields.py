@@ -196,6 +196,34 @@ def test_extension_fields_are_capped_at_65536_elements():
             GF(p, k)
 
 
+@pytest.mark.parametrize("p", [2, 101, 65521, 65537, 2**32 + 15])
+def test_pmul_matches_the_integer_product_mod_p(p):
+    # the packed product of residue lists against the schoolbook product
+    # over Z reduced mod p: 1-byte slots for p = 2, wider ones up to 8
+    # bytes, and slots past 8 bytes for p above 2^32; empty lists, lists
+    # with top zeros and zero products strip to [] or their true length
+    assert is_prime(p)
+    rng = random.Random(p)
+
+    def want(a, b):
+        out = [c % p for c in fields._zmul(a, b)]
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
+    cases = [([], []), ([], [1, 2]), ([3 % p], []), ([0], [0, 0]),
+             ([1, 0, 0], [p - 1]), ([0, 0], [1, 1, 0])]
+    for _ in range(40):
+        a = [rng.randrange(p) for _ in range(rng.randint(1, 20))]
+        b = [rng.randrange(p) for _ in range(rng.randint(1, 20))]
+        if rng.random() < 0.3:
+            a += [0] * rng.randint(1, 3)
+        cases.append((a, b))
+    cases.append(([p - 1] * 30, [p - 1] * 30))
+    for a, b in cases:
+        assert fields._pmul(a, b, p) == want(a, b), (a, b)
+
+
 def _echelon_cases(p, rng):
     """Seeded sparse and dense matrices over GF(p), as (columns, dense
     rows): the column labels are arbitrary ints, in ascending order."""
@@ -227,23 +255,58 @@ def _counted_axpy(monkeypatch):
     return calls
 
 
+def _short_cases(p, rng):
+    """Seeded matrices of one to three rows over GF(p), as _echelon_cases
+    gives them: a zero row, a dependent row and a single entry included."""
+    cases = []
+    for n in (1, 2, 3):
+        for density in (0.3, 1.0):
+            for _ in range(4):
+                m = rng.randint(1, 8)
+                columns = sorted(rng.sample(range(-10**12, 10**12), m))
+                rows = [[rng.randrange(1, p) if rng.random() < density
+                         else 0 for _ in range(m)] for _ in range(n)]
+                cases.append((columns, rows))
+        columns = sorted(rng.sample(range(-10**12, 10**12), 5))
+        row = [rng.randrange(1, p) for _ in columns]
+        c = rng.randrange(1, p)
+        cases.append((columns, [row] + [[c * v % p for v in row]] * (n - 1)))
+        cases.append((columns, [[0] * 5] * (n - 1) + [[0, 0, c, 0, 0]]))
+    return cases
+
+
 @pytest.mark.parametrize("p", [2, 3, 101, 32003, 65521, 65537])
 def test_rref_matches_the_oracle_echelon(monkeypatch, p):
     # the pivots and the nonzero rows of _rref against dense Gaussian
     # elimination in the oracle, with the rows after the rank left empty;
-    # GF(p) with p <= 65536 runs the packed kernel and no _axpy, GF(65537)
-    # the dict loop
-    calls = _counted_axpy(monkeypatch)
+    # GF(p) with p <= 65536 runs the packed kernel on PACKED_ROWS rows or
+    # more and the dict loop on fewer, GF(65537) the dict loop always; the
+    # short cases are matrices of 1-3 rows, as most fiber forms and engine
+    # blocks are
+    packed = []
+    kernel = fields._rref_packed
+
+    def counted(*args):
+        packed.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(fields, "_rref_packed", counted)
     rng = random.Random(p)
-    for columns, dense in _echelon_cases(p, rng):
+    ran = set()
+    for columns, dense in _echelon_cases(p, rng) + _short_cases(p, rng):
         rows = [{c: v for c, v in zip(columns, row) if v} for row in dense]
+        before = len(packed)
         pivots = fields._rref(GF(p), rows)
         want, want_pivots = gf_echelon(p, dense)
         assert pivots == [columns[j] for j in want_pivots]
         assert rows[:len(pivots)] == [
             {c: v for c, v in zip(columns, row) if v} for row in want]
         assert rows[len(pivots):] == [{}] * (len(rows) - len(pivots))
-    assert bool(calls) == (p > fields.MAX_ORDER)
+        is_packed = len(packed) - before == 1
+        assert is_packed == (p <= fields.MAX_ORDER
+                             and len(dense) >= fields.PACKED_ROWS), dense
+        ran.add(is_packed)
+    assert ran == ({False, True} if p <= fields.MAX_ORDER else {False})
 
 
 def test_rref_slots_grow_past_32_bits_without_carrying():

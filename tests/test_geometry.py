@@ -994,7 +994,7 @@ def test_image_curve_form_vanishes_where_a_hyperplane_has_a_gcd(p, k, seed):
         for kind, forms in _twovars_cases(R, m, rng):
             d = forms[0].degree()
             rows = [_coefficient_row(f, d) for f in forms]
-            form = _image_curve_form(R.field, rows[:3], d)
+            form, _ = _image_curve_form(R.field, rows[:3], d)
             # F(f_1, f_2, f_3) = 0, in Polynomial arithmetic
             total = R.zero()
             for (a, b, c), v in form.items():
@@ -1382,3 +1382,130 @@ def test_twovars_budgets_around_a_line_boundary_match_the_unfiltered_scan():
         assert (rep.r, rep.witness, rep.witness_gcd, exhausted) == want, \
             budget
         assert exhausted == (budget < total)
+
+
+def _counted_scan(monkeypatch):
+    """{"kernel": gcd kernel calls, "on curve": dual points the image-curve
+    filter passes on to twovars_r}, filled as the scan runs."""
+    counts = {"kernel": 0, "on curve": 0}
+    kernel = geometry._hyperplane_gcd_degree
+    scan = geometry._curve_scan
+
+    def counted_kernel(field, rows, coords):
+        counts["kernel"] += 1
+        return kernel(field, rows, coords)
+
+    def counted_scan(*args):
+        for item in scan(*args):
+            counts["on curve"] += item[2] is not None
+            yield item
+
+    monkeypatch.setattr(geometry, "_hyperplane_gcd_degree", counted_kernel)
+    monkeypatch.setattr(geometry, "_curve_scan", counted_scan)
+    return counts
+
+
+def _nullity(forms):
+    """The dimension of the degree-d forms vanishing on the image curve of
+    the first three forms."""
+    d = forms[0].degree()
+    return _image_curve_form(forms[0].ring.field,
+                             [_coefficient_row(f, d) for f in forms[:3]],
+                             d)[1]
+
+
+def _scan_outcome(forms, K, budget):
+    """(r, witness, witness gcd, exhausted) of twovars_r, as
+    _unfiltered_twovars gives them."""
+    try:
+        rep = twovars_r(forms, K, budget)
+        exhausted = False
+    except BudgetError as exc:
+        rep = exc.partial
+        exhausted = True
+    return rep.r, rep.witness, rep.witness_gcd, exhausted
+
+
+@pytest.mark.parametrize("p,K,m,d,seed", [(2, 3, 3, 5, 101), (3, 2, 3, 4, 102),
+                                          (3, 2, 3, 6, 103), (5, 2, 3, 4, 104),
+                                          (2, 3, 4, 4, 105), (7, 1, 4, 7, 106),
+                                          (3, 2, 4, 6, 107)])
+def test_singular_filter_matches_the_unfiltered_scan(p, K, m, d, seed,
+                                                     monkeypatch):
+    # random systems whose image curve has a unique degree-d form, over
+    # GF(2), GF(3) and GF(5^2) points, three of them with p | d: r,
+    # witness, witness gcd and budget outcome against the kernel at every
+    # dual point, at budgets from the first point to past the end; the
+    # kernel runs at fewer points than the image-curve filter passes on
+    counts = _counted_scan(monkeypatch)
+    rng = random.Random(seed)
+    R = ring2(p)
+    total = sum(1 for _ in _closed_point_coords(p, K, m - 1))
+    skipped = 0
+    systems = 0
+    while systems < 3:
+        forms = _system(R, m, rng, lambda r: [_random_binary_form(R, d, r)
+                                              for _ in range(m)])
+        if _nullity(forms) != 1:
+            continue
+        systems += 1
+        for budget in (1, 2, total // 3, total // 2, total - 1, total + 1):
+            want = _unfiltered_twovars(forms, K, budget)
+            counts.update({"kernel": 0, "on curve": 0})
+            assert _scan_outcome(forms, K, budget) == want, (forms, budget)
+            assert counts["kernel"] <= counts["on curve"]
+            if not want[3] and want[0] < max(0, d - m + 2):
+                skipped += counts["on curve"] - counts["kernel"]
+    assert skipped > 0
+
+
+def _non_birational_cases(p, rng):
+    """(kind, forms) of systems whose image curve has more than one
+    degree-d form: phi factors through (x^e:y^e), e = 2, or the Frobenius
+    e = p, for m = 3; for m = 4 only the first three forms do, so that phi
+    itself can be birational with a fiber of length 2 at a smooth point of
+    the first three forms' image."""
+    R = ring2(p)
+    cases = [("squares", _system(R, 3, rng, lambda r: _forms_in_powers(
+        R, 3, 2, 2, r)))]
+    if p in (2, 3):
+        cases.append(("frobenius", _system(R, 3, rng, lambda r:
+                                           _forms_in_powers(R, 3, 2, p, r))))
+    cases.append(("squares, then a general form", _system(
+        R, 4, rng, lambda r: _forms_in_powers(R, 3, 2, 2, r)
+        + [_random_binary_form(R, 4, r)])))
+    return cases
+
+
+@pytest.mark.parametrize("p,K,seed", [(2, 3, 111), (3, 2, 112), (5, 1, 113),
+                                      (7, 1, 114)])
+def test_singular_filter_skips_nothing_unless_the_curve_form_is_unique(
+        p, K, seed, monkeypatch):
+    # when the degree-d forms on the image curve span more than one
+    # dimension, the kernel runs at every point the image-curve filter
+    # passes on, and the scan equals the unfiltered one; with four forms
+    # whose first three factor through (x^2:y^2), some seeds reach r = 2
+    # only at a simple root of h
+    counts = _counted_scan(monkeypatch)
+    rng = random.Random(seed)
+    found = set()
+    for kind, forms in _non_birational_cases(p, rng):
+        assert _nullity(forms) > 1, (kind, forms)
+        counts.update({"kernel": 0, "on curve": 0})
+        want = _unfiltered_twovars(forms, K, 10**6)
+        assert _scan_outcome(forms, K, 10**6) == want, (kind, forms)
+        assert counts["kernel"] == counts["on curve"], (kind, counts)
+        found.add((kind, want[0]))
+    assert ("squares, then a general form", 2) in found or p == 2, found
+
+
+def test_singular_filter_leaves_the_quartics_few_kernel_calls(monkeypatch):
+    # over GF(101) the quartics' image curve is a plane quartic with a
+    # unique equation: past the first witness the kernel runs only at its
+    # singular points and on the lines with c_1 = c_2 = 0
+    counts = _counted_scan(monkeypatch)
+    forms = parse_session(QUARTICS_101).forms["quartics"]
+    assert _nullity(forms) == 1
+    assert twovars_r(forms, 1).r == 2
+    assert counts["kernel"] <= 10, counts
+    assert counts["on curve"] > 100, counts
