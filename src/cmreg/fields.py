@@ -327,6 +327,8 @@ class PrimeField:
 class ExtensionField:
     """GF(p^k) as GF(p)[g] modulo a monic irreducible ``min_poly`` of degree
     k, q = p^k <= MAX_ORDER, with raw value n + 1 for h^n and 0 for zero.
+    Without ``min_poly``, find_irreducible(p, k) gives it, searched only
+    once p, k and q have passed their checks.
 
     ``zech = (W, Z, m)``: W[a + b] is the product of nonzero raw a and b;
     a + b is W[a + Z[b - a]], or 0 where Z[b - a], the raw 1 + h^(b - a),
@@ -339,7 +341,7 @@ class ExtensionField:
                  "_ranks", "texts")
     zero, one = 0, 1
 
-    def __init__(self, p, k, min_poly):
+    def __init__(self, p, k, min_poly=None):
         if not is_prime(p):
             raise UsageError(f"characteristic {p} is not prime")
         if not 2 <= k <= MAX_EXTENSION_DEGREE:
@@ -350,6 +352,8 @@ class ExtensionField:
         if q > MAX_ORDER:
             raise UsageError(f"GF({p}^{k}) has {q} elements; extension "
                              f"fields are limited to {MAX_ORDER}")
+        if min_poly is None:
+            min_poly = find_irreducible(p, k)
         self.p = p
         self.k = k
         self.order = q
@@ -766,8 +770,6 @@ def GF(p: int = DEFAULT_PRIME, k: int = 1, min_poly=None):
             raise UsageError("minimal polynomial only applies to extensions")
         field = PrimeField(p)
     else:
-        if min_poly is None:
-            min_poly = find_irreducible(p, k)
         field = ExtensionField(p, k, min_poly)
     _CACHE[key] = field
     return field

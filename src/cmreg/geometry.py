@@ -53,16 +53,17 @@ of phi = (f_1:...:f_m): P^1 -> P^(m-1), and r is phi's largest fiber
 length over the enumerated points.  A dual point off the image curve has
 gcd degree 0: the scan runs the gcd kernel only where a degree-d form F
 with F(f_1, f_2, f_3) = 0 vanishes at (c_1, c_2, c_3) (the image-curve
-filter).  F is built once, before the scan; with F(c_1, y, z) =
-sum_c g_c(y) z^c, each g_c is evaluated at every y once per c_1 by the
-field's ``values`` (_line_values), and the zeros in z are found by its
-``zero_scan`` once per block of dual points sharing (c_1, c_2)
-(_curve_scan), both on one ``_slots`` build per extension degree.  When F
-is the only such form up to scalars, (f_1:f_2:f_3) is birational onto its
-image, and past the first witness the kernel runs only where c_3 is a
-multiple root of F(c_1, c_2, z), the points where the image can be singular
-(the singular-point filter, see twovars_r).  Evaluation stays in
-``fields``.
+filter).  F is built once, before the scan; with F(1, y, z) =
+sum_c g_c(y) z^c, each g_c is evaluated at every y once per extension
+degree by the field's ``values`` (_lines), and the zeros in z of
+h(z) = F(c_1, c_2, z) are found by its ``zero_scan`` once per block of
+dual points sharing (c_1, c_2) (_curve_scan), both on one ``_slots``
+build per extension degree.  When F is the only such form up to scalars,
+(f_1:f_2:f_3) is birational onto its image, and past the first witness the
+kernel runs only where c_3 is a multiple root of h, the points where the
+image can be singular (the singular-point filter, see twovars_r); h' is
+read off h's coefficients and evaluated only at h's zeros.  Tabulation
+over the whole field stays in ``fields``.
 """
 
 from __future__ import annotations
@@ -641,16 +642,12 @@ def _curve_scan(form, birational, d, p: int, K: int, s: int):
 
     Per extension degree the field's ``_slots(d)`` is built once and shared
     by ``values`` and ``zero_scan``.  Per extension degree and c_1, _lines
-    gives the coefficients of h and h' at each c_2 a normalized point can
-    have, and the zeros of h are found once per (c_1, c_2); h' is evaluated
-    only where h has a zero.  A block whose prefix fixes c_3 is on the
-    curve or off it as a whole; in any other block each zero z of h is a
-    run of len(elements)^(width - 1) points."""
-    dform = {}
-    if birational:
-        for (a, b, c), v in form.items():
-            if c * v % p:
-                dform[a, b, c - 1] = c * v % p
+    gives the coefficients of h at each c_2 a normalized point can have,
+    and the zeros of h are found once per (c_1, c_2).  h' comes from h's own
+    coefficients, h'_(c-1) = c h_c with c coerced into the field, and is
+    evaluated by Horner's rule only at the zeros of h.  A block whose prefix
+    fixes c_3 is on the curve or off it as a whole; in any other block each
+    zero z of h is a run of len(elements)^(width - 1) points."""
     count = 0
     k = 0
     for field, elems, prefix, width in _point_blocks(p, K, s):
@@ -660,6 +657,7 @@ def _curve_scan(form, birational, d, p: int, K: int, s: int):
             values = field.values(slots)
             zero_scan = field.zero_scan(slots)
             index = {a: i for i, a in enumerate(elems)}
+            degrees = [field.coerce(c) for c in range(1, d + 1)]
             pair = c1 = None
         if count == 0:
             yield 0, field, prefix + (elems[0],) * width, False
@@ -668,15 +666,19 @@ def _curve_scan(form, birational, d, p: int, K: int, s: int):
             if pair[0] != c1:
                 c1 = pair[0]
                 lines = _lines(field, form, d, c1, values, index)
-                if birational:
-                    dlines = _lines(field, dform, d - 1, c1, values, index)
-            column = index[pair[1]]
-            zeros = zero_scan(lines[column])
+            h = lines[index[pair[1]]]
+            zeros = zero_scan(h)
             zero_set = set(zeros)
             smooth = ()
             if birational and zeros and any(pair):
-                slopes = values(dlines[column])
-                smooth = {z for z in zeros if slopes[index[z]]}
+                dh = list(map(field.mul, degrees, h[1:]))
+                smooth = set()
+                for z in zeros:
+                    slope = field.zero
+                    for v in reversed(dh):
+                        slope = field.add(field.mul(slope, z), v)
+                    if slope:
+                        smooth.add(z)
         if len(prefix) > 2:
             runs = ([(0, prefix, width, prefix[2] in smooth)]
                     if prefix[2] in zero_set else [])
@@ -693,31 +695,26 @@ def _curve_scan(form, birational, d, p: int, K: int, s: int):
         yield count - 1, field, None, False
 
 
-def _lines(field, form, e, c1, values, index):
-    """{position of c_2 in elements(): the coefficients of F(c_1, c_2, z),
-    low degree first} for F = {(a, b, c): residue} of degree e over GF(p),
-    c_1 raw 0 or 1: every c_2 when c_1 = 1, the columns of _line_values,
-    and c_2 = 0 and 1 when c_1 = 0, the only ones a normalized point
-    reads.  There F(0, c_2, z) = sum_c F_(0, e-c, c) c_2^(e-c) z^c, so the
+def _lines(field, form, d, c1, values, index):
+    """{position of c_2 in elements(): the coefficients of h(z) =
+    F(c_1, c_2, z), low degree first} for F = {(a, b, c): residue} of
+    degree d over GF(p), c_1 raw 0 or 1 (a normalized point's first
+    coordinate), and ``values`` = field.values(d).
+
+    c_1 = 1 gives every c_2: c_1^a = 1, so F(1, y, z) = sum_c g_c(y) z^c
+    with g_c summed over F's residues, lifted once and tabulated by
+    ``values``.  c_1 = 0 gives c_2 = 0 and 1, the only ones a normalized
+    point reads: F(0, c_2, z) = sum_c F_(0, d-c, c) c_2^(d-c) z^c, so the
     coefficients are read off F."""
     if c1:
-        return list(zip(*_line_values(field, form, e, c1, values)))
-    at_one = [field.coerce(form.get((0, e - c, c), 0)) for c in range(e + 1)]
-    at_zero = [field.zero] * e + at_one[e:]
-    return {index[field.zero]: at_zero, index[field.one]: at_one}
-
-
-def _line_values(field, form, d, c1, values):
-    """[g_c(y) at every y in elements() order, for c = 0..d], where
-    F(c_1, y, z) = sum_c g_c(y) z^c, for F = {(a, b, c): residue} of degree
-    d over GF(p), c_1 raw 0 or 1 (a normalized point's first coordinate),
-    and ``values`` = field.values(d).  c_1^a is 1, or 0 unless a = 0, so
-    each g_c is summed over the residues and lifted once."""
-    g = [[0] * (d + 1) for _ in range(d + 1)]
-    for (a, b, c), v in form.items():
-        if c1 or not a:
+        g = [[0] * (d + 1) for _ in range(d + 1)]
+        for (a, b, c), v in form.items():
             g[c][b] += v
-    return [values([field.coerce(v) for v in row]) for row in g]
+        return list(zip(*[values([field.coerce(v) for v in row])
+                          for row in g]))
+    at_one = [field.coerce(form.get((0, d - c, c), 0)) for c in range(d + 1)]
+    at_zero = [field.zero] * d + at_one[d:]
+    return {index[field.zero]: at_zero, index[field.one]: at_one}
 
 
 def twovars_r(forms, K: int = DEFAULT_EXTENSION_BOUND,

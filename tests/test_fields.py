@@ -47,6 +47,14 @@ def test_extension_degree_is_checked_before_the_polynomial_search(
     for k in (-1, 0, MAX_EXTENSION_DEGREE + 1):
         with pytest.raises(UsageError, match="extension degree"):
             GF(7, k)
+    # so are the characteristic and the order
+    with pytest.raises(UsageError, match="characteristic 6 is not prime"):
+        GF(6, 2)
+    for p, k in ((257, 2), (65537, 2), (10**9 + 7, 8)):
+        with pytest.raises(UsageError,
+                           match=f"elements; extension fields are limited "
+                                 f"to {fields.MAX_ORDER}$"):
+            GF(p, k)
 
 
 def test_prime_field_arithmetic_matches_int_mod_p():

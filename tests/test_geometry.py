@@ -24,9 +24,10 @@ from cmreg.fields import (
 from cmreg.geometry import (
     _closed_point_coords,
     _coefficient_row,
+    _curve_scan,
     _hyperplane_gcd_degree,
     _image_curve_form,
-    _line_values,
+    _lines,
     ClosedPoint,
     ProjectionSpec,
     binary_gcd,
@@ -789,6 +790,52 @@ def test_twovars_budget_carries_partial_report():
     assert messages.partial_lower_bound() in partial.warnings
 
 
+@pytest.mark.parametrize("p,K,m,d,seed", [(2, 3, 3, 4, 121), (2, 3, 3, 5, 122),
+                                          (3, 2, 3, 6, 123), (5, 2, 3, 5, 124),
+                                          (101, 1, 3, 4, 125),
+                                          (3, 2, 4, 3, 126)])
+def test_simple_root_flags_match_the_derivative_of_the_curve_form(
+        p, K, m, d, seed):
+    # at every point after the first that _curve_scan yields for a system
+    # whose image curve has a unique degree-d form F, the smooth flag is
+    # (c_1, c_2) != (0, 0), F(c) = 0 and dF/dz(c) != 0, each evaluated from
+    # F's residues with the field's own add, mul and pow_; over GF(2),
+    # GF(3), GF(5^2) and GF(101) points, where p | d in four cases and
+    # p | 2 in a fifth, so that terms of dF/dz drop out
+    rng = random.Random(seed)
+    R = ring2(p)
+    flags = set()
+    systems = 0
+    while systems < 2:
+        forms = _system(R, m, rng, lambda r: [_random_binary_form(R, d, r)
+                                              for _ in range(m)])
+        rows = [_coefficient_row(f, d) for f in forms[:3]]
+        form, nullity = _image_curve_form(R.field, rows, d)
+        if nullity != 1:
+            continue
+        systems += 1
+        for pos, field, coords, smooth in _curve_scan(form, True, d, p, K,
+                                                      m - 1):
+            if coords is None or pos == 0:
+                continue
+            value = slope = field.zero
+            for (a, b, c), v in form.items():
+                monomial = field.mul(field.pow_(coords[0], a),
+                                     field.pow_(coords[1], b))
+                value = field.add(value, field.mul(
+                    field.coerce(v),
+                    field.mul(monomial, field.pow_(coords[2], c))))
+                if c:
+                    slope = field.add(slope, field.mul(
+                        field.coerce(c * v),
+                        field.mul(monomial, field.pow_(coords[2], c - 1))))
+            want = (any(coords[:2]) and value == field.zero
+                    and slope != field.zero)
+            assert smooth == want, (forms, coords, smooth)
+            flags.add((smooth, value == field.zero))
+    assert flags == {(True, True), (False, True)}, flags
+
+
 def _random_binary_form(R, d, rng):
     """Dense random form of degree d whose coefficient of x^d or of y^d is
     sometimes zero, so that it has y- or x-content."""
@@ -952,13 +999,15 @@ def _twovars_cases(R, m, rng):
 
 @pytest.mark.parametrize("p,k", [(2, 1), (101, 1), (2, 3), (3, 2), (5, 2)])
 def test_restricted_coefficients_match_field_arithmetic(p, k):
-    # the coefficients of h(c_3) = F(c_1, c_2, c_3), read off _line_values
-    # as one column, against the field's own add and mul, for F over GF(p),
-    # each first coordinate c_1 of a normalized point (raw 0 and 1) and
-    # every c_2, zero included
+    # the coefficients of h(c_3) = F(c_1, c_2, c_3), read off _lines, against
+    # the field's own add and mul, for F over GF(p), each first coordinate
+    # c_1 of a normalized point (raw 0 and 1) and the c_2 a normalized point
+    # reads there: every c_2 for c_1 = 1, zero included, and c_2 = 0, 1 for
+    # c_1 = 0
     field = GF(p, k)
     rng = random.Random(97 * p + k)
     elems = list(field.elements())
+    index = {a: i for i, a in enumerate(elems)}
     for d in (1, 3, 4):
         form = {}
         for a in range(d + 1):
@@ -967,14 +1016,14 @@ def test_restricted_coefficients_match_field_arithmetic(p, k):
                     form[(a, b, d - a - b)] = rng.randrange(1, p)
         lifted = {e: field.coerce(v) for e, v in form.items()}
         for c1 in (field.zero, field.one):
-            table = _line_values(field, form, d, c1, field.values(d))
-            for column, c2 in enumerate(elems):
+            lines = _lines(field, form, d, c1, field.values(d), index)
+            for c2 in elems if c1 else (field.zero, field.one):
                 want = [field.zero] * (d + 1)
                 for (a, b, c), v in lifted.items():
                     term = field.mul(v, field.mul(field.pow_(c1, a),
                                                   field.pow_(c2, b)))
                     want[c] = field.add(want[c], term)
-                assert [row[column] for row in table] == want, (d, c1, c2)
+                assert list(lines[index[c2]]) == want, (d, c1, c2)
 
 
 @pytest.mark.parametrize("p,k,seed", [(2, 1, 81), (3, 1, 82), (5, 2, 83),
@@ -1002,9 +1051,9 @@ def test_image_curve_form_vanishes_where_a_hyperplane_has_a_gcd(p, k, seed):
                                  * forms[2]**c).scale(v)
             assert form and total.is_zero(), (kind, forms)
             zeros = field.zero_scan(d)
-            tables = {c1: _line_values(field, form, d, c1, field.values(d))
-                      for c1 in (field.zero, field.one)}
             index = {a: i for i, a in enumerate(field.elements())}
+            lines = {c1: _lines(field, form, d, c1, field.values(d), index)
+                     for c1 in (field.zero, field.one)}
             lifted = [lift_polynomial(f, big) for f in forms]
             if field.order ** (m - 1) <= 800:
                 points = list(_normalized_points(field, m - 1))
@@ -1025,7 +1074,7 @@ def test_image_curve_form_vanishes_where_a_hyperplane_has_a_gcd(p, k, seed):
                 basis = [lifted[j] - lifted[i0].scale(FieldElement(field, c))
                          for j, c in enumerate(coords) if j != i0]
                 if binary_gcd(basis).degree() > 0:
-                    h = [row[index[coords[1]]] for row in tables[coords[0]]]
+                    h = lines[coords[0]][index[coords[1]]]
                     assert coords[2] in zeros(h), (kind, forms, coords)
                     positive[kind, m] = positive.get((kind, m), 0) + 1
     kinds = {"random", "common factor", "non-birational"}
@@ -1319,20 +1368,30 @@ def test_closed_points_of_degree_three_split_only_fixed_prefixes(monkeypatch):
                        for i in range(1, field.k)), prefix
 
 
-def _counted_zero_scans(monkeypatch):
-    """{extension degree: zero passes}, filled as the scan runs."""
-    passes = {}
+def _counted_passes(monkeypatch):
+    """{"zero_scan": {extension degree: zero passes}, "values":
+    {extension degree: evaluation passes}}, filled as the scan runs: calls
+    of the functions the fields' zero_scan and values return, where a
+    values call made within a zero pass counts only as the zero pass."""
+    passes = {"zero_scan": {}, "values": {}}
+    running = []
     for cls in (PrimeField, ExtensionField):
-        def zero_scan(field, d, scan=cls.zero_scan):
-            zeros = scan(field, d)
+        for method, count in passes.items():
+            def make(field, d, build=getattr(cls, method), count=count):
+                run = build(field, d)
 
-            def counted(coeffs):
-                passes[field.k] = passes.get(field.k, 0) + 1
-                return zeros(coeffs)
+                def counted(coeffs):
+                    if not running:
+                        count[field.k] = count.get(field.k, 0) + 1
+                    running.append(field)
+                    try:
+                        return run(coeffs)
+                    finally:
+                        running.pop()
 
-            return counted
+                return counted
 
-        monkeypatch.setattr(cls, "zero_scan", zero_scan)
+            monkeypatch.setattr(cls, method, make)
     return passes
 
 
@@ -1346,7 +1405,7 @@ QUARTICS_101 = (
 def test_twovars_scan_runs_one_zero_pass_per_leading_pair(monkeypatch):
     # m = 3: at most q + 2 zero passes per extension degree, over GF(q) =
     # GF(p^k): one per leading pair (1, c), (0, 1) and (0, 0)
-    passes = _counted_zero_scans(monkeypatch)
+    passes = _counted_passes(monkeypatch)["zero_scan"]
     forms = parse_session(QUARTICS_101).forms["quartics"]
     assert twovars_r(forms, 1).r == 2
     assert passes == {1: 101 + 2}
@@ -1360,6 +1419,25 @@ def test_twovars_scan_runs_one_zero_pass_per_leading_pair(monkeypatch):
             assert n <= 3**k + 2, (kind, passes)
         if rep.r < forms[0].degree() - 1:
             assert set(passes) == {1, 2, 3}, (kind, passes)
+
+
+def test_twovars_scan_tabulates_each_coefficient_once_per_extension_degree(
+        monkeypatch):
+    # values runs only for the c_1 = 1 table of _lines, once per coefficient
+    # of h, so at most d + 1 times per extension degree; h' is evaluated
+    # only at the zeros of h, not tabulated
+    passes = _counted_passes(monkeypatch)["values"]
+    forms = parse_session(QUARTICS_101).forms["quartics"]
+    assert twovars_r(forms, 1).r == 2
+    assert passes == {1: 4 + 1}
+    rng = random.Random(7)
+    R = ring2(3)
+    for kind, forms in _twovars_cases(R, 3, rng):
+        passes.clear()
+        twovars_r(forms, 3)
+        d = forms[0].degree()
+        assert passes and all(n <= d + 1 for n in passes.values()), \
+            (kind, passes)
 
 
 def test_twovars_budgets_around_a_line_boundary_match_the_unfiltered_scan():
